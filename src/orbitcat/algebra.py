@@ -79,49 +79,19 @@ class Algebra:
     def mul_vec(self, x, y) -> np.ndarray:
         """Product of two coordinate vectors."""
         F = self.field
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        if F.n == 1:
-            return np.einsum("a,b,abk->k", x, y, self.struct) % F.p
-        acc = F.zeros(self.dim)
-        for a in range(self.dim):
-            if x[a]:
-                row = F.vsum(F.vmul(y[:, None], self.struct[a]), axis=0)
-                acc = F.vadd(acc, F.vmul(int(x[a]), row))
-        return acc
+        return F.combine(y, F.combine(x, self.struct))
 
     def left_mult_matrix(self, x) -> np.ndarray:
         """Matrix of y -> x*y on coordinate columns."""
-        F = self.field
-        x = np.asarray(x, dtype=np.int64)
-        if F.n == 1:
-            return np.einsum("a,abk->kb", x, self.struct) % F.p
-        M = F.zeros((self.dim, self.dim))
-        for a in range(self.dim):
-            if x[a]:
-                M = F.vadd(M, F.vmul(int(x[a]), self.struct[a].T))
-        return M
+        return self.field.combine(x, self.struct).T
 
     def right_mult_matrix(self, y) -> np.ndarray:
-        F = self.field
-        y = np.asarray(y, dtype=np.int64)
-        if F.n == 1:
-            return np.einsum("b,abk->ka", y, self.struct) % F.p
-        M = F.zeros((self.dim, self.dim))
-        for b in range(self.dim):
-            if y[b]:
-                M = F.vadd(M, F.vmul(int(y[b]), self.struct[:, b, :].T))
-        return M
+        return self.field.combine(y, self.struct.transpose(1, 0, 2)).T
 
     def span_products(self, X, Y) -> np.ndarray:
         """All products x*y for rows x of X and y of Y; shape (r, s, d)."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.int64))
-        Y = np.atleast_2d(np.asarray(Y, dtype=np.int64))
-        out = self.field.zeros((X.shape[0], Y.shape[0], self.dim))
-        for i, x in enumerate(X):
-            M = self.left_mult_matrix(x)  # (d, d)
-            out[i] = self.field.vmatmul(Y, M.T)
-        return out
+        F = self.field
+        return F.vmatmul(np.atleast_2d(Y), F.combine(np.atleast_2d(X), self.struct))
 
     def power(self, x, e: int) -> np.ndarray:
         acc = self.unit.copy()
@@ -160,16 +130,7 @@ class Algebra:
 
     def rep_of(self, x, rep=None) -> np.ndarray:
         rep = self.faithful_rep() if rep is None else rep
-        F = self.field
-        x = np.asarray(x, dtype=np.int64)
-        nrep = rep[0].shape[0]
-        if F.n == 1:
-            return np.einsum("a,auv->uv", x, np.stack(rep)) % F.p
-        acc = F.zeros((nrep, nrep))
-        for a in range(self.dim):
-            if x[a]:
-                acc = F.vadd(acc, F.vmul(int(x[a]), rep[a]))
-        return acc
+        return self.field.combine(x, np.stack(rep))
 
     def is_commutative(self) -> bool:
         return bool(np.array_equal(self.struct, self.struct.transpose(1, 0, 2)))
@@ -193,6 +154,7 @@ class Algebra:
 
     def validate(self):
         F = self.field
+        c = self.struct
         d = self.dim
         if d == 0:
             return
@@ -200,26 +162,14 @@ class Algebra:
         R1 = self.right_mult_matrix(self.unit)
         if not np.array_equal(L1, F.eye(d)) or not np.array_equal(R1, F.eye(d)):
             raise ValueError("unit does not act as identity")
-        if F.n == 1 and d <= 40:
-            lhs = np.einsum("ijm,mkl->ijkl", self.struct, self.struct) % F.p
-            rhs = np.einsum("jkm,iml->ijkl", self.struct, self.struct) % F.p
+        # (b_i b_j) b_k = b_i (b_j b_k), one (d, d*d) block per i
+        pairs = c.reshape(d * d, d)
+        for i in range(d):
+            lhs = F.combine(c[i], c)
+            rhs = F.vmatmul(pairs, c[i]).reshape(d, d, d)
             if not np.array_equal(lhs, rhs):
-                bad = np.argwhere(lhs != rhs)[0]
-                raise ValueError(f"associativity fails on basis triple {tuple(bad[:3])}")
-        else:
-            for i in range(d):
-                bi = F.eye(d)[i]
-                for j in range(d):
-                    bj = F.eye(d)[j]
-                    pij = self.mul_vec(bi, bj)
-                    for k in range(d):
-                        bk = F.eye(d)[k]
-                        left = self.mul_vec(pij, bk)
-                        right = self.mul_vec(bi, self.mul_vec(bj, bk))
-                        if not np.array_equal(left, right):
-                            raise ValueError(
-                                f"associativity fails on basis triple ({i}, {j}, {k})"
-                            )
+                j, k = (int(t) for t in np.argwhere(lhs != rhs)[0][:2])
+                raise ValueError(f"associativity fails on basis triple ({i}, {j}, {k})")
 
     def __repr__(self):
         return f"Algebra(dim={self.dim} over {self.field!r})"
@@ -243,22 +193,14 @@ class AlgebraAut:
             raise ValueError("automorphism matrix is singular")
         if not np.array_equal(self.apply(A.unit), A.unit):
             raise ValueError("automorphism does not fix the unit")
-        d = A.dim
-        if F.n == 1 and d <= 40:
-            lhs = np.einsum("kl,ijl->ijk", U, A.struct) % F.p
-            rhs = np.einsum("ai,bj,abk->ijk", U, U, A.struct) % F.p
+        # U(b_i b_j) = U(b_i) U(b_j), one (d, d) block per i
+        c = A.struct
+        for i in range(A.dim):
+            lhs = F.vmatmul(c[i], U.T)
+            rhs = F.vmatmul(U.T, F.combine(U[:, i], c))
             if not np.array_equal(lhs, rhs):
-                bad = tuple(np.argwhere(lhs != rhs)[0][:2])
-                raise ValueError(f"automorphism is not multiplicative on pair {bad}")
-        else:
-            for i in range(d):
-                for j in range(d):
-                    left = self.apply(A.mul_vec(F.eye(d)[i], F.eye(d)[j]))
-                    right = A.mul_vec(U[:, i], U[:, j])
-                    if not np.array_equal(left, right):
-                        raise ValueError(
-                            f"automorphism is not multiplicative on pair ({i}, {j})"
-                        )
+                j = int(np.argwhere(lhs != rhs)[0][0])
+                raise ValueError(f"automorphism is not multiplicative on pair ({i}, {j})")
 
     def apply(self, x) -> np.ndarray:
         return self.algebra.field.vmatmul(self.matrix, np.asarray(x)[:, None])[:, 0]
@@ -567,7 +509,7 @@ def make_skew_group_algebra(a: Algebra, action) -> Algebra:
     labels = None
     if a.labels:
         labels = tuple(f"{a.labels[i]}|g{g}" for g in range(k) for i in range(d))
-    return Algebra(F, struct, unit, labels=labels, validate=(D <= 40))
+    return Algebra(F, struct, unit, labels=labels)
 
 
 def _prime_power(q: int):
@@ -582,6 +524,19 @@ def _prime_power(q: int):
                 raise ValueError(f"{q} is not a prime power")
             return p, e
     raise ValueError(f"{q} is not a prime power")
+
+
+def first_root(field: FiniteField, coeffs) -> int:
+    """The least code of the field that is a root of the polynomial with
+    little-endian F_p coefficients (a field modulus, say)."""
+    codes = np.arange(field.q, dtype=np.int64)
+    acc = field.zeros(field.q)
+    for c in reversed(coeffs):
+        acc = field.vadd(field.vmul(acc, codes), int(c) % field.p)
+    roots = np.flatnonzero(acc == 0)
+    if roots.size == 0:
+        raise RuntimeError("polynomial has no root in the field")
+    return int(roots[0])
 
 
 class SubfieldMap:
@@ -609,20 +564,9 @@ class SubfieldMap:
 
     def _find_base_generator(self):
         """Element of the big field with the base field's minimal polynomial."""
-        big, base = self.big, self.base
-        if base.n == 1:
+        if self.base.n == 1:
             return 1
-        # fixed space of the e-fold p-Frobenius, searched for a modulus root
-        target = list(base.modulus)
-        for code in range(big.q):
-            if big.frobenius(code, base.n) != code:
-                continue
-            acc = 0
-            for c in reversed(target):
-                acc = big.add(big.mul(acc, code), c % big.p)
-            if acc == 0 and code not in (0,):
-                return code
-        raise RuntimeError("no base-field generator found")  # unreachable
+        return first_root(self.big, self.base.modulus)
 
     def embed(self, small_code: int) -> int:
         """F_q element into the big field."""
@@ -640,15 +584,6 @@ class SubfieldMap:
         for t in range(self.m):
             out[t] = self.base.from_digits(y[t * self.e : (t + 1) * self.e])
         return out
-
-    def from_coords(self, coords) -> int:
-        big = self.big
-        acc = 0
-        x = big.from_digits([0, 1] + [0] * (self.e * self.m - 2)) if self.e * self.m > 1 else 1
-        for t, c in enumerate(coords):
-            if c:
-                acc = big.add(acc, big.mul(self.embed(int(c)), big.pow(x, t)))
-        return acc
 
 
 def make_twisted_group_ring(q: int, deg_m: int, table, phi) -> Algebra:
@@ -683,7 +618,7 @@ def make_twisted_group_ring(q: int, deg_m: int, table, phi) -> Algebra:
                     struct[g * deg_m + t1, h * deg_m + t2, gh * deg_m : (gh + 1) * deg_m] = sf.coords(prod)
     unit = np.zeros(D, dtype=np.int64)
     unit[identity * deg_m] = 1
-    return Algebra(sf.base, struct, unit, validate=(D <= 40))
+    return Algebra(sf.base, struct, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -696,23 +631,6 @@ def _echelon_rows(field, rows):
     rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
     R, pivots = rref(field, rows)
     return R[: len(pivots)].copy()
-
-
-def _rep_stack(A: Algebra, rows, rep) -> np.ndarray:
-    """rep matrices of the elements given by coordinate rows; (N, n, n)."""
-    F = A.field
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    reps = np.stack(rep)
-    if F.n == 1:
-        return np.einsum("na,auv->nuv", rows, reps) % F.p
-    out = F.zeros((rows.shape[0],) + reps.shape[1:])
-    for i, r in enumerate(rows):
-        acc = F.zeros(reps.shape[1:])
-        for a in range(A.dim):
-            if r[a]:
-                acc = F.vadd(acc, F.vmul(int(r[a]), reps[a]))
-        out[i] = acc
-    return out
 
 
 def _inv_frobenius_rows(field, rows, j):
@@ -737,26 +655,18 @@ def radical(A: Algebra, certify: bool = True) -> np.ndarray:
     d = A.dim
     if d == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    rep = A.faithful_rep()
-    nrep = rep[0].shape[0]
+    rep = np.stack(A.faithful_rep())
+    nrep = rep.shape[1]
     basis = F.eye(d)
     j = 0
     pj = 1
     while pj <= nrep and len(basis) > 0:
         r = len(basis)
-        reps = _rep_stack(A, basis, rep)  # (r, n, n)
+        reps = F.combine(basis, rep)  # (r, n, n)
         if pj == 1:
             # trace form stage: C[a, b] = tr(rep(x_a) rep(x_b))
-            if F.n == 1:
-                C = np.einsum("auv,bvu->ab", reps, reps) % F.p
-            else:
-                C = F.vsum(
-                    F.vsum(
-                        F.vmul(reps[:, None, :, :], reps.transpose(0, 2, 1)[None, :, :, :]),
-                        axis=3,
-                    ),
-                    axis=2,
-                )
+            C = F.vmatmul(reps.reshape(r, nrep * nrep),
+                          reps.transpose(0, 2, 1).reshape(r, nrep * nrep).T)
         else:
             prods = F.vmatmul(reps[:, None], reps[None, :])  # (r, r, n, n)
             polys = charpoly_batched(F, prods.reshape(r * r, nrep, nrep))

@@ -14,7 +14,6 @@ from typing import Callable, List
 import numpy as np
 
 from .algebra import (
-    is_local,
     make_group_algebra,
     make_matrix_algebra,
     primitive_orthogonal_idempotents,
@@ -23,7 +22,7 @@ from .algebra import (
 from .clifford import clifford_run, inertia, trivial_inertia_check
 from .ffield import FF
 from .karoubi import KarObject, kar_decompose, kar_end_algebra, kar_is_isomorphic
-from .linalg import solve
+from .linalg import kernel_basis, poly_at_matrix, solve
 from .oracle import (
     GaloisScenario,
     SkewContext,
@@ -500,10 +499,7 @@ def _brute_force_signature(M: Module):
                 ga = Poly.one(F)
                 for _ in range(a):
                     ga = ga * g
-                mat = _eval_poly_at_matrix(F, ga, f)
-                from .linalg import kernel_basis
-
-                ker = kernel_basis(F, mat)
+                ker = kernel_basis(F, poly_at_matrix(F, ga, f))
                 if not ker:
                     ok = False
                     break
@@ -520,14 +516,6 @@ def _brute_force_signature(M: Module):
     for d in leaves:
         agg[d] = agg.get(d, 0) + 1
     return sorted(agg.items())
-
-
-def _eval_poly_at_matrix(F, poly, mat):
-    acc = F.zeros(mat.shape)
-    for c in reversed(poly.codes):
-        acc = F.vmatmul(acc, mat)
-        acc = F.vadd(acc, F.vmul(c, F.eye(mat.shape[0])))
-    return acc
 
 
 def _restrict_to_rows(N: Module, rows):

@@ -84,7 +84,20 @@ def _build_context(doc: dict):
     return field, algebra, action, module
 
 
-def run_task(task: str, doc: dict, seed: int) -> dict:
+def _clifford_report(shared: dict):
+    """The scenario's clifford_run report, or the error it raised; the
+    clifford and oracle_compare tasks of one scenario share one run."""
+    if "clifford" not in shared:
+        _, _, action, module = shared["context"]
+        try:
+            shared["clifford"] = clifford_run(action, module)
+        except (CliffordViolation, ValueError) as ex:
+            shared["clifford"] = ex
+    return shared["clifford"]
+
+
+def run_task(task: str, doc: dict, seed: int, shared: dict) -> dict:
+    """Run one task; ``shared`` carries what the tasks of one scenario reuse."""
     out = {"task": task}
     if task == "galois":
         g = doc["galois"]
@@ -114,18 +127,21 @@ def run_task(task: str, doc: dict, seed: int) -> dict:
         out["pass"] = r.passed
         out["details"] = {"summary": r.details}
         return out
-    field, algebra, action, module = _build_context(doc)
-    if task == "clifford":
-        try:
-            rep = clifford_run(action, module)
-        except (CliffordViolation, ValueError) as ex:
+    if "context" not in shared:
+        shared["context"] = _build_context(doc)
+    _, _, action, module = shared["context"]
+    if task in ("clifford", "oracle_compare"):
+        rep = _clifford_report(shared)
+        if isinstance(rep, Exception):
             out["pass"] = False
-            out["details"] = {"error": str(ex)}
+            out["details"] = {"error": str(rep)}
             return out
+    if task == "clifford":
         out["pass"] = bool(
             rep.sum_n_equals_inertia and all(s.local for s in rep.stage2)
         )
         det = rep.to_dict()
+        det["oracle"] = None  # the comparison is the oracle_compare task's result
         det["orbit End dimension"] = rep.orbit_end_dim
         det["summands"] = sum(s.multiplicity for s in rep.stage1)
         det["certificates"] = [
@@ -142,7 +158,6 @@ def run_task(task: str, doc: dict, seed: int) -> dict:
         return out
     if task == "oracle_compare":
         try:
-            rep = clifford_run(action, module)
             ctx = SkewContext(action)
             cmp_out = oracle_compare(rep, ctx, module)
         except (CliffordViolation, ValueError) as ex:
@@ -187,7 +202,8 @@ def run(path: str, seed: int = 0, with_timing: bool = False) -> dict:
     doc = load_scenario(doc)
     seed = int(doc.get("seed", seed))
     t0 = time.monotonic()
-    results = [run_task(t, doc, seed) for t in doc["tasks"]]
+    shared: dict = {}
+    results = [run_task(t, doc, seed, shared) for t in doc["tasks"]]
     elapsed = int((time.monotonic() - t0) * 1000)
     return {
         "schema_version": SCHEMA_VERSION,

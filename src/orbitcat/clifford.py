@@ -26,8 +26,10 @@ from .karoubi import (
     kar_is_isomorphic,
     lift_functor_to_kar,
 )
-from .orbit import GroupAction, lifted_aut, orbit_hom
-from .rep import Module, decompose, end_algebra, hom_space, is_isomorphic
+from .linalg import kernel_basis, min_poly, poly_at_matrix
+from .orbit import GroupAction, orbit_hom
+from .poly import poly_factor
+from .rep import Module, decompose, end_algebra, hom_space, is_isomorphic, submodule_span
 
 
 @dataclass
@@ -277,47 +279,14 @@ def is_simple(M: Module) -> bool:
                 seen.add(key)
                 vectors.append(v)
     else:
-        from .linalg import min_poly
-        from .poly import poly_factor
-
         for mat in M.mats:
-            mp = min_poly(F, mat)
-            for g, _ in poly_factor(mp):
-                gm = _eval_matrix_poly(F, g, mat)
-                from .linalg import kernel_basis
-
-                for v in kernel_basis(F, gm):
-                    vectors.append(np.asarray(v))
+            for g, _ in poly_factor(min_poly(F, mat)):
+                vectors.extend(kernel_basis(F, poly_at_matrix(F, g, mat)))
     for v in vectors:
-        span = _spin(M, v)
+        span = submodule_span(M, v)
         if 0 < len(span) < M.dim:
             return False
     return True
-
-
-def _eval_matrix_poly(F, poly, mat):
-    acc = F.zeros(mat.shape)
-    for c in reversed(poly.codes):
-        acc = F.vmatmul(acc, mat)
-        acc = F.vadd(acc, F.vmul(c, F.eye(mat.shape[0])))
-    return acc
-
-
-def _spin(M: Module, v):
-    """Echelon basis of the submodule generated by v."""
-    from .linalg import rref
-
-    F = M.field
-    rows = np.asarray(v, dtype=np.int64)[None, :]
-    while True:
-        images = [rows]
-        for mat in M.mats:
-            images.append(F.vmatmul(rows, mat.T))
-        R, piv = rref(F, np.concatenate(images, axis=0))
-        R = R[: len(piv)]
-        if len(R) == len(rows) or len(R) == M.dim:
-            return R
-        rows = R
 
 
 def skewfield_check(action: GroupAction, M: Module) -> dict:

@@ -14,13 +14,23 @@ built on top reproducible across runs and machines.
 Matrices and vectors are plain ``numpy.int64`` arrays of codes; the field
 object supplies vectorized operations on them.  Small fields (q <= 4096)
 get full lookup tables, larger ones go through a digit-vector path.
+
+``FiniteField.combine(coeffs, stack)`` is the one linear-combination
+primitive: every sum of field multiples of vectors or matrices in the
+layers above goes through it, so how a field does linear algebra
+(float64 or int64 products for prime fields, digit convolutions for
+extensions) is decided here and nowhere else.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _TABLE_LIMIT = 4096
+# prime-field matrix products with more multiplications than this use float64
+_FLOAT_GATE = 2 ** 15
 _FIELD_CACHE: dict = {}
 
 
@@ -348,25 +358,43 @@ class FiniteField:
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
         if self.n == 1:
-            inner = A.shape[-1]
-            if inner == 0:
-                shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
-                return np.zeros(shape + (A.shape[-2], B.shape[-1]), dtype=np.int64)
-            # exact in float64 while (p-1)^2 * inner < 2^53
-            if (self.p - 1) ** 2 * inner < 2 ** 52:
-                C = np.matmul(A.astype(np.float64), B.astype(np.float64))
-                return np.rint(C).astype(np.int64) % self.p
-            return np.matmul(A, B) % self.p
+            return self._matmul_mod_p(A, B)
         da, db = self._dig(A), self._dig(B)  # (..., r, s, n), (..., s, t, n)
         parts = None
         for i in range(self.n):
             for j in range(self.n):
-                prod = np.matmul(da[..., i], db[..., j]) % self.p
+                prod = self._matmul_mod_p(da[..., i], db[..., j])
                 if parts is None:
                     shape = prod.shape + (2 * self.n - 1,)
                     parts = np.zeros(shape, dtype=np.int64)
                 parts[..., i + j] += prod
         return self._encode_digits((parts @ self._red) % self.p)
+
+    def _matmul_mod_p(self, A, B) -> np.ndarray:
+        """A @ B mod p for int64 arrays with entries in range(p)."""
+        rows, inner, cols = A.shape[-2], A.shape[-1], B.shape[-1]
+        # multiplications in the product, with either operand batched
+        mults = max(A.size * cols, B.size * rows)
+        # float64 is exact while (p-1)^2 * inner < 2^53; it pays for its
+        # casts only on large matrix-matrix products
+        if (min(rows, cols) > 1 and mults > _FLOAT_GATE
+                and (self.p - 1) ** 2 * inner < 2 ** 52):
+            C = np.matmul(A.astype(np.float64), B.astype(np.float64))
+            return np.rint(C).astype(np.int64) % self.p
+        return np.matmul(A, B) % self.p
+
+    def combine(self, coeffs, stack) -> np.ndarray:
+        """Linear combinations sum_a coeffs[..., a] * stack[a].
+
+        The one linear-combination primitive: a single vmatmul of the
+        coefficient rows against the stack flattened to (d, w).  The
+        result has shape coeffs.shape[:-1] + stack.shape[1:]."""
+        coeffs = np.asarray(coeffs, dtype=np.int64)
+        stack = np.asarray(stack, dtype=np.int64)
+        d = stack.shape[0]
+        rows = coeffs.reshape(math.prod(coeffs.shape[:-1]), d)
+        flat = self.vmatmul(rows, stack.reshape(d, math.prod(stack.shape[1:])))
+        return flat.reshape(coeffs.shape[:-1] + stack.shape[1:])
 
     def vinv(self, A) -> np.ndarray:
         A = np.asarray(A)

@@ -25,6 +25,7 @@ from .linalg import SpanSolver, rref, solve
 from .orbit import (
     GroupAction,
     OrbitMor,
+    combine_orbitmors,
     functor_T,
     identity_orbitmor,
     lifted_aut,
@@ -127,18 +128,6 @@ def kar_end_algebra(P: KarObject) -> Tuple[Algebra, List[OrbitMor]]:
     return E, basis_mors
 
 
-def _mor_from_coords(P: KarObject, basis_mors, coords) -> OrbitMor:
-    F = P.action.algebra.field
-    acc = None
-    for c, b in zip(coords, basis_mors):
-        if c:
-            term = b.scale(int(c))
-            acc = term if acc is None else acc.add(term)
-    if acc is None:
-        acc = OrbitMor(P.action, P.module, P.module, {}, P.support, validate=False)
-    return acc
-
-
 def kar_decompose(P: KarObject) -> List[KarObject]:
     """Primitive orthogonal summands of (X, e), one KarObject per
     idempotent; they sum to e exactly and each corner is local."""
@@ -149,7 +138,7 @@ def kar_decompose(P: KarObject) -> List[KarObject]:
     out = []
     total = None
     for evec in es:
-        mor = _mor_from_coords(P, basis_mors, evec)
+        mor = combine_orbitmors(basis_mors, evec)
         if orbit_compose(mor, mor) != mor:
             raise ValueError("abstract idempotent did not map to an orbit idempotent")
         out.append(KarObject(P.action, P.module, mor, P.support, validate=False))
@@ -177,7 +166,6 @@ def kar_is_isomorphic(P: KarObject, Q: KarObject):
     HQP = kar_hom(Q, P)
     if not HPQ or not HQP:
         return None
-    cols = np.stack([m.mor.flatten() for m in HQP]).T
     pair = None
     for km in HPQ:
         alpha = km.mor
@@ -187,7 +175,7 @@ def kar_is_isomorphic(P: KarObject, Q: KarObject):
         sol = solve(F, Asys, P.idem.flatten())
         if sol is None:
             continue
-        beta = _combine(HQP, sol, P, Q)
+        beta = combine_orbitmors([m.mor for m in HQP], sol)
         if orbit_compose(beta, alpha) == Q.idem:
             pair = (alpha, beta)
             break
@@ -227,17 +215,6 @@ def kar_is_isomorphic(P: KarObject, Q: KarObject):
     if orbit_compose(alpha, beta) == P.idem and orbit_compose(beta, alpha) == Q.idem:
         return (alpha, beta)
     return None
-
-
-def _combine(kms, coeffs, P, Q):
-    acc = None
-    for c, km in zip(coeffs, kms):
-        if c:
-            term = km.mor.scale(int(c))
-            acc = term if acc is None else acc.add(term)
-    if acc is None:
-        acc = OrbitMor(P.action, Q.module, P.module, {}, P.support, validate=False)
-    return acc
 
 
 def kar_summand_witnesses(P: KarObject, piece: KarObject):

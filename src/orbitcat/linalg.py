@@ -342,6 +342,15 @@ class _KrylovTracker:
         return None
 
 
+def poly_at_matrix(field, f: Poly, A) -> np.ndarray:
+    """f(A) for a square matrix A, by Horner's rule."""
+    eye = field.eye(A.shape[0])
+    acc = field.zeros(A.shape)
+    for c in reversed(f.codes):
+        acc = field.vadd(field.vmatmul(acc, A), field.vmul(c, eye))
+    return acc
+
+
 def min_poly(field, A) -> Poly:
     """Minimal polynomial via the first dependence among powers of A."""
     A = np.asarray(A, dtype=np.int64)

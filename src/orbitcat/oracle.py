@@ -24,11 +24,13 @@ from .algebra import (
     Algebra,
     AlgebraAut,
     SubfieldMap,
+    first_root,
     make_skew_group_algebra,
     make_twisted_group_ring,
     validate_group_table,
 )
 from .clifford import CliffordReport
+from .ffield import FF
 from .linalg import SpanSolver, inverse, kernel_basis, rref, solve
 from .orbit import GroupAction
 from .rep import (
@@ -82,8 +84,7 @@ class SkewContext:
 
     def restrict(self, X: Module) -> Module:
         """A skew-algebra module viewed over the base algebra."""
-        mats = [X.act(self.embed[:, i]) for i in range(self.base.dim)]
-        return Module(self.base, mats, validate=False)
+        return restrict_along(self.embed, self.skew, self.base, X)
 
 
 def induce_skew(ctx: SkewContext, M: Module) -> Module:
@@ -96,15 +97,15 @@ def induce_skew(ctx: SkewContext, M: Module) -> Module:
     F = ctx.base.field
     k, d, m = action.k, ctx.base.dim, M.dim
     D = k * m
+    # acts[x][i] is the action of sigma_x(b_i) on M
+    acts = [F.combine(aut.matrix.T, M.stack()) for aut in action.auts]
     mats = []
     for i in range(d):
         for g in range(k):
             big = F.zeros((D, D))
             for h in range(k):
                 gh = action.mul(g, h)
-                aut = action.auts[action.inv(gh)]
-                coords = aut.matrix[:, i]  # sigma_{(gh)^-1}(b_i)
-                big[gh * m : (gh + 1) * m, h * m : (h + 1) * m] = M.act(coords)
+                big[gh * m : (gh + 1) * m, h * m : (h + 1) * m] = acts[action.inv(gh)][i]
             mats.append(big)
     # reorder into skew basis order (g-major: index g*d + i)
     ordered = [None] * ctx.skew.dim
@@ -267,23 +268,10 @@ def galois_build(sc: GaloisScenario):
     small = make_twisted_group_ring(sc.q, sc.deg_l, h_table, phi_h)
 
     sf_big = SubfieldMap(sc.q, sc.deg_m)
-    sf_small = SubfieldMap(sc.q, sc.deg_l)
-    # find the image of the small field's generator inside the big field:
-    # a root of the small modulus among the elements fixed by Frob_q^deg_l
+    # the image of the small field's generator inside the big field: the
+    # first root of the small modulus
     bigf = sf_big.big
-    target = list(sf_small.big.modulus)
-    y = None
-    for code in range(bigf.q):
-        if bigf.frobenius(code, sf_big.e * sc.deg_l) != code:
-            continue
-        acc = 0
-        for c in reversed(target):
-            acc = bigf.add(bigf.mul(acc, code), _embed_small_coeff(sf_big, sf_small, c))
-        if acc == 0:
-            y = code
-            break
-    if y is None:
-        raise RuntimeError("no embedding of L into M found")  # unreachable
+    y = first_root(bigf, FF(sf_big.p, sf_big.e * sc.deg_l).modulus)
     F = big.field
     emb = np.zeros((big.dim, small.dim), dtype=np.int64)
     for hi, h in enumerate(sc.H):
@@ -306,16 +294,10 @@ def galois_build(sc: GaloisScenario):
     return big, small, emb
 
 
-def _embed_small_coeff(sf_big: SubfieldMap, sf_small: SubfieldMap, c: int) -> int:
-    """Move an F_q coefficient (code in the small SubfieldMap's base) into
-    the big field."""
-    return sf_big.embed(c)
-
-
 def restrict_along(emb, big: Algebra, small: Algebra, X: Module) -> Module:
     """View a big-algebra module over the small algebra via the embedding."""
-    mats = [X.act(emb[:, j]) for j in range(small.dim)]
-    return Module(small, mats, validate=False)
+    mats = X.field.combine(emb.T, X.stack())
+    return Module(small, list(mats), validate=False)
 
 
 def galois_rank_check(sc: GaloisScenario) -> dict:
@@ -342,20 +324,8 @@ def normal_basis_element(sc: GaloisScenario) -> int:
     L-basis of M."""
     sf = SubfieldMap(sc.q, sc.deg_m)
     bigf = sf.big
-    # the L-basis inside M: powers of a root y of the small modulus
-    sf_small = SubfieldMap(sc.q, sc.deg_l)
-    target = list(sf_small.big.modulus)
-    y = None
-    for code in range(bigf.q):
-        if bigf.frobenius(code, sf.e * sc.deg_l) != code:
-            continue
-        acc = 0
-        for c in reversed(target):
-            acc = bigf.add(bigf.mul(acc, code), sf.embed(c))
-        if acc == 0:
-            y = code
-            break
-    assert y is not None
+    # the L-basis inside M: powers of the first root y of the small modulus
+    y = first_root(bigf, FF(sf.p, sf.e * sc.deg_l).modulus)
     ypow = [bigf.pow(y, s) for s in range(sc.deg_l)]
     F = sf.base
     for theta in range(1, bigf.q):
@@ -406,17 +376,9 @@ def enveloping_algebra(B: Algebra) -> Algebra:
     """B (x) B^op; its modules are exactly the (B, B)-bimodules."""
     F = B.field
     d = B.dim
-    if F.n == 1:
-        struct = np.einsum("ijk,qpl->ipjqkl", B.struct, B.struct) % F.p
-    else:
-        struct = F.zeros((d, d, d, d, d, d))
-        for i in range(d):
-            for p in range(d):
-                for j in range(d):
-                    for q in range(d):
-                        left = B.struct[i, j]
-                        right = B.struct[q, p]
-                        struct[i, p, j, q] = F.vmul(left[:, None], right[None, :])
+    # struct[i, p, j, q, k, l] = c[i, j, k] * c[q, p, l]
+    c = B.struct
+    struct = F.vmul(c[:, None, :, None, :, None], c.transpose(1, 0, 2)[None, :, None, :, None, :])
     struct = struct.reshape(d * d, d * d, d * d)
     unit = np.kron(B.unit, B.unit)
     return Algebra(F, struct, unit, validate=False)
@@ -439,25 +401,6 @@ def bimodule_as_module(Benv: Algebra, B: Algebra, big: Algebra, emb,
             images = F.vmatmul(coords, op.T)
             mats.append(S.batch_coords(images).T)
     return Module(Benv, mats, validate=False)
-
-
-def _left_free_generator(B: Algebra, big: Algebra, emb, basis):
-    """A generator making the span a free rank-1 left module, or None."""
-    F = B.field
-    small_img = emb.T
-    expected = len(basis)
-    S = SpanSolver(F, basis)
-    candidates = [basis[i] for i in range(len(basis))]
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            for lam in range(1, F.q):
-                candidates.append(F.vadd(basis[i], F.vmul(lam, basis[j])))
-    for u in candidates:
-        span = big.span_products(small_img, u[None, :])[:, 0, :]
-        R, piv = rref(F, span)
-        if len(piv) == expected and all(S.contains(r) for r in R[: len(piv)]):
-            return u
-    return None
 
 
 def _both_sided_free_generator(B: Algebra, big: Algebra, emb, basis):

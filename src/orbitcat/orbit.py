@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .algebra import Algebra, AlgebraAut, validate_group_table
-from .rep import HomSpace, Module, ModuleMor, hom_space, twist
+from .rep import Module, ModuleMor, hom_space, twist
 
 
 class GroupAction:
@@ -181,12 +181,6 @@ class OrbitMor:
     def is_zero(self) -> bool:
         return not self.comps
 
-    def scale(self, c: int) -> "OrbitMor":
-        F = self.action.algebra.field
-        comps = {g: F.vmul(c, m) for g, m in self.comps.items()}
-        return OrbitMor(self.action, self.src, self.tgt, comps, self.support,
-                        validate=False)
-
     def add(self, other: "OrbitMor") -> "OrbitMor":
         F = self.action.algebra.field
         comps = dict(self.comps)
@@ -224,6 +218,14 @@ def unflatten_orbitmor(action, src, tgt, support, vec) -> OrbitMor:
         if chunk.any():
             comps[g] = chunk
     return OrbitMor(action, src, tgt, comps, support, validate=False)
+
+
+def combine_orbitmors(mors: Sequence[OrbitMor], coeffs) -> OrbitMor:
+    """sum_i coeffs[i] * mors[i] for a nonempty list of parallel orbit morphisms."""
+    m = mors[0]
+    flat = np.stack([b.flatten() for b in mors])
+    vec = m.action.algebra.field.combine(coeffs, flat)
+    return unflatten_orbitmor(m.action, m.src, m.tgt, m.support, vec)
 
 
 def orbit_compose(f: OrbitMor, h: OrbitMor) -> OrbitMor:

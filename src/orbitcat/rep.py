@@ -26,7 +26,6 @@ from .linalg import (
     inverse,
     is_invertible,
     kernel_basis,
-    rank,
     rref,
     solve,
 )
@@ -58,17 +57,13 @@ class Module:
     def field(self):
         return self.algebra.field
 
+    def stack(self) -> np.ndarray:
+        """The action matrices as one (algebra dim, dim, dim) array."""
+        return np.array(self.mats, dtype=np.int64).reshape(len(self.mats), self.dim, self.dim)
+
     def act(self, x) -> np.ndarray:
         """Action matrix of the algebra element with coordinates x."""
-        F = self.field
-        x = np.asarray(x, dtype=np.int64)
-        if F.n == 1 and self.mats:
-            return np.einsum("a,auv->uv", x, np.stack(self.mats)) % F.p
-        acc = F.zeros((self.dim, self.dim))
-        for a, c in enumerate(x):
-            if c:
-                acc = F.vadd(acc, F.vmul(int(c), self.mats[a]))
-        return acc
+        return self.field.combine(x, self.stack())
 
     def validate(self):
         A, F = self.algebra, self.field
@@ -76,24 +71,14 @@ class Module:
             return
         if not np.array_equal(self.act(A.unit), F.eye(self.dim)):
             raise ValueError("unit does not act as the identity")
-        d = A.dim
-        if F.n == 1 and self.mats:
-            stack = np.stack(self.mats)
-            lhs = F.vmatmul(stack[:, None], stack[None, :])  # (d, d, m, m)
-            rhs = np.einsum("ijk,kuv->ijuv", A.struct, stack) % F.p
+        # rho(b_i) rho(b_j) = sum_k c[i, j, k] rho(b_k), one (d, m, m) block per i
+        stack = self.stack()
+        for i in range(A.dim):
+            lhs = F.vmatmul(stack[i], stack)
+            rhs = F.combine(A.struct[i], stack)
             if not np.array_equal(lhs, rhs):
-                bad = np.argwhere((lhs != rhs).any(axis=(2, 3)))[0]
-                raise ValueError(f"action violates structure constants at {tuple(bad)}")
-        else:
-            for i in range(d):
-                for j in range(d):
-                    lhs = F.vmatmul(self.mats[i], self.mats[j])
-                    prod = A.mul_vec(F.eye(d)[i], F.eye(d)[j])
-                    rhs = self.act(prod)
-                    if not np.array_equal(lhs, rhs):
-                        raise ValueError(
-                            f"action violates structure constants at ({i}, {j})"
-                        )
+                j = int(np.argwhere((lhs != rhs).any(axis=(1, 2)))[0][0])
+                raise ValueError(f"action violates structure constants at ({i}, {j})")
 
     def block_offset(self, label) -> Tuple[int, int]:
         """(offset, size) of the unique block with the given label."""
@@ -242,9 +227,8 @@ def end_algebra(M: Module):
 def twist(M: Module, g: AlgebraAut) -> Module:
     """Module with the action transported through the automorphism:
     the new action of b is the old action of g^{-1}(b)."""
-    Uinv = g.inverse_matrix()
-    mats = [M.act(Uinv[:, i]) for i in range(M.algebra.dim)]
-    return Module(M.algebra, mats, blocks=M.blocks, validate=False)
+    mats = M.field.combine(g.inverse_matrix().T, M.stack())
+    return Module(M.algebra, list(mats), blocks=M.blocks, validate=False)
 
 
 def direct_sum(mods: Sequence[Module], labels=None):
@@ -305,11 +289,11 @@ def is_isomorphic(M: Module, N: Module) -> Optional[np.ndarray]:
         return np.zeros((0, 0), dtype=np.int64)
     F = M.field
     H = hom_space(M, N)
-    for f in H.basis:
-        if is_invertible(F, f):
-            return f
     if not H.basis:
         return None
+    iso = _basis_iso(F, H)
+    if iso is not None:
+        return iso
     # decompose-and-match fallback for decomposable inputs
     DM = decompose(M, certify=False)
     DN = decompose(N, certify=False)
@@ -350,15 +334,19 @@ def _match_decompositions(DM: Decomposition, DN: Decomposition):
     return out
 
 
+def _basis_iso(F, H: HomSpace) -> Optional[np.ndarray]:
+    """The first invertible element of the hom basis, or None."""
+    for f in H.basis:
+        if is_invertible(F, f):
+            return f
+    return None
+
+
 def _indec_iso(M: Module, N: Module) -> Optional[np.ndarray]:
     """Isomorphism test by hom-basis scan (valid for indecomposables)."""
     if M.dim != N.dim:
         return None
-    F = M.field
-    for f in hom_space(M, N).basis:
-        if is_invertible(F, f):
-            return f
-    return None
+    return _basis_iso(M.field, hom_space(M, N))
 
 
 def submodule_from_image(M: Module, P) -> Tuple[Module, np.ndarray, np.ndarray]:
@@ -395,12 +383,9 @@ def decompose(M: Module, certify: bool = True) -> Decomposition:
     E, emb = end_algebra(M)
     es = primitive_orthogonal_idempotents(E)
     pieces = []
+    emb = np.stack(emb)
     for evec in es:
-        P = F.zeros((M.dim, M.dim))
-        for c, b in zip(evec, emb):
-            if c:
-                P = F.vadd(P, F.vmul(int(c), b))
-        S, inc, pr = submodule_from_image(M, P)
+        S, inc, pr = submodule_from_image(M, F.combine(evec, emb))
         pieces.append((S, inc, pr))
     # group by isomorphism class, preserving first appearance
     summands: List[Summand] = []

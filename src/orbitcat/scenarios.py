@@ -24,7 +24,7 @@ from .algebra import (
 )
 from .ffield import FF, FiniteField
 from .linalg import inverse
-from .orbit import GroupAction, OrbitMor, orbit_hom
+from .orbit import GroupAction, OrbitMor, combine_orbitmors, orbit_hom
 from .rep import (
     Module,
     decompose,
@@ -110,20 +110,6 @@ def basis_permutation_aut(A: Algebra, perm: Sequence[int]) -> AlgebraAut:
     U = np.zeros((A.dim, A.dim), dtype=np.int64)
     for i, p in enumerate(perm):
         U[p, i] = 1
-    return AlgebraAut(A, U)
-
-
-def frobenius_aut(A: Algebra, sf) -> AlgebraAut:
-    """The q-power Frobenius on a twisted-group-ring-style field algebra."""
-    F = A.field
-    U = np.zeros((A.dim, A.dim), dtype=np.int64)
-    bigf = sf.big
-    for t in range(A.dim):
-        x = bigf.pow(
-            bigf.from_digits([0, 1] + [0] * (sf.e * sf.m - 2)) if sf.e * sf.m > 1 else 1,
-            t,
-        )
-        U[:, t] = sf.coords(bigf.frobenius(x, sf.e))
     return AlgebraAut(A, U)
 
 
@@ -294,15 +280,10 @@ def random_module_from_pool(pool, rng, max_dim=12, max_classes=3, max_mult=2):
 
 def random_orbit_morphism(X, Y, action, rng, support=None) -> OrbitMor:
     basis = orbit_hom(X, Y, action, support=support).basis()
-    sup = tuple(support) if support is not None else action.full_support()
-    acc = OrbitMor(action, X, Y, {}, sup, validate=False)
     if not basis:
-        return acc
-    coeffs = rng.integers(0, action.algebra.field.q, size=len(basis))
-    for c, b in zip(coeffs, basis):
-        if c:
-            acc = acc.add(b.scale(int(c)))
-    return acc
+        sup = tuple(support) if support is not None else action.full_support()
+        return OrbitMor(action, X, Y, {}, sup, validate=False)
+    return combine_orbitmors(basis, rng.integers(0, action.algebra.field.q, size=len(basis)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from orbitcat import cli
 from orbitcat.cli import ScenarioError, list_builders, load_scenario, main, run
 
 
@@ -112,6 +113,21 @@ def test_oracle_compare_task(tmp_path, capsys):
     assert code == 0
     oc = next(r for r in rep["results"] if r["task"] == "oracle_compare")
     assert oc["details"]["match"] is True
+
+
+def test_clifford_and_oracle_share_one_run(tmp_path, monkeypatch):
+    calls = []
+    real = cli.clifford_run
+    monkeypatch.setattr(cli, "clifford_run", lambda *a: calls.append(a) or real(*a))
+    doc = dict(MAT2_SCENARIO)
+    # the regular module of Mat2 is decomposable, so clifford_run raises
+    doc["module"] = {"kind": "regular"}
+    doc["tasks"] = ["oracle_compare", "clifford"]
+    rep = run(write_scenario(tmp_path, doc))
+    assert len(calls) == 1
+    errors = [r["details"]["error"] for r in rep["results"]]
+    assert errors[0] == errors[1] and "not indecomposable" in errors[0]
+    assert rep["pass"] is False
 
 
 def test_galois_task(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orbitcat.ffield import FF, Scalar
 
@@ -107,3 +108,33 @@ def test_scalar_wrapper():
     assert a.p == 5 and a.n == 1 and a.coeffs == (3,)
     w = FF(2, 2).scalar(2)
     assert w.coeffs == (0, 1)
+
+
+_COMBINE_FIELDS = [(7, 1), (2, 2), (5, 2), (2, 13)]  # FF(2, 13) has no tables
+
+
+@given(
+    st.sampled_from(_COMBINE_FIELDS),
+    st.integers(min_value=0, max_value=4),  # d, the stack length
+    st.integers(min_value=1, max_value=3),  # coefficient rows
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=2),  # stack tail
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+@example((2, 13), 0, 2, [3], 0)  # d = 0
+@example((5, 2), 3, 2, [0], 1)  # zero-width stack
+@example((7, 1), 2, 1, [2, 0], 2)
+@settings(max_examples=80, deadline=None)
+def test_combine_matches_naive_sum(field, d, rows, tail, seed):
+    F = FF(*field)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(0, F.q, size=(rows, d))
+    stack = rng.integers(0, F.q, size=(d,) + tuple(tail))
+    got = F.combine(coeffs, stack)
+    assert got.shape == (rows,) + tuple(tail)
+    for r in range(rows):
+        acc = F.zeros(tuple(tail))
+        for a in range(d):
+            acc = F.vadd(acc, F.vmul(int(coeffs[r, a]), stack[a]))
+        assert np.array_equal(got[r], acc)
+    # a single coefficient vector combines to one element of the stack's shape
+    assert np.array_equal(F.combine(coeffs[0], stack), got[0])

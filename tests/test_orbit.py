@@ -11,6 +11,7 @@ from orbitcat.orbit import (
     adjunction_counit,
     adjunction_unit,
     check_action,
+    combine_orbitmors,
     functor_S,
     functor_T,
     identity_orbitmor,
@@ -173,14 +174,7 @@ def test_orbit_compose_associative_random(f7c3_setup):
     sz = X.dim * X.dim * len(sup)
     for _ in range(6):
         vecs = [rng.integers(0, F.q, size=len(basis)) for _ in range(3)]
-        ms = []
-        for v in vecs:
-            m = OrbitMor(action, X, X, {}, validate=False)
-            for c, b in zip(v, basis):
-                if c:
-                    m = m.add(b.scale(int(c)))
-            ms.append(m)
-        f, g, h = ms
+        f, g, h = (combine_orbitmors(basis, v) for v in vecs)
         lhs = orbit_compose(orbit_compose(f, g), h)
         rhs = orbit_compose(f, orbit_compose(g, h))
         assert lhs == rhs
@@ -240,22 +234,14 @@ def test_functor_T_functorial(f7c3_setup):
     for _ in range(5):
         cf = rng.integers(0, 7, size=len(basis))
         cg = rng.integers(0, 7, size=len(basis))
-        f = combine(basis, cf)
-        g = combine(basis, cg)
+        f = combine_orbitmors(basis, cf)
+        g = combine_orbitmors(basis, cg)
         Tf = functor_T(f, action)
         Tg = functor_T(g, action)
         assert np.array_equal(
             functor_T(orbit_compose(f, g), action).matrix,
             F.vmatmul(Tg.matrix, Tf.matrix),
         )
-
-
-def combine(basis, coeffs):
-    acc = None
-    for c, b in zip(coeffs, basis):
-        term = b.scale(int(c))
-        acc = term if acc is None else acc.add(term)
-    return acc
 
 
 def test_triangle_identities(f7c3_setup):
@@ -361,7 +347,7 @@ def test_subgroup_factorization_T():
     basis = orbit_hom(S, S, action).basis()
     rng = np.random.default_rng(23)
     for _ in range(4):
-        f = combine(basis, rng.integers(0, 5, size=len(basis)))
+        f = combine_orbitmors(basis, rng.integers(0, 5, size=len(basis)))
         upf = sub_restriction_T(f, action, sub)
         bothf = functor_T(upf, action, support=sub)
         fullf = functor_T(f, action)
@@ -456,7 +442,7 @@ def test_kleisli_round_trip(f7c3_setup):
     rng = np.random.default_rng(31)
     basis = orbit_hom(X, X, action).basis()
     for _ in range(4):
-        f = combine(basis, rng.integers(0, 7, size=len(basis)))
+        f = combine_orbitmors(basis, rng.integers(0, 7, size=len(basis)))
         blk = kleisli_phi_psi(f, action)
         back = kleisli_phi_psi(blk, action)
         assert back == f
