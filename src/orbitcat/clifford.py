@@ -26,10 +26,9 @@ from .karoubi import (
     kar_is_isomorphic,
     lift_functor_to_kar,
 )
-from .linalg import kernel_basis, min_poly, poly_at_matrix
+from .linalg import rank
 from .orbit import GroupAction, orbit_hom
-from .poly import poly_factor
-from .rep import Module, decompose, end_algebra, hom_space, is_isomorphic, submodule_span
+from .rep import Module, decompose, end_algebra, hom_space, is_isomorphic
 
 
 @dataclass
@@ -254,39 +253,15 @@ def trivial_inertia_check(action: GroupAction, W: Module) -> dict:
 
 
 def is_simple(M: Module) -> bool:
-    """Simplicity check: the endomorphism ring is a division ring and no
-    spun subspace is proper.
-
-    Vector spinning enumerates the projective space when it is small and
-    otherwise falls back to spinning the kernels of the factored minimal
-    polynomials of the acting basis elements."""
+    """Density criterion: M is simple iff D = End_A(M) is a division ring
+    and dim span{rho(b_i)} * dim D = m^2, i.e. A acts as all of End_D(M)."""
     if M.dim == 0:
         return False
-    F = M.field
     E, _ = end_algebra(M)
     if len(radical(E)) != 0 or not is_local(E):
         return False
-    proj_size = (F.q ** M.dim - 1) // (F.q - 1)
-    vectors = []
-    if proj_size <= 4000:
-        seen = set()
-        for code in range(1, F.q ** M.dim):
-            v = np.array([(code // F.q ** i) % F.q for i in range(M.dim)], dtype=np.int64)
-            lead = next(int(c) for c in v if c)
-            v = F.vmul(F.inv(lead), v)
-            key = v.tobytes()
-            if key not in seen:
-                seen.add(key)
-                vectors.append(v)
-    else:
-        for mat in M.mats:
-            for g, _ in poly_factor(min_poly(F, mat)):
-                vectors.extend(kernel_basis(F, poly_at_matrix(F, g, mat)))
-    for v in vectors:
-        span = submodule_span(M, v)
-        if 0 < len(span) < M.dim:
-            return False
-    return True
+    image_dim = rank(M.field, np.stack(M.mats).reshape(len(M.mats), -1))
+    return image_dim * E.dim == M.dim ** 2
 
 
 def skewfield_check(action: GroupAction, M: Module) -> dict:

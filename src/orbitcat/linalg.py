@@ -203,8 +203,10 @@ def is_invertible(field, A) -> bool:
 class SpanSolver:
     """Echelonized span of row vectors with coordinate recovery.
 
-    reduce(v) returns (residual, coords) where coords are relative to the
-    echelon basis rows; v lies in the span iff the residual vanishes.
+    residual(V) is the one reduce-modulo-the-span primitive; the other
+    methods call it.  Because the stored basis is in reduced echelon form,
+    the coordinates of a vector are its pivot-column entries, and it lies
+    in the span iff its residual vanishes.
     """
 
     def __init__(self, field, rows):
@@ -220,15 +222,16 @@ class SpanSolver:
     def dim(self):
         return len(self.pivots)
 
+    def residual(self, V):
+        """V - V[:, pivots] @ basis for rows V of shape (N, width): zero on
+        the pivot columns, and zero exactly on the rows inside the span."""
+        V = np.asarray(V, dtype=np.int64)
+        F = self.field
+        return F.vsub(V, F.vmatmul(V[:, self.pivots], self.basis))
+
     def reduce(self, v):
-        v = np.array(v, dtype=np.int64).ravel()
-        coords = np.zeros(self.dim, dtype=np.int64)
-        for r, p in enumerate(self.pivots):
-            c = int(v[p])
-            if c:
-                coords[r] = c
-                v = self.field.vsub(v, self.field.vmul(c, self.basis[r]))
-        return v, coords
+        v = np.asarray(v, dtype=np.int64).reshape(1, -1)
+        return self.residual(v)[0], v[0, self.pivots]
 
     def contains(self, v) -> bool:
         res, _ = self.reduce(v)
@@ -241,21 +244,11 @@ class SpanSolver:
         return coords
 
     def batch_coords(self, V):
-        """Coordinates for many vectors at once; V has shape (N, width).
-
-        The stored basis is in reduced echelon form, so the coordinates are
-        the pivot-column entries; a single reconstruction product verifies
-        membership."""
+        """Coordinates for many vectors at once; V has shape (N, width)."""
         V = np.asarray(V, dtype=np.int64)
-        if self.dim == 0:
-            if V.any():
-                raise ValueError("some vector not in span")
-            return np.zeros((V.shape[0], 0), dtype=np.int64)
-        coords = V[:, self.pivots]
-        recon = self.field.vmatmul(coords, self.basis)
-        if not np.array_equal(recon, V):
+        if self.residual(V).any():
             raise ValueError("some vector not in span")
-        return coords
+        return V[:, self.pivots]
 
 
 # ---------------------------------------------------------------------------

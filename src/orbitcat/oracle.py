@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .clifford import CliffordReport
 from .ffield import FF
-from .linalg import SpanSolver, inverse, kernel_basis, rref, solve
+from .linalg import SpanSolver, inverse, kernel_basis, rank, rref, solve
 from .orbit import GroupAction
 from .rep import (
     Module,
@@ -418,12 +418,10 @@ def _both_sided_free_generator(B: Algebra, big: Algebra, emb, basis):
                 candidates.append(F.vadd(basis[i], F.vmul(lam, basis[j])))
     for u in candidates:
         left = big.span_products(small_img, u[None, :])[:, 0, :]
-        Rl, pivl = rref(F, left)
-        if len(pivl) != expected or not all(S.contains(r) for r in Rl[: len(pivl)]):
+        if rank(F, left) != expected or S.residual(left).any():
             continue
         right = big.span_products(u[None, :], small_img)[0]
-        Rr, pivr = rref(F, right)
-        if len(pivr) == expected and all(S.contains(r) for r in Rr[: len(pivr)]):
+        if rank(F, right) == expected and not S.residual(right).any():
             return u
     return None
 

@@ -462,22 +462,10 @@ def quotient_module(M: Module, sub_rows) -> Module:
     F = M.field
     sub_rows = np.atleast_2d(np.asarray(sub_rows, dtype=np.int64))
     solver = SpanSolver(F, sub_rows)
-    pivot_set = set(solver.pivots)
-    free = [c for c in range(M.dim) if c not in pivot_set]
-
-    def project_cols(X):
-        X = np.array(X.T, dtype=np.int64)  # rows = images of basis vectors
-        for r, p in enumerate(solver.pivots):
-            c = X[:, p].copy()
-            X = F.vsub(X, F.vmul(c[:, None], solver.basis[r][None, :]))
-        return X[:, free].T
-
-    mats = []
-    lift = np.zeros((M.dim, len(free)), dtype=np.int64)
-    for i, pos in enumerate(free):
-        lift[pos, i] = 1
-    for mat in M.mats:
-        mats.append(project_cols(F.vmatmul(mat, lift)))
+    free = sorted(set(range(M.dim)) - set(solver.pivots))
+    # rows of mat[:, free].T are the images of the basis vectors outside the
+    # pivots; reduce them modulo the submodule and keep their free coordinates
+    mats = [solver.residual(mat[:, free].T)[:, free].T for mat in M.mats]
     return Module(M.algebra, mats, validate=False)
 
 

@@ -275,16 +275,31 @@ def test_is_local():
     assert is_local(Algebra(F2, struct, np.array([1, 0])))
 
 
-def test_radical_certificates_fire_on_bad_input():
+_F7C3 = make_group_algebra(cyclic_table(3), FF(7))
+# path algebra of one arrow 0 -> 1 on the basis (e0, e1, a): a*e0 = a = e1*a
+_ONE_ARROW = make_path_algebra(FF(5), 2, [(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "A, claimed",
+    [
+        # the span of the unit fails on both sides
+        (_F7C3, _F7C3.unit[None, :]),
+        # span{e0} fails only on the left products b*x (a*e0 = a)
+        (_ONE_ARROW, np.array([[1, 0, 0]])),
+        # span{e1} fails only on the right products x*b (e1*a = a)
+        (_ONE_ARROW, np.array([[0, 1, 0]])),
+    ],
+    ids=["unit-both-sides", "e0-left-only", "e1-right-only"],
+)
+def test_radical_certificates_fire_on_bad_input(A, claimed):
     from orbitcat.algebra import _certify_radical
 
-    A = make_group_algebra(cyclic_table(3), FF(7))
-    # the span of the unit is not an ideal
     with pytest.raises(CertificationError, match="ideal"):
-        _certify_radical(A, A.unit[None, :])
+        _certify_radical(A, claimed)
     # the whole algebra is an ideal but not nilpotent
     with pytest.raises(CertificationError, match="nilpotent"):
-        _certify_radical(A, FF(7).eye(3))
+        _certify_radical(A, A.field.eye(A.dim))
 
 
 def test_idempotent_set_verify_rejects_fakes():

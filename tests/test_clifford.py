@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,10 +67,12 @@ def mat2_swap_action():
 
 
 def column_module(A):
-    mats = [np.zeros((2, 2), dtype=np.int64) for _ in range(4)]
-    for u in range(2):
-        for v in range(2):
-            mats[u * 2 + v][u, v] = 1
+    """The natural n-dim module of Mat_n, with n read off dim A = n^2."""
+    n = math.isqrt(A.dim)
+    mats = [np.zeros((n, n), dtype=np.int64) for _ in range(n * n)]
+    for u in range(n):
+        for v in range(n):
+            mats[u * n + v][u, v] = 1
     return Module(A, mats)
 
 
@@ -299,6 +303,10 @@ def test_is_simple():
     assert is_simple(mods[0])
     assert not is_simple(mods[1])  # indecomposable but not simple
     assert not is_simple(mods[2])
+    # 19,608 points in the projective space of F7^6: decided by density
+    col = column_module(make_matrix_algebra(6, F))
+    assert is_simple(col)
+    assert not is_simple(direct_sum([col, col])[0])
 
 
 def test_skewfield_check_character():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitcat.ffield import FF
 from orbitcat.linalg import (
@@ -14,6 +14,7 @@ from orbitcat.linalg import (
     mat_rank,
     mat_solve,
     min_poly,
+    rank,
     rref,
     solve,
 )
@@ -153,6 +154,44 @@ def test_span_solver_coords():
         recon = F.vadd(recon, F.vmul(int(c), row))
     assert np.array_equal(recon, v)
     assert not S.contains(np.array([0, 0, 1]) * 0 + np.array([1, 0, 4]))
+
+
+@given(
+    st.sampled_from([(7, 1), (2, 2)]),
+    st.integers(min_value=0, max_value=4),  # spanning rows; 0 is the empty span
+    st.integers(min_value=0, max_value=3),  # random rows to reduce
+    st.integers(min_value=0, max_value=3),  # rows drawn from the span
+    st.integers(min_value=1, max_value=5),  # width
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+@example((7, 1), 0, 2, 2, 3, 0)  # empty span: the in-span rows are zero rows
+@example((2, 2), 3, 0, 0, 4, 1)  # nothing to reduce
+@example((2, 2), 2, 1, 2, 4, 2)
+@settings(max_examples=80, deadline=None)
+def test_span_solver_residual(field, k, n_random, n_inside, width, seed):
+    F = FF(*field)
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, F.q, size=(k, width))
+    inside = F.combine(rng.integers(0, F.q, size=(n_inside, k)), rows)
+    V = np.concatenate([rng.integers(0, F.q, size=(n_random, width)), inside])
+    S = SpanSolver(F, rows)
+    res = S.residual(V)
+    assert res.shape == V.shape
+    assert not res[:, S.pivots].any()
+    assert not S.residual(inside).any()
+    # V - residual(V) lies in the span: appending it leaves the rank alone
+    assert rank(F, np.concatenate([rows, F.vsub(V, res)])) == S.dim
+    for v, r in zip(V, res):
+        in_span = rank(F, np.concatenate([rows, v[None, :]])) == S.dim
+        assert in_span == (not r.any()) == S.contains(v)
+        if not in_span:
+            with pytest.raises(ValueError):
+                S.coords(v)
+    if res.any():
+        with pytest.raises(ValueError):
+            S.batch_coords(V)
+    else:
+        assert np.array_equal(F.vmatmul(S.batch_coords(V), S.basis), V)
 
 
 def test_rref_deterministic():
