@@ -484,7 +484,7 @@ def make_skew_group_algebra(a: Algebra, action) -> Algebra:
     table = np.asarray(action.table, dtype=np.int64)
     auts = action.auts
     k = table.shape[0]
-    validate_group_table(table)
+    identity = validate_group_table(table)
     F = a.field
     for g in range(k):
         for h in range(k):
@@ -495,16 +495,12 @@ def make_skew_group_algebra(a: Algebra, action) -> Algebra:
     D = d * k
     struct = np.zeros((D, D, D), dtype=np.int64)
     for g in range(k):
-        Ug = auts[g].matrix
+        # (b_i (x) g)(b_j (x) h) = b_i * g(b_j) (x) gh, the same block for every h
+        block = a.span_products(F.eye(d), auts[g].matrix.T)
         for h in range(k):
             gh = int(table[g, h])
-            for i in range(d):
-                for j in range(d):
-                    # (b_i (x) g)(b_j (x) h) = b_i * g(b_j) (x) gh
-                    prod = a.mul_vec(F.eye(d)[i], Ug[:, j])
-                    struct[g * d + i, h * d + j, gh * d : gh * d + d] = prod
+            struct[g * d : (g + 1) * d, h * d : (h + 1) * d, gh * d : (gh + 1) * d] = block
     unit = np.zeros(D, dtype=np.int64)
-    identity = validate_group_table(table)
     unit[identity * d : identity * d + d] = a.unit
     labels = None
     if a.labels:
@@ -738,37 +734,42 @@ def quotient_algebra(A: Algebra, J):
     return Abar, project, lift
 
 
+def algebra_on_span(field: FiniteField, basis, products, unit, rep=None) -> Algebra:
+    """The algebra on a span closed under a product: the one constructor
+    of structure constants from a span.
+
+    basis is a (k, w) stack of flat elements in reduced echelon form (the
+    coordinates are taken against it); products yields k rows, row i the
+    (k, w) stack of the flat products b_i * b_j; unit is a flat w-vector.
+    Raises ValueError when a product or the unit leaves the span."""
+    unit = np.asarray(unit, dtype=np.int64).reshape(-1)
+    basis = np.asarray(basis, dtype=np.int64).reshape(len(basis), unit.size)
+    k = len(basis)
+    solver = SpanSolver(field, basis)
+    if not np.array_equal(solver.basis, basis):
+        raise ValueError("span basis is not in reduced echelon form")
+    struct = np.zeros((k, k, k), dtype=np.int64)
+    for i, row in enumerate(products):
+        struct[i] = solver.batch_coords(np.reshape(row, (k, unit.size)))
+    return Algebra(field, struct, solver.coords(unit), rep=rep, validate=False)
+
+
 def corner_algebra(A: Algebra, e):
     """Corner eAe with its product, unit e, and an embedding row matrix."""
     F = A.field
     e = np.asarray(e, dtype=np.int64)
-    Le = A.left_mult_matrix(e)
-    Re = A.right_mult_matrix(e)
     # columns of Le @ Re are the products e * b_i * e
-    rows = F.vmatmul(Le, Re).T
-    basis = _echelon_rows(F, rows)
-    k = len(basis)
-    if k == 0:
-        return Algebra(F, np.zeros((0, 0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64), validate=False), basis
-    solver = SpanSolver(F, basis)
-    struct = F.zeros((k, k, k))
-    for i in range(k):
-        prods = A.span_products(basis[i][None, :], basis)[0]
-        struct[i] = solver.batch_coords(prods)
-    unit = solver.coords(e)
+    basis = _echelon_rows(F, F.vmatmul(A.left_mult_matrix(e), A.right_mult_matrix(e)).T)
     rep = None
     if A.rep is not None:
-        # restrict the representation to the image of rep(e)
+        # restrict the representation to the image of rep(e): column j of
+        # the restriction of rep(b) holds the coordinates of rep(b) img_j
         re = A.rep_of(e)
-        img = _echelon_rows(F, re.T)  # rows span the column space
-        C = img.T  # (n, k2)
-        rep = []
-        for b in basis:
-            rb = A.rep_of(b)
-            M = solve(F, C, F.vmatmul(rb, C))
-            assert M is not None
-            rep.append(M)
-    B = Algebra(F, struct, unit, rep=rep, validate=False)
+        S = SpanSolver(F, re.T)
+        images = F.vmatmul(S.basis, A.rep_of(basis).transpose(0, 2, 1))  # (k, dim S, n)
+        coords = S.batch_coords(images.reshape(-1, len(re)))
+        rep = list(coords.reshape(len(basis), S.dim, S.dim).transpose(0, 2, 1))
+    B = algebra_on_span(F, basis, A.span_products(basis, basis), e, rep=rep)
     return B, basis
 
 
@@ -778,12 +779,9 @@ def center_basis(A: Algebra) -> np.ndarray:
     d = A.dim
     if d == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    blocks = []
-    for i in range(d):
-        # condition x*b_i - b_i*x = 0: rows (a -> k) of struct[a,i,:] - struct[i,a,:]
-        M = F.vsub(A.struct[:, i, :], A.struct[i, :, :])
-        blocks.append(M)
-    big = np.concatenate(blocks, axis=1)  # (d, d*d) conditions as columns
+    # condition x*b_i - b_i*x = 0: column i*d + k of row a is
+    # struct[a,i,k] - struct[i,a,k]
+    big = F.vsub(A.struct, A.struct.transpose(1, 0, 2)).reshape(d, d * d)
     K = kernel_basis(F, big.T)
     return _echelon_rows(F, np.array(K)) if K else np.zeros((0, d), dtype=np.int64)
 
@@ -798,13 +796,9 @@ def _frobenius_fixed_dim(A: Algebra, rows) -> tuple:
     if r == 0:
         return 0, []
     solver = SpanSolver(F, rows)
-    cols = []
-    for v in rows:
-        vq = A.power(v, F.q)
-        cols.append(solver.coords(vq))
-    Phi = np.array(cols, dtype=np.int64).T  # coords of images
+    Phi = solver.batch_coords(np.stack([A.power(v, F.q) for v in rows])).T
     K = kernel_basis(F, F.vsub(Phi, F.eye(r)))
-    fixed = [F.vmatmul(np.asarray(k)[None, :], solver.basis)[0] for k in K]
+    fixed = F.combine(np.reshape(K, (len(K), r)), solver.basis)
     return len(K), fixed
 
 

@@ -73,9 +73,9 @@ def load_scenario(doc: dict) -> dict:
 
 
 def _build_context(doc: dict):
-    field_spec = doc["field"]
-    field = FF(int(field_spec["p"]), int(field_spec.get("n", 1)))
     try:
+        field_spec = doc["field"]
+        field = FF(int(field_spec["p"]), int(field_spec.get("n", 1)))
         algebra = build_algebra(field, doc["algebra"])
         action = build_action(algebra, doc["action"])
         module = build_module(algebra, doc["module"])
@@ -200,7 +200,10 @@ def run(path: str, seed: int = 0, with_timing: bool = False) -> dict:
     except (OSError, json.JSONDecodeError) as ex:
         raise ScenarioError(f"cannot read scenario: {ex}") from ex
     doc = load_scenario(doc)
-    seed = int(doc.get("seed", seed))
+    try:
+        seed = int(doc.get("seed", seed))
+    except (TypeError, ValueError) as ex:
+        raise ScenarioError(f"seed must be an integer: {ex}") from ex
     t0 = time.monotonic()
     shared: dict = {}
     results = [run_task(t, doc, seed, shared) for t in doc["tasks"]]

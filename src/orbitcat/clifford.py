@@ -23,6 +23,7 @@ from .karoubi import (
     KarObject,
     kar_decompose,
     kar_end_algebra,
+    kar_hom,
     kar_is_isomorphic,
     lift_functor_to_kar,
 )
@@ -137,7 +138,6 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
     ind = inertia(M, action)
     sub = ind.subgroup
     P = KarObject(action, M, support=sub)
-    E_orbit, _ = kar_end_algebra(P)
     pieces = kar_decompose(P)
     # group the primitive summands into isomorphism classes
     classes: List[List[KarObject]] = []
@@ -164,13 +164,12 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
                     f"(dimension {s.module.dim})"
                 )
             n_copies += s.multiplicity
-        E, _ = kar_end_algebra(rep_piece)
         stage1.append(
             StageOneSummand(
                 index=idx,
                 multiplicity=len(cls),
                 n_copies=n_copies,
-                corner_dim=E.dim,
+                corner_dim=len(kar_hom(rep_piece, rep_piece)),
                 restricted_dim=W.dim,
             )
         )
@@ -226,7 +225,7 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
         module_dim=M.dim,
         group_order=action.k,
         inertia_subgroup=sub,
-        orbit_end_dim=E_orbit.dim,
+        orbit_end_dim=len(kar_hom(P, P)),
         stage1=stage1,
         stage2=stage2,
         sum_n_equals_inertia=sum_ok,

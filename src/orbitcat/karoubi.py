@@ -20,8 +20,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .algebra import Algebra, primitive_orthogonal_idempotents
-from .linalg import SpanSolver, rref, solve
+from .algebra import Algebra, algebra_on_span, primitive_orthogonal_idempotents
+from .linalg import rref, solve
 from .orbit import (
     GroupAction,
     OrbitMor,
@@ -112,19 +112,9 @@ def kar_end_algebra(P: KarObject) -> Tuple[Algebra, List[OrbitMor]]:
     """The corner algebra e o End(X) o e with unit e."""
     F = P.action.algebra.field
     basis_mors = [km.mor for km in kar_hom(P, P)]
-    k = len(basis_mors)
-    if k == 0:
-        return Algebra(F, np.zeros((0, 0, 0), dtype=np.int64),
-                       np.zeros(0, dtype=np.int64), validate=False), []
-    flat = np.stack([m.flatten() for m in basis_mors])
-    solver = SpanSolver(F, flat)
-    struct = F.zeros((k, k, k))
-    for i in range(k):
-        # product b_i * b_j = composition "b_j first, then b_i"
-        prods = [orbit_compose(basis_mors[j], basis_mors[i]).flatten() for j in range(k)]
-        struct[i] = solver.batch_coords(np.stack(prods))
-    unit = solver.coords(P.idem.flatten())
-    E = Algebra(F, struct, unit, validate=False)
+    # product b_i * b_j = composition "b_j first, then b_i"
+    products = ([orbit_compose(b, a).flatten() for b in basis_mors] for a in basis_mors)
+    E = algebra_on_span(F, [m.flatten() for m in basis_mors], products, P.idem.flatten())
     return E, basis_mors
 
 

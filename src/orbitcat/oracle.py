@@ -231,6 +231,8 @@ class GaloisScenario:
                 if self.phi[self.table[g, h]] != (self.phi[g] + self.phi[h]) % self.deg_m:
                     raise ValueError("hypothesis violated: phi is not a homomorphism")
         Hs = sorted(set(int(h) for h in self.H))
+        if not all(0 <= h < k for h in Hs):
+            raise ValueError(f"H has elements outside the group of order {k}")
         if 0 not in Hs:
             raise ValueError("hypothesis violated: H must contain the identity")
         hset = set(Hs)

@@ -20,7 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraAut, primitive_orthogonal_idempotents, is_local
+from .algebra import (Algebra, AlgebraAut, algebra_on_span, is_local,
+                      primitive_orthogonal_idempotents)
 from .linalg import (
     SpanSolver,
     inverse,
@@ -208,19 +209,10 @@ def end_algebra(M: Module):
     """(endomorphism algebra, its matrix basis).  Product is composition."""
     F = M.field
     H = hom_space(M, M)
-    k = len(H.basis)
-    if k == 0:
-        return Algebra(F, np.zeros((0, 0, 0), dtype=np.int64),
-                       np.zeros(0, dtype=np.int64), validate=False), []
-    flat = np.stack([b.reshape(-1) for b in H.basis])
-    solver = SpanSolver(F, flat)
-    struct = F.zeros((k, k, k))
-    stack = np.stack(H.basis)
-    for i in range(k):
-        prods = F.vmatmul(stack[i][None, :, :], stack)  # compose: f_i after f_j
-        struct[i] = solver.batch_coords(prods.reshape(k, -1))
-    unit = solver.coords(np.eye(M.dim, dtype=np.int64).reshape(-1))
-    E = Algebra(F, struct, unit, rep=H.basis, validate=False)
+    stack = np.asarray(H.basis, dtype=np.int64).reshape(len(H.basis), M.dim, M.dim)
+    # row i: f_i after f_j for every j, one row at a time to bound memory
+    products = (F.vmatmul(f, stack) for f in stack)
+    E = algebra_on_span(F, stack, products, F.eye(M.dim), rep=H.basis)
     return E, H.basis
 
 

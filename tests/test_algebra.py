@@ -4,6 +4,7 @@ import pytest
 from orbitcat.algebra import (
     Algebra,
     AlgebraAut,
+    algebra_on_span,
     CertificationError,
     IdempotentSet,
     center_basis,
@@ -551,3 +552,22 @@ def test_algebra_aut_compose_and_inverse():
     V = AlgebraAut(A, _conjugation_matrix(A, d, F))
     W = U.compose(V)
     W.validate()
+
+
+def test_algebra_on_span_rejects_spans_that_are_not_closed():
+    F = FF(5)
+    A = make_matrix_algebra(2, F)
+    e00, e01, e10, _ = F.eye(4)
+    B = algebra_on_span(F, e00[None], A.span_products(e00[None], e00[None]), e00)
+    assert B.dim == 1 and list(B.unit) == [1]
+    # e01 * e10 = e00 leaves span{e01, e10}
+    off = np.stack([e01, e10])
+    with pytest.raises(ValueError):
+        algebra_on_span(F, off, A.span_products(off, off), F.zeros(4))
+    # span{e00} is closed, but the unit e00 + e11 lies outside it
+    with pytest.raises(ValueError):
+        algebra_on_span(F, e00[None], A.span_products(e00[None], e00[None]), A.unit)
+    # coordinates are read off the echelon form, so 2*e00 is refused as a basis
+    with pytest.raises(ValueError, match="echelon"):
+        algebra_on_span(F, 2 * e00[None], A.span_products(e00[None], e00[None]), e00)
+

@@ -69,6 +69,21 @@ def test_validation_error_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+GALOIS_C2 = {"q": 3, "deg_l": 1, "deg_m": 2, "group": "C2", "phi": [0, 1], "H": [0, 1]}
+
+
+@pytest.mark.parametrize("change", [
+    {"field": {"p": 4}},
+    {"seed": "abc"},
+    {"tasks": ["galois"], "galois": dict(GALOIS_C2, H=[0, 7])},
+], ids=["field-p-not-prime", "seed-not-integer", "galois-H-out-of-range"])
+def test_malformed_scenario_exit_2(tmp_path, capsys, change):
+    code = main(["run", write_scenario(tmp_path, dict(MAT2_SCENARIO, **change))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error" in json.loads(err)
+
+
 def test_unknown_task_rejected(tmp_path):
     bad = dict(MAT2_SCENARIO)
     bad["tasks"] = ["nonsense"]

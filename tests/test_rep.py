@@ -3,13 +3,15 @@ import pytest
 
 from orbitcat.algebra import (
     AlgebraAut,
+    corner_algebra,
     is_local,
     make_group_algebra,
     make_matrix_algebra,
+    primitive_orthogonal_idempotents,
     radical,
 )
 from orbitcat.ffield import FF
-from orbitcat.linalg import inverse, is_invertible
+from orbitcat.linalg import inverse, is_invertible, rank
 from orbitcat.rep import (
     Module,
     decompose,
@@ -98,6 +100,28 @@ def test_end_algebra_regular_f3c3(F3C3):
     assert E.is_commutative()
     assert len(radical(E)) == 2
     assert is_local(E)
+
+
+def test_corner_of_end_algebra_keeps_a_faithful_rep(F3C3):
+    F = FF(3)
+    M, _, _ = direct_sum([regular_module(F3C3), character_module(F3C3, F, 1)])
+    E, _ = end_algebra(M)
+    assert E.dim == 6
+    dims = []
+    for e in primitive_orthogonal_idempotents(E):
+        B, _ = corner_algebra(E, e)
+        Module(B, B.rep)  # validates: the restriction is a representation
+        assert rank(F, np.stack(B.rep).reshape(B.dim, -1)) == B.dim
+        dims.append(B.dim)
+    assert sorted(dims) == [1, 3]
+
+
+def test_zero_corner_and_zero_end_algebra(F7C3):
+    E, _ = end_algebra(character_module(F7C3, FF(7), 2))
+    B, basis = corner_algebra(E, np.zeros(E.dim, dtype=np.int64))
+    assert B.dim == 0 and basis.shape == (0, E.dim)
+    Z, emb = end_algebra(zero_module(F7C3))
+    assert Z.dim == 0 and emb == []
 
 
 def test_twist_identity_bitwise(F7C3):
