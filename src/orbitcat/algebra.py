@@ -277,9 +277,9 @@ class IdempotentSet:
 def validate_group_table(table) -> int:
     """Check the group axioms; returns the identity's index."""
     table = np.asarray(table, dtype=np.int64)
-    k = table.shape[0]
-    if table.shape != (k, k) or k == 0:
+    if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
         raise ValueError("group table must be square and nonempty")
+    k = table.shape[0]
     if table.min() < 0 or table.max() >= k:
         raise ValueError("group table entries out of range")
     identity = None
@@ -894,6 +894,18 @@ def _nilpotent_split(B: Algebra, nil):
     return e
 
 
+def _corner_poi(B: Algebra, idempotents, depth: int):
+    """Primitive idempotents of B refining orthogonal idempotents: split
+    each nonzero corner eBe and map its idempotents back into B."""
+    F = B.field
+    out = []
+    for ec in idempotents:
+        if ec.any():
+            Bc, emb = corner_algebra(B, ec)
+            out.extend(F.vmatmul(f[None, :], emb)[0] for f in _semisimple_poi(Bc, depth + 1))
+    return out
+
+
 def _semisimple_poi(B: Algebra, depth: int = 0):
     """Complete orthogonal primitive idempotents of a semisimple algebra."""
     F = B.field
@@ -917,13 +929,7 @@ def _semisimple_poi(B: Algebra, depth: int = 0):
         mp = B.element_min_poly(v)
         factors = poly_factor(mp)
         assert len(factors) >= 2 and all(g.degree == 1 and a == 1 for g, a in factors)
-        centrals = _crt_idempotents(B, v, factors)
-        out = []
-        for ec in centrals:
-            Bc, emb = corner_algebra(B, ec)
-            for f in _semisimple_poi(Bc, depth + 1):
-                out.append(F.vmatmul(f[None, :], emb)[0])
-        return out
+        return _corner_poi(B, _crt_idempotents(B, v, factors), depth)
     # connected block
     if B.is_commutative():
         return [B.unit.copy()]
@@ -934,27 +940,14 @@ def _semisimple_poi(B: Algebra, depth: int = 0):
         mp = B.element_min_poly(x)
         factors = poly_factor(mp)
         if len(factors) >= 2:
-            es = _crt_idempotents(B, x, factors)
-            out = []
-            for ec in es:
-                if not ec.any():
-                    continue
-                Bc, emb = corner_algebra(B, ec)
-                for f in _semisimple_poi(Bc, depth + 1):
-                    out.append(F.vmatmul(f[None, :], emb)[0])
-            return out
+            return _corner_poi(B, _crt_idempotents(B, x, factors), depth)
         g, a = factors[0]
         if a >= 2:
             nil = B.eval_poly(g, x)
             if nil.any():
                 e = _nilpotent_split(B, nil)
                 if e is not None:
-                    out = []
-                    for ec in (e, F.vsub(B.unit, e)):
-                        Bc, emb = corner_algebra(B, ec)
-                        for f in _semisimple_poi(Bc, depth + 1):
-                            out.append(F.vmatmul(f[None, :], emb)[0])
-                    return out
+                    return _corner_poi(B, (e, F.vsub(B.unit, e)), depth)
     raise CertificationError("no splitting element found in semisimple block")
 
 

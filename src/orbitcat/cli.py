@@ -79,7 +79,7 @@ def _build_context(doc: dict):
         algebra = build_algebra(field, doc["algebra"])
         action = build_action(algebra, doc["action"])
         module = build_module(algebra, doc["module"])
-    except (ValueError, KeyError, IndexError) as ex:
+    except (ValueError, KeyError, IndexError, TypeError) as ex:
         raise ScenarioError(str(ex)) from ex
     return field, algebra, action, module
 
@@ -110,7 +110,7 @@ def run_task(task: str, doc: dict, seed: int, shared: dict) -> dict:
                 phi=g["phi"],
                 H=g["H"],
             )
-        except (ValueError, KeyError) as ex:
+        except (ValueError, KeyError, IndexError, TypeError) as ex:
             raise ScenarioError(str(ex)) from ex
         rank_out = galois_rank_check(sc)
         monad_out = galois_monad_group_check(sc)

@@ -24,6 +24,7 @@ from .algebra import (
     Algebra,
     AlgebraAut,
     SubfieldMap,
+    _prime_power,
     first_root,
     make_skew_group_algebra,
     make_twisted_group_ring,
@@ -33,13 +34,7 @@ from .clifford import CliffordReport
 from .ffield import FF
 from .linalg import SpanSolver, inverse, kernel_basis, rank, rref, solve
 from .orbit import GroupAction
-from .rep import (
-    Module,
-    decompose,
-    direct_sum,
-    is_isomorphic,
-    regular_module,
-)
+from .rep import Module, ModuleMor, decompose, direct_sum, hom_space
 
 
 class SkewContext:
@@ -131,7 +126,8 @@ def counit_split_test(ctx: SkewContext, X: Module) -> bool:
     """Decide whether the counit Ind Res X -> X splits over the skew algebra.
 
     The counit sends g (x) x to (1 (x) g) . x; a splitting is a module
-    section, searched for by a joint linear solve.  True is expected
+    section, a combination of the Hom(X, Ind Res X) basis that the counit
+    sends to the identity, found by one linear solve.  True is expected
     exactly when the characteristic does not divide the group order, but
     the outcome is computed, never assumed."""
     action = ctx.action
@@ -141,24 +137,11 @@ def counit_split_test(ctx: SkewContext, X: Module) -> bool:
     counit = F.zeros((n, k * n))
     for g in range(k):
         counit[:, g * n : (g + 1) * n] = X.act(ctx.sections[g])
-    # sanity: the counit is a module map
-    for i in range(ctx.skew.dim):
-        lhs = F.vmatmul(counit, ind_res.mats[i])
-        rhs = F.vmatmul(X.mats[i], counit)
-        assert np.array_equal(lhs, rhs), "counit is not equivariant"
-    # solve for s: counit @ s = id and s equivariant
-    rows = [np.kron(counit, F.eye(n))]
-    rhs_blocks = [F.eye(n).reshape(-1)]
-    eye_kn = np.eye(k * n, dtype=np.int64)
-    for i in range(ctx.skew.dim):
-        op = F.vsub(
-            np.kron(ind_res.mats[i], F.eye(n)), np.kron(eye_kn, X.mats[i].T)
-        )
-        rows.append(op)
-        rhs_blocks.append(np.zeros(op.shape[0], dtype=np.int64))
-    system = np.concatenate(rows, axis=0)
-    target = np.concatenate(rhs_blocks)
-    return solve(F, system, target) is not None
+    ModuleMor(ind_res, X, counit).validate()
+    # s = sum_j c_j h_j over the basis of Hom(X, Ind Res X); solve counit s = id
+    H = hom_space(X, ind_res).basis
+    comps = F.vmatmul(counit, np.reshape(H, (len(H), k * n, n)))  # counit h_j
+    return solve(F, comps.reshape(len(H), -1).T, F.eye(n).reshape(-1)) is not None
 
 
 def oracle_compare(report: CliffordReport, ctx: SkewContext,
@@ -218,6 +201,9 @@ class GaloisScenario:
     H: list
 
     def __post_init__(self):
+        _prime_power(self.q)
+        if self.deg_l < 1 or self.deg_m < 1:
+            raise ValueError("the degrees of L and M must be at least 1")
         self.table = np.asarray(self.table, dtype=np.int64)
         identity = validate_group_table(self.table)
         if identity != 0:
@@ -225,6 +211,8 @@ class GaloisScenario:
         if self.deg_m % self.deg_l != 0:
             raise ValueError("hypothesis violated: deg L must divide deg M")
         k = self.table.shape[0]
+        if len(self.phi) != k:
+            raise ValueError(f"phi must have one entry per group element ({k})")
         self.phi = [int(self.phi[g]) % self.deg_m for g in range(k)]
         for g in range(k):
             for h in range(k):
@@ -256,6 +244,11 @@ class GaloisScenario:
     def delta_exponents(self) -> List[int]:
         """Frobenius exponents of Gal(M:L) inside Gal(M:F_q)."""
         return [t * self.deg_l for t in range(self.delta_order)]
+
+    def coset_reps(self) -> List[int]:
+        """The least element of each coset Hg, sorted."""
+        k = self.table.shape[0]
+        return sorted({min(int(self.table[h, g]) for h in self.H) for g in range(k)})
 
 
 def galois_build(sc: GaloisScenario):
@@ -304,20 +297,30 @@ def restrict_along(emb, big: Algebra, small: Algebra, X: Module) -> Module:
 
 def galois_rank_check(sc: GaloisScenario) -> dict:
     """The big ring restricted to the small one is free of rank
-    |Delta| * |G : H|; checked by decompose-and-match against the free
-    module of that rank."""
+    r = |Delta| * |G : H|, certified by the normal-basis element theta.
+
+    The r generators delta(theta) (x) g, for delta in Delta and g a coset
+    representative, have r * dim(small) = dim(big) left multiples by the
+    small ring's basis; they span the big ring exactly when they form a
+    basis, that is, when the big ring is left-free with basis indexed by
+    Delta x G/H."""
     big, small, emb = galois_build(sc)
-    expected_rank = sc.delta_order * (sc.table.shape[0] // len(sc.H))
-    reg_big = regular_module(big)
-    res = restrict_along(emb, big, small, reg_big)
-    free, _, _ = direct_sum([regular_module(small)] * expected_rank)
-    iso = is_isomorphic(res, free)
-    ok = iso is not None
+    sf = SubfieldMap(sc.q, sc.deg_m)
+    theta = normal_basis_element(sc)
+    coset_reps = sc.coset_reps()
+    gens = []
+    for d_exp in sc.delta_exponents():
+        dtheta = sf.coords(sf.big.frobenius(theta, sf.e * d_exp))
+        for g in coset_reps:
+            gen = np.zeros(big.dim, dtype=np.int64)
+            gen[g * sc.deg_m : (g + 1) * sc.deg_m] = dtheta
+            gens.append(gen)
+    span = big.span_products(emb.T, np.stack(gens)).reshape(-1, big.dim)
     return {
-        "ok": ok,
-        "rank": expected_rank,
-        "restricted_dim": res.dim,
-        "free_dim": free.dim,
+        "ok": rank(big.field, span) == big.dim,
+        "rank": len(gens),
+        "restricted_dim": big.dim,
+        "free_dim": len(gens) * small.dim,
     }
 
 
@@ -492,43 +495,14 @@ def galois_monad_group_check(sc: GaloisScenario) -> dict:
     composition check is functor-level: the twist of a composable pair must
     agree, up to an inner automorphism (a natural isomorphism of twist
     functors), with the twist of some summand in the product coset block,
-    and products of summand subspaces must stay inside that block.  The
-    normal-basis element also certifies left-freeness with basis indexed by
-    Delta x G/H."""
+    and products of summand subspaces must stay inside that block."""
     big, small, emb = galois_build(sc)
     F = big.field
-    sf = SubfieldMap(sc.q, sc.deg_m)
-    bigf = sf.big
     theta = normal_basis_element(sc)
-    k = sc.table.shape[0]
-    coset_reps = []
-    seen = set()
-    for g in range(k):
-        if g in seen:
-            continue
-        coset = {int(sc.table[h, g]) for h in sc.H}
-        coset_reps.append(min(coset))
-        seen.update(coset)
-    coset_reps.sort()
+    coset_reps = sc.coset_reps()
     deltas = sc.delta_exponents()
     small_img = emb.T
     expected_dim = sc.deg_l * len(sc.H)
-
-    # normal-basis witness: the theta-pieces are left-free with basis Delta x G/H
-    witness_rows = []
-    for d_exp in deltas:
-        dtheta = bigf.frobenius(theta, sf.e * d_exp)
-        for g in coset_reps:
-            gen = np.zeros(big.dim, dtype=np.int64)
-            gen[g * sc.deg_m : (g + 1) * sc.deg_m] = sf.coords(dtheta)
-            span = big.span_products(small_img, gen[None, :])[:, 0, :]
-            R, piv = rref(F, span)
-            if len(piv) != expected_dim:
-                return {"ok": False, "failing": ("left rank", (d_exp, g), len(piv))}
-            witness_rows.append(R[: len(piv)])
-    R, piv = rref(F, np.concatenate(witness_rows, axis=0))
-    if len(piv) != big.dim:
-        return {"ok": False, "failing": ("normal basis span", len(piv))}
 
     # bimodule decomposition per coset block.  The Krull-Schmidt pieces can
     # be finer than the rank-one-free summand functors (for commutative
@@ -561,14 +535,11 @@ def galois_monad_group_check(sc: GaloisScenario) -> dict:
         betas[g] = []
         for piece_rows, u in grouped:
             right_rows = big.span_products(u[None, :], small_img)[0]
-            # beta in the original right basis u * emb(b_t): solve directly
-            beta = np.zeros((small.dim, small.dim), dtype=np.int64)
-            for j in range(small.dim):
-                lhs = big.mul_vec(small_img[j], u)
-                coeff = solve(F, right_rows.T, lhs)
-                if coeff is None:
-                    return {"ok": False, "failing": ("right coords", g)}
-                beta[:, j] = coeff
+            # beta: column j holds emb(b_j) * u in the right basis u * emb(b_t)
+            lefts = big.span_products(small_img, u[None, :])[:, 0, :]
+            beta = solve(F, right_rows.T, lefts.T)
+            if beta is None:
+                return {"ok": False, "failing": ("right coords", g)}
             AlgebraAut(small, beta)  # certifies the self-equivalence
             blocks[g].append(piece_rows)
             betas[g].append(beta)

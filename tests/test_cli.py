@@ -1,8 +1,10 @@
+import copy
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orbitcat import cli
 from orbitcat.cli import ScenarioError, list_builders, load_scenario, main, run
@@ -72,16 +74,82 @@ def test_validation_error_exit_2(tmp_path, capsys):
 GALOIS_C2 = {"q": 3, "deg_l": 1, "deg_m": 2, "group": "C2", "phi": [0, 1], "H": [0, 1]}
 
 
+def galois_doc(**change):
+    return {"tasks": ["galois"], "galois": dict(GALOIS_C2, **change)}
+
+
 @pytest.mark.parametrize("change", [
     {"field": {"p": 4}},
     {"seed": "abc"},
-    {"tasks": ["galois"], "galois": dict(GALOIS_C2, H=[0, 7])},
-], ids=["field-p-not-prime", "seed-not-integer", "galois-H-out-of-range"])
+    galois_doc(H=[0, 7]),
+    galois_doc(q=6),
+    galois_doc(group="C4", deg_m=4, phi=[0], H=[0]),
+    galois_doc(deg_l=0),
+    galois_doc(deg_m=0),
+    galois_doc(deg_l=-1),
+    galois_doc(group=6),
+    {"tasks": ["galois"], "galois": [1]},
+    {"field": [5]},
+    {"algebra": [1]},
+    {"algebra": {"type": "matrix_algebra", "n": "x"}},
+], ids=["field-p-not-prime", "seed-not-integer", "galois-H-out-of-range",
+        "galois-q-not-prime-power", "galois-phi-too-short", "galois-deg-l-zero",
+        "galois-deg-m-zero", "galois-deg-l-negative", "galois-group-not-a-table",
+        "galois-not-an-object", "field-not-an-object", "algebra-not-an-object",
+        "algebra-n-not-an-integer"])
 def test_malformed_scenario_exit_2(tmp_path, capsys, change):
     code = main(["run", write_scenario(tmp_path, dict(MAT2_SCENARIO, **change))])
     err = capsys.readouterr().err
     assert code == 2
     assert "error" in json.loads(err)
+
+
+GROUP_SCENARIO = {
+    "schema_version": 1,
+    "field": {"p": 7, "n": 1},
+    "algebra": {"type": "group_algebra", "group": "C3"},
+    "action": {"group": "C2", "kind": "inversion"},
+    "module": {"kind": "trivial"},
+    "tasks": ["clifford", "oracle_compare"],
+}
+FUZZ_DOCS = [MAT2_SCENARIO, GROUP_SCENARIO,
+             {"schema_version": 1, "tasks": ["galois"], "galois": GALOIS_C2}]
+
+
+def document_paths(node, prefix=()):
+    """The key paths of every section and leaf below the root."""
+    if prefix:
+        yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from document_paths(child, prefix + (key,))
+
+
+# ints stay <= 4: field.n = 6 builds F_{5^6}, which takes tens of seconds
+FUZZ_VALUES = st.one_of(
+    st.integers(-2, 4), st.text(max_size=3), st.none(), st.booleans(),
+    st.just({}), st.lists(st.integers(-2, 4), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzz_exit_codes(tmp_path, capsys, data):
+    """One section or leaf replaced by junk: the run ends with exit 0, 1 or
+    2 and never raises; exit 2 carries a JSON diagnostic."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_DOCS)))
+    path = data.draw(st.sampled_from(list(document_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(FUZZ_VALUES)
+    code = main(["run", write_scenario(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error" in json.loads(err)
 
 
 def test_unknown_task_rejected(tmp_path):
@@ -114,15 +182,7 @@ def test_failing_check_exit_1(tmp_path, capsys):
 
 
 def test_oracle_compare_task(tmp_path, capsys):
-    doc = {
-        "schema_version": 1,
-        "field": {"p": 7, "n": 1},
-        "algebra": {"type": "group_algebra", "group": "C3"},
-        "action": {"group": "C2", "kind": "inversion"},
-        "module": {"kind": "trivial"},
-        "tasks": ["clifford", "oracle_compare"],
-    }
-    path = write_scenario(tmp_path, doc)
+    path = write_scenario(tmp_path, GROUP_SCENARIO)
     code = main(["run", path, "--format", "json"])
     rep = json.loads(capsys.readouterr().out)
     assert code == 0

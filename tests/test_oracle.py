@@ -3,6 +3,7 @@ import pytest
 
 from orbitcat.algebra import AlgebraAut, make_group_algebra, make_matrix_algebra, radical
 from orbitcat.clifford import clifford_run
+from orbitcat import oracle
 from orbitcat.ffield import FF
 from orbitcat.oracle import (
     GaloisScenario,
@@ -15,6 +16,7 @@ from orbitcat.oracle import (
     mackey_restriction_check,
     normal_basis_element,
     oracle_compare,
+    restrict_along,
 )
 from orbitcat.orbit import GroupAction
 from orbitcat.rep import (
@@ -225,6 +227,32 @@ def test_galois_rank_check_q3():
     out = galois_rank_check(scenario_q3())
     assert out["ok"]
     assert out["rank"] == 4  # |Delta| * |G:H| = 2 * 2
+
+
+def test_galois_rank_check_rejects_a_non_normal_element(monkeypatch):
+    # the Delta-orbit of 1 repeats, so its generators cannot form a basis
+    monkeypatch.setattr(oracle, "normal_basis_element", lambda sc: 1)
+    assert galois_rank_check(scenario_q3())["ok"] is False
+
+
+def test_galois_rank_check_agrees_with_krull_schmidt():
+    """The decompose-and-match reference: Res M x| G is isomorphic to the
+    free module of rank 4 over L x| H."""
+    big, small, emb = galois_build(scenario_q3())
+    res = restrict_along(emb, big, small, regular_module(big))
+    free, _, _ = direct_sum([regular_module(small)] * 4)
+    assert is_isomorphic(res, free) is not None
+    assert galois_rank_check(scenario_q3())["ok"]
+
+
+@pytest.mark.parametrize("q, H, rank", [(3, [0], 8), (2, [0, 2], 4)])
+def test_galois_rank_check_c4_towers(q, H, rank):
+    sc = GaloisScenario(
+        q=q, deg_l=2, deg_m=4, table=cyclic_table(4), phi=[0, 1, 2, 3], H=H
+    )
+    assert galois_rank_check(sc) == {
+        "ok": True, "rank": rank, "restricted_dim": 16, "free_dim": 16,
+    }
 
 
 def test_galois_rank_check_regular_over_itself():
