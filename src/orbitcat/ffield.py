@@ -4,7 +4,8 @@ Elements are stored as integer codes in ``range(p**n)``: an element with
 residue coefficients (c_0, ..., c_{n-1}) relative to the field modulus,
 meaning c_0 + c_1*x + ... + c_{n-1}*x^(n-1), has code
 c_0 + c_1*p + ... + c_{n-1}*p**(n-1).  For prime fields (n == 1) the code
-is the residue itself and all array helpers reduce to plain mod-p numpy.
+is the residue itself and addition, negation and multiplication reduce to
+plain mod-p numpy.
 
 The degree-n modulus is chosen deterministically: candidates x^n + c are
 enumerated by increasing code of the tail coefficient vector c and the
@@ -12,14 +13,19 @@ first irreducible wins.  This keeps structure constants of everything
 built on top reproducible across runs and machines.
 
 Matrices and vectors are plain ``numpy.int64`` arrays of codes; the field
-object supplies vectorized operations on them.  Small fields (q <= 4096)
-get full lookup tables, larger ones go through a digit-vector path.
+object supplies vectorized operations on them.  Every field carries three
+arrays of size O(q) built from the powers of a primitive element g
+(Lidl-Niederreiter, *Finite Fields*, sec. 2.4): discrete logarithms
+``log``, a zero-padded ``exp`` and Zech logarithms ``zech[k] = log(1 +
+g^k)``.  Extension-field products, sums and negatives are gathers through
+them, and inverses, powers and Frobenius maps are one lookup in any field.
+Orders above 2^20 are refused.
 
 ``FiniteField.combine(coeffs, stack)`` is the one linear-combination
 primitive: every sum of field multiples of vectors or matrices in the
 layers above goes through it, so how a field does linear algebra
-(float64 or int64 products for prime fields, digit convolutions for
-extensions) is decided here and nowhere else.
+(float64 or int64 products for prime fields, products of residue digits
+for extensions) is decided here and nowhere else.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ import math
 
 import numpy as np
 
-_TABLE_LIMIT = 4096
+# the log/exp/Zech arrays of a larger field would pass ~50 MB
+_MAX_ORDER = 2 ** 20
 # prime-field matrix products with more multiplications than this use float64
 _FLOAT_GATE = 2 ** 15
 _FIELD_CACHE: dict = {}
@@ -173,21 +180,31 @@ def _find_modulus(p: int, n: int):
 
 
 class FiniteField:
-    """The field F_{p^n} with vectorized arithmetic on integer-code arrays."""
+    """The field F_{p^n} with vectorized arithmetic on integer-code arrays.
+
+    ``log[a]`` is the k < q - 1 with g^k = a for a != 0, and ``log[0]`` is
+    the sentinel Z = 2q - 3, for which ``exp[Z + j]`` is 0 for all
+    0 <= j <= Z: so ``exp[log[a] + log[b]]`` is a * b with no mask for
+    zero.  ``zech[k] = log(1 + g^k)`` for 0 <= k < q - 1, and the rest of
+    the array is laid out for numpy's negative indices so that
+    ``exp[log[a] + zech[log[b] - log[a]]]`` is a + b whether or not a or b
+    is zero: ``zech[d]`` is 0 for d >= q - 1 (b = 0), ``d`` itself for
+    d <= -(q - 1) (a = 0) and ``zech[d + q - 1]`` for -(q - 1) < d < 0.
+    """
 
     def __init__(self, p: int, n: int = 1):
-        if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
         if n < 1:
             raise ValueError("extension degree must be >= 1")
+        # n > 20 already exceeds the bound for every p >= 2
+        if n > 20 or p ** n > _MAX_ORDER:
+            raise ValueError(f"field order {p}^{n} exceeds {_MAX_ORDER}")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         self.p = p
         self.n = n
         self.q = p ** n
         self.modulus = _find_modulus(p, n)
         self._powers = np.array([p ** i for i in range(n)], dtype=np.int64)
-        self._inv_p = np.array(
-            [0] + [pow(i, p - 2, p) for i in range(1, p)], dtype=np.int64
-        )
         # x^k mod modulus for k < 2n-1, as digit rows (reduction matrix)
         red = np.zeros((2 * n - 1, n), dtype=np.int64)
         for k in range(2 * n - 1):
@@ -195,32 +212,58 @@ class FiniteField:
             for i, c in enumerate(r):
                 red[k, i] = c
         self._red = red
-        self._build_tables()
+        self._build_logs()
 
-    def _build_tables(self):
-        q, p, n = self.q, self.p, self.n
-        if n == 1 or q > _TABLE_LIMIT:
-            self._mul_table = None
-            return
-        codes = np.arange(q, dtype=np.int64)
-        dig = (codes[:, None] // self._powers[None, :]) % p  # (q, n)
-        conv = np.zeros((q, q, 2 * n - 1), dtype=np.int64)
+    def _primitive_element(self) -> int:
+        """First code whose order is q - 1: g^((q-1)/r) != 1 for every
+        prime r dividing q - 1."""
+        order = self.q - 1
+        modulus = list(self.modulus)
+        for g in range(1, self.q):
+            if all(_pp_powmod(list(self.digits(g)), order // r, modulus, self.p) != [1]
+                   for r in _prime_divisors(order)):
+                return g
+        raise RuntimeError("no primitive element found")  # unreachable
+
+    def _build_logs(self):
+        """The log, exp and zech arrays, from the powers of a primitive
+        element g walked in digit form: the rows g^0..g^(k-1) times the
+        matrix of multiplication by g^k give g^k..g^(2k-1)."""
+        p, n, order = self.p, self.n, self.q - 1
+        # row i holds the digits of x^i * g, so digits(a) @ step = digits(a*g)
+        conv = np.zeros((n, 2 * n - 1), dtype=np.int64)
+        gd = self.digits(self._primitive_element())
         for i in range(n):
-            for j in range(n):
-                conv[:, :, i + j] += dig[:, None, i] * dig[None, :, j]
-        reduced = (conv.reshape(q * q, 2 * n - 1) @ self._red) % p
-        self._mul_table = (reduced @ self._powers).reshape(q, q)
-        self._add_table = self._encode_digits(
-            (dig[:, None, :] + dig[None, :, :]) % p
-        )
-        self._neg_table = self._encode_digits((-dig) % p)
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            inv[a] = self._pow_int(a, q - 2)
-        self._inv_table = inv
-        self._frob_table = np.array(
-            [self._pow_int(a, p) for a in range(q)], dtype=np.int64
-        )
+            conv[i, i:i + n] = gd
+        step = (conv @ self._red) % p
+        # double the block of powers up to 4096 rows, then walk block by
+        # block, keeping only each power's code and constant digit
+        block = np.eye(1, n, dtype=np.int64)
+        while len(block) < min(order, 4096):
+            block = np.concatenate([block, self._matmul_mod_p(block, step)])
+            step = self._matmul_mod_p(step, step)
+        walk = []
+        for _ in range(-(-order // len(block))):
+            walk.append(np.stack([block @ self._powers, block[:, 0]], axis=1))
+            block = self._matmul_mod_p(block, step)
+        codes, const = np.concatenate(walk)[:order].T
+        zero = 2 * order - 1
+        self.log = np.full(self.q, zero, dtype=np.int32)
+        self.log[codes] = np.arange(order, dtype=np.int32)
+        self.exp = np.zeros(2 * zero + 1, dtype=np.int64)
+        self.exp[:order] = codes
+        self.exp[order:zero] = codes[:order - 1]
+        # 1 + g^k differs from g^k only in its constant digit
+        one_plus = codes - const + (const + 1) % p
+        zech = self.log[one_plus]
+        self.zech = np.concatenate([
+            zech,
+            np.zeros(order, dtype=np.int32),
+            np.arange(-zero, -order + 1, dtype=np.int32),
+            zech[1:],
+        ])
+        # log(-1): -1 = g^((q-1)/2) for odd p, and -1 = 1 for p = 2
+        self._log_neg1 = order // 2 if p > 2 else 0
 
     # -- scalar (int code) operations ------------------------------------
 
@@ -237,9 +280,7 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         if self.n == 1:
             return (a + b) % self.p
-        return self.from_digits(
-            (x + y) % self.p for x, y in zip(self.digits(a), self.digits(b))
-        )
+        return int(self.vadd(a, b))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -247,57 +288,27 @@ class FiniteField:
     def neg(self, a: int) -> int:
         if self.n == 1:
             return (-a) % self.p
-        return self.from_digits((-x) % self.p for x in self.digits(a))
+        return int(self.vneg(a))
 
     def mul(self, a: int, b: int) -> int:
         if self.n == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return int(self._mul_table[a, b])
-        da, db = self.digits(a), self.digits(b)
-        conv = [0] * (2 * self.n - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] = (conv[i + j] + x * y) % self.p
-        red = [0] * self.n
-        for k, c in enumerate(conv):
-            if c:
-                for i in range(self.n):
-                    red[i] = (red[i] + c * self._red[k, i]) % self.p
-        return self.from_digits(red)
-
-    def _pow_int(self, a: int, e: int) -> int:
-        result = 1 if e >= 0 else None
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return int(self.vmul(a, b))
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self._pow_int(self.inv(a), -e)
-        return self._pow_int(a, e)
+        """a ** e, by one lookup exp[(e * log a) mod (q - 1)]."""
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero in finite field")
+            return 0 if e else 1
+        return int(self.exp[int(self.log[a]) * e % (self.q - 1)])
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in finite field")
-        if self.n == 1:
-            return pow(a, self.p - 2, self.p)
-        if self._mul_table is not None:
-            return int(self._inv_table[a])
-        return self._pow_int(a, self.q - 2)
+        return self.pow(a, -1)
 
     def frobenius(self, a: int, k: int = 1) -> int:
         """k-fold p-power Frobenius of a."""
-        k %= self.n
-        out = a
-        for _ in range(k):
-            out = self._pow_int(out, self.p)
-        return out
+        return self.pow(a, self.p ** (k % self.n))
 
     def elements(self):
         return range(self.q)
@@ -317,10 +328,8 @@ class FiniteField:
     def vadd(self, A, B) -> np.ndarray:
         if self.n == 1:
             return (A + B) % self.p
-        if self._mul_table is not None:
-            A, B = np.broadcast_arrays(A, B)
-            return self._add_table[A, B]
-        return self._encode_digits((self._dig(A) + self._dig(B)) % self.p)
+        la = self.log[A]
+        return self.exp[la + self.zech[self.log[B] - la]]
 
     def vsub(self, A, B) -> np.ndarray:
         return self.vadd(A, self.vneg(B))
@@ -328,24 +337,13 @@ class FiniteField:
     def vneg(self, A) -> np.ndarray:
         if self.n == 1:
             return (-np.asarray(A)) % self.p
-        if self._mul_table is not None:
-            return self._neg_table[np.asarray(A)]
-        return self._encode_digits((-self._dig(A)) % self.p)
+        return self.exp[self.log[A] + self._log_neg1]
 
     def vmul(self, A, B) -> np.ndarray:
         """Elementwise product with broadcasting."""
         if self.n == 1:
             return (np.asarray(A) * np.asarray(B)) % self.p
-        if self._mul_table is not None:
-            A, B = np.broadcast_arrays(A, B)
-            return self._mul_table[A, B]
-        A, B = np.broadcast_arrays(np.asarray(A), np.asarray(B))
-        da, db = self._dig(A), self._dig(B)
-        conv = np.zeros(A.shape + (2 * self.n - 1,), dtype=np.int64)
-        for i in range(self.n):
-            for j in range(self.n):
-                conv[..., i + j] += da[..., i] * db[..., j]
-        return self._encode_digits((conv @ self._red) % self.p)
+        return self.exp[self.log[A] + self.log[B]]
 
     def vsum(self, A, axis) -> np.ndarray:
         if self.n == 1:
@@ -395,16 +393,6 @@ class FiniteField:
         rows = coeffs.reshape(math.prod(coeffs.shape[:-1]), d)
         flat = self.vmatmul(rows, stack.reshape(d, math.prod(stack.shape[1:])))
         return flat.reshape(coeffs.shape[:-1] + stack.shape[1:])
-
-    def vinv(self, A) -> np.ndarray:
-        A = np.asarray(A)
-        if np.any(A == 0):
-            raise ZeroDivisionError("inverse of zero in finite field")
-        if self.n == 1:
-            return self._inv_p[A]
-        if self._mul_table is not None:
-            return self._inv_table[A]
-        return np.vectorize(self.inv, otypes=[np.int64])(A)
 
     def _dig(self, A):
         A = np.asarray(A, dtype=np.int64)
@@ -461,7 +449,8 @@ class Scalar:
                 raise ValueError("field mismatch")
             return other.code
         if isinstance(other, int):
-            return other % self.field.q if self.field.n > 1 else other % self.field.p
+            # an integer is its image in the prime subfield
+            return other % self.field.p
         return NotImplemented
 
     def __add__(self, other):
@@ -505,7 +494,7 @@ class Scalar:
         if isinstance(other, Scalar):
             return self.field == other.field and self.code == other.code
         if isinstance(other, int):
-            return self.code == other % self.field.q if self.field.n == 1 else NotImplemented
+            return self.code == other % self.field.p
         return NotImplemented
 
     def __hash__(self):

@@ -4,7 +4,8 @@ Coefficients are stored little-endian as a tuple of field codes with no
 trailing zeros; the zero polynomial is the empty tuple.  Factorization is
 Berlekamp's null-space method: squarefree decomposition first, then the
 fixed space of the q-power Frobenius on F_q[x]/(f) separates the
-irreducible factors, split off with gcds against v - c for c in F_q.
+irreducible factors, split off with gcds against Tr(w) - c for traces
+Tr(w) over F_p of elements w of that space and c in F_p.
 Everything is deterministic; factor lists are sorted by degree and then
 lexicographically on the coefficient tuple.
 """
@@ -290,8 +291,26 @@ def _berlekamp_matrix(f: Poly):
     return Q
 
 
+def _trace(w: Poly, f: Poly) -> Poly:
+    """Tr_{F_q/F_p}(w) = sum_{j<n} w^(p^j) mod f, for q = p^n."""
+    F = w.field
+    acc = cur = w % f
+    for _ in range(F.n - 1):
+        cur = poly_pow_mod(cur, F.p, f)
+        acc = acc + cur
+    return acc
+
+
 def berlekamp_factor(f: Poly):
-    """Irreducible factors of a squarefree monic polynomial."""
+    """Irreducible factors of a squarefree monic polynomial.
+
+    The kernel of Q - I is the Berlekamp subalgebra B of F_q[x]/(f), a copy
+    of F_q^r with one coordinate per irreducible factor.  With theta the
+    generator of F_q over F_p (code p) and v running over a basis of B, the
+    traces Tr(theta^i v), i < n, span the F_p-points of B.  So for every
+    two factors some trace t takes different values in F_p on them, and
+    the gcds of f with t - c, c in F_p, split them apart: O(p) gcds per
+    factor, not O(q).  For n = 1 the trace is v itself."""
     from .linalg import kernel_basis
 
     F = f.field
@@ -304,12 +323,13 @@ def berlekamp_factor(f: Poly):
     r = len(K)
     if r == 1:
         return [f]
+    traces = (_trace(Poly(F, list(np.asarray(v).ravel())) * F.p ** i, f)
+              for v in K for i in range(F.n))
     factors = [f]
-    for v in K:
+    for t in traces:
         if len(factors) == r:
             break
-        vp = Poly(F, list(np.asarray(v).ravel()))
-        if vp.degree < 1:
+        if t.degree < 1:
             continue
         next_factors = []
         for g in factors:
@@ -317,10 +337,10 @@ def berlekamp_factor(f: Poly):
                 next_factors.append(g)
                 continue
             rest = g
-            for c in range(F.q):
+            for c in range(F.p):
                 if rest.degree <= 0:
                     break
-                d = poly_gcd(rest, vp - Poly.const(F, c))
+                d = poly_gcd(rest, t - Poly.const(F, c))
                 if 0 < d.degree < rest.degree:
                     next_factors.append(d.monic())
                     rest = rest // d

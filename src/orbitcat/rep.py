@@ -81,20 +81,6 @@ class Module:
                 j = int(np.argwhere((lhs != rhs).any(axis=(1, 2)))[0][0])
                 raise ValueError(f"action violates structure constants at ({i}, {j})")
 
-    def block_offset(self, label) -> Tuple[int, int]:
-        """(offset, size) of the unique block with the given label."""
-        off = 0
-        found = None
-        for lab, sz in self.blocks:
-            if lab == label:
-                if found is not None:
-                    raise ValueError(f"block label {label} is not unique")
-                found = (off, sz)
-            off += sz
-        if found is None:
-            raise ValueError(f"no block with label {label}")
-        return found
-
     def __eq__(self, other):
         return (
             isinstance(other, Module)
@@ -167,9 +153,6 @@ class Decomposition:
     module: Module
     summands: List[Summand]
     certified_local: bool = False
-
-    def total_dim(self):
-        return sum(s.module.dim * s.multiplicity for s in self.summands)
 
     def signature(self):
         """Multiset of (dimension, multiplicity), dimension-aggregated."""

@@ -80,6 +80,7 @@ def galois_doc(**change):
 
 @pytest.mark.parametrize("change", [
     {"field": {"p": 4}},
+    {"field": {"p": 2, "n": 40}},
     {"seed": "abc"},
     galois_doc(H=[0, 7]),
     galois_doc(q=6),
@@ -92,7 +93,7 @@ def galois_doc(**change):
     {"field": [5]},
     {"algebra": [1]},
     {"algebra": {"type": "matrix_algebra", "n": "x"}},
-], ids=["field-p-not-prime", "seed-not-integer", "galois-H-out-of-range",
+], ids=["field-p-not-prime", "field-order-too-large", "seed-not-integer", "galois-H-out-of-range",
         "galois-q-not-prime-power", "galois-phi-too-short", "galois-deg-l-zero",
         "galois-deg-m-zero", "galois-deg-l-negative", "galois-group-not-a-table",
         "galois-not-an-object", "field-not-an-object", "algebra-not-an-object",
@@ -126,7 +127,7 @@ def document_paths(node, prefix=()):
         yield from document_paths(child, prefix + (key,))
 
 
-# ints stay <= 4: field.n = 6 builds F_{5^6}, which takes tens of seconds
+# ints stay <= 4 so that every drawn field, algebra and tower stays small
 FUZZ_VALUES = st.one_of(
     st.integers(-2, 4), st.text(max_size=3), st.none(), st.booleans(),
     st.just({}), st.lists(st.integers(-2, 4), max_size=3),

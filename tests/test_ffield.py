@@ -1,8 +1,11 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orbitcat.ffield import FF, Scalar
+from orbitcat.ffield import FF, FiniteField, Scalar
 
 
 def test_prime_field_basics():
@@ -110,7 +113,117 @@ def test_scalar_wrapper():
     assert w.coeffs == (0, 1)
 
 
-_COMBINE_FIELDS = [(7, 1), (2, 2), (5, 2), (2, 13)]  # FF(2, 13) has no tables
+def test_scalar_int_is_prime_subfield_element():
+    F9 = FF(3, 2)
+    one = F9.scalar(1)
+    assert (one + 5).code == 0  # 1 + 5 = 6 = 0 in characteristic 3
+    assert (one * 4).code == 1
+    assert (F9.scalar(3) - 1).code == 5  # x - 1 = x + 2: digits (2, 1)
+    assert F9.scalar(0) == 3 and F9.scalar(2) == -1
+    assert F9.scalar(3) != 3  # code 3 is x, not an integer
+
+
+def test_order_bound_and_build_cost():
+    with pytest.raises(ValueError, match="exceeds"):
+        FiniteField(2, 40)
+    with pytest.raises(ValueError, match="exceeds"):
+        FiniteField(1048583)  # the first prime above 2^20
+    start = time.perf_counter()
+    FiniteField(7, 4)
+    assert time.perf_counter() - start < 0.1
+    tracemalloc.start()
+    try:
+        FiniteField(7, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+
+
+# -- schoolbook reference: residue digits, convolution, long division ------
+
+def _ref_digits(F, a):
+    return [a // F.p ** i % F.p for i in range(F.n)]
+
+
+def _ref_code(F, digs):
+    return sum(d % F.p * F.p ** i for i, d in enumerate(digs))
+
+
+def _ref_add(F, a, b):
+    return _ref_code(F, [x + y for x, y in zip(_ref_digits(F, a), _ref_digits(F, b))])
+
+
+def _ref_neg(F, a):
+    return _ref_code(F, [-x for x in _ref_digits(F, a)])
+
+
+def _ref_mul(F, a, b):
+    da, db = _ref_digits(F, a), _ref_digits(F, b)
+    conv = [0] * (2 * F.n - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            conv[i + j] += x * y
+    # reduce by the monic modulus from the top degree down
+    for k in range(2 * F.n - 2, F.n - 1, -1):
+        c = conv[k] % F.p
+        for i, m in enumerate(F.modulus):
+            conv[k - F.n + i] -= c * m
+    return _ref_code(F, conv[:F.n])
+
+
+def _ref_pow(F, a, e):
+    if e < 0:
+        a, e = _ref_pow(F, a, F.q - 2), -e
+    out = 1
+    while e:
+        if e & 1:
+            out = _ref_mul(F, out, a)
+        a = _ref_mul(F, a, a)
+        e >>= 1
+    return out
+
+
+_REF_FIELDS = [(2, 2), (3, 2), (2, 3), (7, 4), (2, 13)]
+
+
+@given(st.sampled_from(_REF_FIELDS), st.data())
+@example((2, 13), None)
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_matches_schoolbook_reference(field, data):
+    F = FF(*field)
+    if data is None:  # zeros against zeros and against the extremes
+        A, B = [0, 0, 1, F.q - 1], [0, F.q - 1, 0, 1]
+    else:
+        code = st.one_of(st.just(0), st.integers(1, F.q - 1))
+        A = data.draw(st.lists(code, min_size=1, max_size=6))
+        B = data.draw(st.lists(code, min_size=len(A), max_size=len(A)))
+    VA, VB = np.array(A), np.array(B)
+    assert F.vadd(VA, VB).tolist() == [_ref_add(F, a, b) for a, b in zip(A, B)]
+    assert F.vsub(VA, VB).tolist() == [_ref_add(F, a, _ref_neg(F, b)) for a, b in zip(A, B)]
+    assert F.vneg(VA).tolist() == [_ref_neg(F, a) for a in A]
+    assert F.vmul(VA, VB).tolist() == [_ref_mul(F, a, b) for a, b in zip(A, B)]
+    # broadcasting a scalar code against an array
+    assert F.vmul(A[0], VB).tolist() == [_ref_mul(F, A[0], b) for b in B]
+    for a, b in zip(A, B):
+        assert F.add(a, b) == _ref_add(F, a, b)
+        assert F.mul(a, b) == _ref_mul(F, a, b)
+        e = b - F.q // 2
+        if a == 0 and e < 0:
+            with pytest.raises(ZeroDivisionError):
+                F.pow(a, e)
+        else:
+            assert F.pow(a, e) == _ref_pow(F, a, e)
+        if a:
+            assert F.inv(a) == _ref_pow(F, a, F.q - 2)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                F.inv(a)
+        for k in range(F.n + 1):
+            assert F.frobenius(a, k) == _ref_pow(F, a, F.p ** (k % F.n))
+
+
+_COMBINE_FIELDS = [(7, 1), (2, 2), (5, 2), (2, 13)]
 
 
 @given(

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -140,3 +142,50 @@ def test_gcd_basics():
     f = P(F, 4, 0, 1)  # (x-1)(x-4)
     g = P(F, 4, 1)  # x + 4 = x - 1
     assert poly_gcd(f, g) == g.monic()
+
+
+@given(random_poly())
+@settings(max_examples=60, deadline=None)
+def test_factor_matches_sympy_over_prime_fields(f):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy import ZZ
+
+    p = f.field.p
+    # sympy's dense F_p polynomials are big-endian lists of residues
+    lead, parts = galoistools.gf_factor([int(c) for c in f.codes[::-1]], p, ZZ)
+    expected = sorted(((len(g) - 1, tuple(int(c) for c in g[::-1])), m) for g, m in parts)
+    assert [(g.sort_key(), m) for g, m in poly_factor(f)] == expected
+    assert int(lead) == f.lead()
+
+
+def _monic_polys(F, deg):
+    for tail in itertools.product(range(F.q), repeat=deg):
+        yield Poly(F, tail + (1,))
+
+
+@st.composite
+def extension_poly(draw):
+    F = FF(*draw(st.sampled_from([(2, 2), (2, 3), (3, 2)])))
+    deg = draw(st.integers(min_value=1, max_value=6))
+    codes = [draw(st.integers(min_value=0, max_value=F.q - 1)) for _ in range(deg)]
+    codes.append(draw(st.integers(min_value=1, max_value=F.q - 1)))
+    return Poly(F, codes)
+
+
+@given(extension_poly())
+@settings(max_examples=30, deadline=None)
+def test_factor_over_extension_fields_brute_force(f):
+    """Over F4, F8 and F9: the factors times the lead coefficient recover
+    f, they are distinct and monic, and no monic polynomial of degree at
+    most half a factor's degree divides it."""
+    F = f.field
+    factors = poly_factor(f)
+    prod = Poly.const(F, f.lead())
+    for g, m in factors:
+        assert g.is_monic()
+        for _ in range(m):
+            prod = prod * g
+        for d in range(1, g.degree // 2 + 1):
+            assert all(not (g % h).is_zero() for h in _monic_polys(F, d))
+    assert prod == f
+    assert len({g for g, _ in factors}) == len(factors)
