@@ -56,7 +56,7 @@ class Algebra:
     """Associative unital algebra over a finite field by structure constants."""
 
     def __init__(self, field: FiniteField, struct, unit, labels=None, rep=None,
-                 validate: bool = True):
+                 generators=None, validate: bool = True):
         struct = np.asarray(struct, dtype=np.int64)
         unit = np.asarray(unit, dtype=np.int64)
         d = struct.shape[0]
@@ -71,8 +71,53 @@ class Algebra:
         self.labels = tuple(labels) if labels is not None else None
         self.rep = None if rep is None else [np.asarray(m, dtype=np.int64) for m in rep]
         self._regular = None
+        # (g, d) coordinate rows that generate A together with the unit; the
+        # basis unless a builder knows fewer
+        if generators is None:
+            self.generators = field.eye(d)
+        else:
+            self.generators = np.asarray(generators, dtype=np.int64).reshape(-1, d)
+            self._certify_generators()
         if validate:
             self.validate()
+
+    def _certify_generators(self):
+        """The right-nested generator words g_1 (g_2 (... (g_k 1))) span A.
+
+        Frontier closure from span{1}: each new row is multiplied on the
+        left by every generator once and the products are reduced modulo
+        the span so far.  Uses no associativity, so it runs before
+        validate()."""
+        F, d = self.field, self.dim
+        span = SpanSolver(F, self.unit[None, :])
+        frontier = span.basis
+        while len(frontier) and span.dim < d:
+            prods = self.span_products(self.generators, frontier).reshape(-1, d)
+            frontier = SpanSolver(F, span.residual(prods)).basis
+            span = SpanSolver(F, np.concatenate([span.basis, frontier]))
+        if span.dim < d:
+            raise ValueError("generators do not generate the algebra")
+
+    def first_defect(self, check):
+        """Where an identity that is linear in an algebra element fails.
+
+        check(x) returns the two sides (lhs, rhs) for one coordinate row x.
+        They are compared on each generator; lhs - rhs is linear in x, so
+        a generator where they differ has a basis element in its support
+        where they differ too.  Returns None, or (i, *index): that basis
+        element i and the first index at which its two sides differ.
+        Callers say why the generators suffice for their identity."""
+        eye = self.field.eye(self.dim)
+        for g in self.generators:
+            lhs, rhs = check(g)
+            if not np.array_equal(lhs, rhs):
+                for i in np.flatnonzero(g):
+                    lhs, rhs = check(eye[i])
+                    if not np.array_equal(lhs, rhs):
+                        where = np.argwhere(lhs != rhs)[0]
+                        return (int(i),) + tuple(int(t) for t in where)
+                raise RuntimeError("check is not linear in the algebra element")
+        return None
 
     # -- multiplication ----------------------------------------------------
 
@@ -153,6 +198,16 @@ class Algebra:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
+        """L_1 = R_1 = I, and (g b_j) b_k = g (b_j b_k) for every generator g.
+
+        This proves associativity.  Let T be the set of x with
+        (x y) z = x (y z) for all y, z: a subspace that holds 1 (L_1 = I)
+        and the generators.  For x in T and a generator g,
+        ((g x) y) z = (g (x y)) z = g ((x y) z) = g (x (y z)) = (g x)(y z),
+        using g in T three times and x in T once, so T is closed under
+        left multiplication by the generators.  The right-nested generator
+        words therefore lie in T by induction on their length, and they
+        span A (certified at construction), so T = A."""
         F = self.field
         c = self.struct
         d = self.dim
@@ -162,14 +217,16 @@ class Algebra:
         R1 = self.right_mult_matrix(self.unit)
         if not np.array_equal(L1, F.eye(d)) or not np.array_equal(R1, F.eye(d)):
             raise ValueError("unit does not act as identity")
-        # (b_i b_j) b_k = b_i (b_j b_k), one (d, d*d) block per i
         pairs = c.reshape(d * d, d)
-        for i in range(d):
-            lhs = F.combine(c[i], c)
-            rhs = F.vmatmul(pairs, c[i]).reshape(d, d, d)
-            if not np.array_equal(lhs, rhs):
-                j, k = (int(t) for t in np.argwhere(lhs != rhs)[0][:2])
-                raise ValueError(f"associativity fails on basis triple ({i}, {j}, {k})")
+
+        def check(x):
+            xb = F.combine(x, c)  # row j: x b_j
+            return F.combine(xb, c), F.vmatmul(pairs, xb).reshape(d, d, d)
+
+        bad = self.first_defect(check)
+        if bad is not None:
+            i, j, k = bad[:3]
+            raise ValueError(f"associativity fails on basis triple ({i}, {j}, {k})")
 
     def __repr__(self):
         return f"Algebra(dim={self.dim} over {self.field!r})"
@@ -188,19 +245,27 @@ class AlgebraAut:
             self.validate()
 
     def validate(self):
+        """U is invertible, U(1) = 1 and U(g b_j) = U(g) U(b_j) for every
+        generator g.  The x with U(x y) = U(x) U(y) for all y form a
+        subspace holding 1 and the generators, closed under left
+        multiplication by a generator g: by associativity,
+        U((g x) y) = U(g (x y)) = U(g) U(x) U(y) = U(g x) U(y).
+        So it holds every right-nested generator word, hence all of A."""
         A, F, U = self.algebra, self.algebra.field, self.matrix
         if not is_invertible(F, U):
             raise ValueError("automorphism matrix is singular")
         if not np.array_equal(self.apply(A.unit), A.unit):
             raise ValueError("automorphism does not fix the unit")
-        # U(b_i b_j) = U(b_i) U(b_j), one (d, d) block per i
         c = A.struct
-        for i in range(A.dim):
-            lhs = F.vmatmul(c[i], U.T)
-            rhs = F.vmatmul(U.T, F.combine(U[:, i], c))
-            if not np.array_equal(lhs, rhs):
-                j = int(np.argwhere(lhs != rhs)[0][0])
-                raise ValueError(f"automorphism is not multiplicative on pair ({i}, {j})")
+
+        def check(x):
+            # row j: U(x b_j) and U(x) U(b_j)
+            return (F.vmatmul(F.combine(x, c), U.T),
+                    F.vmatmul(U.T, F.combine(self.apply(x), c)))
+
+        bad = A.first_defect(check)
+        if bad is not None:
+            raise ValueError(f"automorphism is not multiplicative on pair ({bad[0]}, {bad[1]})")
 
     def apply(self, x) -> np.ndarray:
         return self.algebra.field.vmatmul(self.matrix, np.asarray(x)[:, None])[:, 0]
@@ -299,6 +364,25 @@ def validate_group_table(table) -> int:
     return identity
 
 
+def _group_generators(table, identity: int) -> list:
+    """Group elements taken greedily in element order, each one outside the
+    subgroup generated by those taken before it."""
+    table = np.asarray(table, dtype=np.int64)
+    gens, sub = [], {identity}
+    for g in range(table.shape[0]):
+        if g in sub:
+            continue
+        gens.append(g)
+        # in a finite group, closing {1} under right multiplication by the
+        # generators gives the subgroup they generate
+        sub, frontier = {identity}, [identity]
+        while frontier:
+            frontier = [int(y) for y in dict.fromkeys(table[frontier][:, gens].ravel())
+                        if y not in sub]
+            sub.update(frontier)
+    return gens
+
+
 def group_inverse(table, g: int) -> int:
     table = np.asarray(table)
     k = table.shape[0]
@@ -325,11 +409,13 @@ def make_group_algebra(table, field: FiniteField) -> Algebra:
     unit = np.zeros(k, dtype=np.int64)
     unit[identity] = 1
     labels = tuple(f"g{i}" for i in range(k))
-    return Algebra(field, struct, unit, labels=labels)
+    gens = field.eye(k)[_group_generators(table, identity)]
+    return Algebra(field, struct, unit, labels=labels, generators=gens)
 
 
 def make_matrix_algebra(n: int, field: FiniteField) -> Algebra:
-    """Full matrix algebra Mat_n on the matrix-unit basis e_(u,v)."""
+    """Full matrix algebra Mat_n on the matrix-unit basis e_(u,v),
+    generated by the e_(i,i+1) and e_(i+1,i)."""
     if n < 1:
         raise ValueError("matrix algebra needs n >= 1")
     d = n * n
@@ -344,7 +430,9 @@ def make_matrix_algebra(n: int, field: FiniteField) -> Algebra:
     for u in range(n):
         unit[u * n + u] = 1
     labels = tuple(f"e{u}{v}" for u in range(n) for v in range(n))
-    return Algebra(field, struct, unit, labels=labels)
+    gens = field.eye(d)[[i * n + i + 1 for i in range(n - 1)]
+                        + [(i + 1) * n + i for i in range(n - 1)]]
+    return Algebra(field, struct, unit, labels=labels, generators=gens)
 
 
 class _PathAutomaton:
@@ -376,7 +464,8 @@ def make_path_algebra(field: FiniteField, n_vertices: int, arrows, relations=())
 
     arrows: list of (source, target) vertex pairs; relations: lists of
     arrow indices forming composable paths (left-to-right in diagram
-    order).  Raises when the relation-free path basis is infinite.
+    order).  Raises when the relation-free path basis is infinite.  The
+    vertex idempotents and the arrows generate it.
     """
     arrows = [tuple(a) for a in arrows]
     for s, t in arrows:
@@ -472,14 +561,16 @@ def make_path_algebra(field: FiniteField, n_vertices: int, arrows, relations=())
     labels = tuple(
         f"e{p[0]}" if not p[1] else "*".join(f"a{a}" for a in p[1]) for p in paths
     )
-    return Algebra(field, struct, unit, labels=labels)
+    gens = field.eye(d)[[i for i, p in enumerate(paths) if len(p[1]) <= 1]]
+    return Algebra(field, struct, unit, labels=labels, generators=gens)
 
 
 def make_skew_group_algebra(a: Algebra, action) -> Algebra:
     """Skew group algebra A x| Gamma with (x (x) g)(y (x) h) = x g(y) (x) gh.
 
     The action must be strict: its automorphism matrices compose exactly
-    along the group table.
+    along the group table.  Generated by x (x) e for the generators x of
+    the base and 1 (x) g for the group generators g.
     """
     table = np.asarray(action.table, dtype=np.int64)
     auts = action.auts
@@ -505,7 +596,13 @@ def make_skew_group_algebra(a: Algebra, action) -> Algebra:
     labels = None
     if a.labels:
         labels = tuple(f"{a.labels[i]}|g{g}" for g in range(k) for i in range(d))
-    return Algebra(F, struct, unit, labels=labels)
+    group_gens = _group_generators(table, identity)
+    r = len(a.generators)
+    gens = np.zeros((r + len(group_gens), D), dtype=np.int64)
+    gens[:r, identity * d : identity * d + d] = a.generators
+    for t, g in enumerate(group_gens, start=r):
+        gens[t, g * d : g * d + d] = a.unit
+    return Algebra(F, struct, unit, labels=labels, generators=gens)
 
 
 def _prime_power(q: int):
@@ -587,7 +684,8 @@ def make_twisted_group_ring(q: int, deg_m: int, table, phi) -> Algebra:
 
     phi maps each group element to a q-power Frobenius exponent modulo
     deg_m; it must be a homomorphism.  The result is an F_q-algebra of
-    dimension deg_m * |G| on the basis x^t (x) g.
+    dimension deg_m * |G| on the basis x^t (x) g, generated by x (x) e and
+    1 (x) g for the group generators g.
     """
     table = np.asarray(table, dtype=np.int64)
     identity = validate_group_table(table)
@@ -614,7 +712,9 @@ def make_twisted_group_ring(q: int, deg_m: int, table, phi) -> Algebra:
                     struct[g * deg_m + t1, h * deg_m + t2, gh * deg_m : (gh + 1) * deg_m] = sf.coords(prod)
     unit = np.zeros(D, dtype=np.int64)
     unit[identity * deg_m] = 1
-    return Algebra(sf.base, struct, unit)
+    gens = [identity * deg_m + 1] if deg_m > 1 else []
+    gens += [g * deg_m for g in _group_generators(table, identity)]
+    return Algebra(sf.base, struct, unit, generators=sf.base.eye(D)[gens])
 
 
 # ---------------------------------------------------------------------------
@@ -682,11 +782,18 @@ def radical(A: Algebra, certify: bool = True) -> np.ndarray:
 
 
 def _certify_radical(A: Algebra, J):
+    """span(J) is a nilpotent two-sided ideal and A/J has zero radical.
+
+    The ideal check multiplies J by the generators only: a subspace closed
+    under multiplication by them on both sides is closed under every
+    right-nested generator word, by associativity.  For J = 0 the quotient
+    is A itself and the chain that found J would only be rerun, so the
+    claim that A is semisimple has no certificate beyond that chain."""
     F = A.field
     d = A.dim
-    eye = F.eye(d)
-    products = np.concatenate([A.span_products(eye, J).reshape(-1, d),
-                               A.span_products(J, eye).reshape(-1, d)])
+    gens = A.generators
+    products = np.concatenate([A.span_products(gens, J).reshape(-1, d),
+                               A.span_products(J, gens).reshape(-1, d)])
     if SpanSolver(F, J).residual(products).any():
         raise CertificationError("claimed radical is not an ideal")
     # nilpotency: successive power spans must strictly shrink to zero
@@ -701,6 +808,8 @@ def _certify_radical(A: Algebra, J):
         S = S_next
     else:
         raise CertificationError("claimed radical is not nilpotent")
+    if len(J) == 0:
+        return
     Abar, _, _ = quotient_algebra(A, J)
     if len(radical(Abar, certify=False)) != 0:
         raise CertificationError("quotient by claimed radical is not semisimple")
@@ -774,14 +883,17 @@ def corner_algebra(A: Algebra, e):
 
 
 def center_basis(A: Algebra) -> np.ndarray:
-    """Echelonized basis of the center."""
+    """Echelonized basis of the center: the x that commute with every
+    generator (then with every word in them, which span A)."""
     F = A.field
     d = A.dim
     if d == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    # condition x*b_i - b_i*x = 0: column i*d + k of row a is
-    # struct[a,i,k] - struct[i,a,k]
-    big = F.vsub(A.struct, A.struct.transpose(1, 0, 2)).reshape(d, d * d)
+    # condition x*g - g*x = 0: column s*d + k of row a is the k-th
+    # coordinate of b_a g_s - g_s b_a
+    xg = F.combine(A.generators, A.struct.transpose(1, 0, 2))  # [s, a]: b_a g_s
+    gx = F.combine(A.generators, A.struct)  # [s, a]: g_s b_a
+    big = F.vsub(xg, gx).transpose(1, 0, 2).reshape(d, len(A.generators) * d)
     K = kernel_basis(F, big.T)
     return _echelon_rows(F, np.array(K)) if K else np.zeros((0, d), dtype=np.int64)
 

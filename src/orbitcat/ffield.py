@@ -213,6 +213,13 @@ class FiniteField:
                 red[k, i] = c
         self._red = red
         self._build_logs()
+        # digits of every code, one column at a time, in the smallest
+        # unsigned dtype that holds p - 1
+        self._digits = np.empty((self.q, n), dtype=np.min_scalar_type(p - 1))
+        codes = np.arange(self.q, dtype=np.int64)
+        for i in range(n):
+            self._digits[:, i] = codes % p
+            codes //= p
 
     def _primitive_element(self) -> int:
         """First code whose order is q - 1: g^((q-1)/r) != 1 for every
@@ -395,8 +402,7 @@ class FiniteField:
         return flat.reshape(coeffs.shape[:-1] + stack.shape[1:])
 
     def _dig(self, A):
-        A = np.asarray(A, dtype=np.int64)
-        return (A[..., None] // self._powers) % self.p
+        return self._digits[A].astype(np.int64)
 
     def _encode_digits(self, dig):
         return (np.asarray(dig, dtype=np.int64) @ self._powers).astype(np.int64)

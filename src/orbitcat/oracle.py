@@ -349,15 +349,16 @@ def _is_inner_automorphism(B: Algebra, gamma) -> bool:
     """Whether the automorphism with coordinate matrix gamma is inner.
 
     Solves the twisted centralizer c * b = gamma(b) * c and scans it for an
-    invertible element (basis vectors, then pairwise combinations)."""
+    invertible element (basis vectors, then pairwise combinations).  The
+    condition is imposed on B's generators: gamma is multiplicative, so it
+    then holds on every word in them."""
     F = B.field
     d = B.dim
-    rows = []
-    eye = F.eye(d)
-    for j in range(d):
-        gb = F.vmatmul(gamma, eye[j][:, None])[:, 0]
-        # condition on c: R_{b_j}(c) - L_{gamma(b_j)}(c) = 0
-        rows.append(F.vsub(B.right_mult_matrix(eye[j]), B.left_mult_matrix(gb)))
+    rows = [np.zeros((0, d), dtype=np.int64)]
+    for g in B.generators:
+        gg = F.vmatmul(gamma, g[:, None])[:, 0]
+        # condition on c: R_g(c) - L_{gamma(g)}(c) = 0
+        rows.append(F.vsub(B.right_mult_matrix(g), B.left_mult_matrix(gg)))
     system = np.concatenate(rows, axis=0)
     K = kernel_basis(F, system)
     if not K:

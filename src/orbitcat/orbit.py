@@ -154,16 +154,18 @@ class OrbitMor:
             self.validate()
 
     def validate(self):
-        F = self.action.algebra.field
+        """Each component f_g is an intertwiner src -> twist(tgt, g),
+        checked on the algebra's generators."""
+        A = self.action.algebra
+        F = A.field
         for g, m in self.comps.items():
             tw = self.action.twisted(self.tgt, g)
-            for i in range(self.action.algebra.dim):
-                lhs = F.vmatmul(m, self.src.mats[i])
-                rhs = F.vmatmul(tw.mats[i], m)
-                if not np.array_equal(lhs, rhs):
-                    raise ValueError(
-                        f"component {g} is not an intertwiner at basis element {i}"
-                    )
+            bad = A.first_defect(
+                lambda x: (F.vmatmul(m, self.src.act(x)), F.vmatmul(tw.act(x), m)))
+            if bad is not None:
+                raise ValueError(
+                    f"component {g} is not an intertwiner at basis element {bad[0]}"
+                )
         return self
 
     def component(self, g: int) -> np.ndarray:
@@ -328,13 +330,10 @@ def _t_object(X: Module, action: GroupAction, twists) -> Tuple[Module, np.ndarra
     m = X.dim
     k = len(twists)
     blocks, perm = _twist_sum_layout(X, action, twists)
-    mats = []
-    tmods = [action.twisted(X, t) for t in twists]
-    for i in range(X.algebra.dim):
-        big = F.zeros((k * m, k * m))
-        for ti in range(k):
-            big[ti * m : (ti + 1) * m, ti * m : (ti + 1) * m] = tmods[ti].mats[i]
-        mats.append(big[np.ix_(perm, perm)])
+    big = F.zeros((X.algebra.dim, k * m, k * m))
+    for ti, t in enumerate(twists):
+        big[:, ti * m : (ti + 1) * m, ti * m : (ti + 1) * m] = action.twisted(X, t).stack()
+    mats = list(big[:, perm][:, :, perm])
     return Module(X.algebra, mats, blocks=blocks, validate=False), perm
 
 

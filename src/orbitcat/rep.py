@@ -1,12 +1,17 @@
 """Modules over a structure-constant algebra and their decompositions.
 
 A Module stores one action matrix per algebra basis element (acting on
-column vectors).  Hom spaces are kernels of the intertwining system,
-endomorphism algebras come with their matrix embedding, and Krull-Schmidt
-decomposition routes through the primitive orthogonal idempotents of the
-endomorphism algebra: each idempotent's image carries the restricted
-action, with explicit inclusion/projection witnesses so every multiplicity
-downstream is re-checkable by rank computations.
+column vectors).  Every check that a map commutes with the action runs
+over the algebra's generators only (``Algebra.generators``): a linear map
+that commutes with rho(g) for each generator g commutes with rho of every
+word in them, and the words span the algebra.  Hom spaces are kernels of
+that intertwining system, one Kronecker block per generator (for Mat6 that
+is 10 blocks instead of 36); endomorphism algebras come with their matrix
+embedding, and Krull-Schmidt decomposition routes through the primitive
+orthogonal idempotents of the endomorphism algebra: each idempotent's
+image carries the restricted action, with explicit inclusion/projection
+witnesses so every multiplicity downstream is re-checkable by rank
+computations.
 
 Direct sums track an optional block label per summand (the group element
 that twisted the block); the orbit-side functors sort blocks by label so
@@ -66,20 +71,31 @@ class Module:
         """Action matrix of the algebra element with coordinates x."""
         return self.field.combine(x, self.stack())
 
+    def gen_mats(self) -> np.ndarray:
+        """The action of the algebra's generators, shape (g, dim, dim)."""
+        return self.field.combine(self.algebra.generators, self.stack())
+
     def validate(self):
+        """rho(1) = I and rho(g) rho(b_j) = rho(g b_j) for every generator g.
+
+        The x with rho(x) rho(y) = rho(x y) for all y form a subspace that
+        holds 1 and the generators, and with x it holds g x:
+        rho(g x) rho(y) = rho(g) rho(x) rho(y) = rho(g) rho(x y) = rho(g x y).
+        So it holds every right-nested generator word, hence all of A."""
         A, F = self.algebra, self.field
         if A.dim == 0:
             return
         if not np.array_equal(self.act(A.unit), F.eye(self.dim)):
             raise ValueError("unit does not act as the identity")
-        # rho(b_i) rho(b_j) = sum_k c[i, j, k] rho(b_k), one (d, m, m) block per i
         stack = self.stack()
-        for i in range(A.dim):
-            lhs = F.vmatmul(stack[i], stack)
-            rhs = F.combine(A.struct[i], stack)
-            if not np.array_equal(lhs, rhs):
-                j = int(np.argwhere((lhs != rhs).any(axis=(1, 2)))[0][0])
-                raise ValueError(f"action violates structure constants at ({i}, {j})")
+
+        def check(x):
+            # entry j: rho(x) rho(b_j) and rho(x b_j)
+            return F.vmatmul(self.act(x), stack), F.combine(F.combine(x, A.struct), stack)
+
+        bad = A.first_defect(check)
+        if bad is not None:
+            raise ValueError(f"action violates structure constants at ({bad[0]}, {bad[1]})")
 
     def __eq__(self, other):
         return (
@@ -113,13 +129,12 @@ class ModuleMor:
             raise ValueError("morphism matrix has wrong shape")
 
     def validate(self):
-        A = self.src.algebra
-        F = self.src.field
-        for i in range(A.dim):
-            lhs = F.vmatmul(self.matrix, self.src.mats[i])
-            rhs = F.vmatmul(self.tgt.mats[i], self.matrix)
-            if not np.array_equal(lhs, rhs):
-                raise ValueError(f"not an intertwiner at basis element {i}")
+        """f rho_src(g) = rho_tgt(g) f for every generator g of the algebra."""
+        F, f = self.src.field, self.matrix
+        bad = self.src.algebra.first_defect(
+            lambda x: (F.vmatmul(f, self.src.act(x)), F.vmatmul(self.tgt.act(x), f)))
+        if bad is not None:
+            raise ValueError(f"not an intertwiner at basis element {bad[0]}")
         return self
 
     def compose(self, other: "ModuleMor") -> "ModuleMor":
@@ -163,22 +178,22 @@ class Decomposition:
 
 
 def hom_space(M: Module, N: Module) -> HomSpace:
-    """Solution space of f rho_M(b) = rho_N(b) f, echelonized."""
+    """Solution space of f rho_M(g) = rho_N(g) f over the generators g,
+    echelonized."""
     if M.algebra is not N.algebra and M.algebra != N.algebra:
         raise ValueError("modules over different algebras")
     F = M.field
     m, n = M.dim, N.dim
     if m == 0 or n == 0:
         return HomSpace(M, N, [])
-    rows = []
+    GM, GN = M.gen_mats(), N.gen_mats()
     eye_n = np.eye(n, dtype=np.int64)
     eye_m = np.eye(m, dtype=np.int64)
-    for i in range(M.algebra.dim):
-        # row-major vec: vec(N_i f) = (N_i (x) I) v, vec(f M_i) = (I (x) M_i^T) v
-        op = F.vsub(np.kron(N.mats[i], eye_m), np.kron(eye_n, M.mats[i].T))
-        rows.append(op)
-    system = np.concatenate(rows, axis=0)
-    vecs = kernel_basis(F, system)
+    system = np.empty((len(GM), n * m, n * m), dtype=np.int64)
+    for i in range(len(GM)):
+        # row-major vec: vec(N_g f) = (N_g (x) I) v, vec(f M_g) = (I (x) M_g^T) v
+        system[i] = F.vsub(np.kron(GN[i], eye_m), np.kron(eye_n, GM[i].T))
+    vecs = kernel_basis(F, system.reshape(-1, n * m))
     if vecs:
         # canonical form: the flattened basis stack is in reduced echelon form,
         # so coordinate solvers built on it are consistent with this basis
@@ -216,19 +231,16 @@ def direct_sum(mods: Sequence[Module], labels=None):
         if m.algebra is not A and m.algebra != A:
             raise ValueError("modules over different algebras")
     total = sum(m.dim for m in mods)
-    mats = []
-    for i in range(A.dim):
-        big = F.zeros((total, total))
-        off = 0
-        for m in mods:
-            big[off : off + m.dim, off : off + m.dim] = m.mats[i]
-            off += m.dim
-        mats.append(big)
+    mats = F.zeros((A.dim, total, total))
+    off = 0
+    for m in mods:
+        mats[:, off : off + m.dim, off : off + m.dim] = m.stack()
+        off += m.dim
     if labels is None:
         blocks = tuple((None, m.dim) for m in mods)
     else:
         blocks = tuple((lab, m.dim) for lab, m in zip(labels, mods))
-    S = Module(A, mats, blocks=blocks, validate=False)
+    S = Module(A, list(mats), blocks=blocks, validate=False)
     incls, projs = [], []
     off = 0
     for m in mods:
@@ -406,10 +418,7 @@ def simple_modules(M_algebra: Algebra) -> List[Module]:
     J = radical(A)
     Abar, project, lift = quotient_algebra(A, J)
     # inflate the regular Abar-module to an A-module along the projection
-    mats = []
-    for i in range(A.dim):
-        img = project(A.field.eye(A.dim)[i])
-        mats.append(Abar.left_mult_matrix(img))
+    mats = [Abar.left_mult_matrix(project(b)) for b in A.field.eye(A.dim)]
     inflated = Module(A, mats, validate=False)
     dec = decompose(inflated, certify=False)
     reps = [s.module for s in dec.summands]
@@ -421,9 +430,10 @@ def submodule_span(M: Module, vectors) -> np.ndarray:
     """Echelon basis of the submodule generated by the given vectors."""
     F = M.field
     rows = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
+    gens = M.gen_mats()
     while True:
         images = [rows]
-        for mat in M.mats:
+        for mat in gens:
             images.append(F.vmatmul(rows, mat.T))
         R, piv = rref(F, np.concatenate(images, axis=0))
         R = R[: len(piv)]
