@@ -14,7 +14,10 @@ each stage the map x -> c_{p^j}(x y) is additive and p^j-semilinear, so
 the condition set is cut out by a Frobenius-twisted linear system.  The
 final set is the Jacobson radical.  Because the chain is subtle, the
 result is certified in-op: the span must be a two-sided ideal, a power of
-it must vanish, and the quotient must have zero radical.
+it must vanish, and the quotient must have zero radical.  The quotient's
+chain runs in a faithful representation of A/J on the top layers of
+gr V = sum J^i V / J^{i+1} V (V the faithful representation of A), or
+in A/J's regular representation when that is no larger.
 
 Primitive idempotent extraction follows the classical route: split the
 semisimple quotient (Berlekamp fixed space of the q-power Frobenius on
@@ -39,6 +42,7 @@ from .linalg import (
     is_invertible,
     kernel_basis,
     min_poly_of_action,
+    rank,
     rref,
     solve,
 )
@@ -810,19 +814,86 @@ def _certify_radical(A: Algebra, J):
         raise CertificationError("claimed radical is not nilpotent")
     if len(J) == 0:
         return
-    Abar, _, _ = quotient_algebra(A, J)
+    Abar, _, _ = quotient_algebra(A, J, rep=_graded_rep(A, J))
     if len(radical(Abar, certify=False)) != 0:
         raise CertificationError("quotient by claimed radical is not semisimple")
 
 
-def quotient_algebra(A: Algebra, J):
+def _graded_rep(A: Algebra, J):
+    """A faithful representation of A/J on the top layers of gr V, or None
+    when the regular representation of A/J is no larger.
+
+    V is A's faithful representation and L_i = J^i V / J^{i+1} V are the
+    layers of its radical filtration.  The result gives, for each basis
+    element of A, its block-diagonal action on the prefix L_0 + ... + L_k
+    for the first k at which the image of A has rank dim A/J.
+
+    Why this is exact.  J is already certified to be a nilpotent two-sided
+    ideal, so each J^i V is an A-submodule, the filtration ends at 0, and J
+    acts as zero on every layer (J J^i V = J^{i+1} V).  So J lies in the
+    kernel of the action on a prefix W, and an image of rank dim A/J means
+    the kernel is exactly J: A/J acts faithfully on W, and the radical
+    chain run in W decides whether rad(A/J) = 0, which with J nilpotent
+    proves rad A = J.  If even all of gr V has a smaller image, its kernel
+    I is strictly larger than J.  Each a in I maps J^i V into J^{i+1} V,
+    so a^N V lies in J^N V = 0: I is a nil ideal, it lies in rad A, and J
+    is not the radical.
+
+    The layers are walked only while the prefix is smaller than dim A/J;
+    once it is not, None is returned and the chain runs in the regular
+    representation of A/J.  For V = A the top layer A/JA is A/J with its
+    regular action, so an algebra without a rep builds nothing."""
+    if A.rep is None:
+        return None
+    F = A.field
+    d = A.dim
+    dbar = d - len(J)
+    rep = np.stack(A.rep)
+    n = rep.shape[1]
+    rep_t = rep.transpose(0, 2, 1)
+    rep_J_t = F.combine(J, rep).transpose(0, 2, 1)
+    W = F.eye(n)  # rows: echelon basis of J^i V
+    blocks = []
+    size = squares = 0
+    while len(W):
+        # J^{i+1} V is spanned by the rep(j) w; rows here hold (rep(j) w)^T
+        below = SpanSolver(F, F.vmatmul(W, rep_J_t).reshape(-1, n))
+        layer = SpanSolver(F, below.residual(W))
+        k = layer.dim
+        size += k
+        squares += k * k
+        if size >= dbar:
+            return None
+        # column t of a block: the coordinates of rep(b) t modulo J^{i+1} V
+        images = below.residual(F.vmatmul(layer.basis, rep_t).reshape(-1, n))
+        blocks.append(layer.batch_coords(images).reshape(d, k, k).transpose(0, 2, 1))
+        if squares >= dbar and rank(
+                F, np.concatenate([b.reshape(d, -1) for b in blocks], axis=1)) == dbar:
+            out = F.zeros((d, size, size))
+            off = 0
+            for b in blocks:
+                k = b.shape[1]
+                out[:, off: off + k, off: off + k] = b
+                off += k
+            return out
+        W = below.basis
+    raise CertificationError("quotient by claimed radical is not semisimple")
+
+
+def quotient_algebra(A: Algebra, J, rep=None):
     """Quotient A/span(J).  Returns (Abar, project, lift) with
-    project: d-coords -> dbar-coords and lift a linear section of it."""
+    project: d-coords -> dbar-coords and lift a linear section of it.
+
+    The lifts of the quotient basis are basis elements of A.  rep, if
+    given, holds one matrix per basis element of A for a representation
+    that vanishes on span(J); Abar gets the matrices of its lifted basis
+    as its faithful representation."""
     F = A.field
     d = A.dim
     if len(J) == 0:
         ident = lambda x: np.asarray(x, dtype=np.int64)
-        Anew = Algebra(F, A.struct, A.unit, rep=A.rep, validate=False)
+        Anew = Algebra(F, A.struct, A.unit, rep=A.rep if rep is None else rep,
+                       validate=False)
         return Anew, ident, ident
     solver = SpanSolver(F, J)
     free = sorted(set(range(d)) - set(solver.pivots))
@@ -839,7 +910,8 @@ def quotient_algebra(A: Algebra, J):
     # products of the basis vectors outside the pivots, reduced modulo J
     prods = A.struct[np.ix_(free, free)].reshape(-1, d)
     struct = solver.residual(prods)[:, free].reshape(dbar, dbar, dbar)
-    Abar = Algebra(F, struct, project(A.unit), validate=False)
+    Abar = Algebra(F, struct, project(A.unit), validate=False,
+                   rep=None if rep is None else [rep[i] for i in free])
     return Abar, project, lift
 
 

@@ -177,6 +177,23 @@ class Decomposition:
         return sorted(agg.items())
 
 
+def hom_system(F, GM, GN) -> np.ndarray:
+    """The linear system of N_g f - f M_g = 0 over the generators g, on
+    the row-major vec of the (n, m) matrix f: (N_g (x) I_m) - (I_n (x) M_g^T)
+    stacked, shape (g n m, n m).  GM and GN are (g, m, m) and (g, n, n).
+
+    Row (a, b) of generator g holds N_g[a, c] at column (c, b) and
+    -M_g[e, b] at column (a, e); the two meet where c = a and e = b."""
+    g, m, n = len(GM), GM.shape[1], GN.shape[1]
+    system = np.zeros((g, n, m, n, m), dtype=np.int64)
+    a, b = np.arange(n), np.arange(m)
+    # one generator at a time: the temporaries stay at n m^2 entries
+    for block, N_g, M_g in zip(system, GN, GM):
+        block[:, b, :, b] = N_g
+        block[a, :, a, :] = F.vsub(block[a, :, a, :], M_g.T)
+    return system.reshape(g * n * m, n * m)
+
+
 def hom_space(M: Module, N: Module) -> HomSpace:
     """Solution space of f rho_M(g) = rho_N(g) f over the generators g,
     echelonized."""
@@ -186,14 +203,7 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     m, n = M.dim, N.dim
     if m == 0 or n == 0:
         return HomSpace(M, N, [])
-    GM, GN = M.gen_mats(), N.gen_mats()
-    eye_n = np.eye(n, dtype=np.int64)
-    eye_m = np.eye(m, dtype=np.int64)
-    system = np.empty((len(GM), n * m, n * m), dtype=np.int64)
-    for i in range(len(GM)):
-        # row-major vec: vec(N_g f) = (N_g (x) I) v, vec(f M_g) = (I (x) M_g^T) v
-        system[i] = F.vsub(np.kron(GN[i], eye_m), np.kron(eye_n, GM[i].T))
-    vecs = kernel_basis(F, system.reshape(-1, n * m))
+    vecs = kernel_basis(F, hom_system(F, M.gen_mats(), N.gen_mats()))
     if vecs:
         # canonical form: the flattened basis stack is in reduced echelon form,
         # so coordinate solvers built on it are consistent with this basis

@@ -25,6 +25,7 @@ from orbitcat.rep import (
     direct_sum,
     end_algebra,
     hom_space,
+    hom_system,
     quotient_module,
     random_base_change,
     regular_module,
@@ -109,6 +110,21 @@ def test_hom_space_matches_all_basis_system(name, seed):
     H = hom_space(M, N)
     got = np.asarray(H.basis, dtype=np.int64).reshape(len(H.basis), M.dim * N.dim)
     assert np.array_equal(got, _basis_hom(M, N))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from([(5, 1), (2, 2), (3, 2)]), g=st.integers(0, 3),
+       m=st.integers(1, 5), n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_hom_system_matches_kronecker_formula(field, g, m, n, seed):
+    """Each generator's block is (N_g (x) I_m) - (I_n (x) M_g^T)."""
+    F = FF(*field)
+    rng = np.random.default_rng(seed)
+    GM = rng.integers(0, F.q, size=(g, m, m))
+    GN = rng.integers(0, F.q, size=(g, n, n))
+    blocks = [F.vsub(np.kron(GN[i], np.eye(m, dtype=np.int64)),
+                     np.kron(np.eye(n, dtype=np.int64), GM[i].T)) for i in range(g)]
+    expected = np.concatenate(blocks) if blocks else np.zeros((0, n * m), dtype=np.int64)
+    np.testing.assert_array_equal(hom_system(F, GM, GN), expected)
 
 
 def test_builders_supply_few_generators():

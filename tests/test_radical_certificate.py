@@ -1,0 +1,148 @@
+"""The radical's semisimplicity certificate: A/J checked in a faithful
+representation on the top layers of gr V, or in its regular one."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from orbitcat import algebra as algebra_mod
+from orbitcat.algebra import (
+    Algebra,
+    CertificationError,
+    _certify_radical,
+    _graded_rep,
+    make_group_algebra,
+    make_matrix_algebra,
+    make_path_algebra,
+    quotient_algebra,
+    radical,
+)
+from orbitcat.ffield import FF
+from orbitcat.linalg import SpanSolver, rank
+from orbitcat.rep import (
+    Module,
+    decompose,
+    direct_sum,
+    end_algebra,
+    random_base_change,
+    regular_module,
+)
+from orbitcat.scenarios import group_table, indecomposable_pool
+
+NOT_SEMISIMPLE = "quotient by claimed radical is not semisimple"
+
+
+def cyclic_table(k):
+    return [[(i + j) % k for j in range(k)] for i in range(k)]
+
+
+def _radical_squared(A):
+    """rad(A)^2: a nilpotent two-sided ideal, strictly inside the radical
+    whenever rad(A) is not 0 or a square-zero ideal."""
+    J = radical(A)
+    return SpanSolver(A.field, A.span_products(J, J).reshape(-1, A.dim)).basis
+
+
+def _a3_with_faithful_rep():
+    """The A3 path algebra with the 3-dim module on which a0 a1 acts
+    nonzero: upper triangular 3 x 3 matrices in their natural action."""
+    A = make_path_algebra(FF(5), 3, [(0, 1), (1, 2)])
+    summands = decompose(regular_module(A), certify=False).summands
+    V = next(s.module for s in summands if s.module.dim == 3)
+    assert rank(A.field, V.stack().reshape(A.dim, -1)) == A.dim
+    return Algebra(A.field, A.struct, A.unit, rep=V.mats, generators=A.generators)
+
+
+def test_certificate_fires_through_the_regular_rep_of_the_quotient():
+    A = make_path_algebra(FF(5), 3, [(0, 1), (1, 2)])
+    J = _radical_squared(A)  # span{a0 a1}
+    assert len(J) == 1 and A.rep is None
+    assert _graded_rep(A, J) is None
+    with pytest.raises(CertificationError, match=NOT_SEMISIMPLE):
+        _certify_radical(A, J)
+
+
+def test_certificate_fires_when_the_chain_in_a_graded_prefix_finds_a_radical():
+    # End(R + R) for R the regular F3C3-module is Mat2(F3[x]/x^3), acting on
+    # its 6-dim module; J = Mat2(x^2) leaves Mat2(F3[x]/x^2), which acts
+    # faithfully on the 4-dim top layer V / x^2 V
+    A = make_group_algebra(cyclic_table(3), FF(3))
+    R = regular_module(A)
+    E, _ = end_algebra(direct_sum([R, R])[0])
+    J = _radical_squared(E)
+    assert (E.dim, len(J)) == (12, 4)
+    rep = _graded_rep(E, J)
+    assert rep is not None and rep.shape == (12, 4, 4)
+    with pytest.raises(CertificationError, match=NOT_SEMISIMPLE):
+        _certify_radical(E, J)
+
+
+def test_certificate_fires_when_gr_v_is_never_faithful():
+    # the layers V / (a0 a1) V and (a0 a1) V see at most 3 + 1 dimensions
+    # of the 5-dim quotient: a0 a1 and a0 lie in the kernel together
+    A = _a3_with_faithful_rep()
+    J = _radical_squared(A)
+    assert len(J) == 1
+    with pytest.raises(CertificationError, match=NOT_SEMISIMPLE):
+        _graded_rep(A, J)
+    with pytest.raises(CertificationError, match=NOT_SEMISIMPLE):
+        _certify_radical(A, J)
+    # the true radical passes
+    assert len(radical(A)) == 3
+
+
+def _pool_algebras():
+    return {
+        "F3C3": make_group_algebra(cyclic_table(3), FF(3)),
+        "F2[C2xC2]": make_group_algebra(group_table("C2xC2"), FF(2)),
+        "Mat2/F4": make_matrix_algebra(2, FF(2, 2)),
+        "Kronecker/F5": make_path_algebra(FF(5), 2, [(0, 1), (0, 1)]),
+    }
+
+
+POOLS = {name: (A, indecomposable_pool(A)) for name, A in _pool_algebras().items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(POOLS)), seed=st.integers(0, 2 ** 32 - 1))
+def test_graded_rep_is_a_faithful_quotient_module(name, seed):
+    A, pool = POOLS[name]
+    rng = np.random.default_rng(seed)
+    picks = [pool[i] for i in rng.integers(0, len(pool), size=rng.integers(1, 5))]
+    M = random_base_change(direct_sum(picks)[0], rng)
+    E, _ = end_algebra(M)
+    J = radical(E, certify=False)
+    np.testing.assert_array_equal(radical(E), J)
+    if len(J) == 0:
+        return
+    dbar = E.dim - len(J)
+    rep = _graded_rep(E, J)
+    if rep is None:
+        return
+    assert rep.shape[1] < dbar
+    Abar, _, _ = quotient_algebra(E, J, rep=rep)
+    Module(Abar, Abar.rep)  # validates: the layers are A/J-modules
+    assert rank(E.field, np.stack(Abar.rep).reshape(dbar, -1)) == dbar
+    # J acts as zero on the layers
+    assert not E.field.combine(J, rep).any()
+
+
+def test_graded_rep_is_used_on_sums_of_copies(monkeypatch):
+    """End(X^6) for a 2-dim F3C3-module X: A/J = Mat6/F3 is checked on the
+    6-dim top layer of X^6, so the chain runs on no matrix larger than the
+    12-dim module (the regular rep of A/J would be 36-dim)."""
+    A = make_group_algebra(cyclic_table(3), FF(3))
+    X = next(M for M in indecomposable_pool(A) if M.dim == 2)
+    E, _ = end_algebra(direct_sum([X] * 6)[0])
+    sizes = []
+    original = algebra_mod.charpoly_batched
+
+    def recording(F, mats):
+        sizes.append(mats.shape[1])
+        return original(F, mats)
+
+    monkeypatch.setattr(algebra_mod, "charpoly_batched", recording)
+    J = radical(E)
+    assert (E.dim, len(J)) == (72, 36)
+    assert sizes and max(sizes) <= 12
+    assert _graded_rep(E, J).shape == (72, 6, 6)
