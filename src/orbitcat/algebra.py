@@ -11,7 +11,10 @@ space, repeatedly shrink the candidate set R by the conditions
 c_{p^j}(rep(x y)) = 0 for all y in R, where c_k is the k-th coefficient
 of the characteristic polynomial, for j = 0, 1, ... while p^j <= n.  On
 each stage the map x -> c_{p^j}(x y) is additive and p^j-semilinear, so
-the condition set is cut out by a Frobenius-twisted linear system.  The
+the condition set is cut out by a Frobenius-twisted linear system.  A
+stage reads only c_{p^j}, so only the leading p^j + 1 coefficients of
+each characteristic polynomial are computed (a truncated Berkowitz
+recurrence, exact by the argument in linalg.charpoly_batched).  The
 final set is the Jacobson radical.  Because the chain is subtle, the
 result is certified in-op: the span must be a two-sided ideal, a power of
 it must vanish, and the quotient must have zero radical.  The quotient's
@@ -769,7 +772,7 @@ def radical(A: Algebra, certify: bool = True) -> np.ndarray:
                           reps.transpose(0, 2, 1).reshape(r, nrep * nrep).T)
         else:
             prods = F.vmatmul(reps[:, None], reps[None, :])  # (r, r, n, n)
-            polys = charpoly_batched(F, prods.reshape(r * r, nrep, nrep))
+            polys = charpoly_batched(F, prods.reshape(r * r, nrep, nrep), pj + 1)
             C = polys[:, pj].reshape(r, r)
         W = kernel_basis(F, C.T)
         if len(W) == 0:

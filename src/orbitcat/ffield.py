@@ -339,6 +339,8 @@ class FiniteField:
         return self.exp[la + self.zech[self.log[B] - la]]
 
     def vsub(self, A, B) -> np.ndarray:
+        if self.n == 1:
+            return (np.asarray(A) - B) % self.p
         return self.vadd(A, self.vneg(B))
 
     def vneg(self, A) -> np.ndarray:

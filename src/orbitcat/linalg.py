@@ -6,8 +6,12 @@ row-echelon routine with a fixed pivoting rule (first nonzero entry in
 column order), so every basis this module emits is deterministic.
 
 Characteristic polynomials use the Samuelson-Berkowitz recurrence, which
-is division-free and batches over a stack of matrices; minimal
-polynomials come from the first linear dependence among matrix powers.
+is division-free and batches over a stack of matrices.  It can stop at
+the leading T coefficients: coefficient t of each step reads only
+coefficients <= t of the previous one and the Krylov scalars R A^k C
+with k <= t - 2, so a truncated run keeps T coefficients and forms at
+most T - 2 scalars per step (see charpoly_batched).  Minimal polynomials
+come from the first linear dependence among matrix powers.
 """
 
 from __future__ import annotations
@@ -150,18 +154,14 @@ def kernel_basis(field, M):
     entries above it.
     """
     M = np.asarray(M, dtype=np.int64)
-    rows, cols = M.shape
+    cols = M.shape[1]
     R, pivots = rref(field, M)
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for fcol in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[fcol] = 1
-        for r, pcol in enumerate(pivots):
-            v[pcol] = field.neg(int(R[r, fcol]))
-        basis.append(v)
-    return basis
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = field.vneg(R[: len(pivots)][:, free].T)
+    return list(basis)
 
 
 def solve(field, A, B) -> Optional[np.ndarray]:
@@ -255,37 +255,52 @@ class SpanSolver:
 # characteristic and minimal polynomials
 
 
-def charpoly_batched(field, A) -> np.ndarray:
-    """Characteristic polynomials of a stack of matrices.
+def charpoly_batched(field, A, terms=None) -> np.ndarray:
+    """Leading coefficients of the characteristic polynomials of a stack.
 
-    A has shape (N, m, m); the result has shape (N, m+1) with coefficients
-    in descending power order, leading coefficient 1.  Samuelson-Berkowitz:
-    division-free, extends the char poly across principal submatrices via
-    Toeplitz-style products with the Krylov scalars R * Ai^k * C.
+    A has shape (N, m, m); the result has shape (N, T) with T = m + 1 for
+    terms=None, else T = min(terms, m + 1): the first T coefficients in
+    descending power order, leading coefficient 1.  Samuelson-Berkowitz:
+    division-free, extends the char poly p_i of the leading i x i block
+    A_i to p_{i+1} with the Krylov scalars s_k = R A_i^k C, k < i (R and C
+    the new row and column of A_{i+1}, a its corner entry).  In descending
+    coefficients, with p_i[u] = 0 outside 0 <= u <= i,
+
+        p_{i+1}[t] = p_i[t] - a p_i[t-1] - sum_k s_k p_i[t-k-2].
+
+    Why truncation is exact: coefficient t < T of p_{i+1} reads p_i only
+    at indices <= t < T, and s_k only for k <= t - 2 <= T - 3.  So by
+    induction on i the first T coefficients of every p_i follow from the
+    first T of its predecessor.  Each step keeps min(i + 2, T)
+    coefficients and forms max(0, min(i, T - 2)) Krylov scalars instead
+    of i, with one matrix-vector product fewer than scalars.  The full
+    polynomial is the case T = m + 1, through the same recurrence.
     """
     A = np.asarray(A, dtype=np.int64)
     N, m, _ = A.shape
-    polys = np.ones((N, 1), dtype=np.int64)
+    T = m + 1 if terms is None else min(terms, m + 1)
+    polys = np.ones((N, min(1, T)), dtype=np.int64)
     for i in range(m):
+        width = min(i + 2, T)  # coefficients of p_{i+1} kept
+        nk = max(0, min(i, T - 2))  # Krylov scalars those coefficients read
         Ai = A[:, :i, :i]
         Rrow = A[:, i, :i]
         Ccol = A[:, :i, i]
         a = A[:, i, i]
         # s[k] = Rrow . Ai^k . Ccol
-        s = np.zeros((N, i), dtype=np.int64)
+        s = np.zeros((N, nk), dtype=np.int64)
         v = Ccol
-        for k in range(i):
+        for k in range(nk):
             s[:, k] = field.vsum(field.vmul(Rrow, v), axis=1)
-            if k < i - 1:
+            if k < nk - 1:
                 v = field.vmatmul(Ai, v[:, :, None])[:, :, 0]
-        # p_{i+1} = (lambda - a) * p_i  -  sum_k s_k * trunc(p_i, i - k)
-        new = np.zeros((N, i + 2), dtype=np.int64)
-        new[:, : i + 1] = field.vadd(new[:, : i + 1], polys)
-        new[:, 1:] = field.vsub(new[:, 1:], field.vmul(a[:, None], polys))
-        for k in range(i):
-            keep = i - k  # leading coefficients of p_i kept after truncation
-            chunk = field.vmul(s[:, k][:, None], polys[:, :keep])
-            new[:, i + 2 - keep :] = field.vsub(new[:, i + 2 - keep :], chunk)
+        # p_{i+1}[t] = p_i[t] - a p_i[t-1] - sum_k s_k p_i[t-k-2], for t < width
+        new = np.zeros((N, width), dtype=np.int64)
+        new[:, : polys.shape[1]] = polys
+        new[:, 1:] = field.vsub(new[:, 1:], field.vmul(a[:, None], polys[:, : width - 1]))
+        for k in range(nk):
+            chunk = field.vmul(s[:, k][:, None], polys[:, : width - k - 2])
+            new[:, k + 2 :] = field.vsub(new[:, k + 2 :], chunk)
         polys = new
     return polys
 

@@ -238,9 +238,9 @@ def test_zero_radical_runs_the_chain_once(monkeypatch):
     calls = []
     original = algebra_mod.charpoly_batched
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(algebra_mod, "charpoly_batched", counting)
     assert len(radical(E, certify=False)) == 0

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from orbitcat.ffield import FF
@@ -7,6 +10,7 @@ from orbitcat.linalg import (
     Mat,
     SpanSolver,
     char_poly,
+    charpoly_batched,
     inverse,
     kernel_basis,
     mat_kernel,
@@ -101,6 +105,50 @@ def test_char_poly_det_trace_consistency():
     cp = char_poly(F, A)
     # trace = -coefficient of t^3
     assert F.neg(cp.codes[3]) == int(A.trace()) % 7
+
+
+@given(
+    st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4)]),
+    st.integers(min_value=2, max_value=4),  # batch
+    st.integers(min_value=0, max_value=12),  # m
+    st.integers(min_value=1, max_value=14),  # terms, clipped to m + 2 below
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+@example((3, 1), 2, 9, 4, 0)  # the p = 3 radical stage on 9x9 products
+@example((2, 2), 3, 5, 7, 1)  # terms beyond m + 1
+@example((5, 1), 2, 6, 1, 2)
+@example((2, 4), 2, 6, 2, 3)
+@example((3, 2), 2, 0, 2, 4)  # 0x0 matrices
+@settings(max_examples=80, deadline=None)
+def test_charpoly_truncation_is_the_prefix(field, N, m, t, seed):
+    """The leading t coefficients equal those of the full polynomial, and
+    t > m + 1 returns the whole polynomial."""
+    F = FF(*field)
+    t = min(t, m + 2)
+    A = np.random.default_rng(seed).integers(0, F.q, size=(N, m, m))
+    full = charpoly_batched(F, A)
+    assert full.shape == (N, m + 1)
+    assert np.array_equal(charpoly_batched(F, A, t), full[:, :t])
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_charpoly_leading_coefficients_are_principal_minor_sums(p, m, seed):
+    """Coefficient t of det(x - A) is (-1)^t times the sum of the principal
+    t x t minors of A, each a sympy determinant reduced mod p."""
+    F = FF(p)
+    A = np.random.default_rng(seed).integers(0, p, size=(2, m, m))
+    T = min(3, m) + 1
+    got = charpoly_batched(F, A, T)
+    for a, coeffs in zip(A, got):
+        for t in range(1, T):
+            minors = sum(sympy.Matrix(a[np.ix_(idx, idx)].tolist()).det()
+                         for idx in combinations(range(m), t))
+            assert coeffs[t] == (-1) ** t * int(minors) % p
 
 
 @given(

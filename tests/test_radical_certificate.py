@@ -137,12 +137,33 @@ def test_graded_rep_is_used_on_sums_of_copies(monkeypatch):
     sizes = []
     original = algebra_mod.charpoly_batched
 
-    def recording(F, mats):
+    def recording(F, mats, *args, **kwargs):
         sizes.append(mats.shape[1])
-        return original(F, mats)
+        return original(F, mats, *args, **kwargs)
 
     monkeypatch.setattr(algebra_mod, "charpoly_batched", recording)
     J = radical(E)
     assert (E.dim, len(J)) == (72, 36)
     assert sizes and max(sizes) <= 12
     assert _graded_rep(E, J).shape == (72, 6, 6)
+
+
+def test_radical_asks_only_for_the_coefficients_it_reads(monkeypatch):
+    """End(regular Mat3/F3) acts on 9 dims and its trace form vanishes
+    (p = 3 divides 9), so the chain reaches the p = 3 stage: one
+    (81, 9, 9) stack, of which it reads c_3 alone, so 4 coefficients of
+    10 are asked for.  The whole polynomials give the same radical."""
+    E, _ = end_algebra(regular_module(make_matrix_algebra(3, FF(3))))
+    calls = []
+    original = algebra_mod.charpoly_batched
+
+    def recording(F, mats, terms=None):
+        calls.append((mats.shape, terms))
+        return original(F, mats, terms)
+
+    monkeypatch.setattr(algebra_mod, "charpoly_batched", recording)
+    J = radical(E)
+    assert calls == [((81, 9, 9), 4)]
+    monkeypatch.setattr(algebra_mod, "charpoly_batched", lambda F, mats, terms: original(F, mats))
+    assert np.array_equal(radical(E), J)
+    assert J.shape == (0, 9)
