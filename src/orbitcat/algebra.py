@@ -728,14 +728,6 @@ def make_twisted_group_ring(q: int, deg_m: int, table, phi) -> Algebra:
 # radical (Cohen-Ivanyos-Wales chain) and certification
 
 
-def _echelon_rows(field, rows):
-    if len(rows) == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    R, pivots = rref(field, rows)
-    return R[: len(pivots)].copy()
-
-
 def _inv_frobenius_rows(field, rows, j):
     """Apply the inverse of x -> x^(p^j) coordinatewise."""
     if field.n == 1 or j % field.n == 0:
@@ -779,7 +771,7 @@ def radical(A: Algebra, certify: bool = True) -> np.ndarray:
             basis = np.zeros((0, d), dtype=np.int64)
         else:
             lam = _inv_frobenius_rows(F, np.array(W), j)
-            basis = _echelon_rows(F, F.vmatmul(lam, basis))
+            basis, _ = rref(F, F.vmatmul(lam, basis))
         j += 1
         pj *= F.p
     J = basis if len(basis) else np.zeros((0, d), dtype=np.int64)
@@ -809,7 +801,7 @@ def _certify_radical(A: Algebra, J):
         if len(S) == 0:
             break
         prods = A.span_products(S, J).reshape(-1, d)
-        S_next = _echelon_rows(F, prods)
+        S_next, _ = rref(F, prods)
         if len(S_next) >= len(S):
             raise CertificationError("claimed radical is not nilpotent")
         S = S_next
@@ -943,7 +935,7 @@ def corner_algebra(A: Algebra, e):
     F = A.field
     e = np.asarray(e, dtype=np.int64)
     # columns of Le @ Re are the products e * b_i * e
-    basis = _echelon_rows(F, F.vmatmul(A.left_mult_matrix(e), A.right_mult_matrix(e)).T)
+    basis, _ = rref(F, F.vmatmul(A.left_mult_matrix(e), A.right_mult_matrix(e)).T)
     rep = None
     if A.rep is not None:
         # restrict the representation to the image of rep(e): column j of
@@ -970,7 +962,7 @@ def center_basis(A: Algebra) -> np.ndarray:
     gx = F.combine(A.generators, A.struct)  # [s, a]: g_s b_a
     big = F.vsub(xg, gx).transpose(1, 0, 2).reshape(d, len(A.generators) * d)
     K = kernel_basis(F, big.T)
-    return _echelon_rows(F, np.array(K)) if K else np.zeros((0, d), dtype=np.int64)
+    return rref(F, np.array(K))[0] if K else np.zeros((0, d), dtype=np.int64)
 
 
 def _frobenius_fixed_dim(A: Algebra, rows) -> tuple:
@@ -1007,7 +999,7 @@ def lift_idempotent(A: Algebra, J, ebar) -> np.ndarray:
                     raise CertificationError("lift drifted out of the coset")
             return e
         e3 = A.mul_vec(e2, e)
-        e = F.vsub(F.vmul(3 % F.p, e2), F.vmul(2 % F.p, e3))
+        e = F.vsubmul(F.vmul(3 % F.p, e2), 2 % F.p, e3)
     raise CertificationError("idempotent lifting did not converge")
 
 
@@ -1057,7 +1049,7 @@ def _nilpotent_split(B: Algebra, nil):
     """Idempotent from the left ideal generated by a nonzero nilpotent
     (valid in a semisimple algebra: every left ideal has a right identity)."""
     F = B.field
-    L = _echelon_rows(F, B.span_products(F.eye(B.dim), nil[None, :])[:, 0, :])
+    L, _ = rref(F, B.span_products(F.eye(B.dim), nil[None, :])[:, 0, :])
     if len(L) == 0:
         return None
     # solve for e in L with x e = x for every basis x of L

@@ -523,8 +523,7 @@ def _restrict_to_rows(N: Module, rows):
     F = N.field
     from .linalg import rref, solve as lsolve
 
-    R, piv = rref(F, rows)
-    basis = R[: len(piv)]
+    basis, _ = rref(F, rows)
     inc = basis.T
     mats = []
     for mat in N.mats:

@@ -348,6 +348,16 @@ class FiniteField:
             return (-np.asarray(A)) % self.p
         return self.exp[self.log[A] + self._log_neg1]
 
+    def vsubmul(self, X, c, Y) -> np.ndarray:
+        """X - c * Y elementwise, with broadcasting: the elimination step.
+
+        Prime fields make one pass, (X - c Y) mod p.  Extension fields
+        add X to (-c) Y, negating only the coefficient c, which broadcasts
+        against Y and is never larger than the product."""
+        if self.n == 1:
+            return (np.asarray(X) - np.asarray(c) * np.asarray(Y)) % self.p
+        return self.vadd(X, self.vmul(self.vneg(c), Y))
+
     def vmul(self, A, B) -> np.ndarray:
         """Elementwise product with broadcasting."""
         if self.n == 1:

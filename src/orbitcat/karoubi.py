@@ -100,9 +100,8 @@ def kar_hom(P: KarObject, Q: KarObject) -> List[KarMor]:
         c = orbit_compose(orbit_compose(P.idem, b), Q.idem)
         rows.append(c.flatten())
     rows = np.stack(rows)
-    R, pivots = rref(F, rows)
     out = []
-    for v in R[: len(pivots)]:
+    for v in rref(F, rows)[0]:
         mor = unflatten_orbitmor(P.action, P.module, Q.module, P.support, v)
         out.append(KarMor(P, Q, mor))
     return out

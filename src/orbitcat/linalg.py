@@ -3,7 +3,12 @@
 Matrices are numpy int64 arrays of field codes, paired with a FiniteField.
 Row reduction, kernels, solving and rank all come from one reduced
 row-echelon routine with a fixed pivoting rule (first nonzero entry in
-column order), so every basis this module emits is deterministic.
+column order), so every basis this module emits is deterministic.  rref
+returns only the echelon rows, shape (rank, cols).  It drops the zero
+rows of its input first and touches only the columns from each pivot
+rightwards, and neither shortcut changes the result (see rref), so a
+tall sparse system such as a stacked hom system costs what its nonzero
+rows cost.  Each elimination step is one FiniteField.vsubmul.
 
 Characteristic polynomials use the Samuelson-Berkowitz recurrence, which
 is division-free and batches over a stack of matrices.  It can stop at
@@ -114,32 +119,49 @@ class Mat:
 
 
 def rref(field: FiniteField, M) -> tuple:
-    """Reduced row echelon form.  Returns (R, pivot column list)."""
-    R = np.array(M, dtype=np.int64)
-    if R.ndim != 2:
+    """Reduced row echelon form of M: (R, pivot column list).
+
+    R holds only the echelon rows, shape (rank, cols), and never shares
+    memory with M.  The pivot of column c is its first nonzero entry at
+    or below row r, the number of pivots found so far.
+
+    Why the shortcuts are exact: a zero row stays zero under every row
+    operation and never holds a pivot, so dropping the zero rows first
+    changes neither R nor the pivots.  When column c is reached, rows
+    r and below are zero left of c (each earlier column was either
+    cleared below its pivot or had no entry there).  So swapping two of
+    them, normalising the pivot row or subtracting multiples of it from
+    other rows changes only the columns c and right of it, and those
+    are the only columns the loop touches.
+    """
+    M = np.asarray(M, dtype=np.int64)
+    if M.ndim != 2:
         raise ValueError("rref needs a 2-d array")
+    R = M[M.any(axis=1)]
     rows, cols = R.shape
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        col = R[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+        # one scan of the column gives the pivot row and the rows to clear
+        nz = R[:, c].nonzero()[0]
+        k = int(nz.searchsorted(r))
+        if k == nz.size:
             continue
-        i = r + int(nz[0])
+        i = int(nz[k])
         if i != r:
-            R[[r, i]] = R[[i, r]]
-        inv = field.inv(int(R[r, c]))
-        R[r] = field.vmul(R[r], inv)
-        mask = np.nonzero(R[:, c])[0]
-        mask = mask[mask != r]
-        if mask.size:
-            R[mask] = field.vsub(R[mask], field.vmul(R[mask, c][:, None], R[r][None, :]))
+            R[[r, i], c:] = R[[i, r], c:]
+        lead = int(R[r, c])
+        if lead != 1:
+            R[r, c:] = field.vmul(R[r, c:], field.inv(lead))
+        # row i now holds the pivot (i == r) or a zero in column c (i > r)
+        clear = nz[nz != i]
+        if clear.size:
+            R[clear, c:] = field.vsubmul(R[clear, c:], R[clear, c][:, None], R[r, c:])
         pivots.append(c)
         r += 1
-    return R, pivots
+    return R[:r], pivots
 
 
 def rank(field, M) -> int:
@@ -156,11 +178,11 @@ def kernel_basis(field, M):
     M = np.asarray(M, dtype=np.int64)
     cols = M.shape[1]
     R, pivots = rref(field, M)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = field.vneg(R[: len(pivots)][:, free].T)
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    basis = np.zeros((cols - len(pivots), cols), dtype=np.int64)
+    basis[np.arange(len(basis)), np.flatnonzero(free)] = 1
+    basis[:, pivots] = field.vneg(R[:, free].T)
     return list(basis)
 
 
@@ -179,8 +201,7 @@ def solve(field, A, B) -> Optional[np.ndarray]:
     if any(p >= ncols for p in pivots):
         return None
     X = np.zeros((ncols, B.shape[1]), dtype=np.int64)
-    for r, p in enumerate(pivots):
-        X[p] = R[r, ncols:]
+    X[pivots] = R[:, ncols:]
     return X[:, 0] if single else X
 
 
@@ -214,9 +235,7 @@ class SpanSolver:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 2:
             rows = rows.reshape(len(rows), -1)
-        R, pivots = rref(field, rows)
-        self.basis = R[: len(pivots)].copy()
-        self.pivots = list(pivots)
+        self.basis, self.pivots = rref(field, rows)
 
     @property
     def dim(self):
@@ -297,10 +316,10 @@ def charpoly_batched(field, A, terms=None) -> np.ndarray:
         # p_{i+1}[t] = p_i[t] - a p_i[t-1] - sum_k s_k p_i[t-k-2], for t < width
         new = np.zeros((N, width), dtype=np.int64)
         new[:, : polys.shape[1]] = polys
-        new[:, 1:] = field.vsub(new[:, 1:], field.vmul(a[:, None], polys[:, : width - 1]))
+        new[:, 1:] = field.vsubmul(new[:, 1:], a[:, None], polys[:, : width - 1])
         for k in range(nk):
-            chunk = field.vmul(s[:, k][:, None], polys[:, : width - k - 2])
-            new[:, k + 2 :] = field.vsub(new[:, k + 2 :], chunk)
+            new[:, k + 2 :] = field.vsubmul(new[:, k + 2 :], s[:, k][:, None],
+                                            polys[:, : width - k - 2])
         polys = new
     return polys
 
@@ -337,8 +356,8 @@ class _KrylovTracker:
         for (w, cw), p in zip(self.rows, self.pivots):
             c = int(v[p])
             if c:
-                v = F.vsub(v, F.vmul(c, w))
-                combo[: len(cw)] = F.vsub(combo[: len(cw)], F.vmul(c, cw))
+                v = F.vsubmul(v, c, w)
+                combo[: len(cw)] = F.vsubmul(combo[: len(cw)], c, cw)
         nz = np.nonzero(v)[0]
         if nz.size == 0:
             return combo

@@ -339,8 +339,7 @@ def normal_basis_element(sc: GaloisScenario) -> int:
             dtheta = bigf.frobenius(theta, sf.e * d_exp)
             for ys in ypow:
                 rows.append(sf.coords(bigf.mul(ys, dtheta)))
-        R, piv = rref(F, np.stack(rows))
-        if len(piv) == sc.deg_m:
+        if rank(F, np.stack(rows)) == sc.deg_m:
             return theta
     raise RuntimeError("no normal basis element found")  # unreachable
 
@@ -450,8 +449,7 @@ def _group_free_pieces(B: Algebra, big: Algebra, emb, fine, target_dim):
             nonlocal dims
             if dims == target_dim:
                 rows = np.concatenate([fine[i] for i in chosen], axis=0)
-                R, piv = rref(F, rows)
-                rows = R[: len(piv)]
+                rows, _ = rref(F, rows)
                 if len(rows) != target_dim:
                     return None
                 u = _both_sided_free_generator(B, big, emb, rows)

@@ -207,8 +207,7 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     if vecs:
         # canonical form: the flattened basis stack is in reduced echelon form,
         # so coordinate solvers built on it are consistent with this basis
-        R, piv = rref(F, np.stack(vecs))
-        vecs = list(R[: len(piv)])
+        vecs = list(rref(F, np.stack(vecs))[0])
     basis = [v.reshape(n, m) for v in vecs]
     return HomSpace(M, N, basis)
 
@@ -353,10 +352,9 @@ def submodule_from_image(M: Module, P) -> Tuple[Module, np.ndarray, np.ndarray]:
     and projection @ inclusion = identity."""
     F = M.field
     P = np.asarray(P, dtype=np.int64)
-    R, pivots = rref(F, P.T)
-    basis = R[: len(pivots)]  # rows span the column space of P
-    k = len(pivots)
-    inc = basis.T.copy()  # (dim, k)
+    basis, _ = rref(F, P.T)  # rows span the column space of P
+    k = len(basis)
+    inc = basis.T  # (dim, k)
     pr = solve(F, inc, P)
     assert pr is not None
     if not np.array_equal(F.vmatmul(pr, inc), F.eye(k)):
@@ -445,8 +443,7 @@ def submodule_span(M: Module, vectors) -> np.ndarray:
         images = [rows]
         for mat in gens:
             images.append(F.vmatmul(rows, mat.T))
-        R, piv = rref(F, np.concatenate(images, axis=0))
-        R = R[: len(piv)]
+        R, _ = rref(F, np.concatenate(images, axis=0))
         if len(R) == len(rows) or len(R) == M.dim:
             return R
         rows = R

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from orbitcat.ffield import FF
 from orbitcat.linalg import (
@@ -240,6 +242,125 @@ def test_span_solver_residual(field, k, n_random, n_inside, width, seed):
             S.batch_coords(V)
     else:
         assert np.array_equal(F.vmatmul(S.batch_coords(V), S.basis), V)
+
+
+def _rref_input(F, spec):
+    """A random matrix with about the given share of nonzero entries,
+    tall * cols + extra rows high, then some rows set to zero and some
+    rows copied over others."""
+    cols, tall, extra, density, zero_rows, dup_rows, seed = spec
+    rows = tall * cols + extra
+    rng = np.random.default_rng(seed)
+    M = rng.integers(1, F.q, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    if rows:
+        M[rng.integers(0, rows, zero_rows)] = 0
+        M[rng.integers(0, rows, dup_rows)] = M[rng.integers(0, rows, dup_rows)]
+    return M
+
+
+_RREF_INPUTS = st.tuples(
+    st.integers(min_value=0, max_value=7),  # cols
+    st.sampled_from([0, 4, 6]),  # tall
+    st.integers(min_value=0, max_value=7),  # extra
+    st.sampled_from([0.05, 0.3, 1.0]),  # density
+    st.integers(min_value=0, max_value=3),  # zero rows
+    st.integers(min_value=0, max_value=3),  # duplicate rows
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+
+
+@given(
+    st.sampled_from([(2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (2, 4)]),
+    st.sampled_from([  # shapes of X, c and Y
+        ((5,), (), (5,)),  # a scalar coefficient
+        ((4, 5), (4, 1), (5,)),  # the elimination step: a column times a row
+        ((4, 5), (4, 1), (4, 5)),  # a column times a stack of rows
+        ((4, 5), (4, 5), (1, 5)),
+        ((5,), (4, 1), (1, 5)),  # X broadcast too
+    ]),
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_vsubmul_matches_vsub_of_vmul(field, shapes, seed):
+    F = FF(*field)
+    rng = np.random.default_rng(seed)
+    X, c, Y = (rng.integers(0, F.q, size=s) * (rng.random(s) < 0.7) for s in shapes)
+    if c.ndim == 0:
+        c = int(c)
+    got = F.vsubmul(X, c, Y)
+    assert got.shape == np.broadcast_shapes(*shapes)
+    assert np.array_equal(got, F.vsub(X, F.vmul(c, Y)))
+
+
+def _checked_rref(F, M):
+    """rref(F, M), after checking that it leaves M alone and returns only
+    the echelon rows, in memory of its own."""
+    before = M.copy()
+    R, piv = rref(F, M)
+    assert np.array_equal(M, before)
+    assert R.shape == (len(piv), M.shape[1])
+    assert not np.shares_memory(R, M)
+    return R, piv
+
+
+def _rref_reference(F, M):
+    """Gauss-Jordan on Python lists with scalar field operations, pivot on
+    the first nonzero entry of each column."""
+    R = [[int(x) for x in row] for row in M]
+    piv = []
+    for c in range(M.shape[1]):
+        i = next((i for i in range(len(piv), len(R)) if R[i][c]), None)
+        if i is None:
+            continue
+        r = len(piv)
+        R[r], R[i] = R[i], R[r]
+        inv = F.inv(R[r][c])
+        R[r] = [F.mul(inv, x) for x in R[r]]
+        for j in range(len(R)):
+            if j != r and R[j][c]:
+                f = R[j][c]
+                R[j] = [F.sub(x, F.mul(f, y)) for x, y in zip(R[j], R[r])]
+        piv.append(c)
+    return np.array(R[: len(piv)], dtype=np.int64).reshape(len(piv), M.shape[1]), piv
+
+
+@given(st.sampled_from([2, 3, 5, 7]), _RREF_INPUTS)
+@example(3, (0, 0, 3, 1.0, 0, 0, 0))  # 3 x 0
+@example(3, (5, 0, 0, 1.0, 0, 0, 0))  # 0 x 5
+@example(3, (6, 6, 4, 0.05, 2, 3, 1))  # tall sparse, zero and duplicate rows
+@example(2, (4, 0, 5, 1.0, 5, 0, 2))  # every row zero
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_sympy_over_prime_fields(p, spec):
+    F = FF(p)
+    M = _rref_input(F, spec)
+    R, piv = _checked_rref(F, M)
+    K = GF(p)
+    S, spiv = DomainMatrix([[K(int(x)) for x in row] for row in M], M.shape, K).rref()
+    expected = np.array([[int(x) % p for x in row] for row in S.to_list()],
+                        dtype=np.int64).reshape(M.shape)
+    assert piv == list(spiv)
+    assert np.array_equal(R, expected[: len(piv)])
+
+
+@given(st.sampled_from([(2, 2), (3, 2), (2, 4)]), _RREF_INPUTS)
+@example((2, 4), (0, 0, 3, 1.0, 0, 0, 0))  # 3 x 0
+@example((3, 2), (5, 0, 0, 1.0, 0, 0, 0))  # 0 x 5
+@example((2, 4), (6, 6, 4, 0.05, 2, 3, 1))  # tall sparse, zero and duplicate rows
+@example((2, 2), (4, 0, 5, 1.0, 5, 0, 2))  # every row zero
+@settings(max_examples=120, deadline=None)
+def test_rref_over_extension_fields(field, spec):
+    """Over F4, F9 and F16: R is in reduced echelon form, every row of M is
+    M[:, piv] @ R, and R equals a scalar Gauss-Jordan reference."""
+    F = FF(*field)
+    M = _rref_input(F, spec)
+    R, piv = _checked_rref(F, M)
+    assert piv == sorted(set(piv))
+    assert np.array_equal(R[:, piv], F.eye(len(piv)))
+    for i, c in enumerate(piv):
+        assert not R[i, :c].any()
+    assert not F.vsub(M, F.vmatmul(M[:, piv], R)).any()
+    ref, ref_piv = _rref_reference(F, M)
+    assert piv == ref_piv and np.array_equal(R, ref)
 
 
 def test_rref_deterministic():
