@@ -27,7 +27,9 @@ semisimple quotient (Berlekamp fixed space of the q-power Frobenius on
 the center gives the block decomposition; inside a block, elements with
 composite minimal polynomial or a nilpotent part yield proper
 idempotents), then lift everything through the radical with the
-integer-coefficient iteration e -> 3e^2 - 2e^3.
+integer-coefficient iteration e -> 3e^2 - 2e^3.  Each primitive idempotent
+is certified once, on the field leaf where its split stopped (see
+primitive_orthogonal_idempotents).
 """
 
 from __future__ import annotations
@@ -1074,25 +1076,31 @@ def _nilpotent_split(B: Algebra, nil):
 
 
 def _corner_poi(B: Algebra, idempotents, depth: int):
-    """Primitive idempotents of B refining orthogonal idempotents: split
-    each nonzero corner eBe and map its idempotents back into B."""
+    """Primitive idempotents of B refining orthogonal idempotents, with
+    their leaves: split each nonzero corner eBe and map its idempotents back
+    into B.  A leaf f(eBe)f of the corner is fBf, because f = efe."""
     F = B.field
     out = []
     for ec in idempotents:
         if ec.any():
             Bc, emb = corner_algebra(B, ec)
-            out.extend(F.vmatmul(f[None, :], emb)[0] for f in _semisimple_poi(Bc, depth + 1))
+            out.extend((F.vmatmul(f[None, :], emb)[0], leaf)
+                       for f, leaf in _semisimple_poi(Bc, depth + 1))
     return out
 
 
 def _semisimple_poi(B: Algebra, depth: int = 0):
-    """Complete orthogonal primitive idempotents of a semisimple algebra."""
+    """Complete orthogonal primitive idempotents of a semisimple algebra.
+
+    Returns (e, leaf) pairs: leaf is the algebra eBe on which the split of
+    e stopped, either 1-dimensional or commutative with a 1-dimensional
+    Frobenius-fixed space."""
     F = B.field
     d = B.dim
     if d == 0:
         return []
     if d == 1:
-        return [B.unit.copy()]
+        return [(B.unit.copy(), B)]
     if depth > 64:
         raise CertificationError("idempotent splitting recursion too deep")
     Z = center_basis(B)
@@ -1111,7 +1119,7 @@ def _semisimple_poi(B: Algebra, depth: int = 0):
         return _corner_poi(B, _crt_idempotents(B, v, factors), depth)
     # connected block
     if B.is_commutative():
-        return [B.unit.copy()]
+        return [(B.unit.copy(), B)]
     # noncommutative matrix block: hunt for a splitting idempotent
     for x in _split_candidates(B):
         if not x.any():
@@ -1131,11 +1139,31 @@ def _semisimple_poi(B: Algebra, depth: int = 0):
 
 
 def primitive_orthogonal_idempotents(A: Algebra) -> IdempotentSet:
-    """Complete orthogonal set of primitive idempotents.
+    """Complete orthogonal set of primitive idempotents, certified.
 
     Refinement order: split the semisimple quotient (central Berlekamp
     split, then matrix-block splits), then lift through the radical one
-    idempotent at a time inside shrinking corners.
+    idempotent at a time inside shrinking corners; the last idempotent is
+    1 minus the others.
+
+    Why each e is primitive (Lam, A First Course in Noncommutative Rings,
+    section 21; Curtis-Reiner, Methods of Representation Theory I, section
+    6).  J = rad A is certified by `radical`, so Abar = A/J is semisimple.
+    The returned e are checked idempotent, orthogonal and complete, and
+    e - lift(ebar) is checked to lie in J for every e, the last one
+    included: e maps to ebar in Abar.
+    - eAe -> ebar Abar ebar, e a e -> ebar abar ebar, is onto with kernel
+      eAe meet J = eJe.  eJe is a nilpotent ideal of eAe, and the quotient
+      is a corner of a semisimple algebra, hence semisimple, so
+      rad(eAe) = eJe and eAe / rad(eAe) = ebar Abar ebar.
+    - `_semisimple_poi` reaches ebar through nested corners: with
+      f = efe in the corner eBe, f(eBe)f = fBf, so the leaf it returns with
+      ebar is ebar Abar ebar (a corner of a corner is a corner).
+    - The leaf is semisimple, so `is_local(leaf)` says it is a field.  Then
+      eAe / rad(eAe) is a field: eAe is local and e is primitive.
+    The leaves have dimension 1 (decided at once) or are small commutative
+    fields, so this one check replaces a locality test on every eAe, and on
+    End(S) = eEe for each summand S that `rep.decompose` builds from e.
     """
     F = A.field
     d = A.dim
@@ -1143,11 +1171,11 @@ def primitive_orthogonal_idempotents(A: Algebra) -> IdempotentSet:
         return IdempotentSet(A, [], orthogonal=True, complete=True, primitive=True)
     J = radical(A)
     Abar, project, lift = quotient_algebra(A, J)
-    ebars = _semisimple_poi(Abar)
+    leaves = _semisimple_poi(Abar)
     es = []
     done = F.zeros(d)
-    for t, ebar in enumerate(ebars):
-        if t == len(ebars) - 1:
+    for t, (ebar, _) in enumerate(leaves):
+        if t == len(leaves) - 1:
             e = F.vsub(A.unit, done)
             if not np.array_equal(A.mul_vec(e, e), e):
                 raise CertificationError("final complement is not idempotent")
@@ -1160,18 +1188,25 @@ def primitive_orthogonal_idempotents(A: Algebra) -> IdempotentSet:
         done = F.vadd(done, e)
     result = IdempotentSet(A, es, orthogonal=True, complete=True, primitive=True)
     result.verify()
-    for e in es:
-        corner, _ = corner_algebra(A, e)
-        if not is_local(corner):
-            raise CertificationError("corner of claimed primitive idempotent not local")
+    diffs = np.stack([F.vsub(e, lift(ebar)) for e, (ebar, _) in zip(es, leaves)])
+    if SpanSolver(F, J).residual(diffs).any():
+        raise CertificationError("idempotent lies outside the coset of its leaf")
+    for _, leaf in leaves:
+        if not is_local(leaf):
+            raise CertificationError("leaf of a claimed primitive idempotent is not a field")
     return result
 
 
-def is_local(A: Algebra) -> bool:
-    """True iff A modulo its radical is a (finite) field."""
-    if A.dim == 0:
-        return False
-    J = radical(A)
+def is_local(A: Algebra, J=None) -> bool:
+    """True iff A modulo its radical is a (finite) field.
+
+    J, when given, is the radical of A as `radical` returns it, already
+    certified by the caller; it is not computed again.  A 1-dimensional
+    unital algebra is the field itself."""
+    if A.dim <= 1:
+        return A.dim == 1
+    if J is None:
+        J = radical(A)
     Abar, _, _ = quotient_algebra(A, J)
     if not Abar.is_commutative():
         return False

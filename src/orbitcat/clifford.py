@@ -186,7 +186,7 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
         ext_pieces.append(ext)
         E, _ = kar_end_algebra(ext)
         J = radical(E)
-        local = is_local(E)
+        local = is_local(E, J)
         W_full, _, _ = lift_functor_to_kar("functor_T", ext, action)
         stage2.append(
             StageTwoSummand(
@@ -257,7 +257,8 @@ def is_simple(M: Module) -> bool:
     if M.dim == 0:
         return False
     E, _ = end_algebra(M)
-    if len(radical(E)) != 0 or not is_local(E):
+    J = radical(E)
+    if len(J) != 0 or not is_local(E, J):
         return False
     image_dim = rank(M.field, np.stack(M.mats).reshape(len(M.mats), -1))
     return image_dim * E.dim == M.dim ** 2
@@ -282,6 +283,6 @@ def skewfield_check(action: GroupAction, M: Module) -> dict:
     P = KarObject(action, M)
     E, _ = kar_end_algebra(P)
     J = radical(E)
-    if len(J) != 0 or not is_local(E):
+    if len(J) != 0 or not is_local(E, J):
         raise CliffordViolation("orbit endomorphism algebra is not a field")
     return {"ok": True, "end_dim": end_dim}

@@ -192,16 +192,25 @@ def build_module(A: Algebra, spec: dict) -> Module:
         mats = [np.ones((1, 1), dtype=np.int64) for _ in range(A.dim)]
         return Module(A, mats)
     if kind == "simple":
-        simples = simple_modules(A)
-        return simples[spec.get("index", 0)]
+        return _pick(simple_modules(A), spec, kind)
     if kind == "regular_summand":
         dec = decompose(regular_module(A), certify=False)
         mods = sorted(
             (s.module for s in dec.summands),
             key=lambda m: (m.dim, tuple(x.tobytes() for x in m.mats)),
         )
-        return mods[spec.get("index", 0)]
+        return _pick(mods, spec, kind)
     raise ValueError(f"unknown module kind {kind!r}")
+
+
+def _pick(mods: List[Module], spec: dict, kind: str) -> Module:
+    """mods[spec["index"]] (default 0) for an integer 0 <= index < len(mods);
+    a bool, a negative or an out-of-range index raises ValueError."""
+    index = spec.get("index", 0)
+    if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < len(mods):
+        raise ValueError(f"{kind} module index {index!r} must be an integer with "
+                         f"0 <= index < {len(mods)}, the number of {kind} modules")
+    return mods[index]
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,21 @@ def test_malformed_scenario_exit_2(tmp_path, capsys, change):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("module", [
+    {"kind": "simple", "index": -1},
+    {"kind": "simple", "index": True},
+    {"kind": "simple", "index": 9},
+    {"kind": "regular_summand", "index": 2},
+], ids=["simple-negative", "simple-bool", "simple-past-the-end", "summand-past-the-end"])
+def test_bad_module_index_exit_2(tmp_path, capsys, module):
+    """Mat2/F5 has one simple module and one indecomposable summand of its
+    regular module; any other index is named with that count."""
+    code = main(["run", write_scenario(tmp_path, dict(MAT2_SCENARIO, module=module))])
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert code == 2
+    assert f"index {module['index']!r}" in err and "index < 1," in err
+
+
 GROUP_SCENARIO = {
     "schema_version": 1,
     "field": {"p": 7, "n": 1},

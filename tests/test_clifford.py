@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from orbitcat import algebra as algebra_mod, clifford as clifford_mod
 from orbitcat.algebra import AlgebraAut, make_group_algebra, make_matrix_algebra, radical
 from orbitcat.clifford import (
     CliffordViolation,
@@ -21,6 +22,7 @@ from orbitcat.rep import (
     quotient_module,
     random_base_change,
     regular_module,
+    simple_modules,
     submodule_span,
 )
 
@@ -342,3 +344,33 @@ def test_skewfield_check_rejects_fixed_module():
     S = column_module(A)
     with pytest.raises(ValueError, match="inertia not trivial"):
         skewfield_check(action, S)
+
+
+def test_no_algebra_has_its_radical_certified_twice(monkeypatch):
+    """Stage 2 of clifford_run, is_simple and skewfield_check hand the
+    radical they certified to is_local, which then does not compute it
+    again.  Counted per algebra object on the Mat2/F5 simple module under
+    the swap, and on a 3-dim simple of F2C7 under inversion: its End is
+    F8, so all three sites see algebras of dimension 3, where is_local has
+    no 1-dimensional shortcut."""
+    certified = []  # holds the algebras, so no id is reused
+    original = algebra_mod.radical
+
+    def counting(A, certify=True):
+        if certify:
+            certified.append(A)
+        return original(A, certify)
+
+    monkeypatch.setattr(algebra_mod, "radical", counting)
+    monkeypatch.setattr(clifford_mod, "radical", counting)
+    A, action = mat2_swap_action()
+    S = column_module(A)
+    assert all(s.local for s in clifford_run(action, S).stage2)
+    assert is_simple(S)
+    C7 = make_group_algebra(cyclic_table(7), FF(2))
+    S = next(M for M in simple_modules(C7) if M.dim == 3)
+    action = inversion_action(C7)
+    assert [s.corner_dim for s in clifford_run(action, S).stage2] == [3]
+    assert is_simple(S)
+    assert skewfield_check(action, S) == {"ok": True, "end_dim": 3}
+    assert certified and len({id(E) for E in certified}) == len(certified)

@@ -10,10 +10,13 @@ from orbitcat.algebra import (
     Algebra,
     CertificationError,
     _certify_radical,
+    _semisimple_poi,
     _graded_rep,
+    is_local,
     make_group_algebra,
     make_matrix_algebra,
     make_path_algebra,
+    primitive_orthogonal_idempotents,
     quotient_algebra,
     radical,
 )
@@ -27,7 +30,7 @@ from orbitcat.rep import (
     random_base_change,
     regular_module,
 )
-from orbitcat.scenarios import group_table, indecomposable_pool
+from orbitcat.scenarios import group_table, indecomposable_pool, random_module_from_pool
 
 NOT_SEMISIMPLE = "quotient by claimed radical is not semisimple"
 
@@ -167,3 +170,49 @@ def test_radical_asks_only_for_the_coefficients_it_reads(monkeypatch):
     monkeypatch.setattr(algebra_mod, "charpoly_batched", lambda F, mats, terms: original(F, mats))
     assert np.array_equal(radical(E), J)
     assert J.shape == (0, 9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(POOLS)), seed=st.integers(0, 2 ** 32 - 1))
+def test_carried_locality_agrees_with_an_independent_check(name, seed):
+    """decompose certifies each summand local through the leaves of
+    primitive_orthogonal_idempotents; is_local on End(S), built afresh,
+    must agree, and the summands must be the ones drawn."""
+    _, pool = POOLS[name]
+    M, drawn = random_module_from_pool(pool, np.random.default_rng(seed), max_dim=8)
+    dec = decompose(M, certify=True)
+    assert dec.certified_local
+    assert dec.signature() == drawn
+    for s in dec.summands:
+        assert is_local(end_algebra(s.module)[0])
+
+
+def test_a_leaf_that_is_not_a_field_is_rejected(monkeypatch):
+    """F5 C2 = F5 x F5: its unit, passed off as one primitive idempotent
+    with the whole split algebra as its leaf, passes every other check."""
+    A = make_group_algebra(cyclic_table(2), FF(5))
+    monkeypatch.setattr(algebra_mod, "_semisimple_poi",
+                        lambda B, depth=0: [(B.unit.copy(), B)])
+    with pytest.raises(CertificationError, match="leaf of a claimed primitive idempotent"):
+        primitive_orthogonal_idempotents(A)
+
+
+@pytest.mark.parametrize("A", [
+    make_path_algebra(FF(5), 2, [(0, 1)]),
+    make_group_algebra(cyclic_table(2), FF(5)),
+], ids=["A2/F5", "F5C2"])
+def test_an_idempotent_outside_its_coset_is_rejected(monkeypatch, A):
+    """The last idempotent is 1 minus the others, so a leaf that names the
+    wrong ebar for it is caught only by the coset check.  Here the last
+    ebar is moved by the first one, which lies outside the radical."""
+    def tampered(B, depth=0):
+        leaves = _semisimple_poi(B, depth)
+        if depth:  # the corners of the split recurse through here too
+            return leaves
+        (first, _), (last, leaf) = leaves[0], leaves[-1]
+        return leaves[:-1] + [(B.field.vadd(last, first), leaf)]
+
+    assert len(primitive_orthogonal_idempotents(A)) == 2
+    monkeypatch.setattr(algebra_mod, "_semisimple_poi", tampered)
+    with pytest.raises(CertificationError, match="outside the coset"):
+        primitive_orthogonal_idempotents(A)
