@@ -24,7 +24,6 @@ import numpy as np
 
 from .checks import run_selftest
 from .clifford import CliffordViolation, clifford_run, skewfield_check, trivial_inertia_check
-from .ffield import FF
 from .oracle import (
     GaloisScenario,
     SkewContext,
@@ -36,6 +35,7 @@ from .scenarios import (
     GROUP_TABLES,
     build_action,
     build_algebra,
+    build_field,
     build_module,
 )
 
@@ -74,8 +74,7 @@ def load_scenario(doc: dict) -> dict:
 
 def _build_context(doc: dict):
     try:
-        field_spec = doc["field"]
-        field = FF(int(field_spec["p"]), int(field_spec.get("n", 1)))
+        field = build_field(doc["field"])
         algebra = build_algebra(field, doc["algebra"])
         action = build_action(algebra, doc["action"])
         module = build_module(algebra, doc["module"])

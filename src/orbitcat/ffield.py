@@ -23,9 +23,11 @@ Orders above 2^20 are refused.
 
 ``FiniteField.combine(coeffs, stack)`` is the one linear-combination
 primitive: every sum of field multiples of vectors or matrices in the
-layers above goes through it, so how a field does linear algebra
-(float64 or int64 products for prime fields, products of residue digits
-for extensions) is decided here and nowhere else.
+layers above goes through it, so how a field does linear algebra is
+decided here and nowhere else.  Prime fields take float64 or int64
+products mod p.  An extension-field product is one prime-field product:
+the smaller operand becomes its block matrix of the n x n matrices M_a of
+multiplication by a on residue digits, the other its digit planes.
 """
 
 from __future__ import annotations
@@ -205,21 +207,18 @@ class FiniteField:
         self.q = p ** n
         self.modulus = _find_modulus(p, n)
         self._powers = np.array([p ** i for i in range(n)], dtype=np.int64)
-        # x^k mod modulus for k < 2n-1, as digit rows (reduction matrix)
-        red = np.zeros((2 * n - 1, n), dtype=np.int64)
-        for k in range(2 * n - 1):
-            r = _pp_mod([0] * k + [1], list(self.modulus), p)
-            for i, c in enumerate(r):
-                red[k, i] = c
-        self._red = red
         self._build_logs()
-        # digits of every code, one column at a time, in the smallest
-        # unsigned dtype that holds p - 1
-        self._digits = np.empty((self.q, n), dtype=np.min_scalar_type(p - 1))
+        # digit u of every code in the contiguous plane _digits[u], in the
+        # smallest unsigned dtype that holds p - 1
+        self._digits = np.empty((n, self.q), dtype=np.min_scalar_type(p - 1))
         codes = np.arange(self.q, dtype=np.int64)
         for i in range(n):
-            self._digits[:, i] = codes % p
+            self._digits[i] = codes % p
             codes //= p
+        # log x^v mod (q - 1) for v < n (x has code p): a * x^v is
+        # exp[log a + _x_logs[v]], zero included
+        x_log = int(self.log[p]) if n > 1 else 0
+        self._x_logs = np.arange(n, dtype=np.int64) * x_log % (self.q - 1)
 
     def _primitive_element(self) -> int:
         """First code whose order is q - 1: g^((q-1)/r) != 1 for every
@@ -237,12 +236,17 @@ class FiniteField:
         element g walked in digit form: the rows g^0..g^(k-1) times the
         matrix of multiplication by g^k give g^k..g^(2k-1)."""
         p, n, order = self.p, self.n, self.q - 1
+        # x^k mod modulus for k < 2n-1, as digit rows (reduction matrix)
+        red = np.zeros((2 * n - 1, n), dtype=np.int64)
+        for k in range(2 * n - 1):
+            for i, c in enumerate(_pp_mod([0] * k + [1], list(self.modulus), p)):
+                red[k, i] = c
         # row i holds the digits of x^i * g, so digits(a) @ step = digits(a*g)
         conv = np.zeros((n, 2 * n - 1), dtype=np.int64)
         gd = self.digits(self._primitive_element())
         for i in range(n):
             conv[i, i:i + n] = gd
-        step = (conv @ self._red) % p
+        step = (conv @ red) % p
         # double the block of powers up to 4096 rows, then walk block by
         # block, keeping only each power's code and constant digit
         block = np.eye(1, n, dtype=np.int64)
@@ -364,28 +368,66 @@ class FiniteField:
             return (np.asarray(A) * np.asarray(B)) % self.p
         return self.exp[self.log[A] + self.log[B]]
 
-    def vsum(self, A, axis) -> np.ndarray:
+    def vsum(self, A, axis: int) -> np.ndarray:
+        A = np.asarray(A)
         if self.n == 1:
-            return np.asarray(A).sum(axis=axis) % self.p
-        dig = self._dig(np.asarray(A)).sum(axis=axis) % self.p
+            return A.sum(axis=axis) % self.p
+        dig = self._planes(A, A.ndim).sum(axis=axis % A.ndim) % self.p
         return self._encode_digits(dig)
 
     def vmatmul(self, A, B) -> np.ndarray:
-        """Matrix product over the field; supports leading batch dims."""
+        """Matrix product over the field, with np.matmul's shape rules:
+        leading batch dimensions broadcast, and a 1-D operand is promoted
+        to a matrix (a row on the left, a column on the right) whose added
+        axis is dropped from the result.
+
+        An extension-field product is one prime-field product.  Let
+        M_a be the n x n matrix of multiplication by a on residue digits:
+        column v of M_a is digits(a * x^v), so digits(a * b) = M_a digits(b)
+        (Lidl-Niederreiter, *Finite Fields*, sec. 2.5, regular
+        representation), and digits(sum_k a_k b_k) = sum_k M_{a_k}
+        digits(b_k) mod p.  For A (r x s) and B (s x t), the smaller
+        operand (A when A.size <= B.size) is expanded into blocks, as a
+        block holds n^2 digits per entry and a digit plane n:
+
+        - A side: the (r n) x (s n) matrix with block (i, k) = M_{A[i,k]}
+          times the (s n) x t matrix with entry (k n + v, j) =
+          digit v of B[k,j] gives digit u of C[i,j] in row i n + u;
+        - B side: the r x (s n) matrix with entry (i, k n + v) = digit v of
+          A[i,k] times the (s n) x (t n) matrix with entry
+          (k n + v, j n + u) = M_{B[k,j]}[u, v] gives digit u of C[i,j] in
+          column j n + u, as multiplication commutes.
+
+        Either way one ``_matmul_mod_p`` with inner size s n and one
+        encode with the powers of p give C.  Every operand entry is a digit
+        in range(p), so an output entry before the reduction is at most
+        (p - 1)^2 s n; ``_matmul_mod_p`` tests exactly that bound, with
+        inner size s n, before it takes float64, so the product stays exact.
+        The blocks come from n gathers exp[log a + log x^v] and the digit
+        table, never from a (q, n, n) table of the M_a."""
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
+        if A.ndim == 1 or B.ndim == 1:
+            drop = (-2,) * (A.ndim == 1) + (-1,) * (B.ndim == 1)
+            A = A[None] if A.ndim == 1 else A
+            B = B[:, None] if B.ndim == 1 else B
+            return self.vmatmul(A, B).squeeze(axis=drop)
         if self.n == 1:
             return self._matmul_mod_p(A, B)
-        da, db = self._dig(A), self._dig(B)  # (..., r, s, n), (..., s, t, n)
-        parts = None
-        for i in range(self.n):
-            for j in range(self.n):
-                prod = self._matmul_mod_p(da[..., i], db[..., j])
-                if parts is None:
-                    shape = prod.shape + (2 * self.n - 1,)
-                    parts = np.zeros(shape, dtype=np.int64)
-                parts[..., i + j] += prod
-        return self._encode_digits((parts @ self._red) % self.p)
+        n, (r, s), t = self.n, A.shape[-2:], B.shape[-1]
+        if A.size <= B.size:
+            prods = self.exp[self.log[A][..., None] + self._x_logs]  # (..., r, s, v)
+            blocks = self._planes(prods, A.ndim - 1).reshape(A.shape[:-2] + (r * n, s * n))
+            dig = self._planes(B, B.ndim - 1).reshape(B.shape[:-2] + (s * n, t))
+            C = self._matmul_mod_p(blocks, dig)
+            C = self._powers @ C.reshape(C.shape[:-2] + (r, n, t))
+        else:
+            prods = self.exp[self.log[B][..., None, :] + self._x_logs[:, None]]  # (..., s, v, t)
+            blocks = self._planes(prods, B.ndim + 1).reshape(B.shape[:-2] + (s * n, t * n))
+            dig = self._planes(A, A.ndim).reshape(A.shape[:-2] + (r, s * n))
+            C = self._matmul_mod_p(dig, blocks)
+            C = self._encode_digits(C.reshape(C.shape[:-1] + (t, n)))
+        return C
 
     def _matmul_mod_p(self, A, B) -> np.ndarray:
         """A @ B mod p for int64 arrays with entries in range(p)."""
@@ -413,11 +455,16 @@ class FiniteField:
         flat = self.vmatmul(rows, stack.reshape(d, math.prod(stack.shape[1:])))
         return flat.reshape(coeffs.shape[:-1] + stack.shape[1:])
 
-    def _dig(self, A):
-        return self._digits[A].astype(np.int64)
+    def _planes(self, X, axis: int) -> np.ndarray:
+        """The digits of the codes X as int64, digit u at index u of a new
+        axis inserted at position ``axis``: one np.take per digit plane."""
+        out = np.empty(X.shape[:axis] + (self.n,) + X.shape[axis:], dtype=np.int64)
+        for u, plane in enumerate(self._digits):
+            out[(slice(None),) * axis + (u,)] = np.take(plane, X)
+        return out
 
     def _encode_digits(self, dig):
-        return (np.asarray(dig, dtype=np.int64) @ self._powers).astype(np.int64)
+        return np.asarray(dig, dtype=np.int64) @ self._powers
 
     # ---------------------------------------------------------------------
 

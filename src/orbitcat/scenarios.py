@@ -8,7 +8,7 @@ and random orbit morphisms drawn from hom-space bases.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,7 +117,9 @@ def build_action(A: Algebra, spec: dict) -> GroupAction:
     """Action from a declarative spec: group name/table plus automorphisms.
 
     kinds: trivial | inversion | conjugation (with 'matrix' or 'matrices')
-    | basis_permutation (with 'perms') | explicit (with 'matrices')."""
+    | basis_permutation (with 'perms') | explicit (with 'matrices').
+    Matrix entries are field codes, checked by ``_field_codes``."""
+    F = A.field
     table = np.asarray(group_table(spec["group"]), dtype=np.int64)
     k = table.shape[0]
     kind = spec.get("kind", "trivial")
@@ -129,9 +131,10 @@ def build_action(A: Algebra, spec: dict) -> GroupAction:
         auts = _generated_cyclic(A, table, gen)
     elif kind == "conjugation":
         if "matrices" in spec:
-            auts = [conjugation_aut(A, m) for m in spec["matrices"]]
+            auts = [conjugation_aut(A, _field_codes(F, m, f"action matrices[{i}]"))
+                    for i, m in enumerate(spec["matrices"])]
         else:
-            gen = conjugation_aut(A, spec["matrix"])
+            gen = conjugation_aut(A, _field_codes(F, spec["matrix"], "action matrix"))
             auts = _generated_cyclic(A, table, gen)
     elif kind == "basis_permutation":
         if "perms" in spec:
@@ -140,7 +143,8 @@ def build_action(A: Algebra, spec: dict) -> GroupAction:
             gen = basis_permutation_aut(A, spec["perm"])
             auts = _generated_cyclic(A, table, gen)
     elif kind == "explicit":
-        auts = [AlgebraAut(A, np.asarray(m, dtype=np.int64)) for m in spec["matrices"]]
+        auts = [AlgebraAut(A, _field_codes(F, m, f"action matrices[{i}]"))
+                for i, m in enumerate(spec["matrices"])]
     else:
         raise ValueError(f"unknown action kind {kind!r}")
     return GroupAction(A, table, auts)
@@ -155,6 +159,12 @@ def _generated_cyclic(A, table, gen: AlgebraAut):
         cur = gen.compose(cur)
         auts.append(cur)
     return auts
+
+
+def build_field(spec: dict) -> FiniteField:
+    """F_{p^n} from {"p": p, "n": n}; n defaults to 1."""
+    return FF(_checked_int(spec["p"], "field p", 2),
+              _checked_int(spec.get("n", 1), "field n", 1))
 
 
 def build_algebra(field: FiniteField, spec: dict) -> Algebra:
@@ -184,7 +194,8 @@ def build_algebra(field: FiniteField, spec: dict) -> Algebra:
 def build_module(A: Algebra, spec: dict) -> Module:
     kind = spec["kind"]
     if kind == "explicit":
-        return Module(A, [np.asarray(m, dtype=np.int64) for m in spec["matrices"]])
+        return Module(A, [_field_codes(A.field, m, f"module matrices[{i}]")
+                          for i, m in enumerate(spec["matrices"])])
     if kind == "regular":
         return regular_module(A)
     if kind == "trivial":
@@ -204,13 +215,32 @@ def build_module(A: Algebra, spec: dict) -> Module:
 
 
 def _pick(mods: List[Module], spec: dict, kind: str) -> Module:
-    """mods[spec["index"]] (default 0) for an integer 0 <= index < len(mods);
-    a bool, a negative or an out-of-range index raises ValueError."""
-    index = spec.get("index", 0)
-    if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < len(mods):
-        raise ValueError(f"{kind} module index {index!r} must be an integer with "
-                         f"0 <= index < {len(mods)}, the number of {kind} modules")
-    return mods[index]
+    """mods[spec["index"]] (default 0) for an integer 0 <= index < len(mods)."""
+    return mods[_checked_int(spec.get("index", 0), f"{kind} module index", 0, len(mods),
+                            f"the number of {kind} modules")]
+
+
+def _checked_int(value, name: str, lo: int, hi: Optional[int] = None, hi_is: str = "") -> int:
+    """``value`` if it is an integer, not a bool, with lo <= value (and
+    value < hi when hi is given).  Anything else (a float, a string, a
+    bool, a number out of range) raises a ValueError that names ``name``
+    and the bound, and says what hi is when ``hi_is`` is given."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and lo <= value and (hi is None or value < hi)):
+        return int(value)
+    bound = f"{lo} <= {name}" + ("" if hi is None else f" < {hi}")
+    raise ValueError(f"{name} {value!r} must be an integer with {bound}"
+                     + (f", {hi_is}" if hi_is else ""))
+
+
+def _field_codes(field: FiniteField, data, name: str) -> np.ndarray:
+    """``data`` (nested lists or an array) as an int64 array of codes of
+    ``field``: every entry an integer, not a bool, in range(q)."""
+    entries = np.asarray(data, dtype=object)
+    for idx, x in np.ndenumerate(entries):
+        entry = name + "".join(f"[{k}]" for k in idx)
+        _checked_int(x, entry, 0, field.q, f"the order of {field}")
+    return entries.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

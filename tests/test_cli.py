@@ -120,6 +120,59 @@ def test_bad_module_index_exit_2(tmp_path, capsys, module):
     assert f"index {module['index']!r}" in err and "index < 1," in err
 
 
+MAT2_F4_SCENARIO = dict(MAT2_SCENARIO, field={"p": 2, "n": 2})
+EXPLICIT_MODULE = {"kind": "explicit", "matrices": [[[1, 0], [0, 0]], [[0, 1], [0, 0]],
+                                                    [[0, 0], [1, 0]], [[0, 0], [0, 1]]]}
+
+
+def conjugation(matrix, group="C2"):
+    return {"group": group, "kind": "conjugation", "matrix": matrix}
+
+
+@pytest.mark.parametrize("change,named", [
+    ({"action": conjugation([[1, 0], [0, 1.5]])}, "action matrix[1][1] 1.5"),
+    ({"action": conjugation([[1, 0], [0, 1e30]])}, "action matrix[1][1] 1e+30"),
+    ({"action": conjugation([[1, 0], [0, 7]])}, "action matrix[1][1] 7"),
+    ({"action": conjugation([[1, 0], [-1, 1]])}, "action matrix[1][0] -1"),
+    ({"action": conjugation([[True, 0], [0, 1]])}, "action matrix[0][0] True"),
+    ({"action": {"group": "C2", "kind": "conjugation",
+                 "matrices": [[[1, 0], [0, 1]], [[0, 1], [1, "1"]]]}},
+     "action matrices[1][1][1] '1'"),
+    ({"action": {"group": "C1", "kind": "explicit",
+                 "matrices": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 4]]]}},
+     "action matrices[0][3][3] 4"),
+    ({"module": dict(EXPLICIT_MODULE, matrices=[[[1, 0], [0, 0]], [[0, 1], [0, 0]],
+                                                 [[0, 0], [1, 0]], [[0, 0], [0, 0.5]]])},
+     "module matrices[3][1][1] 0.5"),
+    ({"field": {"p": 5.9}}, "field p 5.9"),
+    ({"field": {"p": 2, "n": 2.5}}, "field n 2.5"),
+    ({"field": {"p": "5"}}, "field p '5'"),
+    ({"field": {"p": True}}, "field p True"),
+], ids=["matrix-float", "matrix-huge-float", "matrix-out-of-range", "matrix-negative",
+        "matrix-bool", "matrices-string", "explicit-action-out-of-range",
+        "explicit-module-float", "field-p-float", "field-n-float", "field-p-string",
+        "field-p-bool"])
+def test_scenario_numbers_are_strict(tmp_path, capsys, change, named):
+    """Matrix entries are field codes, integers in range(q); the field's p and
+    n are integers.  Anything else exits 2 naming the entry and its bound."""
+    code = main(["run", write_scenario(tmp_path, dict(MAT2_F4_SCENARIO, **change))])
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert code == 2
+    assert err.startswith(named + " must be an integer with ")
+    if "matri" in named:
+        assert err.endswith(" < 4, the order of FF(2^2)")
+
+
+@pytest.mark.parametrize("change", [
+    {"action": conjugation([[1, 0], [0, 3]], "C3")},  # 3 is a cube root of unity in F4
+    {"module": EXPLICIT_MODULE},
+], ids=["matrix-top-code", "explicit-module"])
+def test_scenario_codes_in_range_run(tmp_path, capsys, change):
+    code = main(["run", write_scenario(tmp_path, dict(MAT2_F4_SCENARIO, **change))])
+    capsys.readouterr()
+    assert code in (0, 1)
+
+
 GROUP_SCENARIO = {
     "schema_version": 1,
     "field": {"p": 7, "n": 1},

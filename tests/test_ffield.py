@@ -251,3 +251,84 @@ def test_combine_matches_naive_sum(field, d, rows, tail, seed):
         assert np.array_equal(got[r], acc)
     # a single coefficient vector combines to one element of the stack's shape
     assert np.array_equal(F.combine(coeffs[0], stack), got[0])
+
+
+def _ref_matmul(F, A, B):
+    """A @ B with the schoolbook field operations; batch dimensions and
+    1-D operands follow np.matmul, which also gives the result's shape."""
+    shape = np.matmul(np.zeros(A.shape), np.zeros(B.shape)).shape
+    A2 = A[None] if A.ndim == 1 else A
+    B2 = B[:, None] if B.ndim == 1 else B
+    batch = np.broadcast_shapes(A2.shape[:-2], B2.shape[:-2])
+    A2 = np.broadcast_to(A2, batch + A2.shape[-2:])
+    B2 = np.broadcast_to(B2, batch + B2.shape[-2:])
+    C = np.zeros(batch + (A2.shape[-2], B2.shape[-1]), dtype=np.int64)
+    for idx in np.ndindex(*C.shape):
+        *b, i, j = idx
+        acc = 0
+        for k in range(A2.shape[-1]):
+            acc = _ref_add(F, acc, _ref_mul(F, int(A2[(*b, i, k)]), int(B2[(*b, k, j)])))
+        C[idx] = acc
+    return C.reshape(shape)
+
+
+_MATMUL_FIELDS = [(7, 1), (2, 2), (2, 3), (3, 2), (2, 4), (7, 4), (2, 13)]
+# leading dimensions of A and of B; None makes that operand 1-D
+_MATMUL_BATCHES = [((), ()), ((2,), ()), ((), (3,)), ((2, 1), (1, 3)), ((2, 3), (3,)),
+                   (None, ()), ((), None), (None, (2,)), ((2,), None), (None, None)]
+
+
+@given(
+    st.sampled_from(_MATMUL_FIELDS),
+    st.sampled_from(_MATMUL_BATCHES),
+    st.integers(min_value=0, max_value=3),  # r
+    st.integers(min_value=0, max_value=3),  # s
+    st.integers(min_value=0, max_value=3),  # t
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+@example((2, 2), (None, ()), 1, 3, 3, 0)  # vector @ matrix
+@example((2, 2), ((), None), 3, 3, 1, 1)  # matrix @ vector
+@example((7, 4), ((2, 1), (1, 3)), 2, 3, 1, 2)  # A.size > B.size: B is expanded
+@example((2, 13), ((), ()), 2, 2, 2, 3)  # A.size == B.size: A is expanded
+@example((3, 2), ((2,), (2,)), 1, 3, 2, 4)  # A.size < B.size
+@example((2, 4), ((), ()), 0, 2, 3, 5)  # zero rows
+@example((2, 3), ((2,), ()), 2, 0, 3, 6)  # zero inner size
+@example((7, 1), ((), (3,)), 2, 3, 0, 7)  # zero columns
+@settings(max_examples=120, deadline=None)
+def test_vmatmul_matches_schoolbook_reference(field, batches, r, s, t, seed):
+    F = FF(*field)
+    rng = np.random.default_rng(seed)
+    a_batch, b_batch = batches
+    A = rng.integers(0, F.q, size=(s,) if a_batch is None else a_batch + (r, s))
+    B = rng.integers(0, F.q, size=(s,) if b_batch is None else b_batch + (s, t))
+    got = F.vmatmul(A, B)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _ref_matmul(F, A, B))
+    # codes of any integer dtype
+    assert np.array_equal(F.vmatmul(A.astype(np.int32), B.astype(np.uint16)), got)
+
+
+@pytest.mark.parametrize("field,a_shape,b_shape,floats", [
+    ((3, 2), (3, 4), (4, 2), False),
+    ((3, 2), (20, 24), (24, 20), True),  # A expanded: (40 x 48) @ (48 x 20)
+    ((3, 2), (40, 24), (24, 20), True),  # B expanded: (40 x 48) @ (48 x 40)
+    ((2, 4), (6, 8), (8, 64), True),  # A expanded: (24 x 32) @ (32 x 64)
+])
+def test_vmatmul_block_product_takes_both_gate_branches(monkeypatch, field, a_shape, b_shape,
+                                                        floats):
+    """The block product has inner size s n; above the float gate it runs
+    in float64 (seen as a call to np.rint), below it in int64, exact both
+    ways."""
+    F = FF(*field)
+    rng = np.random.default_rng(0)
+    A = rng.integers(0, F.q, size=a_shape)
+    B = rng.integers(0, F.q, size=b_shape)
+    inner, rounded = [], []
+    real_mm, real_rint = FiniteField._matmul_mod_p, np.rint
+    monkeypatch.setattr(FiniteField, "_matmul_mod_p",
+                        lambda self, X, Y: inner.append(X.shape[-1]) or real_mm(self, X, Y))
+    monkeypatch.setattr(np, "rint", lambda X: rounded.append(X.shape) or real_rint(X))
+    got = F.vmatmul(A, B)
+    assert inner == [a_shape[-1] * F.n]
+    assert bool(rounded) == floats
+    assert np.array_equal(got, _ref_matmul(F, A, B))
