@@ -32,11 +32,13 @@ from .oracle import (
     oracle_compare,
 )
 from .scenarios import (
-    GROUP_TABLES,
+    _checked_int,
+    _checked_ints,
     build_action,
     build_algebra,
     build_field,
     build_module,
+    group_table,
 )
 
 SCHEMA_VERSION = 1
@@ -101,13 +103,15 @@ def run_task(task: str, doc: dict, seed: int, shared: dict) -> dict:
     if task == "galois":
         g = doc["galois"]
         try:
+            deg_m = _checked_int(g["deg_m"], "galois deg_m", 1)
+            table = group_table(g["group"], "galois group")
             sc = GaloisScenario(
-                q=int(g["q"]),
-                deg_l=int(g["deg_l"]),
-                deg_m=int(g["deg_m"]),
-                table=GROUP_TABLES[g["group"]] if isinstance(g["group"], str) else g["group"],
-                phi=g["phi"],
-                H=g["H"],
+                q=_checked_int(g["q"], "galois q", 2),
+                deg_l=_checked_int(g["deg_l"], "galois deg_l", 1),
+                deg_m=deg_m,
+                table=table,
+                phi=_checked_ints(g["phi"], "galois phi", 0, deg_m, "deg_m"),
+                H=_checked_ints(g["H"], "galois H", 0, len(table), "the group order"),
             )
         except (ValueError, KeyError, IndexError, TypeError) as ex:
             raise ScenarioError(str(ex)) from ex
@@ -200,9 +204,9 @@ def run(path: str, seed: int = 0, with_timing: bool = False) -> dict:
         raise ScenarioError(f"cannot read scenario: {ex}") from ex
     doc = load_scenario(doc)
     try:
-        seed = int(doc.get("seed", seed))
-    except (TypeError, ValueError) as ex:
-        raise ScenarioError(f"seed must be an integer: {ex}") from ex
+        seed = _checked_int(doc.get("seed", seed), "seed", 0)
+    except ValueError as ex:
+        raise ScenarioError(str(ex)) from ex
     t0 = time.monotonic()
     shared: dict = {}
     results = [run_task(t, doc, seed, shared) for t in doc["tasks"]]

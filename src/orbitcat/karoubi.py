@@ -172,9 +172,9 @@ def kar_is_isomorphic(P: KarObject, Q: KarObject):
         return pair
     # general objects: decompose and match class by class
     DP = kar_decompose(P)
+    if len(DP) <= 1:
+        return None  # P primitive: the basis scan was conclusive
     DQ = kar_decompose(Q)
-    if len(DP) <= 1 and len(DQ) <= 1:
-        return None
     if len(DP) != len(DQ):
         return None
     used = [False] * len(DQ)

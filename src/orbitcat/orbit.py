@@ -2,22 +2,35 @@
 
 A GroupAction is a strict homomorphism from a finite group (multiplication
 table, element 0 = identity) into the algebra automorphisms.  An orbit
-morphism X -> Y is a sparse family of component matrices f_g, one per
-group element, with f_g an intertwiner X -> twist(Y, g); composition is
+morphism f: X -> Y over a support S (the whole group or a subgroup) is a
+family of component matrices f_g, g in S, with f_g an intertwiner
+X -> twist(Y, g).  It is stored as one array, ``stack[i] = f_{S[i]}`` of
+shape (|S|, dim Y, dim X).
 
-    (h o f)_{g k}  +=  h_k @ f_g,
+The orbit category is the Kleisli category of the monad T S (Cibils-Marcos,
+*Skew category, Galois covering and smash product of a k-category*, Proc.
+AMS 2006), so composition is Kleisli composition,
+
+    (h o f)_c  =  sum_g  h_{g^-1 c} @ f_g,
 
 which is well defined because strict twisting leaves a morphism's matrix
-unchanged.  Orbit morphisms restricted to a subgroup carry the subgroup
-as their ``support``.
+unchanged.  Read f's stack as one column of blocks: the composite is the
+block matrix with block (c, g) = h_{g^-1 c}, which is T h, applied to it.
+So one gather of a stack along the group table, ``_kleisli_blocks`` with
+block (i, j) = f_{cols[j]^-1 gamma rows[i]}, gives every operation:
+
+- composition is the gather of h over S times f's stack;
+- T f is the gather over the support, with gamma the identity;
+- T[up] f, the restriction to a subgroup, has at gamma the gather over the
+  right coset representatives.
 
 The functors: S sends a module to itself and a morphism to its single
 component at the identity; T sends a module X to the direct sum of its
-twists and a morphism to the block matrix with block (t, h) = f_{h^-1 t}.
-T's output blocks are labeled by the twisting group element and sorted by
-label, which makes the subgroup factorizations S = S[up] o S[down] and
-T = T[down] o T[up] hold as exact matrix equalities, not just up to a
-permutation.
+twists.  T's output blocks are labeled by the twisting group element and
+sorted by label, which makes the subgroup factorizations S = S[up] o
+S[down] and T = T[down] o T[up] hold as exact matrix equalities, not just
+up to a permutation.  The unit and counit of (S, T) are those of
+(S[up], T[up]) for the trivial subgroup.
 """
 
 from __future__ import annotations
@@ -40,22 +53,17 @@ class GroupAction:
         self.table = np.asarray(table, dtype=np.int64)
         self.auts = list(auts)
         self.k = self.table.shape[0]
-        self._inv = None
         self._twist_cache: Dict = {}
         if validate:
             check_action(self)
+        # inverses[g] = g^-1, the column of the identity in row g
+        self.inverses = np.argmax(self.table == 0, axis=1)
 
     def mul(self, g: int, h: int) -> int:
         return int(self.table[g, h])
 
     def inv(self, g: int) -> int:
-        if self._inv is None:
-            self._inv = [None] * self.k
-            for a in range(self.k):
-                for b in range(self.k):
-                    if self.table[a, b] == 0:
-                        self._inv[a] = b
-        return self._inv[g]
+        return int(self.inverses[g])
 
     def elements(self):
         return range(self.k)
@@ -131,27 +139,41 @@ def check_action(action: GroupAction) -> bool:
 
 
 class OrbitMor:
-    """Morphism in the orbit category: a sparse family of components."""
+    """Morphism in the orbit category: its components stacked in support
+    order, ``stack[i] = f_{support[i]}``."""
 
     def __init__(self, action: GroupAction, src: Module, tgt: Module, comps,
                  support=None, validate: bool = True):
+        """``comps`` maps group elements to component matrices; the other
+        components in the support are zero."""
         self.action = action
         self.src = src
         self.tgt = tgt
         self.support = tuple(support) if support is not None else action.full_support()
-        cleaned = {}
+        self.stack = np.zeros((len(self.support), tgt.dim, src.dim), dtype=np.int64)
         for g, m in comps.items():
             m = np.asarray(m, dtype=np.int64)
             if m.shape != (tgt.dim, src.dim):
                 raise ValueError(f"component {g} has wrong shape")
             if m.any():
-                cleaned[int(g)] = m
-        self.comps = cleaned
-        for g in self.comps:
-            if g not in self.support:
-                raise ValueError(f"component {g} outside the support")
+                if g not in self.support:
+                    raise ValueError(f"component {g} outside the support")
+                self.stack[self.support.index(g)] = m
         if validate:
             self.validate()
+
+    @classmethod
+    def from_stack(cls, action: GroupAction, src: Module, tgt: Module, stack,
+                   support=None) -> "OrbitMor":
+        """The morphism whose components are ``stack``, in support order."""
+        f = cls(action, src, tgt, {}, support, validate=False)
+        f.stack = stack
+        return f
+
+    @property
+    def comps(self) -> Dict[int, np.ndarray]:
+        """The nonzero components by group element."""
+        return {g: m for g, m in zip(self.support, self.stack) if m.any()}
 
     def validate(self):
         """Each component f_g is an intertwiner src -> twist(tgt, g),
@@ -169,37 +191,28 @@ class OrbitMor:
         return self
 
     def component(self, g: int) -> np.ndarray:
-        if g in self.comps:
-            return self.comps[g]
+        if g in self.support:
+            return self.stack[self.support.index(g)]
         return np.zeros((self.tgt.dim, self.src.dim), dtype=np.int64)
 
     def flatten(self) -> np.ndarray:
         """Fixed layout: support order, each component row-major."""
-        chunks = [self.component(g).reshape(-1) for g in self.support]
-        if not chunks:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(chunks)
+        return self.stack.reshape(-1)
 
     def is_zero(self) -> bool:
-        return not self.comps
+        return not self.stack.any()
 
     def add(self, other: "OrbitMor") -> "OrbitMor":
         F = self.action.algebra.field
-        comps = dict(self.comps)
-        for g, m in other.comps.items():
-            comps[g] = F.vadd(comps.get(g, 0), m) if g in comps else m
-        return OrbitMor(self.action, self.src, self.tgt, comps, self.support,
-                        validate=False)
+        return OrbitMor.from_stack(self.action, self.src, self.tgt,
+                                   F.vadd(self.stack, other.stack), self.support)
 
     def __eq__(self, other):
         if not isinstance(other, OrbitMor):
             return NotImplemented
-        if self.src != other.src or self.tgt != other.tgt:
-            return False
-        if self.support != other.support:
-            return False
-        keys = set(self.comps) | set(other.comps)
-        return all(np.array_equal(self.component(g), other.component(g)) for g in keys)
+        return (self.src == other.src and self.tgt == other.tgt
+                and self.support == other.support
+                and np.array_equal(self.stack, other.stack))
 
     def __repr__(self):
         return f"OrbitMor({sorted(self.comps)} of {self.tgt.dim}x{self.src.dim})"
@@ -212,39 +225,47 @@ def identity_orbitmor(X: Module, action: GroupAction, support=None) -> OrbitMor:
 
 
 def unflatten_orbitmor(action, src, tgt, support, vec) -> OrbitMor:
-    vec = np.asarray(vec, dtype=np.int64)
-    sz = tgt.dim * src.dim
-    comps = {}
-    for i, g in enumerate(support):
-        chunk = vec[i * sz : (i + 1) * sz].reshape(tgt.dim, src.dim)
-        if chunk.any():
-            comps[g] = chunk
-    return OrbitMor(action, src, tgt, comps, support, validate=False)
+    stack = np.asarray(vec, dtype=np.int64).reshape(len(support), tgt.dim, src.dim)
+    return OrbitMor.from_stack(action, src, tgt, stack, support)
 
 
 def combine_orbitmors(mors: Sequence[OrbitMor], coeffs) -> OrbitMor:
     """sum_i coeffs[i] * mors[i] for a nonempty list of parallel orbit morphisms."""
     m = mors[0]
-    flat = np.stack([b.flatten() for b in mors])
-    vec = m.action.algebra.field.combine(coeffs, flat)
-    return unflatten_orbitmor(m.action, m.src, m.tgt, m.support, vec)
+    stack = m.action.algebra.field.combine(coeffs, np.stack([b.stack for b in mors]))
+    return OrbitMor.from_stack(m.action, m.src, m.tgt, stack, m.support)
+
+
+def _kleisli_blocks(f: OrbitMor, rows, cols, gamma: int = 0) -> np.ndarray:
+    """The block matrix with block (i, j) = f_{cols[j]^-1 gamma rows[i]}:
+    one gather of f's stack, indexed by two lookups in the group table.
+    Over a support that is a subgroup the index never leaves it; an index
+    outside the support raises."""
+    action = f.action
+    elem = action.table[action.inverses[list(cols)]][:, action.table[gamma, list(rows)]].T
+    at = np.full(action.k, -1)
+    at[list(f.support)] = np.arange(len(f.support))
+    pos = at[elem]
+    if (pos < 0).any():
+        raise ValueError(f"group element {elem[pos < 0][0]} is outside the support "
+                         f"{f.support}: it is not closed under the product")
+    blocks = f.stack[pos]  # (rows, cols, tgt.dim, src.dim)
+    return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * f.tgt.dim, len(cols) * f.src.dim)
 
 
 def orbit_compose(f: OrbitMor, h: OrbitMor) -> OrbitMor:
-    """The composite h o f (f first).  Component indices multiply:
-    (h o f)_{g*k} += h_k @ f_g."""
+    """The composite h o f (f first): (h o f)_c = sum_g h_{g^-1 c} @ f_g,
+    one product of h's gathered blocks with f's stack.  Raises when the
+    support is not closed under the product, as g^-1 c then leaves it."""
     if f.tgt != h.src:
         raise ValueError("orbit composition: target of f must be source of h")
     if f.action is not h.action or f.support != h.support:
         raise ValueError("orbit composition: mismatched action or support")
-    F = f.action.algebra.field
-    comps: Dict[int, np.ndarray] = {}
-    for g, fg in f.comps.items():
-        for k, hk in h.comps.items():
-            idx = f.action.mul(g, k)
-            prod = F.vmatmul(hk, fg)
-            comps[idx] = F.vadd(comps[idx], prod) if idx in comps else prod
-    return OrbitMor(f.action, f.src, h.tgt, comps, f.support, validate=False)
+    n = len(f.support)
+    prod = f.action.algebra.field.vmatmul(_kleisli_blocks(h, f.support, f.support),
+                                          f.stack.reshape(n * f.tgt.dim, f.src.dim))
+    return OrbitMor.from_stack(f.action, f.src, h.tgt,
+                               prod.reshape(n, h.tgt.dim, f.src.dim), f.support)
 
 
 @dataclass
@@ -253,6 +274,7 @@ class OrbitHomSpace:
     target: Module
     support: tuple
     components: dict  # g -> HomSpace
+    action: GroupAction
 
     @property
     def dim(self) -> int:
@@ -260,26 +282,16 @@ class OrbitHomSpace:
 
     def basis(self) -> List[OrbitMor]:
         """Orbit morphisms, ordered by group element then hom basis index."""
-        out = []
-        action = self._action
-        for g in self.support:
-            for m in self.components[g].basis:
-                out.append(
-                    OrbitMor(action, self.source, self.target, {g: m},
-                             self.support, validate=False)
-                )
-        return out
+        return [OrbitMor(self.action, self.source, self.target, {g: m}, self.support,
+                         validate=False)
+                for g in self.support for m in self.components[g].basis]
 
 
 def orbit_hom(X: Module, Y: Module, action: GroupAction, support=None) -> OrbitHomSpace:
     """Hom in the orbit category: one plain hom space per group element."""
     support = tuple(support) if support is not None else action.full_support()
-    comps = {}
-    for g in support:
-        comps[g] = hom_space(X, action.twisted(Y, g))
-    out = OrbitHomSpace(X, Y, support, comps)
-    out._action = action
-    return out
+    comps = {g: hom_space(X, action.twisted(Y, g)) for g in support}
+    return OrbitHomSpace(X, Y, support, comps, action)
 
 
 # ---------------------------------------------------------------------------
@@ -344,44 +356,25 @@ def functor_T(x, action: GroupAction, support=None):
     if isinstance(x, Module):
         return _t_object(x, action, support)[0]
     if isinstance(x, OrbitMor):
-        f = x
-        if f.support != support:
+        if x.support != support:
             raise ValueError("morphism support does not match the functor")
-        F = f.action.algebra.field
-        TX, perm_src = _t_object(f.src, action, support)
-        TY, perm_tgt = _t_object(f.tgt, action, support)
-        ms, mt = f.src.dim, f.tgt.dim
-        k = len(support)
-        big = F.zeros((k * mt, k * ms))
-        for ti, t in enumerate(support):
-            for hi, h in enumerate(support):
-                g = action.mul(action.inv(h), t)
-                if g in f.comps:
-                    big[ti * mt : (ti + 1) * mt, hi * ms : (hi + 1) * ms] = f.comps[g]
-        return ModuleMor(TX, TY, big[np.ix_(perm_tgt, perm_src)])
+        TX, perm_src = _t_object(x.src, action, support)
+        TY, perm_tgt = _t_object(x.tgt, action, support)
+        return ModuleMor(TX, TY, _kleisli_blocks(x, support, support)[np.ix_(perm_tgt, perm_src)])
     raise TypeError("functor_T expects a Module or OrbitMor")
 
 
 def adjunction_unit(X: Module, action: GroupAction) -> ModuleMor:
-    """X -> T S X: inclusion into the identity-labeled block."""
-    TX, perm = _t_object(X, action, action.full_support())
-    F = X.field
-    big = F.zeros((TX.dim, X.dim))
-    big[: X.dim] = F.eye(X.dim)  # unsorted layout: identity twist comes first
-    return ModuleMor(X, TX, big[perm, :])
+    """X -> T S X: inclusion into the identity-labeled block, the unit of
+    (S[up], T[up]) for the trivial subgroup."""
+    eta = sub_adjunction_unit(X, action, (0,))
+    return ModuleMor(X, eta.tgt, eta.stack[0])
 
 
 def adjunction_counit(X: Module, action: GroupAction) -> OrbitMor:
-    """S T X -> X in the orbit category: component at g projects onto the
-    g-twist copy inside T X."""
-    TX, perm = _t_object(X, action, action.full_support())
-    F = X.field
-    comps = {}
-    for gi, g in enumerate(action.elements()):
-        m = F.zeros((X.dim, TX.dim))
-        m[:, gi * X.dim : (gi + 1) * X.dim] = F.eye(X.dim)  # unsorted layout
-        comps[g] = m[:, perm]
-    return OrbitMor(action, TX, X, comps, validate=False)
+    """S T X -> X in the orbit category: the counit of (S[up], T[up]) for
+    the trivial subgroup."""
+    return sub_adjunction_counit(X, action, (0,))
 
 
 def lifted_aut(g: int, x, action: GroupAction, support=None):
@@ -421,7 +414,7 @@ def sub_inclusion_S(f: OrbitMor, action: GroupAction, sub) -> OrbitMor:
     sub = action.subgroup(sub)
     if f.support != sub:
         raise ValueError("morphism is not supported on the given subgroup")
-    return OrbitMor(action, f.src, f.tgt, dict(f.comps), None, validate=False)
+    return OrbitMor(action, f.src, f.tgt, f.comps, None, validate=False)
 
 
 def sub_restriction_T(x, action: GroupAction, sub, reps=None):
@@ -441,26 +434,13 @@ def sub_restriction_T(x, action: GroupAction, sub, reps=None):
     if isinstance(x, Module):
         return _t_object(x, action, reps)[0]
     if isinstance(x, OrbitMor):
-        f = x
-        if f.support != action.full_support():
+        if x.support != action.full_support():
             raise ValueError("morphism must live over the full group")
-        F = action.algebra.field
-        TX, perm_src = _t_object(f.src, action, reps)
-        TY, perm_tgt = _t_object(f.tgt, action, reps)
-        ms, mt = f.src.dim, f.tgt.dim
-        comps = {}
-        for gamma in sub:
-            big = F.zeros((len(reps) * mt, len(reps) * ms))
-            hit = False
-            for ti, tau in enumerate(reps):
-                for si, sigma in enumerate(reps):
-                    g = action.mul(action.inv(sigma), action.mul(gamma, tau))
-                    if g in f.comps:
-                        big[ti * mt : (ti + 1) * mt, si * ms : (si + 1) * ms] = f.comps[g]
-                        hit = True
-            if hit:
-                comps[gamma] = big[np.ix_(perm_tgt, perm_src)]
-        return OrbitMor(action, TX, TY, comps, sub, validate=False)
+        TX, perm_src = _t_object(x.src, action, reps)
+        TY, perm_tgt = _t_object(x.tgt, action, reps)
+        stack = np.stack([_kleisli_blocks(x, reps, reps, gamma)[np.ix_(perm_tgt, perm_src)]
+                          for gamma in sub])
+        return OrbitMor.from_stack(action, TX, TY, stack, sub)
     raise TypeError("sub_restriction_T expects a Module or OrbitMor")
 
 
@@ -468,12 +448,10 @@ def sub_adjunction_unit(X: Module, action: GroupAction, sub) -> OrbitMor:
     """Unit of (S[up], T[up]): inclusion into the identity-rep copy,
     as an orbit morphism over the subgroup."""
     sub = action.subgroup(sub)
-    reps = action.right_coset_reps(sub)
-    TX, perm = _t_object(X, action, reps)
-    F = X.field
-    m = F.zeros((TX.dim, X.dim))
-    m[: X.dim] = F.eye(X.dim)  # unsorted layout: identity rep comes first
-    return OrbitMor(action, X, TX, {0: m[perm, :]}, sub, validate=False)
+    TX, perm = _t_object(X, action, action.right_coset_reps(sub))
+    # unsorted layout: the identity representative's copy comes first
+    return OrbitMor(action, X, TX, {0: X.field.eye(TX.dim)[perm, : X.dim]}, sub,
+                    validate=False)
 
 
 def sub_adjunction_counit(X: Module, action: GroupAction, sub) -> OrbitMor:
@@ -482,13 +460,9 @@ def sub_adjunction_counit(X: Module, action: GroupAction, sub) -> OrbitMor:
     sub = action.subgroup(sub)
     reps = action.right_coset_reps(sub)
     TX, perm = _t_object(X, action, reps)
-    F = X.field
-    comps = {}
-    for gi, g in enumerate(reps):
-        m = F.zeros((X.dim, TX.dim))
-        m[:, gi * X.dim : (gi + 1) * X.dim] = F.eye(X.dim)
-        comps[g] = m[:, perm]
-    return OrbitMor(action, TX, X, comps, None, validate=False)
+    stack = np.zeros((action.k, X.dim, TX.dim), dtype=np.int64)
+    stack[list(reps)] = X.field.eye(TX.dim)[:, perm].reshape(len(reps), X.dim, TX.dim)
+    return OrbitMor.from_stack(action, TX, X, stack)
 
 
 def adjuster_nu(g: int, X: Module, action: GroupAction) -> OrbitMor:
@@ -514,7 +488,6 @@ def kleisli_phi_psi(x, action: GroupAction):
     if isinstance(x, OrbitMor):
         return functor_T(x, action)
     if isinstance(x, ModuleMor):
-        F = action.algebra.field
         k = action.k
         mt = x.tgt.dim // k
         ms = x.src.dim // k
@@ -522,14 +495,9 @@ def kleisli_phi_psi(x, action: GroupAction):
             raise ValueError("block map dimensions are not multiples of |G|")
         # undo the label sort: T-objects over a plain module use ascending
         # labels, which is already the unsorted layout
-        comps = {}
-        for g in action.elements():
-            blk = x.matrix[g * mt : (g + 1) * mt, 0:ms]
-            if blk.any():
-                comps[g] = blk
         src = _strip_blocks(x.src, k, ms)
         tgt = _strip_blocks(x.tgt, k, mt)
-        f = OrbitMor(action, src, tgt, comps, None, validate=False)
+        f = OrbitMor.from_stack(action, src, tgt, x.matrix[:, :ms].reshape(k, mt, ms))
         back = functor_T(f, action)
         if not np.array_equal(back.matrix, x.matrix):
             raise ValueError("block map does not satisfy the Kleisli pattern")

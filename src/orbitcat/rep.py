@@ -97,6 +97,8 @@ class Module:
             raise ValueError(f"action violates structure constants at ({bad[0]}, {bad[1]})")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Module)
             and self.dim == other.dim
@@ -293,9 +295,9 @@ def is_isomorphic(M: Module, N: Module) -> Optional[np.ndarray]:
         return iso
     # decompose-and-match fallback for decomposable inputs
     DM = decompose(M, certify=False)
-    DN = decompose(N, certify=False)
     if len(DM.summands) == 1 and DM.summands[0].multiplicity == 1:
         return None  # M indecomposable: the basis scan was conclusive
+    DN = decompose(N, certify=False)
     matched = _match_decompositions(DM, DN)
     if matched is None:
         return None

@@ -56,12 +56,14 @@ def s3_table() -> list:
 GROUP_TABLES["S3"] = s3_table()
 
 
-def group_table(name_or_table):
+def group_table(name_or_table, name: str = "group"):
+    """A named group's table, or an explicit table whose entries are
+    integers in range(its order), checked by ``_checked_ints``."""
     if isinstance(name_or_table, str):
         if name_or_table not in GROUP_TABLES:
             raise ValueError(f"unknown group name {name_or_table!r}")
         return GROUP_TABLES[name_or_table]
-    return name_or_table
+    return _checked_ints(name_or_table, name, 0, len(name_or_table), "the group order")
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,7 @@ def build_action(A: Algebra, spec: dict) -> GroupAction:
     | basis_permutation (with 'perms') | explicit (with 'matrices').
     Matrix entries are field codes, checked by ``_field_codes``."""
     F = A.field
-    table = np.asarray(group_table(spec["group"]), dtype=np.int64)
+    table = np.asarray(group_table(spec["group"], "action group"), dtype=np.int64)
     k = table.shape[0]
     kind = spec.get("kind", "trivial")
     ident = AlgebraAut(A, A.field.eye(A.dim), validate=False)
@@ -168,25 +170,32 @@ def build_field(spec: dict) -> FiniteField:
 
 
 def build_algebra(field: FiniteField, spec: dict) -> Algebra:
+    """Algebra from a declarative spec; its numbers are checked by
+    ``_checked_int``."""
     kind = spec["type"]
     if kind == "group_algebra":
-        return make_group_algebra(group_table(spec["group"]), field)
+        return make_group_algebra(group_table(spec["group"], "algebra group"), field)
     if kind == "matrix_algebra":
-        return make_matrix_algebra(spec["n"], field)
+        return make_matrix_algebra(_checked_int(spec["n"], "algebra n", 1), field)
     if kind == "path_algebra":
-        return make_path_algebra(
-            field,
-            spec["vertices"],
-            [tuple(a) for a in spec["arrows"]],
-            [tuple(r) for r in spec.get("relations", [])],
-        )
+        n = _checked_int(spec["vertices"], "algebra vertices", 1)
+        arrows = [tuple(_checked_ints(a, f"algebra arrows[{i}]", 0, n,
+                                      "the number of vertices").tolist())
+                  for i, a in enumerate(spec["arrows"])]
+        relations = [tuple(_checked_ints(r, f"algebra relations[{i}]", 0, len(arrows),
+                                         "the number of arrows").tolist())
+                     for i, r in enumerate(spec.get("relations", []))]
+        return make_path_algebra(field, n, arrows, relations)
     if kind == "skew_group_algebra":
         base = build_algebra(field, spec["base"])
         action = build_action(base, spec["action"])
         return make_skew_group_algebra(base, action)
     if kind == "twisted_group_ring":
+        deg_m = _checked_int(spec["deg_m"], "algebra deg_m", 1)
         return make_twisted_group_ring(
-            spec["q"], spec["deg_m"], group_table(spec["group"]), spec["phi"]
+            _checked_int(spec["q"], "algebra q", 2), deg_m,
+            group_table(spec["group"], "algebra group"),
+            _checked_ints(spec["phi"], "algebra phi", 0, deg_m, "deg_m"),
         )
     raise ValueError(f"unknown algebra type {kind!r}")
 
@@ -233,14 +242,20 @@ def _checked_int(value, name: str, lo: int, hi: Optional[int] = None, hi_is: str
                      + (f", {hi_is}" if hi_is else ""))
 
 
-def _field_codes(field: FiniteField, data, name: str) -> np.ndarray:
-    """``data`` (nested lists or an array) as an int64 array of codes of
-    ``field``: every entry an integer, not a bool, in range(q)."""
+def _checked_ints(data, name: str, lo: int, hi: Optional[int] = None,
+                  hi_is: str = "") -> np.ndarray:
+    """``data`` (nested lists or an array) as an int64 array, each entry
+    checked by ``_checked_int`` under its indexed name, e.g. ``name[1][0]``."""
     entries = np.asarray(data, dtype=object)
     for idx, x in np.ndenumerate(entries):
-        entry = name + "".join(f"[{k}]" for k in idx)
-        _checked_int(x, entry, 0, field.q, f"the order of {field}")
+        _checked_int(x, name + "".join(f"[{k}]" for k in idx), lo, hi, hi_is)
     return entries.astype(np.int64)
+
+
+def _field_codes(field: FiniteField, data, name: str) -> np.ndarray:
+    """``data`` as an int64 array of codes of ``field``: every entry an
+    integer, not a bool, in range(q)."""
+    return _checked_ints(data, name, 0, field.q, f"the order of {field}")
 
 
 # ---------------------------------------------------------------------------

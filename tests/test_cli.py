@@ -148,13 +148,35 @@ def conjugation(matrix, group="C2"):
     ({"field": {"p": 2, "n": 2.5}}, "field n 2.5"),
     ({"field": {"p": "5"}}, "field p '5'"),
     ({"field": {"p": True}}, "field p True"),
+    (galois_doc(q=3.5), "galois q 3.5"),
+    (galois_doc(deg_l="1"), "galois deg_l '1'"),
+    (galois_doc(phi=[0, 1.5]), "galois phi[1] 1.5"),
+    (galois_doc(phi=[0, 2]), "galois phi[1] 2"),
+    (galois_doc(H=[0, "1"]), "galois H[1] '1'"),
+    (galois_doc(group=[[0, 1], [1, 0.0]]), "galois group[1][1] 0.0"),
+    ({"seed": 2.9}, "seed 2.9"),
+    ({"seed": True}, "seed True"),
+    ({"algebra": {"type": "matrix_algebra", "n": 2.5}}, "algebra n 2.5"),
+    ({"algebra": {"type": "group_algebra", "group": [[0, 1], [1, 0.0]]}},
+     "algebra group[1][1] 0.0"),
+    ({"algebra": {"type": "path_algebra", "vertices": 2.0, "arrows": [[0, 1]]}},
+     "algebra vertices 2.0"),
+    ({"algebra": {"type": "path_algebra", "vertices": 2, "arrows": [[0, 2]]}},
+     "algebra arrows[0][1] 2"),
+    ({"algebra": {"type": "path_algebra", "vertices": 2, "arrows": [[0, 1]],
+                  "relations": [[-1]]}}, "algebra relations[0][0] -1"),
 ], ids=["matrix-float", "matrix-huge-float", "matrix-out-of-range", "matrix-negative",
         "matrix-bool", "matrices-string", "explicit-action-out-of-range",
         "explicit-module-float", "field-p-float", "field-n-float", "field-p-string",
-        "field-p-bool"])
+        "field-p-bool", "galois-q-float", "galois-deg-l-string", "galois-phi-float",
+        "galois-phi-out-of-range", "galois-H-string", "galois-table-float", "seed-float",
+        "seed-bool", "matrix-algebra-n-float", "group-algebra-table-float",
+        "path-vertices-float", "path-arrow-out-of-range", "path-relation-negative"])
 def test_scenario_numbers_are_strict(tmp_path, capsys, change, named):
     """Matrix entries are field codes, integers in range(q); the field's p and
-    n are integers.  Anything else exits 2 naming the entry and its bound."""
+    n, the galois section's numbers, the seed, group tables and the sizes and
+    indices of the algebra are integers with their bounds.  Anything else
+    exits 2 naming the entry and its bound."""
     code = main(["run", write_scenario(tmp_path, dict(MAT2_F4_SCENARIO, **change))])
     err = json.loads(capsys.readouterr().err)["error"]
     assert code == 2

@@ -25,7 +25,17 @@ from orbitcat.orbit import (
     sub_restriction_T,
     unflatten_orbitmor,
 )
-from orbitcat.rep import Module, ModuleMor, direct_sum, hom_space, regular_module
+from orbitcat.orbit import _t_object
+from orbitcat.rep import (
+    Module,
+    ModuleMor,
+    direct_sum,
+    hom_space,
+    random_base_change,
+    regular_module,
+    simple_modules,
+)
+from orbitcat.scenarios import GROUP_TABLES, build_action, random_orbit_morphism
 
 
 def cyclic_table(k):
@@ -500,3 +510,145 @@ def test_orbit_hom_dim_formula(f7c3_setup):
                 hom_space(X, action.twisted(Y, g)).dim for g in action.elements()
             )
             assert oh.dim == total
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the orbit layer against per-component and per-block
+# reference formulas
+
+
+def _table_inverse(action, g):
+    return next(b for b in range(action.k) if action.table[g][b] == 0)
+
+
+def ref_compose(f, h):
+    """(h o f)_{g k} += h_k @ f_g, one product per pair of components."""
+    a = f.action
+    F = a.algebra.field
+    out = {}
+    for g in f.support:
+        for k in h.support:
+            fg, hk = f.component(g), h.component(k)
+            if fg.any() and hk.any():
+                idx = int(a.table[g][k])
+                prod = F.vmatmul(hk, fg)
+                out[idx] = F.vadd(out[idx], prod) if idx in out else prod
+    return out
+
+
+def ref_blocks(f, rows, cols, index):
+    """The block matrix with block (i, j) = f_{index(rows[i], cols[j])},
+    zero off the support."""
+    mt, ms = f.tgt.dim, f.src.dim
+    big = np.zeros((len(rows) * mt, len(cols) * ms), dtype=np.int64)
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            g = index(r, c)
+            if g in f.support:
+                big[i * mt:(i + 1) * mt, j * ms:(j + 1) * ms] = f.component(g)
+    return big
+
+
+def ref_T(f, support):
+    """T f block (t, h) = f_{h^-1 t}, in the label-sorted layout."""
+    a = f.action
+    big = ref_blocks(f, support, support, lambda t, h: int(a.table[_table_inverse(a, h)][t]))
+    _, perm_src = _t_object(f.src, a, support)
+    _, perm_tgt = _t_object(f.tgt, a, support)
+    return big[np.ix_(perm_tgt, perm_src)]
+
+
+def ref_T_up(f, sub):
+    """T[up] f at gamma: block (tau, sigma) = f_{sigma^-1 gamma tau}."""
+    a = f.action
+    reps = a.right_coset_reps(sub)
+    _, perm_src = _t_object(f.src, a, reps)
+    _, perm_tgt = _t_object(f.tgt, a, reps)
+    out = {}
+    for gamma in sub:
+        big = ref_blocks(f, reps, reps, lambda tau, sigma: int(
+            a.table[_table_inverse(a, sigma)][a.table[gamma][tau]]))
+        out[gamma] = big[np.ix_(perm_tgt, perm_src)]
+    return out
+
+
+def s3_permutation_action():
+    """S3 acting on Mat_3(F_2) by conjugation with its permutation matrices."""
+    A = make_matrix_algebra(3, FF(2))
+    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
+    mats = []
+    for p in perms:
+        P = np.zeros((3, 3), dtype=np.int64)
+        P[list(p), [0, 1, 2]] = 1
+        mats.append(P)
+    return build_action(A, {"group": "S3", "kind": "conjugation", "matrices": mats})
+
+
+# name -> (action builder, proper subgroups).  S3 is non-abelian, with the
+# rotations (0, 1, 2) and the non-normal (0, 3); C9 acts through C3.
+S3_SUBGROUPS = [(0, 1, 2), (0, 3), (0,)]
+DIFFERENTIAL_CASES = {
+    "S3-trivial-Mat2F5": (lambda: build_action(
+        make_matrix_algebra(2, FF(5)), {"group": "S3", "kind": "trivial"}), S3_SUBGROUPS),
+    "S3-trivial-Mat2F4": (lambda: build_action(
+        make_matrix_algebra(2, FF(2, 2)), {"group": "S3", "kind": "trivial"}), S3_SUBGROUPS),
+    "S3-permutation-Mat3F2": (s3_permutation_action, S3_SUBGROUPS),
+    "C9-cycle-F5Klein": (lambda: build_action(
+        make_group_algebra(GROUP_TABLES["C2xC2"], FF(5)),
+        {"group": [[(i + j) % 9 for j in range(9)] for i in range(9)],
+         "kind": "basis_permutation", "perm": [0, 2, 3, 1]}), [(0, 3, 6), (0,)]),
+    "C2xC2-Mat2F5": (lambda: build_action(
+        make_matrix_algebra(2, FF(5)),
+        {"group": "C2xC2", "kind": "conjugation",
+         "matrices": [[[1, 0], [0, 1]], [[1, 0], [0, 4]], [[0, 1], [1, 0]],
+                      [[0, 4], [1, 0]]]}), [(0, 1), (0, 2), (0,)]),
+}
+
+
+def differential_modules(A, rng):
+    """A simple module, the regular module under a random base change, and
+    the zero module."""
+    zero = Module(A, [np.zeros((0, 0), dtype=np.int64)] * A.dim)
+    return [simple_modules(A)[0], random_base_change(regular_module(A), rng), zero]
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+def test_orbit_layer_matches_reference_formulas(name):
+    """Composition, T and T[up] over the whole group and over subgroup
+    supports, between a simple, a regular and a zero module."""
+    build, subs = DIFFERENTIAL_CASES[name]
+    action = build()
+    rng = np.random.default_rng(41)
+    mods = differential_modules(action.algebra, rng)
+    full = action.full_support()
+    for support in [full] + subs:
+        for X in mods:
+            for Y in mods:
+                f = random_orbit_morphism(X, Y, action, rng, support=support)
+                assert np.array_equal(functor_T(f, action, support=support).matrix,
+                                      ref_T(f, support)), (name, support)
+                for Z in mods:
+                    h = random_orbit_morphism(Y, Z, action, rng, support=support)
+                    comp = orbit_compose(f, h)
+                    expected = ref_compose(f, h)
+                    for g in support:
+                        want = expected.get(g, np.zeros((Z.dim, X.dim), dtype=np.int64))
+                        assert np.array_equal(comp.component(g), want), (name, support, g)
+    for X in mods:
+        for Y in mods:
+            f = random_orbit_morphism(X, Y, action, rng)
+            for sub in subs:
+                up = sub_restriction_T(f, action, sub)
+                assert up.support == sub
+                for gamma, want in ref_T_up(f, sub).items():
+                    assert np.array_equal(up.component(gamma), want), (name, sub, gamma)
+
+
+def test_orbit_compose_rejects_support_not_closed():
+    """(0, 1) in S3 holds a 3-cycle but not its square."""
+    A = make_matrix_algebra(2, FF(5))
+    action = build_action(A, {"group": "S3", "kind": "trivial"})
+    X = simple_modules(A)[0]
+    f = identity_orbitmor(X, action, support=(0, 1))
+    with pytest.raises(ValueError, match="not closed under the product"):
+        orbit_compose(f, f)
