@@ -262,11 +262,9 @@ def check_adjunction_laws(seed=0, min_samples=50) -> CheckResult:
             if kleisli_phi_psi(blk, action) != f:
                 failures.append((name, "kleisli-roundtrip"))
             # pointwise split counit (section in the orbit category)
-            basis = orbit_hom(X, TX, action).basis()
-            if basis:
-                cols = np.stack(
-                    [orbit_compose(b, eps).flatten() for b in basis]
-                ).T
+            sections = orbit_hom(X, TX, action)
+            if sections.dim:
+                cols = orbit_compose(sections.family(), eps).flatten().T
                 target = identity_orbitmor(X, action).flatten()
                 if solve(F, cols, target) is None:
                     failures.append((name, "counit-section"))

@@ -8,6 +8,11 @@ idempotents are the primitive summands, and each comes with the
 inclusion/projection witnesses ((X, e_i) -> (X, e) is e_i in both
 directions), so multiplicity claims stay matrix-checkable.
 
+Each per-basis step is one composition of orbit morphism families: the
+compressed hom basis is e_Q o raw o e_P for the whole raw hom family, the
+corner's products are one broadcast composition of its basis with itself,
+and the summand checks compose all pairs of idempotents at once.
+
 Functors lift pointwise: F(X, e) = (F X, F e).  The right adjoint into
 the base category is materialized as an honest module, the image of the
 idempotent block matrix T(e).
@@ -25,7 +30,6 @@ from .linalg import rref, solve
 from .orbit import (
     GroupAction,
     OrbitMor,
-    combine_orbitmors,
     functor_T,
     identity_orbitmor,
     lifted_aut,
@@ -33,7 +37,6 @@ from .orbit import (
     orbit_hom,
     sub_inclusion_S,
     sub_restriction_T,
-    unflatten_orbitmor,
 )
 from .rep import Module, ModuleMor, submodule_from_image
 
@@ -87,60 +90,52 @@ class KarMor:
         )
 
 
-def kar_hom(P: KarObject, Q: KarObject) -> List[KarMor]:
-    """Echelonized basis of the compressed hom space f o Hom o e."""
+def _kar_basis(P: KarObject, Q: KarObject) -> OrbitMor:
+    """Echelonized basis of the compressed hom space e_Q o Hom o e_P, as
+    one family: the raw hom family compressed in two compositions."""
     if P.action is not Q.action or P.support != Q.support:
         raise ValueError("objects live over different orbit categories")
-    F = P.action.algebra.field
-    raw = orbit_hom(P.module, Q.module, P.action, support=P.support).basis()
-    if not raw:
-        return []
-    rows = []
-    for b in raw:
-        c = orbit_compose(orbit_compose(P.idem, b), Q.idem)
-        rows.append(c.flatten())
-    rows = np.stack(rows)
-    out = []
-    for v in rref(F, rows)[0]:
-        mor = unflatten_orbitmor(P.action, P.module, Q.module, P.support, v)
-        out.append(KarMor(P, Q, mor))
-    return out
+    raw = orbit_hom(P.module, Q.module, P.action, support=P.support).family()
+    rows = rref(P.action.algebra.field,
+                orbit_compose(orbit_compose(P.idem, raw), Q.idem).flatten())[0]
+    return raw.with_stack(rows.reshape((len(rows),) + raw.stack.shape[1:]))
 
 
-def kar_end_algebra(P: KarObject) -> Tuple[Algebra, List[OrbitMor]]:
-    """The corner algebra e o End(X) o e with unit e."""
-    F = P.action.algebra.field
-    basis_mors = [km.mor for km in kar_hom(P, P)]
-    # product b_i * b_j = composition "b_j first, then b_i"
-    products = ([orbit_compose(b, a).flatten() for b in basis_mors] for a in basis_mors)
-    E = algebra_on_span(F, [m.flatten() for m in basis_mors], products, P.idem.flatten())
-    return E, basis_mors
+def kar_hom(P: KarObject, Q: KarObject) -> List[KarMor]:
+    """Echelonized basis of the compressed hom space f o Hom o e."""
+    H = _kar_basis(P, Q)
+    return [KarMor(P, Q, H.with_stack(s)) for s in H.stack]
+
+
+def kar_end_algebra(P: KarObject) -> Tuple[Algebra, OrbitMor]:
+    """The corner algebra e o End(X) o e with unit e, and its basis family."""
+    H = _kar_basis(P, P)
+    # products[i, j] = b_i * b_j, the composition "b_j first, then b_i"
+    products = orbit_compose(H.with_stack(H.stack[None]), H.with_stack(H.stack[:, None]))
+    E = algebra_on_span(P.action.algebra.field, H.flatten(), products.flatten(),
+                        P.idem.flatten())
+    return E, H
 
 
 def kar_decompose(P: KarObject) -> List[KarObject]:
     """Primitive orthogonal summands of (X, e), one KarObject per
     idempotent; they sum to e exactly and each corner is local."""
-    E, basis_mors = kar_end_algebra(P)
+    E, H = kar_end_algebra(P)
     if E.dim == 0:
         return []
-    es = primitive_orthogonal_idempotents(E)
-    out = []
-    total = None
-    for evec in es:
-        mor = combine_orbitmors(basis_mors, evec)
-        if orbit_compose(mor, mor) != mor:
-            raise ValueError("abstract idempotent did not map to an orbit idempotent")
-        out.append(KarObject(P.action, P.module, mor, P.support, validate=False))
-        total = mor if total is None else total.add(mor)
-    if total != P.idem:
+    F = P.action.algebra.field
+    es = H.with_stack(F.combine(list(primitive_orthogonal_idempotents(E)), H.stack))
+    # prods[a, b] = e_b o e_a: e_a on the diagonal, zero off it
+    prods = orbit_compose(es.with_stack(es.stack[:, None]), es.with_stack(es.stack[None])).stack
+    r = len(es.stack)
+    if not np.array_equal(prods[np.arange(r), np.arange(r)], es.stack):
+        raise ValueError("abstract idempotent did not map to an orbit idempotent")
+    if prods[~np.eye(r, dtype=bool)].any():
+        raise ValueError("primitive summands are not orthogonal")
+    if not np.array_equal(F.vsum(es.stack, axis=0), P.idem.stack):
         raise ValueError("primitive summands do not sum to the object idempotent")
-    for a in range(len(out)):
-        for b in range(len(out)):
-            if a != b:
-                prod = orbit_compose(out[a].idem, out[b].idem)
-                if not prod.is_zero():
-                    raise ValueError("primitive summands are not orthogonal")
-    return out
+    return [KarObject(P.action, P.module, es.with_stack(e), P.support, validate=False)
+            for e in es.stack]
 
 
 def kar_is_isomorphic(P: KarObject, Q: KarObject):
@@ -151,25 +146,22 @@ def kar_is_isomorphic(P: KarObject, Q: KarObject):
     corner bimodule); for general objects both sides are decomposed and
     matched class by class."""
     F = P.action.algebra.field
-    HPQ = kar_hom(P, Q)
-    HQP = kar_hom(Q, P)
-    if not HPQ or not HQP:
+    HPQ = _kar_basis(P, Q)
+    HQP = _kar_basis(Q, P)
+    if not len(HPQ.stack) or not len(HQP.stack):
         return None
-    pair = None
-    for km in HPQ:
-        alpha = km.mor
-        # solve beta (a combination of HQP) with beta o alpha = e_P
-        images = [orbit_compose(alpha, m.mor).flatten() for m in HQP]
-        Asys = np.stack(images).T
-        sol = solve(F, Asys, P.idem.flatten())
+    # systems[i, j] = b_j o alpha_i for alpha_i in HPQ and b_j in HQP: row i
+    # solves for beta (a combination of HQP) with beta o alpha_i = e_P
+    systems = orbit_compose(HPQ.with_stack(HPQ.stack[:, None]),
+                            HQP.with_stack(HQP.stack[None])).flatten()
+    for a, images in zip(HPQ.stack, systems):
+        sol = solve(F, images.T, P.idem.flatten())
         if sol is None:
             continue
-        beta = combine_orbitmors([m.mor for m in HQP], sol)
+        alpha = HPQ.with_stack(a)
+        beta = HQP.with_stack(F.combine(sol, HQP.stack))
         if orbit_compose(beta, alpha) == Q.idem:
-            pair = (alpha, beta)
-            break
-    if pair is not None:
-        return pair
+            return (alpha, beta)
     # general objects: decompose and match class by class
     DP = kar_decompose(P)
     if len(DP) <= 1:
@@ -195,12 +187,8 @@ def kar_is_isomorphic(P: KarObject, Q: KarObject):
         a, b = hit[1]
         alphas.append(a)
         betas.append(b)
-    alpha = alphas[0]
-    for a in alphas[1:]:
-        alpha = alpha.add(a)
-    beta = betas[0]
-    for b in betas[1:]:
-        beta = beta.add(b)
+    alpha = alphas[0].with_stack(F.vsum(np.stack([a.stack for a in alphas]), axis=0))
+    beta = betas[0].with_stack(F.vsum(np.stack([b.stack for b in betas]), axis=0))
     if orbit_compose(alpha, beta) == P.idem and orbit_compose(beta, alpha) == Q.idem:
         return (alpha, beta)
     return None

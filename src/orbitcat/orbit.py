@@ -24,6 +24,13 @@ block (i, j) = f_{cols[j]^-1 gamma rows[i]}, gives every operation:
 - T[up] f, the restriction to a subgroup, has at gamma the gather over the
   right coset representatives.
 
+Composing with a fixed h is one linear map, T h, so it applies to a whole
+stacked basis as readily as to one morphism.  An OrbitMor whose stack has
+leading batch axes is a **family** of parallel morphisms with one source,
+target and support; the gather keeps the batch axes and composition
+broadcasts those of f and h as np.matmul does, so composing a basis with
+one morphism, or every pair of basis elements, is one product.
+
 The functors: S sends a module to itself and a morphism to its single
 component at the identity; T sends a module X to the direct sum of its
 twists.  T's output blocks are labeled by the twisting group element and
@@ -140,7 +147,9 @@ def check_action(action: GroupAction) -> bool:
 
 class OrbitMor:
     """Morphism in the orbit category: its components stacked in support
-    order, ``stack[i] = f_{support[i]}``."""
+    order, ``stack[i] = f_{support[i]}``.  Leading batch axes make it a
+    family of parallel morphisms, ``stack[b][i] = (f_b)_{support[i]}``;
+    ``comps``, ``validate`` and ``__repr__`` read a single morphism."""
 
     def __init__(self, action: GroupAction, src: Module, tgt: Module, comps,
                  support=None, validate: bool = True):
@@ -170,6 +179,10 @@ class OrbitMor:
         f.stack = stack
         return f
 
+    def with_stack(self, stack) -> "OrbitMor":
+        """Same action, source, target and support; components ``stack``."""
+        return OrbitMor.from_stack(self.action, self.src, self.tgt, stack, self.support)
+
     @property
     def comps(self) -> Dict[int, np.ndarray]:
         """The nonzero components by group element."""
@@ -196,16 +209,10 @@ class OrbitMor:
         return np.zeros((self.tgt.dim, self.src.dim), dtype=np.int64)
 
     def flatten(self) -> np.ndarray:
-        """Fixed layout: support order, each component row-major."""
-        return self.stack.reshape(-1)
-
-    def is_zero(self) -> bool:
-        return not self.stack.any()
-
-    def add(self, other: "OrbitMor") -> "OrbitMor":
-        F = self.action.algebra.field
-        return OrbitMor.from_stack(self.action, self.src, self.tgt,
-                                   F.vadd(self.stack, other.stack), self.support)
+        """Fixed layout: support order, each component row-major; a family
+        keeps its batch axes."""
+        width = len(self.support) * self.tgt.dim * self.src.dim
+        return self.stack.reshape(self.stack.shape[:-3] + (width,))
 
     def __eq__(self, other):
         if not isinstance(other, OrbitMor):
@@ -224,23 +231,18 @@ def identity_orbitmor(X: Module, action: GroupAction, support=None) -> OrbitMor:
     )
 
 
-def unflatten_orbitmor(action, src, tgt, support, vec) -> OrbitMor:
-    stack = np.asarray(vec, dtype=np.int64).reshape(len(support), tgt.dim, src.dim)
-    return OrbitMor.from_stack(action, src, tgt, stack, support)
-
-
 def combine_orbitmors(mors: Sequence[OrbitMor], coeffs) -> OrbitMor:
     """sum_i coeffs[i] * mors[i] for a nonempty list of parallel orbit morphisms."""
     m = mors[0]
-    stack = m.action.algebra.field.combine(coeffs, np.stack([b.stack for b in mors]))
-    return OrbitMor.from_stack(m.action, m.src, m.tgt, stack, m.support)
+    return m.with_stack(m.action.algebra.field.combine(coeffs, np.stack([b.stack for b in mors])))
 
 
 def _kleisli_blocks(f: OrbitMor, rows, cols, gamma: int = 0) -> np.ndarray:
     """The block matrix with block (i, j) = f_{cols[j]^-1 gamma rows[i]}:
-    one gather of f's stack, indexed by two lookups in the group table.
-    Over a support that is a subgroup the index never leaves it; an index
-    outside the support raises."""
+    one gather of f's stack, indexed by two lookups in the group table,
+    with a family's batch axes kept in front.  Over a support that is a
+    subgroup the index never leaves it; an index outside the support
+    raises."""
     action = f.action
     elem = action.table[action.inverses[list(cols)]][:, action.table[gamma, list(rows)]].T
     at = np.full(action.k, -1)
@@ -249,23 +251,27 @@ def _kleisli_blocks(f: OrbitMor, rows, cols, gamma: int = 0) -> np.ndarray:
     if (pos < 0).any():
         raise ValueError(f"group element {elem[pos < 0][0]} is outside the support "
                          f"{f.support}: it is not closed under the product")
-    blocks = f.stack[pos]  # (rows, cols, tgt.dim, src.dim)
-    return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * f.tgt.dim, len(cols) * f.src.dim)
+    blocks = f.stack[..., pos, :, :]  # batch + (rows, cols, tgt.dim, src.dim)
+    return blocks.swapaxes(-3, -2).reshape(
+        f.stack.shape[:-3] + (len(rows) * f.tgt.dim, len(cols) * f.src.dim))
 
 
 def orbit_compose(f: OrbitMor, h: OrbitMor) -> OrbitMor:
     """The composite h o f (f first): (h o f)_c = sum_g h_{g^-1 c} @ f_g,
-    one product of h's gathered blocks with f's stack.  Raises when the
-    support is not closed under the product, as g^-1 c then leaves it."""
+    one product of h's gathered blocks with f's stack.  The batch axes of
+    families f and h broadcast.  Raises when the support is not closed
+    under the product, as g^-1 c then leaves it."""
     if f.tgt != h.src:
         raise ValueError("orbit composition: target of f must be source of h")
     if f.action is not h.action or f.support != h.support:
         raise ValueError("orbit composition: mismatched action or support")
     n = len(f.support)
-    prod = f.action.algebra.field.vmatmul(_kleisli_blocks(h, f.support, f.support),
-                                          f.stack.reshape(n * f.tgt.dim, f.src.dim))
+    prod = f.action.algebra.field.vmatmul(
+        _kleisli_blocks(h, f.support, f.support),
+        f.stack.reshape(f.stack.shape[:-3] + (n * f.tgt.dim, f.src.dim)))
     return OrbitMor.from_stack(f.action, f.src, h.tgt,
-                               prod.reshape(n, h.tgt.dim, f.src.dim), f.support)
+                               prod.reshape(prod.shape[:-2] + (n, h.tgt.dim, f.src.dim)),
+                               f.support)
 
 
 @dataclass
@@ -280,11 +286,21 @@ class OrbitHomSpace:
     def dim(self) -> int:
         return sum(h.dim for h in self.components.values())
 
+    def family(self) -> OrbitMor:
+        """The basis as one family of shape (dim, |S|, tgt, src), ordered by
+        group element then hom basis index; member i has one nonzero
+        component."""
+        stack = np.zeros((self.dim, len(self.support), self.target.dim, self.source.dim),
+                         dtype=np.int64)
+        at = [(pos, m) for pos, g in enumerate(self.support) for m in self.components[g].basis]
+        for i, (pos, m) in enumerate(at):
+            stack[i, pos] = m
+        return OrbitMor.from_stack(self.action, self.source, self.target, stack, self.support)
+
     def basis(self) -> List[OrbitMor]:
-        """Orbit morphisms, ordered by group element then hom basis index."""
-        return [OrbitMor(self.action, self.source, self.target, {g: m}, self.support,
-                         validate=False)
-                for g in self.support for m in self.components[g].basis]
+        """The family as a list of orbit morphisms."""
+        fam = self.family()
+        return [fam.with_stack(s) for s in fam.stack]
 
 
 def orbit_hom(X: Module, Y: Module, action: GroupAction, support=None) -> OrbitHomSpace:
@@ -498,8 +514,10 @@ def kleisli_phi_psi(x, action: GroupAction):
         src = _strip_blocks(x.src, k, ms)
         tgt = _strip_blocks(x.tgt, k, mt)
         f = OrbitMor.from_stack(action, src, tgt, x.matrix[:, :ms].reshape(k, mt, ms))
-        back = functor_T(f, action)
-        if not np.array_equal(back.matrix, x.matrix):
+        # T f without its T-objects: over unlabeled modules the label sort
+        # is the identity, so T f is the bare gather
+        full = action.full_support()
+        if not np.array_equal(_kleisli_blocks(f, full, full), x.matrix):
             raise ValueError("block map does not satisfy the Kleisli pattern")
         return f
     raise TypeError("kleisli_phi_psi expects an OrbitMor or ModuleMor")

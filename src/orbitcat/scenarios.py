@@ -91,13 +91,14 @@ def inversion_permutation_aut(A: Algebra) -> AlgebraAut:
     return AlgebraAut(A, U)
 
 
-def conjugation_aut(A: Algebra, unit_matrix) -> AlgebraAut:
+def conjugation_aut(A: Algebra, unit_matrix, name: str = "conjugation matrix") -> AlgebraAut:
     """x -> u x u^{-1} on a matrix algebra, u given as an n x n matrix."""
     F = A.field
     n = int(round(np.sqrt(A.dim)))
     if n * n != A.dim:
         raise ValueError("conjugation action expects a matrix algebra")
-    u = np.asarray(unit_matrix, dtype=np.int64)
+    u = _checked_shape(np.asarray(unit_matrix, dtype=np.int64), (n, n), name,
+                       f"the size of the matrix algebra Mat{n}")
     uinv = inverse(F, u)
     U = np.zeros((A.dim, A.dim), dtype=np.int64)
     for j in range(A.dim):
@@ -107,11 +108,16 @@ def conjugation_aut(A: Algebra, unit_matrix) -> AlgebraAut:
     return AlgebraAut(A, U)
 
 
-def basis_permutation_aut(A: Algebra, perm: Sequence[int]) -> AlgebraAut:
-    """Automorphism permuting the basis: b_i -> b_perm[i]."""
+def basis_permutation_aut(A: Algebra, perm: Sequence[int], name: str = "perm") -> AlgebraAut:
+    """Automorphism permuting the basis: b_i -> b_perm[i].  ``perm`` lists
+    each of range(A.dim) once, checked by ``_checked_ints``."""
+    p = _checked_shape(_checked_ints(perm, name, 0, A.dim, "the algebra dimension"),
+                       (A.dim,), name, "one entry per basis element of the algebra")
+    if len(set(p.tolist())) != A.dim:
+        raise ValueError(f"{name} {p.tolist()} must have distinct entries, "
+                         f"a permutation of range({A.dim})")
     U = np.zeros((A.dim, A.dim), dtype=np.int64)
-    for i, p in enumerate(perm):
-        U[p, i] = 1
+    U[p, np.arange(A.dim)] = 1
     return AlgebraAut(A, U)
 
 
@@ -119,8 +125,10 @@ def build_action(A: Algebra, spec: dict) -> GroupAction:
     """Action from a declarative spec: group name/table plus automorphisms.
 
     kinds: trivial | inversion | conjugation (with 'matrix' or 'matrices')
-    | basis_permutation (with 'perms') | explicit (with 'matrices').
-    Matrix entries are field codes, checked by ``_field_codes``."""
+    | basis_permutation (with 'perm' or 'perms') | explicit (with 'matrices').
+    Matrix entries are field codes, checked by ``_field_codes``, and
+    conjugation matrices are n x n; permutations are checked by
+    ``basis_permutation_aut``."""
     F = A.field
     table = np.asarray(group_table(spec["group"], "action group"), dtype=np.int64)
     k = table.shape[0]
@@ -133,16 +141,19 @@ def build_action(A: Algebra, spec: dict) -> GroupAction:
         auts = _generated_cyclic(A, table, gen)
     elif kind == "conjugation":
         if "matrices" in spec:
-            auts = [conjugation_aut(A, _field_codes(F, m, f"action matrices[{i}]"))
+            auts = [conjugation_aut(A, _field_codes(F, m, f"action matrices[{i}]"),
+                                    f"action matrices[{i}]")
                     for i, m in enumerate(spec["matrices"])]
         else:
-            gen = conjugation_aut(A, _field_codes(F, spec["matrix"], "action matrix"))
+            gen = conjugation_aut(A, _field_codes(F, spec["matrix"], "action matrix"),
+                                  "action matrix")
             auts = _generated_cyclic(A, table, gen)
     elif kind == "basis_permutation":
         if "perms" in spec:
-            auts = [basis_permutation_aut(A, p) for p in spec["perms"]]
+            auts = [basis_permutation_aut(A, p, f"action perms[{i}]")
+                    for i, p in enumerate(spec["perms"])]
         else:
-            gen = basis_permutation_aut(A, spec["perm"])
+            gen = basis_permutation_aut(A, spec["perm"], "action perm")
             auts = _generated_cyclic(A, table, gen)
     elif kind == "explicit":
         auts = [AlgebraAut(A, _field_codes(F, m, f"action matrices[{i}]"))
@@ -179,8 +190,10 @@ def build_algebra(field: FiniteField, spec: dict) -> Algebra:
         return make_matrix_algebra(_checked_int(spec["n"], "algebra n", 1), field)
     if kind == "path_algebra":
         n = _checked_int(spec["vertices"], "algebra vertices", 1)
-        arrows = [tuple(_checked_ints(a, f"algebra arrows[{i}]", 0, n,
-                                      "the number of vertices").tolist())
+        arrows = [tuple(_checked_shape(_checked_ints(a, f"algebra arrows[{i}]", 0, n,
+                                                     "the number of vertices"),
+                                       (2,), f"algebra arrows[{i}]",
+                                       "a (source, target) pair").tolist())
                   for i, a in enumerate(spec["arrows"])]
         relations = [tuple(_checked_ints(r, f"algebra relations[{i}]", 0, len(arrows),
                                          "the number of arrows").tolist())
@@ -250,6 +263,14 @@ def _checked_ints(data, name: str, lo: int, hi: Optional[int] = None,
     for idx, x in np.ndenumerate(entries):
         _checked_int(x, name + "".join(f"[{k}]" for k in idx), lo, hi, hi_is)
     return entries.astype(np.int64)
+
+
+def _checked_shape(arr: np.ndarray, shape: tuple, name: str, what: str) -> np.ndarray:
+    """``arr`` if its shape is ``shape``; otherwise a ValueError that names
+    ``name`` and says what the shape stands for."""
+    if arr.shape != shape:
+        raise ValueError(f"{name} of shape {arr.shape} must have shape {shape}, {what}")
+    return arr
 
 
 def _field_codes(field: FiniteField, data, name: str) -> np.ndarray:

@@ -129,6 +129,16 @@ def conjugation(matrix, group="C2"):
     return {"group": group, "kind": "conjugation", "matrix": matrix}
 
 
+KRONECKER = {"type": "path_algebra", "vertices": 2, "arrows": [[0, 1], [0, 1]]}
+
+
+def arrow_swap(key="perm", perm=(0, 1, 3, 2)):
+    """The Kronecker quiver (basis e0, e1, a, b) with its arrows swapped by
+    ``perm``, or by the automorphisms ``perms`` when key is "perms"."""
+    return {"algebra": KRONECKER,
+            "action": {"group": "C2", "kind": "basis_permutation", key: perm}}
+
+
 @pytest.mark.parametrize("change,named", [
     ({"action": conjugation([[1, 0], [0, 1.5]])}, "action matrix[1][1] 1.5"),
     ({"action": conjugation([[1, 0], [0, 1e30]])}, "action matrix[1][1] 1e+30"),
@@ -165,13 +175,22 @@ def conjugation(matrix, group="C2"):
      "algebra arrows[0][1] 2"),
     ({"algebra": {"type": "path_algebra", "vertices": 2, "arrows": [[0, 1]],
                   "relations": [[-1]]}}, "algebra relations[0][0] -1"),
+    (arrow_swap(perm=[0, 1, 3, -2]), "action perm[3] -2"),
+    (arrow_swap(perm=[0, 1, 3, 2.0]), "action perm[3] 2.0"),
+    (arrow_swap(perm="0132"), "action perm '0132'"),
+    (arrow_swap(perm=[0, 1, 3, 9]), "action perm[3] 9"),
+    (arrow_swap(perm=[0, 1, 3, 2, 4]), "action perm[4] 4"),
+    (arrow_swap(perm=[0, 1, 3, True]), "action perm[3] True"),
+    (arrow_swap("perms", [[0, 1, 2, 3], [0, 1, 3, -2]]), "action perms[1][3] -2"),
 ], ids=["matrix-float", "matrix-huge-float", "matrix-out-of-range", "matrix-negative",
         "matrix-bool", "matrices-string", "explicit-action-out-of-range",
         "explicit-module-float", "field-p-float", "field-n-float", "field-p-string",
         "field-p-bool", "galois-q-float", "galois-deg-l-string", "galois-phi-float",
         "galois-phi-out-of-range", "galois-H-string", "galois-table-float", "seed-float",
         "seed-bool", "matrix-algebra-n-float", "group-algebra-table-float",
-        "path-vertices-float", "path-arrow-out-of-range", "path-relation-negative"])
+        "path-vertices-float", "path-arrow-out-of-range", "path-relation-negative",
+        "perm-negative", "perm-float", "perm-string", "perm-out-of-range", "perm-too-long",
+        "perm-bool", "perms-negative"])
 def test_scenario_numbers_are_strict(tmp_path, capsys, change, named):
     """Matrix entries are field codes, integers in range(q); the field's p and
     n, the galois section's numbers, the seed, group tables and the sizes and
@@ -183,6 +202,41 @@ def test_scenario_numbers_are_strict(tmp_path, capsys, change, named):
     assert err.startswith(named + " must be an integer with ")
     if "matri" in named:
         assert err.endswith(" < 4, the order of FF(2^2)")
+    if "perm" in named:
+        assert err.endswith(" < 4, the algebra dimension")
+
+
+@pytest.mark.parametrize("change,error", [
+    (arrow_swap(perm=[0, 1, 2, 2]),
+     "action perm [0, 1, 2, 2] must have distinct entries, a permutation of range(4)"),
+    (arrow_swap(perm=[0, 1]), "action perm of shape (2,) must have shape (4,), "
+     "one entry per basis element of the algebra"),
+    ({"action": conjugation([[0, 1, 0], [1, 0, 0], [0, 0, 1]])},
+     "action matrix of shape (3, 3) must have shape (2, 2), the size of the matrix algebra Mat2"),
+    ({"action": conjugation([1, 0, 0, 1])},
+     "action matrix of shape (4,) must have shape (2, 2), the size of the matrix algebra Mat2"),
+    ({"action": {"group": "C2", "kind": "conjugation",
+                 "matrices": [[[1, 0], [0, 1]], [[0, 1, 1], [1, 0, 1]]]}},
+     "action matrices[1] of shape (2, 3) must have shape (2, 2), "
+     "the size of the matrix algebra Mat2"),
+    ({"algebra": {"type": "path_algebra", "vertices": 2, "arrows": [[0]]},
+      "action": {"group": "C1", "kind": "trivial"}},
+     "algebra arrows[0] of shape (1,) must have shape (2,), a (source, target) pair"),
+], ids=["perm-repeated", "perm-too-short", "matrix-3x3", "matrix-flat", "matrices-2x3",
+        "arrow-not-a-pair"])
+def test_scenario_shapes_are_strict(tmp_path, capsys, change, error):
+    """A permutation lists each basis index once, a conjugation matrix is
+    n x n for Mat_n and an arrow is a pair of vertices; anything else exits
+    2 naming the field and the shape it must have."""
+    code = main(["run", write_scenario(tmp_path, dict(MAT2_F4_SCENARIO, **change))])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+def test_arrow_swap_scenario_runs(tmp_path, capsys):
+    code = main(["run", write_scenario(tmp_path, dict(MAT2_SCENARIO, **arrow_swap()))])
+    capsys.readouterr()
+    assert code == 0
 
 
 @pytest.mark.parametrize("change", [

@@ -121,6 +121,28 @@ def test_kar_decompose_mat2_swap():
         assert is_local(E)
 
 
+@pytest.mark.parametrize("pick,error", [
+    (lambda e1, e2: [2 * e1 % 5, e2], "did not map to an orbit idempotent"),
+    (lambda e1, e2: [e1, e1], "not orthogonal"),
+    (lambda e1, e2: [e1], "do not sum"),
+], ids=["not-idempotent", "not-orthogonal", "short-sum"])
+def test_kar_decompose_checks_its_idempotents(monkeypatch, pick, error):
+    """The corner of the Mat2/F5 swap object is F5 x F5 with idempotents
+    e1, e2.  Bad idempotent lists fail the checks in order: squares first,
+    then orthogonality, then the sum: (2 e1)^2 = 4 e1, e1 e1 = e1 != 0,
+    and e1 alone does not sum to the unit."""
+    import orbitcat.karoubi
+    from orbitcat.algebra import primitive_orthogonal_idempotents
+
+    A, action = mat2_swap_action()
+    P = KarObject(action, column_module(A))
+    e1, e2 = primitive_orthogonal_idempotents(kar_end_algebra(P)[0])
+    monkeypatch.setattr(orbitcat.karoubi, "primitive_orthogonal_idempotents",
+                        lambda E: pick(e1, e2))
+    with pytest.raises(ValueError, match=error):
+        kar_decompose(P)
+
+
 def test_kar_decompose_trivial_action_matches_rep():
     F = FF(7)
     A = make_group_algebra(cyclic_table(3), F)

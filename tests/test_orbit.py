@@ -23,7 +23,6 @@ from orbitcat.orbit import (
     sub_adjunction_unit,
     sub_inclusion_S,
     sub_restriction_T,
-    unflatten_orbitmor,
 )
 from orbitcat.orbit import _t_object
 from orbitcat.rep import (
@@ -612,28 +611,64 @@ def differential_modules(A, rng):
     return [simple_modules(A)[0], random_base_change(regular_module(A), rng), zero]
 
 
+def members(fam):
+    """The members of a family, batch axes read in row-major order."""
+    batch, shape = fam.stack.shape[:-3], fam.stack.shape[-3:]
+    return [fam.with_stack(s) for s in fam.stack.reshape((int(np.prod(batch)),) + shape)]
+
+
+def assert_composites(comp, pairs, where):
+    """Member i of the composite family comp is ref_compose(*pairs[i])."""
+    got = members(comp)
+    assert len(got) == len(pairs), where
+    for c, (f, h) in zip(got, pairs):
+        expected = ref_compose(f, h)
+        for g in c.support:
+            want = expected.get(g, np.zeros((h.tgt.dim, f.src.dim), dtype=np.int64))
+            assert np.array_equal(c.component(g), want), where + (g,)
+
+
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
 def test_orbit_layer_matches_reference_formulas(name):
     """Composition, T and T[up] over the whole group and over subgroup
-    supports, between a simple, a regular and a zero module."""
+    supports, between a simple, a regular and a zero module.  Composition
+    is also checked on families: a hom basis family against a single
+    morphism on either side, and two basis families broadcast as
+    (r, 1) x (1, r'); the zero module gives empty families."""
     build, subs = DIFFERENTIAL_CASES[name]
     action = build()
     rng = np.random.default_rng(41)
     mods = differential_modules(action.algebra, rng)
     full = action.full_support()
     for support in [full] + subs:
-        for X in mods:
-            for Y in mods:
+        fams = {}
+        for i, X in enumerate(mods):
+            for j, Y in enumerate(mods):
+                space = orbit_hom(X, Y, action, support=support)
+                fams[i, j] = space.family()
+                singles = [OrbitMor(action, X, Y, {g: m}, support, validate=False)
+                           for g in support for m in space.components[g].basis]
+                assert members(fams[i, j]) == space.basis() == singles
+                assert fams[i, j].flatten().shape == (
+                    space.dim, len(support) * Y.dim * X.dim)
+        for i, X in enumerate(mods):
+            for j, Y in enumerate(mods):
                 f = random_orbit_morphism(X, Y, action, rng, support=support)
                 assert np.array_equal(functor_T(f, action, support=support).matrix,
                                       ref_T(f, support)), (name, support)
-                for Z in mods:
+                B = fams[i, j]
+                for k, Z in enumerate(mods):
+                    where = (name, support, i, j, k)
                     h = random_orbit_morphism(Y, Z, action, rng, support=support)
-                    comp = orbit_compose(f, h)
-                    expected = ref_compose(f, h)
-                    for g in support:
-                        want = expected.get(g, np.zeros((Z.dim, X.dim), dtype=np.int64))
-                        assert np.array_equal(comp.component(g), want), (name, support, g)
+                    C = fams[j, k]
+                    assert_composites(orbit_compose(f, h), [(f, h)], where)
+                    assert_composites(orbit_compose(B, h), [(b, h) for b in members(B)], where)
+                    assert_composites(orbit_compose(f, C), [(f, c) for c in members(C)], where)
+                    pairs = orbit_compose(B.with_stack(B.stack[:, None]),
+                                          C.with_stack(C.stack[None]))
+                    assert pairs.stack.shape[:2] == (len(B.stack), len(C.stack))
+                    assert_composites(pairs, [(b, c) for b in members(B)
+                                              for c in members(C)], where)
     for X in mods:
         for Y in mods:
             f = random_orbit_morphism(X, Y, action, rng)
