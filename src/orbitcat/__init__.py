@@ -11,14 +11,6 @@ and Galois-module oracles.
 
 from .ffield import FF, FiniteField, Scalar
 from .poly import Poly, is_irreducible, poly_factor, poly_gcd
-from .linalg import (
-    Mat,
-    mat_char_poly,
-    mat_kernel,
-    mat_min_poly,
-    mat_rank,
-    mat_solve,
-)
 from .algebra import (
     Algebra,
     AlgebraAut,

@@ -295,9 +295,6 @@ class AlgebraAut:
             validate=False,
         )
 
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.matrix, self.algebra.field.eye(self.algebra.dim)))
-
     def __eq__(self, other):
         return (
             isinstance(other, AlgebraAut)
@@ -390,16 +387,6 @@ def _group_generators(table, identity: int) -> list:
                         if y not in sub]
             sub.update(frontier)
     return gens
-
-
-def group_inverse(table, g: int) -> int:
-    table = np.asarray(table)
-    k = table.shape[0]
-    identity = next(e for e in range(k) if all(table[e, i] == i for i in range(k)))
-    for h in range(k):
-        if table[g, h] == identity:
-            return h
-    raise ValueError("no inverse found")
 
 
 # ---------------------------------------------------------------------------

@@ -217,8 +217,24 @@ def check_f3c3_modular(seed=0) -> CheckResult:
 
 
 def check_adjunction_laws(seed=0, min_samples=50) -> CheckResult:
-    """Triangle identities, Kleisli round trips, pointwise split counit and
-    unit, and the twist-fixes-classes law, across the whole corpus."""
+    """The adjunction laws of (S, T) across the whole corpus, each checked
+    once against its own witness.
+
+    - triangle-S: eps_X o S(eta_X) = id_X in the orbit category.  S(eta_X)
+      is then a section of the counit, so this law also carries the
+      pointwise split counit.
+    - triangle-T: T(eps_X) eta_{TX} = id_{TX} in the base category.
+    - kleisli-roundtrip: phi and psi are mutually inverse on a random f.
+    - unit-retraction: eta_X has a left inverse in the base category.
+    - twist-iso-g: the lifted twist gX and X are isomorphic, with an
+      explicit two-sided inverse.
+    - hom-formula: Frobenius reciprocity over the skew group algebra,
+      dim Hom_{A x| Gamma}(Ind P, Ind Q) = dim Hom_orbit(P, Q), for every
+      pair (P, Q) of each corpus pair's indecomposable pool.  Both sides
+      are additive in each argument and invariant under base change, and
+      every sample is a direct sum of pool members under a base change,
+      so the pool pairs cover every sample.  The samples themselves are
+      not induced: their hom systems over A x| Gamma are far larger."""
     rng = np.random.default_rng(seed)
     samples = 0
     pairs = corpus_pairs()
@@ -239,10 +255,17 @@ def check_adjunction_laws(seed=0, min_samples=50) -> CheckResult:
         groups_seen.add((action.k, tuple(sorted(orders))))
         F = A.field
         pool = pools[name]
+        # hom dimension formula: Frobenius reciprocity on the pool
+        ctx = SkewContext(action)
+        induced = [induce_skew(ctx, P) for P in pool]
+        for P, IP in zip(pool, induced):
+            for Q, IQ in zip(pool, induced):
+                if hom_space(IP, IQ).dim != orbit_hom(P, Q, action).dim:
+                    failures.append((name, "hom-formula"))
         for _ in range(per_pair):
             X, _ = random_module_from_pool(pool, rng, max_dim=6)
             Y, _ = random_module_from_pool(pool, rng, max_dim=6)
-            f = random_orbit_morphism(X, Y, action, rng)
+            f = random_orbit_morphism(orbit_hom(X, Y, action), rng)
             samples += 1
             # triangle identities
             eta = adjunction_unit(X, action)
@@ -261,13 +284,6 @@ def check_adjunction_laws(seed=0, min_samples=50) -> CheckResult:
             blk = kleisli_phi_psi(f, action)
             if kleisli_phi_psi(blk, action) != f:
                 failures.append((name, "kleisli-roundtrip"))
-            # pointwise split counit (section in the orbit category)
-            sections = orbit_hom(X, TX, action)
-            if sections.dim:
-                cols = orbit_compose(sections.family(), eps).flatten().T
-                target = identity_orbitmor(X, action).flatten()
-                if solve(F, cols, target) is None:
-                    failures.append((name, "counit-section"))
             # pointwise split unit (retraction in the base category)
             if solve(F, eta.matrix.T, F.eye(X.dim)) is None:
                 failures.append((name, "unit-retraction"))
@@ -280,13 +296,6 @@ def check_adjunction_laws(seed=0, min_samples=50) -> CheckResult:
                              {action.inv(g): F.eye(X.dim)}, validate=False)
                 if orbit_compose(v, u) != identity_orbitmor(X, action):
                     failures.append((name, f"twist-iso-{g}"))
-            # hom dimension formula
-            oh = orbit_hom(X, Y, action)
-            total = sum(
-                hom_space(X, action.twisted(Y, g)).dim for g in action.elements()
-            )
-            if oh.dim != total:
-                failures.append((name, "hom-formula"))
     wanted = {
         (2, (1, 2)),           # C2
         (3, (1, 3, 3)),        # C3
@@ -347,7 +356,7 @@ def check_subgroup_factorization(seed=0) -> CheckResult:
             full = functor_T(S, action)
             if not both.equal_with_blocks(full):
                 failures.append((action.k, sub, "T-object"))
-            f = random_orbit_morphism(S, S, action, rng)
+            f = random_orbit_morphism(orbit_hom(S, S, action), rng)
             upf = sub_restriction_T(f, action, sub)
             bothf = functor_T(upf, action, support=sub)
             fullf = functor_T(f, action)

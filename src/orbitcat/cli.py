@@ -223,6 +223,10 @@ def run(path: str, seed: int = 0, with_timing: bool = False) -> dict:
 
 def selftest(seed: int = 0, with_timing: bool = False) -> dict:
     """Run the built-in corpus and return its report document."""
+    try:
+        seed = _checked_int(seed, "seed", 0)
+    except ValueError as ex:
+        raise ScenarioError(str(ex)) from ex
     t0 = time.monotonic()
     checks = run_selftest(seed=seed)
     elapsed = int((time.monotonic() - t0) * 1000)

@@ -36,7 +36,6 @@ from .orbit import (
     orbit_compose,
     orbit_hom,
     sub_inclusion_S,
-    sub_restriction_T,
 )
 from .rep import Module, ModuleMor, submodule_from_image
 
@@ -194,54 +193,23 @@ def kar_is_isomorphic(P: KarObject, Q: KarObject):
     return None
 
 
-def kar_summand_witnesses(P: KarObject, piece: KarObject):
-    """Inclusion and projection between (X, e_i) and (X, e): both are e_i."""
-    inc = KarMor(piece, P, piece.idem)
-    pr = KarMor(P, piece, piece.idem)
-    return inc, pr
+def lift_functor_to_kar(functor: str, obj: KarObject, action: GroupAction, **kw):
+    """Apply a lifted functor to a completed object.
 
-
-def lift_functor_to_kar(functor: str, obj, action: GroupAction, **kw):
-    """Apply a lifted functor to a completed object or morphism.
-
-    functor is one of 'sub_inclusion_S', 'sub_restriction_T', 'lifted_aut',
-    'functor_T'.  Objects map to (F X, F e); 'functor_T' materializes the
-    result as an honest module, the image of the block matrix T(e), and
-    returns (module, inclusion, projection)."""
+    functor is one of 'sub_inclusion_S', 'lifted_aut', 'functor_T'.
+    Objects map to (F X, F e); 'functor_T' materializes the result as an
+    honest module, the image of the block matrix T(e), and returns
+    (module, inclusion, projection)."""
     if functor == "sub_inclusion_S":
-        sub = action.subgroup(kw["sub"])
-        if isinstance(obj, KarObject):
-            e = sub_inclusion_S(obj.idem, action, sub)
-            return KarObject(action, obj.module, e, None, validate=False)
-        if isinstance(obj, KarMor):
-            src = lift_functor_to_kar("sub_inclusion_S", obj.src, action, **kw)
-            tgt = lift_functor_to_kar("sub_inclusion_S", obj.tgt, action, **kw)
-            return KarMor(src, tgt, sub_inclusion_S(obj.mor, action, sub))
-    elif functor == "lifted_aut":
+        e = sub_inclusion_S(obj.idem, action, action.subgroup(kw["sub"]))
+        return KarObject(action, obj.module, e, None, validate=False)
+    if functor == "lifted_aut":
         g = kw["g"]
-        if isinstance(obj, KarObject):
-            e = lifted_aut(g, obj.idem, action, support=obj.support)
-            return KarObject(action, lifted_aut(g, obj.module, action), e,
-                             obj.support, validate=False)
-        if isinstance(obj, KarMor):
-            src = lift_functor_to_kar("lifted_aut", obj.src, action, **kw)
-            tgt = lift_functor_to_kar("lifted_aut", obj.tgt, action, **kw)
-            return KarMor(src, tgt, lifted_aut(g, obj.mor, action, support=obj.mor.support))
-    elif functor == "sub_restriction_T":
-        sub = action.subgroup(kw["sub"])
-        if isinstance(obj, KarObject):
-            if obj.support != action.full_support():
-                raise ValueError("restriction expects an object over the full group")
-            e = sub_restriction_T(obj.idem, action, sub)
-            return KarObject(action, sub_restriction_T(obj.module, action, sub), e,
-                             sub, validate=False)
-        if isinstance(obj, KarMor):
-            src = lift_functor_to_kar("sub_restriction_T", obj.src, action, **kw)
-            tgt = lift_functor_to_kar("sub_restriction_T", obj.tgt, action, **kw)
-            return KarMor(src, tgt, sub_restriction_T(obj.mor, action, sub))
-    elif functor == "functor_T":
-        if isinstance(obj, KarObject):
-            Te = functor_T(obj.idem, action, support=obj.support)
-            W, inc, pr = submodule_from_image(Te.src, Te.matrix)
-            return W, ModuleMor(W, Te.src, inc), ModuleMor(Te.src, W, pr)
+        e = lifted_aut(g, obj.idem, action, support=obj.support)
+        return KarObject(action, lifted_aut(g, obj.module, action), e,
+                         obj.support, validate=False)
+    if functor == "functor_T":
+        Te = functor_T(obj.idem, action, support=obj.support)
+        W, inc, pr = submodule_from_image(Te.src, Te.matrix)
+        return W, ModuleMor(W, Te.src, inc), ModuleMor(Te.src, W, pr)
     raise TypeError(f"unsupported functor lift: {functor}")

@@ -29,93 +29,8 @@ from .ffield import FiniteField
 from .poly import Poly
 
 
-class Mat:
-    """Dense matrix over a finite field (row-major entries)."""
-
-    __slots__ = ("field", "a")
-
-    def __init__(self, field: FiniteField, data):
-        a = np.asarray(data, dtype=np.int64)
-        if a.ndim == 1:
-            a = a.reshape(-1, 1)
-        if a.ndim != 2:
-            raise ValueError("matrix data must be 2-dimensional")
-        self.field = field
-        self.a = a % field.p if field.n == 1 else a % field.q
-
-    @classmethod
-    def eye(cls, field, m):
-        return cls(field, np.eye(m, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, field, r, c):
-        return cls(field, np.zeros((r, c), dtype=np.int64))
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def shape(self):
-        return self.a.shape
-
-    @property
-    def entries(self):
-        """Row-major list of Scalar entries."""
-        return [self.field.scalar(int(c)) for c in self.a.ravel()]
-
-    def __add__(self, other):
-        self._check(other)
-        return Mat(self.field, self.field.vadd(self.a, other.a))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Mat(self.field, self.field.vsub(self.a, other.a))
-
-    def __neg__(self):
-        return Mat(self.field, self.field.vneg(self.a))
-
-    def __matmul__(self, other):
-        self._check(other, shapes=False)
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        return Mat(self.field, self.field.vmatmul(self.a, other.a))
-
-    def __mul__(self, scalar_code):
-        return Mat(self.field, self.field.vmul(self.a, int(scalar_code)))
-
-    __rmul__ = __mul__
-
-    def transpose(self):
-        return Mat(self.field, self.a.T.copy())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.field == other.field
-            and self.a.shape == other.a.shape
-            and bool(np.array_equal(self.a, other.a))
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.n, self.a.shape, self.a.tobytes()))
-
-    def _check(self, other, shapes=True):
-        if not isinstance(other, Mat) or other.field != self.field:
-            raise ValueError("field mismatch")
-        if shapes and self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-
-    def __repr__(self):
-        return f"Mat({self.field!r}, {self.a.tolist()})"
-
-
 # ---------------------------------------------------------------------------
-# row reduction and friends (raw-array API used throughout the library)
+# row reduction and friends
 
 
 def rref(field: FiniteField, M) -> tuple:
@@ -411,39 +326,3 @@ def min_poly_of_action(field, mul, dim: int, start) -> Poly:
             return Poly(field, [int(c) for c in combo])
         cur = mul(cur)
     raise AssertionError("no dependence among element powers")
-
-
-# ---------------------------------------------------------------------------
-# public wrappers in terms of Mat
-
-
-def mat_rank(m: Mat) -> int:
-    """Rank by row reduction."""
-    return rank(m.field, m.a)
-
-
-def mat_kernel(m: Mat):
-    """Echelonized right-kernel basis as a list of column vectors."""
-    return [Mat(m.field, v[:, None]) for v in kernel_basis(m.field, m.a)]
-
-
-def mat_solve(a: Mat, b: Mat) -> Optional[Mat]:
-    """Particular solution x of a x = b, or None when inconsistent."""
-    if a.field != b.field:
-        raise ValueError("field mismatch")
-    if a.rows != b.rows:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    X = solve(a.field, a.a, b.a)
-    return None if X is None else Mat(a.field, X)
-
-
-def mat_min_poly(m: Mat) -> Poly:
-    if m.rows != m.cols:
-        raise ValueError("matrix must be square")
-    return min_poly(m.field, m.a)
-
-
-def mat_char_poly(m: Mat) -> Poly:
-    if m.rows != m.cols:
-        raise ValueError("matrix must be square")
-    return char_poly(m.field, m.a)

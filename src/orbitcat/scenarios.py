@@ -24,7 +24,7 @@ from .algebra import (
 )
 from .ffield import FF, FiniteField
 from .linalg import inverse
-from .orbit import GroupAction, OrbitMor, combine_orbitmors, orbit_hom
+from .orbit import GroupAction, OrbitMor, combine_orbitmors
 from .rep import (
     Module,
     decompose,
@@ -353,12 +353,12 @@ def random_module_from_pool(pool, rng, max_dim=12, max_classes=3, max_mult=2):
     return M, sorted(sig.items())
 
 
-def random_orbit_morphism(X, Y, action, rng, support=None) -> OrbitMor:
-    basis = orbit_hom(X, Y, action, support=support).basis()
+def random_orbit_morphism(hom, rng) -> OrbitMor:
+    """A uniformly random member of the orbit hom space ``hom``."""
+    basis = hom.basis()
     if not basis:
-        sup = tuple(support) if support is not None else action.full_support()
-        return OrbitMor(action, X, Y, {}, sup, validate=False)
-    return combine_orbitmors(basis, rng.integers(0, action.algebra.field.q, size=len(basis)))
+        return OrbitMor(hom.action, hom.source, hom.target, {}, hom.support, validate=False)
+    return combine_orbitmors(basis, rng.integers(0, hom.action.algebra.field.q, size=len(basis)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ only tolerances are wall-clock budgets, asserted per criterion.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -62,12 +63,49 @@ def test_acceptance_4_f3c3_modular():
 
 
 def test_acceptance_5_adjunction_laws():
-    """Adjunction law suite: triangle identities, phi/psi mutual inversion,
-    pointwise split counit, and twist-fixes-classes hold exactly on >= 50
-    samples across >= 4 algebras and groups C2, C3, C4, C2xC2."""
+    """Adjunction law suite: triangle identities (the one for S also
+    splits the counit pointwise), phi/psi mutual inversion and
+    twist-fixes-classes hold exactly on >= 50 samples across >= 4 algebras
+    and groups C2, C3, C4, C2xC2; Frobenius reciprocity holds on every
+    pair of indecomposables."""
     r = _run(5, "adjunction law suite", checks.check_adjunction_laws, 10.0,
              seed=0, min_samples=50)
     assert r.data["samples"] >= 50
+
+
+def test_adjunction_laws_catch_a_wrong_counit(monkeypatch):
+    """One counit entry off by 1 breaks the triangle identity for S."""
+    real = checks.adjunction_counit
+
+    def shifted(X, action):
+        eps = real(X, action)
+        stack = eps.stack.copy()
+        at = (0,) * stack.ndim
+        stack[at] = X.field.add(int(stack[at]), 1)
+        return eps.with_stack(stack)
+
+    monkeypatch.setattr(checks, "adjunction_counit", shifted)
+    r = checks.check_adjunction_laws(seed=0, min_samples=7)
+    assert not r.passed
+    assert "'triangle-S'" in r.details
+
+
+def test_adjunction_laws_catch_a_wrong_orbit_hom(monkeypatch):
+    """An orbit hom space missing its last component disagrees with
+    Frobenius reciprocity over the skew group algebra."""
+    real = checks.orbit_hom
+
+    def truncated(X, Y, action, support=None):
+        space = real(X, Y, action, support)
+        comps = dict(space.components)
+        last = space.support[-1]
+        comps[last] = dataclasses.replace(comps[last], basis=[])
+        return dataclasses.replace(space, components=comps)
+
+    monkeypatch.setattr(checks, "orbit_hom", truncated)
+    r = checks.check_adjunction_laws(seed=0, min_samples=7)
+    assert not r.passed
+    assert "'hom-formula'" in r.details
 
 
 def test_acceptance_6_subgroup_factorization():

@@ -297,6 +297,15 @@ def test_cli_fuzz_exit_codes(tmp_path, capsys, data):
         assert "error" in json.loads(err)
 
 
+def test_selftest_negative_seed_exit_2(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["selftest", "--seed", "-1", "--format", "json", "--output", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "seed -1 must be an integer with 0 <= seed"}
+    assert not out.exists()
+
+
 def test_unknown_task_rejected(tmp_path):
     bad = dict(MAT2_SCENARIO)
     bad["tasks"] = ["nonsense"]

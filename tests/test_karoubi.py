@@ -10,7 +10,6 @@ from orbitcat.karoubi import (
     kar_end_algebra,
     kar_hom,
     kar_is_isomorphic,
-    kar_summand_witnesses,
     lift_functor_to_kar,
 )
 from orbitcat.orbit import (
@@ -174,7 +173,9 @@ def test_kar_is_isomorphic_self_and_witnesses():
     assert orbit_compose(alpha, beta) == P.idem
     assert orbit_compose(beta, alpha) == P.idem
     pieces = kar_decompose(P)
-    inc, pr = kar_summand_witnesses(P, pieces[0])
+    # (X, e_i) -> (X, e) and back: both witnesses are e_i
+    inc = KarMor(pieces[0], P, pieces[0].idem)
+    pr = KarMor(P, pieces[0], pieces[0].idem)
     inc.validate()
     pr.validate()
 

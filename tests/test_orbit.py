@@ -641,10 +641,10 @@ def test_orbit_layer_matches_reference_formulas(name):
     mods = differential_modules(action.algebra, rng)
     full = action.full_support()
     for support in [full] + subs:
-        fams = {}
+        spaces, fams = {}, {}
         for i, X in enumerate(mods):
             for j, Y in enumerate(mods):
-                space = orbit_hom(X, Y, action, support=support)
+                space = spaces[i, j] = orbit_hom(X, Y, action, support=support)
                 fams[i, j] = space.family()
                 singles = [OrbitMor(action, X, Y, {g: m}, support, validate=False)
                            for g in support for m in space.components[g].basis]
@@ -653,13 +653,13 @@ def test_orbit_layer_matches_reference_formulas(name):
                     space.dim, len(support) * Y.dim * X.dim)
         for i, X in enumerate(mods):
             for j, Y in enumerate(mods):
-                f = random_orbit_morphism(X, Y, action, rng, support=support)
+                f = random_orbit_morphism(spaces[i, j], rng)
                 assert np.array_equal(functor_T(f, action, support=support).matrix,
                                       ref_T(f, support)), (name, support)
                 B = fams[i, j]
                 for k, Z in enumerate(mods):
                     where = (name, support, i, j, k)
-                    h = random_orbit_morphism(Y, Z, action, rng, support=support)
+                    h = random_orbit_morphism(spaces[j, k], rng)
                     C = fams[j, k]
                     assert_composites(orbit_compose(f, h), [(f, h)], where)
                     assert_composites(orbit_compose(B, h), [(b, h) for b in members(B)], where)
@@ -671,7 +671,7 @@ def test_orbit_layer_matches_reference_formulas(name):
                                               for c in members(C)], where)
     for X in mods:
         for Y in mods:
-            f = random_orbit_morphism(X, Y, action, rng)
+            f = random_orbit_morphism(orbit_hom(X, Y, action), rng)
             for sub in subs:
                 up = sub_restriction_T(f, action, sub)
                 assert up.support == sub
