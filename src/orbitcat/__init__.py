@@ -21,8 +21,6 @@ from .algebra import (
     make_group_algebra,
     make_matrix_algebra,
     make_path_algebra,
-    make_skew_group_algebra,
-    make_twisted_group_ring,
     primitive_orthogonal_idempotents,
     radical,
 )
@@ -53,6 +51,7 @@ from .orbit import (
     functor_T,
     kleisli_phi_psi,
     lifted_aut,
+    make_skew_group_algebra,
     orbit_compose,
     orbit_hom,
     sub_inclusion_S,
@@ -62,9 +61,9 @@ from .karoubi import (
     KarMor,
     KarObject,
     kar_decompose,
+    kar_functor_T,
     kar_hom,
     kar_is_isomorphic,
-    lift_functor_to_kar,
 )
 from .clifford import (
     CliffordReport,
@@ -79,6 +78,7 @@ from .oracle import (
     GaloisScenario,
     SkewContext,
     counit_split_test,
+    frobenius_action,
     galois_build,
     galois_monad_group_check,
     galois_rank_check,

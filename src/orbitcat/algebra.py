@@ -39,7 +39,7 @@ from typing import List
 
 import numpy as np
 
-from .ffield import FF, FiniteField
+from .ffield import FiniteField
 from .linalg import (
     SpanSolver,
     charpoly_batched,
@@ -559,158 +559,6 @@ def make_path_algebra(field: FiniteField, n_vertices: int, arrows, relations=())
     )
     gens = field.eye(d)[[i for i, p in enumerate(paths) if len(p[1]) <= 1]]
     return Algebra(field, struct, unit, labels=labels, generators=gens)
-
-
-def make_skew_group_algebra(a: Algebra, action) -> Algebra:
-    """Skew group algebra A x| Gamma with (x (x) g)(y (x) h) = x g(y) (x) gh.
-
-    The action must be strict: its automorphism matrices compose exactly
-    along the group table.  Generated by x (x) e for the generators x of
-    the base and 1 (x) g for the group generators g.
-    """
-    table = np.asarray(action.table, dtype=np.int64)
-    auts = action.auts
-    k = table.shape[0]
-    identity = validate_group_table(table)
-    F = a.field
-    for g in range(k):
-        for h in range(k):
-            UgUh = F.vmatmul(auts[g].matrix, auts[h].matrix)
-            if not np.array_equal(UgUh, auts[table[g, h]].matrix):
-                raise ValueError(f"action is not strict on pair ({g}, {h})")
-    d = a.dim
-    D = d * k
-    struct = np.zeros((D, D, D), dtype=np.int64)
-    for g in range(k):
-        # (b_i (x) g)(b_j (x) h) = b_i * g(b_j) (x) gh, the same block for every h
-        block = a.span_products(F.eye(d), auts[g].matrix.T)
-        for h in range(k):
-            gh = int(table[g, h])
-            struct[g * d : (g + 1) * d, h * d : (h + 1) * d, gh * d : (gh + 1) * d] = block
-    unit = np.zeros(D, dtype=np.int64)
-    unit[identity * d : identity * d + d] = a.unit
-    labels = None
-    if a.labels:
-        labels = tuple(f"{a.labels[i]}|g{g}" for g in range(k) for i in range(d))
-    group_gens = _group_generators(table, identity)
-    r = len(a.generators)
-    gens = np.zeros((r + len(group_gens), D), dtype=np.int64)
-    gens[:r, identity * d : identity * d + d] = a.generators
-    for t, g in enumerate(group_gens, start=r):
-        gens[t, g * d : g * d + d] = a.unit
-    return Algebra(F, struct, unit, labels=labels, generators=gens)
-
-
-def _prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise ValueError(f"{q} is not a prime power")
-
-
-def first_root(field: FiniteField, coeffs) -> int:
-    """The least code of the field that is a root of the polynomial with
-    little-endian F_p coefficients (a field modulus, say)."""
-    codes = np.arange(field.q, dtype=np.int64)
-    acc = field.zeros(field.q)
-    for c in reversed(coeffs):
-        acc = field.vadd(field.vmul(acc, codes), int(c) % field.p)
-    roots = np.flatnonzero(acc == 0)
-    if roots.size == 0:
-        raise RuntimeError("polynomial has no root in the field")
-    return int(roots[0])
-
-
-class SubfieldMap:
-    """Embedding of F_q = F_{p^e} into a big field F_{p^(e*m)} plus
-    coordinates of big-field elements in the power basis over F_q."""
-
-    def __init__(self, q: int, m: int):
-        p, e = _prime_power(q)
-        self.p, self.e, self.m = p, e, m
-        self.base = FF(p, e)
-        self.big = FF(p, e * m)
-        self.gen_small = self._find_base_generator()
-        # columns: digits of iota(alpha^s) * x^t over F_p
-        Fp = FF(p)
-        big = self.big
-        cols = []
-        for t in range(m):
-            xt = big.pow(big.from_digits([0, 1] + [0] * (e * m - 2)) if e * m > 1 else 1, t)
-            for s in range(e):
-                al = big.pow(self.gen_small, s)
-                cols.append(big.digits(big.mul(al, xt)))
-        self._basis_mat = np.array(cols, dtype=np.int64).T  # (em, em)
-        self._basis_inv = inverse(Fp, self._basis_mat)
-        self._fp = Fp
-
-    def _find_base_generator(self):
-        """Element of the big field with the base field's minimal polynomial."""
-        if self.base.n == 1:
-            return 1
-        return first_root(self.big, self.base.modulus)
-
-    def embed(self, small_code: int) -> int:
-        """F_q element into the big field."""
-        big = self.big
-        acc = 0
-        for s, dgt in enumerate(self.base.digits(small_code)):
-            if dgt:
-                acc = big.add(acc, big.mul(dgt, big.pow(self.gen_small, s)))
-        return acc
-
-    def coords(self, big_code: int) -> np.ndarray:
-        """Coordinates over F_q in the power basis x^0..x^(m-1)."""
-        y = self._fp.vmatmul(self._basis_inv, np.array(self.big.digits(big_code))[:, None])[:, 0]
-        out = np.zeros(self.m, dtype=np.int64)
-        for t in range(self.m):
-            out[t] = self.base.from_digits(y[t * self.e : (t + 1) * self.e])
-        return out
-
-
-def make_twisted_group_ring(q: int, deg_m: int, table, phi) -> Algebra:
-    """Twisted group ring M x| G for M = F_{q^deg_m} over F_q.
-
-    phi maps each group element to a q-power Frobenius exponent modulo
-    deg_m; it must be a homomorphism.  The result is an F_q-algebra of
-    dimension deg_m * |G| on the basis x^t (x) g, generated by x (x) e and
-    1 (x) g for the group generators g.
-    """
-    table = np.asarray(table, dtype=np.int64)
-    identity = validate_group_table(table)
-    k = table.shape[0]
-    phi = [int(phi[g]) % deg_m for g in range(k)]
-    for g in range(k):
-        for h in range(k):
-            if phi[table[g, h]] != (phi[g] + phi[h]) % deg_m:
-                raise ValueError(f"phi is not a homomorphism at pair ({g}, {h})")
-    sf = SubfieldMap(q, deg_m)
-    big, e = sf.big, sf.e
-    x = big.from_digits([0, 1] + [0] * (e * deg_m - 2)) if e * deg_m > 1 else 1
-    xp = [big.pow(x, t) for t in range(deg_m)]
-    D = deg_m * k
-    struct = np.zeros((D, D, D), dtype=np.int64)
-    for g in range(k):
-        for h in range(k):
-            gh = int(table[g, h])
-            for t1 in range(deg_m):
-                for t2 in range(deg_m):
-                    # x^t1 * Frob_q^phi(g)(x^t2) (x) gh
-                    twisted = big.frobenius(xp[t2], e * phi[g])
-                    prod = big.mul(xp[t1], twisted)
-                    struct[g * deg_m + t1, h * deg_m + t2, gh * deg_m : (gh + 1) * deg_m] = sf.coords(prod)
-    unit = np.zeros(D, dtype=np.int64)
-    unit[identity * deg_m] = 1
-    gens = [identity * deg_m + 1] if deg_m > 1 else []
-    gens += [g * deg_m for g in _group_generators(table, identity)]
-    return Algebra(sf.base, struct, unit, generators=sf.base.eye(D)[gens])
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .oracle import (
     GaloisScenario,
     SkewContext,
     counit_split_test,
+    galois_build,
     galois_monad_group_check,
     galois_rank_check,
     induce_skew,
@@ -108,9 +109,9 @@ def check_mat2_orbit_end(seed=0) -> CheckResult:
     S = _column_module(A)
     oh = orbit_hom(S, S, action)
     P = KarObject(action, S)
-    E, _ = kar_end_algebra(P)
+    E, H = kar_end_algebra(P)
     es = primitive_orthogonal_idempotents(E)
-    pieces = kar_decompose(P)
+    pieces = kar_decompose(P, E, H)
     distinct = kar_is_isomorphic(pieces[0], pieces[1]) is None if len(pieces) == 2 else False
     passed = oh.dim == 2 and len(es) == 2 and len(pieces) == 2 and distinct
     return CheckResult(
@@ -384,8 +385,9 @@ def check_galois_scenario(seed=0) -> CheckResult:
     monad group."""
     sc = GaloisScenario(q=3, deg_l=2, deg_m=4,
                         table=GROUP_TABLES["C4"], phi=[0, 1, 2, 3], H=[0, 2])
-    rank_out = galois_rank_check(sc)
-    monad_out = galois_monad_group_check(sc)
+    tower = galois_build(sc)
+    rank_out = galois_rank_check(tower)
+    monad_out = galois_monad_group_check(tower)
     passed = (
         rank_out["ok"]
         and rank_out["rank"] == 4

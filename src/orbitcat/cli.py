@@ -27,6 +27,7 @@ from .clifford import CliffordViolation, clifford_run, skewfield_check, trivial_
 from .oracle import (
     GaloisScenario,
     SkewContext,
+    galois_build,
     galois_monad_group_check,
     galois_rank_check,
     oracle_compare,
@@ -115,8 +116,9 @@ def run_task(task: str, doc: dict, seed: int, shared: dict) -> dict:
             )
         except (ValueError, KeyError, IndexError, TypeError) as ex:
             raise ScenarioError(str(ex)) from ex
-        rank_out = galois_rank_check(sc)
-        monad_out = galois_monad_group_check(sc)
+        tower = galois_build(sc)
+        rank_out = galois_rank_check(tower)
+        monad_out = galois_monad_group_check(tower)
         out["pass"] = bool(rank_out["ok"] and monad_out["ok"])
         out["details"] = {
             "rank": rank_out,
@@ -250,7 +252,8 @@ def list_builders() -> str:
         "  matrix_algebra       {n}",
         "  path_algebra         {vertices, arrows: [[src, tgt], ...], relations}",
         "  skew_group_algebra   {base: <algebra spec>, action: <action spec>}",
-        "  twisted_group_ring   {q, deg_m, group, phi}",
+        "  twisted_group_ring   {q, deg_m, group, phi}: skew group algebra of the",
+        "                       Frobenius action on F_{q^deg_m}; q = the field order",
         "action kinds:",
         "  trivial | inversion | conjugation (matrix/matrices)",
         "  basis_permutation (perm/perms) | explicit (matrices)",

@@ -23,12 +23,11 @@ from .karoubi import (
     KarObject,
     kar_decompose,
     kar_end_algebra,
-    kar_hom,
+    kar_functor_T,
     kar_is_isomorphic,
-    lift_functor_to_kar,
 )
 from .linalg import rank
-from .orbit import GroupAction, orbit_hom
+from .orbit import GroupAction, lifted_aut, orbit_hom, sub_inclusion_S
 from .rep import Module, decompose, end_algebra, hom_space, is_isomorphic
 
 
@@ -138,7 +137,8 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
     ind = inertia(M, action)
     sub = ind.subgroup
     P = KarObject(action, M, support=sub)
-    pieces = kar_decompose(P)
+    E_P, H_P = kar_end_algebra(P)
+    pieces = kar_decompose(P, E_P, H_P)
     # group the primitive summands into isomorphism classes
     classes: List[List[KarObject]] = []
     for p in pieces:
@@ -151,10 +151,11 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
         if not placed:
             classes.append([p])
     stage1 = []
+    corners = []
     total_n = 0
     for idx, cls in enumerate(classes):
         rep_piece = cls[0]
-        W, inc, pr = lift_functor_to_kar("functor_T", rep_piece, action)
+        W = kar_functor_T(rep_piece)
         dec = decompose(W, certify=False)
         n_copies = 0
         for s in dec.summands:
@@ -164,12 +165,14 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
                     f"(dimension {s.module.dim})"
                 )
             n_copies += s.multiplicity
+        # a single piece has the idempotent of P, so its corner is P's
+        corners.append(E_P if len(pieces) == 1 else kar_end_algebra(rep_piece)[0])
         stage1.append(
             StageOneSummand(
                 index=idx,
                 multiplicity=len(cls),
                 n_copies=n_copies,
-                corner_dim=len(kar_hom(rep_piece, rep_piece)),
+                corner_dim=corners[-1].dim,
                 restricted_dim=W.dim,
             )
         )
@@ -180,21 +183,23 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
             f"sum of copy counts {total_n} differs from the inertia order {len(sub)}"
         )
     stage2 = []
-    ext_pieces = []
     for idx, cls in enumerate(classes):
-        ext = lift_functor_to_kar("sub_inclusion_S", cls[0], action, sub=sub)
-        ext_pieces.append(ext)
-        E, _ = kar_end_algebra(ext)
+        if len(sub) == action.k:
+            # extension by zero from the whole group changes nothing
+            ext, E = cls[0], corners[idx]
+        else:
+            ext = KarObject(action, cls[0].module, sub_inclusion_S(cls[0].idem, action, sub),
+                            validate=False)
+            E, _ = kar_end_algebra(ext)
         J = radical(E)
         local = is_local(E, J)
-        W_full, _, _ = lift_functor_to_kar("functor_T", ext, action)
         stage2.append(
             StageTwoSummand(
                 index=idx,
                 corner_dim=E.dim,
                 corner_radical_dim=len(J),
                 local=local,
-                materialized_dim=W_full.dim,
+                materialized_dim=kar_functor_T(ext).dim,
             )
         )
         if not local:
@@ -214,8 +219,11 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
             outside.append({"g": g, "checked": False, "reason": "not normalizing"})
             continue
         for idx, cls in enumerate(classes):
-            image = lift_functor_to_kar("lifted_aut", cls[0], action, g=g)
-            distinct = kar_is_isomorphic(cls[0], image) is None
+            rep_piece = cls[0]
+            image = KarObject(action, lifted_aut(g, rep_piece.module, action),
+                              lifted_aut(g, rep_piece.idem, action, support=sub), sub,
+                              validate=False)
+            distinct = kar_is_isomorphic(rep_piece, image) is None
             outside.append({"g": g, "class": idx, "checked": True, "distinct": distinct})
             if not distinct:
                 raise CliffordViolation(
@@ -225,7 +233,7 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
         module_dim=M.dim,
         group_order=action.k,
         inertia_subgroup=sub,
-        orbit_end_dim=len(kar_hom(P, P)),
+        orbit_end_dim=E_P.dim,
         stage1=stage1,
         stage2=stage2,
         sum_n_equals_inertia=sum_ok,

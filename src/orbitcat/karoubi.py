@@ -15,7 +15,7 @@ and the summand checks compose all pairs of idempotents at once.
 
 Functors lift pointwise: F(X, e) = (F X, F e).  The right adjoint into
 the base category is materialized as an honest module, the image of the
-idempotent block matrix T(e).
+idempotent block matrix T(e) (kar_functor_T).
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ from .orbit import (
     OrbitMor,
     functor_T,
     identity_orbitmor,
-    lifted_aut,
     orbit_compose,
     orbit_hom,
-    sub_inclusion_S,
 )
-from .rep import Module, ModuleMor, submodule_from_image
+from .rep import Module, submodule_from_image
 
 
 class KarObject:
@@ -116,10 +114,10 @@ def kar_end_algebra(P: KarObject) -> Tuple[Algebra, OrbitMor]:
     return E, H
 
 
-def kar_decompose(P: KarObject) -> List[KarObject]:
+def kar_decompose(P: KarObject, E: Algebra, H: OrbitMor) -> List[KarObject]:
     """Primitive orthogonal summands of (X, e), one KarObject per
-    idempotent; they sum to e exactly and each corner is local."""
-    E, H = kar_end_algebra(P)
+    idempotent; they sum to e exactly and each corner is local.  (E, H) is
+    kar_end_algebra(P)."""
     if E.dim == 0:
         return []
     F = P.action.algebra.field
@@ -140,10 +138,10 @@ def kar_decompose(P: KarObject) -> List[KarObject]:
 def kar_is_isomorphic(P: KarObject, Q: KarObject):
     """(alpha, beta) with beta o alpha = e_P and alpha o beta = e_Q, or None.
 
-    For primitive objects a basis scan of the compressed hom space is
-    conclusive (the non-isomorphisms form a proper subspace of the local
-    corner bimodule); for general objects both sides are decomposed and
-    matched class by class."""
+    A basis scan of the compressed hom space.  It is conclusive when P is
+    primitive, as every summand kar_decompose returns is (the
+    non-isomorphisms form a proper subspace of the local corner bimodule);
+    for other P a None may miss an isomorphism."""
     F = P.action.algebra.field
     HPQ = _kar_basis(P, Q)
     HQP = _kar_basis(Q, P)
@@ -161,55 +159,10 @@ def kar_is_isomorphic(P: KarObject, Q: KarObject):
         beta = HQP.with_stack(F.combine(sol, HQP.stack))
         if orbit_compose(beta, alpha) == Q.idem:
             return (alpha, beta)
-    # general objects: decompose and match class by class
-    DP = kar_decompose(P)
-    if len(DP) <= 1:
-        return None  # P primitive: the basis scan was conclusive
-    DQ = kar_decompose(Q)
-    if len(DP) != len(DQ):
-        return None
-    used = [False] * len(DQ)
-    alphas = []
-    betas = []
-    for p in DP:
-        hit = None
-        for j, q in enumerate(DQ):
-            if used[j]:
-                continue
-            sub = kar_is_isomorphic(p, q)
-            if sub is not None:
-                hit = (j, sub)
-                break
-        if hit is None:
-            return None
-        used[hit[0]] = True
-        a, b = hit[1]
-        alphas.append(a)
-        betas.append(b)
-    alpha = alphas[0].with_stack(F.vsum(np.stack([a.stack for a in alphas]), axis=0))
-    beta = betas[0].with_stack(F.vsum(np.stack([b.stack for b in betas]), axis=0))
-    if orbit_compose(alpha, beta) == P.idem and orbit_compose(beta, alpha) == Q.idem:
-        return (alpha, beta)
     return None
 
 
-def lift_functor_to_kar(functor: str, obj: KarObject, action: GroupAction, **kw):
-    """Apply a lifted functor to a completed object.
-
-    functor is one of 'sub_inclusion_S', 'lifted_aut', 'functor_T'.
-    Objects map to (F X, F e); 'functor_T' materializes the result as an
-    honest module, the image of the block matrix T(e), and returns
-    (module, inclusion, projection)."""
-    if functor == "sub_inclusion_S":
-        e = sub_inclusion_S(obj.idem, action, action.subgroup(kw["sub"]))
-        return KarObject(action, obj.module, e, None, validate=False)
-    if functor == "lifted_aut":
-        g = kw["g"]
-        e = lifted_aut(g, obj.idem, action, support=obj.support)
-        return KarObject(action, lifted_aut(g, obj.module, action), e,
-                         obj.support, validate=False)
-    if functor == "functor_T":
-        Te = functor_T(obj.idem, action, support=obj.support)
-        W, inc, pr = submodule_from_image(Te.src, Te.matrix)
-        return W, ModuleMor(W, Te.src, inc), ModuleMor(Te.src, W, pr)
-    raise TypeError(f"unsupported functor lift: {functor}")
+def kar_functor_T(P: KarObject) -> Module:
+    """T(X, e) in the base category: the image of the block matrix T(e)."""
+    Te = functor_T(P.idem, P.action, support=P.support)
+    return submodule_from_image(Te.src, Te.matrix)[0]

@@ -7,10 +7,13 @@ trace-style counit splits (characteristic coprime to the group order).
 The comparison never assumes the match; it recomputes both sides and
 reports agreement or the mismatch.
 
-The Galois layer builds twisted group rings M x| G for towers of finite
-fields, checks that the big ring restricts to a free module of the
-predicted rank over the small one, and verifies that the induced monad's
-summand bimodules compose along the expected semidirect product table.
+The Galois layer builds the twisted group rings M x| G of towers of
+finite fields as skew group algebras: G acts on M by Frobenius powers
+(frobenius_action), so M x| G is make_skew_group_algebra of that action.
+It checks that the big ring restricts to a free module of the predicted
+rank over the small one, and verifies that the induced monad's summand
+bimodules compose along the expected semidirect product table.  This
+module alone knows the power-basis layout of a tower (SubfieldMap).
 """
 
 from __future__ import annotations
@@ -20,20 +23,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .algebra import (
-    Algebra,
-    AlgebraAut,
-    SubfieldMap,
-    _prime_power,
-    first_root,
-    make_skew_group_algebra,
-    make_twisted_group_ring,
-    validate_group_table,
-)
+from .algebra import Algebra, AlgebraAut, validate_group_table
 from .clifford import CliffordReport
-from .ffield import FF
+from .ffield import FF, FiniteField
 from .linalg import SpanSolver, inverse, kernel_basis, rank, rref, solve
-from .orbit import GroupAction
+from .orbit import GroupAction, make_skew_group_algebra
 from .rep import Module, ModuleMor, decompose, direct_sum, hom_space
 
 
@@ -47,7 +41,7 @@ class SkewContext:
     def __init__(self, action: GroupAction):
         self.action = action
         self.base = action.algebra
-        self.skew = make_skew_group_algebra(self.base, action)
+        self.skew = make_skew_group_algebra(action)
         d, k = self.base.dim, action.k
         F = self.base.field
         self.embed = np.zeros((self.skew.dim, d), dtype=np.int64)
@@ -184,6 +178,91 @@ def oracle_compare(report: CliffordReport, ctx: SkewContext,
 # Galois scenarios
 
 
+def _prime_power(q: int):
+    for p in range(2, q + 1):
+        if q % p == 0:
+            e = 0
+            m = q
+            while m % p == 0:
+                m //= p
+                e += 1
+            if m != 1:
+                raise ValueError(f"{q} is not a prime power")
+            return p, e
+    raise ValueError(f"{q} is not a prime power")
+
+
+def first_root(field: FiniteField, coeffs) -> int:
+    """The least code of the field that is a root of the polynomial with
+    little-endian F_p coefficients (a field modulus, say)."""
+    codes = np.arange(field.q, dtype=np.int64)
+    acc = field.zeros(field.q)
+    for c in reversed(coeffs):
+        acc = field.vadd(field.vmul(acc, codes), int(c) % field.p)
+    roots = np.flatnonzero(acc == 0)
+    if roots.size == 0:
+        raise RuntimeError("polynomial has no root in the field")
+    return int(roots[0])
+
+
+class SubfieldMap:
+    """F_q = F_{p^e} inside a big field F_{p^(e*m)}, and the coordinates of
+    big-field elements over F_q in the power basis x^0..x^(m-1), where x
+    generates the big field over F_p."""
+
+    def __init__(self, q: int, m: int):
+        p, e = _prime_power(q)
+        self.p, self.e, self.m = p, e, m
+        self.base = FF(p, e)
+        self.big = big = FF(p, e * m)
+        self.x = big.from_digits([0, 1] + [0] * (e * m - 2)) if e * m > 1 else 1
+        # F_q's generator goes to the least root of its modulus
+        alpha = 1 if e == 1 else first_root(big, self.base.modulus)
+        # columns: digits of alpha^s * x^t over F_p
+        cols = [big.digits(big.mul(big.pow(alpha, s), big.pow(self.x, t)))
+                for t in range(m) for s in range(e)]
+        self._fp = FF(p)
+        self._basis_inv = inverse(self._fp, np.array(cols, dtype=np.int64).T)
+
+    def coords(self, big_code: int) -> np.ndarray:
+        """Coordinates over F_q in the power basis x^0..x^(m-1)."""
+        y = self._fp.vmatmul(self._basis_inv, np.array(self.big.digits(big_code))[:, None])[:, 0]
+        out = np.zeros(self.m, dtype=np.int64)
+        for t in range(self.m):
+            out[t] = self.base.from_digits(y[t * self.e : (t + 1) * self.e])
+        return out
+
+
+def frobenius_action(q: int, deg_m: int, table, phi) -> GroupAction:
+    """G acting on M = F_{q^deg_m} by g -> Frob_q^phi(g).
+
+    M is an F_q-algebra on the power basis x^0..x^(deg_m - 1), generated by
+    x when deg_m > 1.  phi maps each group element to a q-power Frobenius
+    exponent modulo deg_m; it must be a homomorphism.  The skew group
+    algebra of the result is the twisted group ring M x| G, on the basis
+    x^t (x) g."""
+    table = np.asarray(table, dtype=np.int64)
+    validate_group_table(table)
+    k = table.shape[0]
+    phi = [int(phi[g]) % deg_m for g in range(k)]
+    for g in range(k):
+        for h in range(k):
+            if phi[table[g, h]] != (phi[g] + phi[h]) % deg_m:
+                raise ValueError(f"phi is not a homomorphism at pair ({g}, {h})")
+    sf = SubfieldMap(q, deg_m)
+    big, e = sf.big, sf.e
+    xp = [big.pow(sf.x, t) for t in range(deg_m)]
+    struct = np.array([[sf.coords(big.mul(a, b)) for b in xp] for a in xp])
+    eye = sf.base.eye(deg_m)
+    M = Algebra(sf.base, struct, eye[0], generators=eye[1:2])  # x, or none when deg_m = 1
+    # column b of g's matrix: the coordinates of Frob_q^phi(g)(x^b); check_action
+    # validates each automorphism
+    auts = [AlgebraAut(M, np.array([sf.coords(big.frobenius(b, e * phi[g])) for b in xp]).T,
+                       validate=False)
+            for g in range(k)]
+    return GroupAction(M, table, auts)
+
+
 @dataclass
 class GaloisScenario:
     """A tower F_q <= L <= M with a group mapping onto Frobenius powers.
@@ -251,30 +330,43 @@ class GaloisScenario:
         return sorted({min(int(self.table[h, g]) for h in self.H) for g in range(k)})
 
 
-def galois_build(sc: GaloisScenario):
-    """Build M x| G, its subring L x| H, and the embedding between them.
+@dataclass
+class GaloisTower:
+    """The rings of a Galois scenario, built once for both of its checks:
+    big = M x| G, its subring small = L x| H, the embedding emb (column j
+    is the image of small basis element j), the power-basis layout sf of M
+    over F_q, and theta, an element of M whose Gal(M:L)-orbit is an
+    L-basis of M."""
 
-    Returns (big, small, embedding matrix) with the embedding verified to
-    be multiplicative and unit-preserving."""
-    big = make_twisted_group_ring(sc.q, sc.deg_m, sc.table, sc.phi)
+    sc: GaloisScenario
+    big: Algebra
+    small: Algebra
+    emb: np.ndarray
+    sf: SubfieldMap
+    theta: int
+
+
+def galois_build(sc: GaloisScenario) -> GaloisTower:
+    """Build M x| G, its subring L x| H, and the embedding between them,
+    verified to be multiplicative and unit-preserving."""
+    big = make_skew_group_algebra(frobenius_action(sc.q, sc.deg_m, sc.table, sc.phi))
     h_index = {h: i for i, h in enumerate(sc.H)}
     h_table = [[h_index[int(sc.table[a, b])] for b in sc.H] for a in sc.H]
     phi_h = [sc.phi[h] % sc.deg_l for h in sc.H]
-    small = make_twisted_group_ring(sc.q, sc.deg_l, h_table, phi_h)
+    small = make_skew_group_algebra(frobenius_action(sc.q, sc.deg_l, h_table, phi_h))
 
-    sf_big = SubfieldMap(sc.q, sc.deg_m)
-    # the image of the small field's generator inside the big field: the
-    # first root of the small modulus
-    bigf = sf_big.big
-    y = first_root(bigf, FF(sf_big.p, sf_big.e * sc.deg_l).modulus)
+    sf = SubfieldMap(sc.q, sc.deg_m)
+    # the L-basis inside M: powers of the image y of the small field's
+    # generator, the first root of the small modulus
+    bigf = sf.big
+    y = first_root(bigf, FF(sf.p, sf.e * sc.deg_l).modulus)
+    ypow = [bigf.pow(y, t) for t in range(sc.deg_l)]
     F = big.field
     emb = np.zeros((big.dim, small.dim), dtype=np.int64)
     for hi, h in enumerate(sc.H):
         for t in range(sc.deg_l):
-            big_el = bigf.pow(y, t)
-            coords = sf_big.coords(big_el)  # over F_q in the big power basis
-            col = hi * sc.deg_l + t
-            emb[h * sc.deg_m : (h + 1) * sc.deg_m, col] = coords
+            # over F_q in the big power basis
+            emb[h * sc.deg_m : (h + 1) * sc.deg_m, hi * sc.deg_l + t] = sf.coords(ypow[t])
     # verify multiplicativity on all basis pairs
     ds = small.dim
     for i in range(ds):
@@ -286,7 +378,7 @@ def galois_build(sc: GaloisScenario):
     unit_img = F.vmatmul(emb, small.unit[:, None])[:, 0]
     if not np.array_equal(unit_img, big.unit):
         raise ValueError("embedding does not preserve the unit")
-    return big, small, emb
+    return GaloisTower(sc, big, small, emb, sf, normal_basis_element(sc, sf, ypow))
 
 
 def restrict_along(emb, big: Algebra, small: Algebra, X: Module) -> Module:
@@ -295,7 +387,7 @@ def restrict_along(emb, big: Algebra, small: Algebra, X: Module) -> Module:
     return Module(small, list(mats), validate=False)
 
 
-def galois_rank_check(sc: GaloisScenario) -> dict:
+def galois_rank_check(tower: GaloisTower) -> dict:
     """The big ring restricted to the small one is free of rank
     r = |Delta| * |G : H|, certified by the normal-basis element theta.
 
@@ -304,34 +396,28 @@ def galois_rank_check(sc: GaloisScenario) -> dict:
     small ring's basis; they span the big ring exactly when they form a
     basis, that is, when the big ring is left-free with basis indexed by
     Delta x G/H."""
-    big, small, emb = galois_build(sc)
-    sf = SubfieldMap(sc.q, sc.deg_m)
-    theta = normal_basis_element(sc)
+    sc, big, sf = tower.sc, tower.big, tower.sf
     coset_reps = sc.coset_reps()
     gens = []
     for d_exp in sc.delta_exponents():
-        dtheta = sf.coords(sf.big.frobenius(theta, sf.e * d_exp))
+        dtheta = sf.coords(sf.big.frobenius(tower.theta, sf.e * d_exp))
         for g in coset_reps:
             gen = np.zeros(big.dim, dtype=np.int64)
             gen[g * sc.deg_m : (g + 1) * sc.deg_m] = dtheta
             gens.append(gen)
-    span = big.span_products(emb.T, np.stack(gens)).reshape(-1, big.dim)
+    span = big.span_products(tower.emb.T, np.stack(gens)).reshape(-1, big.dim)
     return {
         "ok": rank(big.field, span) == big.dim,
         "rank": len(gens),
         "restricted_dim": big.dim,
-        "free_dim": len(gens) * small.dim,
+        "free_dim": len(gens) * tower.small.dim,
     }
 
 
-def normal_basis_element(sc: GaloisScenario) -> int:
+def normal_basis_element(sc: GaloisScenario, sf: SubfieldMap, ypow) -> int:
     """First element of M (in code order) whose Gal(M:L)-orbit is an
-    L-basis of M."""
-    sf = SubfieldMap(sc.q, sc.deg_m)
+    L-basis of M; ypow is the power basis of L inside M."""
     bigf = sf.big
-    # the L-basis inside M: powers of the first root y of the small modulus
-    y = first_root(bigf, FF(sf.p, sf.e * sc.deg_l).modulus)
-    ypow = [bigf.pow(y, s) for s in range(sc.deg_l)]
     F = sf.base
     for theta in range(1, bigf.q):
         rows = []
@@ -484,7 +570,7 @@ def _group_free_pieces(B: Algebra, big: Algebra, emb, fine, target_dim):
     return out
 
 
-def galois_monad_group_check(sc: GaloisScenario) -> dict:
+def galois_monad_group_check(tower: GaloisTower) -> dict:
     """Decompose the big ring into bimodule summands over the small one and
     verify the induced tensor functors compose along Delta x| G/H.
 
@@ -495,9 +581,8 @@ def galois_monad_group_check(sc: GaloisScenario) -> dict:
     agree, up to an inner automorphism (a natural isomorphism of twist
     functors), with the twist of some summand in the product coset block,
     and products of summand subspaces must stay inside that block."""
-    big, small, emb = galois_build(sc)
+    sc, big, small, emb = tower.sc, tower.big, tower.small, tower.emb
     F = big.field
-    theta = normal_basis_element(sc)
     coset_reps = sc.coset_reps()
     deltas = sc.delta_exponents()
     small_img = emb.T
@@ -595,5 +680,5 @@ def galois_monad_group_check(sc: GaloisScenario) -> dict:
         "ok": True,
         "group_order": len(elements),
         "element_orders": sorted(orders),
-        "theta": theta,
+        "theta": tower.theta,
     }

@@ -47,22 +47,20 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraAut, validate_group_table
+from .algebra import Algebra, AlgebraAut, _group_generators, validate_group_table
 from .rep import Module, ModuleMor, hom_space, twist
 
 
 class GroupAction:
     """A finite group acting strictly on an algebra by automorphisms."""
 
-    def __init__(self, algebra: Algebra, table, auts: Sequence[AlgebraAut],
-                 validate: bool = True):
+    def __init__(self, algebra: Algebra, table, auts: Sequence[AlgebraAut]):
         self.algebra = algebra
         self.table = np.asarray(table, dtype=np.int64)
         self.auts = list(auts)
         self.k = self.table.shape[0]
         self._twist_cache: Dict = {}
-        if validate:
-            check_action(self)
+        check_action(self)
         # inverses[g] = g^-1, the column of the identity in row g
         self.inverses = np.argmax(self.table == 0, axis=1)
 
@@ -140,6 +138,38 @@ def check_action(action: GroupAction) -> bool:
             if not np.array_equal(lhs, rhs):
                 raise ValueError(f"action is not strict at pair ({g}, {h})")
     return True
+
+
+def make_skew_group_algebra(action: GroupAction) -> Algebra:
+    """Skew group algebra A x| Gamma with (x (x) g)(y (x) h) = x g(y) (x) gh.
+
+    The basis is b_i (x) g at index g * dim A + i.  Generated by x (x) e for
+    the generators x of A and 1 (x) g for the group generators g.  The
+    action is strict by construction (check_action), which is what makes
+    the product associative."""
+    a, table, auts, k = action.algebra, action.table, action.auts, action.k
+    F = a.field
+    d = a.dim
+    D = d * k
+    struct = np.zeros((D, D, D), dtype=np.int64)
+    for g in range(k):
+        # (b_i (x) g)(b_j (x) h) = b_i * g(b_j) (x) gh, the same block for every h
+        block = a.span_products(F.eye(d), auts[g].matrix.T)
+        for h in range(k):
+            gh = int(table[g, h])
+            struct[g * d : (g + 1) * d, h * d : (h + 1) * d, gh * d : (gh + 1) * d] = block
+    unit = np.zeros(D, dtype=np.int64)
+    unit[:d] = a.unit
+    labels = None
+    if a.labels:
+        labels = tuple(f"{a.labels[i]}|g{g}" for g in range(k) for i in range(d))
+    group_gens = _group_generators(table, 0)
+    r = len(a.generators)
+    gens = np.zeros((r + len(group_gens), D), dtype=np.int64)
+    gens[:r, :d] = a.generators
+    for t, g in enumerate(group_gens, start=r):
+        gens[t, g * d : g * d + d] = a.unit
+    return Algebra(F, struct, unit, labels=labels, generators=gens)
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +463,14 @@ def sub_inclusion_S(f: OrbitMor, action: GroupAction, sub) -> OrbitMor:
     return OrbitMor(action, f.src, f.tgt, f.comps, None, validate=False)
 
 
-def sub_restriction_T(x, action: GroupAction, sub, reps=None):
+def sub_restriction_T(x, action: GroupAction, sub):
     """The right adjoint of extension by zero.
 
     Objects: the sum of twists over the coset representatives.  On a
     morphism over the full group, the component at gamma in the subgroup
     has block (tau, sigma) = f_{sigma^-1 gamma tau}."""
     sub = action.subgroup(sub)
-    expected = action.right_coset_reps(sub)
-    if reps is None:
-        reps = expected
-    else:
-        reps = tuple(reps)
-        if reps != expected:
-            raise ValueError("invalid coset representatives")
+    reps = action.right_coset_reps(sub)
     if isinstance(x, Module):
         return _t_object(x, action, reps)[0]
     if isinstance(x, OrbitMor):

@@ -18,13 +18,12 @@ from .algebra import (
     make_group_algebra,
     make_matrix_algebra,
     make_path_algebra,
-    make_skew_group_algebra,
-    make_twisted_group_ring,
     radical,
 )
 from .ffield import FF, FiniteField
 from .linalg import inverse
-from .orbit import GroupAction, OrbitMor, combine_orbitmors
+from .oracle import frobenius_action
+from .orbit import GroupAction, OrbitMor, combine_orbitmors, make_skew_group_algebra
 from .rep import (
     Module,
     decompose,
@@ -202,14 +201,16 @@ def build_algebra(field: FiniteField, spec: dict) -> Algebra:
     if kind == "skew_group_algebra":
         base = build_algebra(field, spec["base"])
         action = build_action(base, spec["action"])
-        return make_skew_group_algebra(base, action)
+        return make_skew_group_algebra(action)
     if kind == "twisted_group_ring":
+        q = _checked_int(spec["q"], "algebra q", 2)
+        if q != field.q:
+            raise ValueError(f"algebra q {q} must equal the field order {field.q}")
         deg_m = _checked_int(spec["deg_m"], "algebra deg_m", 1)
-        return make_twisted_group_ring(
-            _checked_int(spec["q"], "algebra q", 2), deg_m,
-            group_table(spec["group"], "algebra group"),
+        return make_skew_group_algebra(frobenius_action(
+            q, deg_m, group_table(spec["group"], "algebra group"),
             _checked_ints(spec["phi"], "algebra phi", 0, deg_m, "deg_m"),
-        )
+        ))
     raise ValueError(f"unknown algebra type {kind!r}")
 
 

@@ -14,8 +14,6 @@ from orbitcat.algebra import (
     make_group_algebra,
     make_matrix_algebra,
     make_path_algebra,
-    make_skew_group_algebra,
-    make_twisted_group_ring,
     primitive_orthogonal_idempotents,
     quotient_algebra,
     radical,
@@ -23,6 +21,8 @@ from orbitcat.algebra import (
 )
 from orbitcat.ffield import FF
 from orbitcat.linalg import SpanSolver, rank
+from orbitcat.oracle import frobenius_action
+from orbitcat.orbit import GroupAction, make_skew_group_algebra
 
 
 def cyclic_table(k):
@@ -359,12 +359,9 @@ def test_brute_force_radical_agreement():
 def test_skew_group_algebra_trivial_action():
     F = FF(5)
     base = make_group_algebra([[0]], F)  # the ground field
-
-    class FakeAction:
-        table = np.array([[0, 1], [1, 0]])
-        auts = [AlgebraAut(base, np.eye(1, dtype=np.int64)) for _ in range(2)]
-
-    S = make_skew_group_algebra(base, FakeAction)
+    action = GroupAction(base, cyclic_table(2),
+                         [AlgebraAut(base, np.eye(1, dtype=np.int64)) for _ in range(2)])
+    S = make_skew_group_algebra(action)
     assert S.dim == 2
     # isomorphic to the group algebra of C2: commutative, semisimple over F5
     assert S.is_commutative()
@@ -377,12 +374,9 @@ def test_skew_f3c3_by_inversion_is_f3s3():
     inv_perm = np.zeros((3, 3), dtype=np.int64)
     for i in range(3):
         inv_perm[(3 - i) % 3, i] = 1
-
-    class Action:
-        table = np.array([[0, 1], [1, 0]])
-        auts = [AlgebraAut(A, np.eye(3, dtype=np.int64)), AlgebraAut(A, inv_perm)]
-
-    S = make_skew_group_algebra(A, Action)
+    action = GroupAction(A, cyclic_table(2),
+                         [AlgebraAut(A, np.eye(3, dtype=np.int64)), AlgebraAut(A, inv_perm)])
+    S = make_skew_group_algebra(action)
     assert S.dim == 6
     # explicit isomorphism with F3[S3]: (g^i (x) c^j) -> r^i s^j
     B = make_group_algebra(s3_table(), F)
@@ -428,12 +422,9 @@ def test_skew_mat2_swap_conjugation():
     A = make_matrix_algebra(2, F)
     swap = np.array([[0, 1], [1, 0]], dtype=np.int64)
     U = _conjugation_matrix(A, swap, F)
-
-    class Action:
-        table = np.array([[0, 1], [1, 0]])
-        auts = [AlgebraAut(A, np.eye(4, dtype=np.int64)), AlgebraAut(A, U)]
-
-    S = make_skew_group_algebra(A, Action)
+    action = GroupAction(A, cyclic_table(2),
+                         [AlgebraAut(A, np.eye(4, dtype=np.int64)), AlgebraAut(A, U)])
+    S = make_skew_group_algebra(action)
     assert S.dim == 8
     S.validate()
 
@@ -454,14 +445,14 @@ def _conjugation_matrix(A, u, F):
 
 
 def test_twisted_group_ring_trivial_group():
-    A = make_twisted_group_ring(3, 2, [[0]], {0: 0})
+    A = make_skew_group_algebra(frobenius_action(3, 2, [[0]], {0: 0}))
     assert A.dim == 2
     assert A.is_commutative()
     assert len(radical(A)) == 0  # it is the field F_9
 
 
 def test_twisted_group_ring_f9_c2():
-    A = make_twisted_group_ring(3, 2, cyclic_table(2), {0: 0, 1: 1})
+    A = make_skew_group_algebra(frobenius_action(3, 2, cyclic_table(2), {0: 0, 1: 1}))
     assert A.dim == 4
     # crossed product of a C2 Galois extension: central simple, center F_3
     assert len(center_basis(A)) == 1
@@ -469,13 +460,14 @@ def test_twisted_group_ring_f9_c2():
 
 
 def test_twisted_group_ring_f81_c4():
-    A = make_twisted_group_ring(3, 4, cyclic_table(4), {0: 0, 1: 1, 2: 2, 3: 3})
+    A = make_skew_group_algebra(
+        frobenius_action(3, 4, cyclic_table(4), {0: 0, 1: 1, 2: 2, 3: 3}))
     assert A.dim == 16
 
 
 def test_twisted_group_ring_bad_phi():
     with pytest.raises(ValueError, match="homomorphism"):
-        make_twisted_group_ring(3, 4, cyclic_table(2), {0: 0, 1: 1})
+        frobenius_action(3, 4, cyclic_table(2), {0: 0, 1: 1})
 
 
 def test_radical_over_extension_ground_fields():
@@ -516,13 +508,9 @@ def test_skew_rejects_non_strict_action():
     P[2, 1] = 1  # order-3 cycle of the involutions on a C2 table
     P[3, 2] = 1
     P[1, 3] = 1
-
-    class Bad:
-        table = np.array([[0, 1], [1, 0]])
-        auts = [AlgebraAut(A, np.eye(4, dtype=np.int64)), AlgebraAut(A, P)]
-
+    auts = [AlgebraAut(A, np.eye(4, dtype=np.int64)), AlgebraAut(A, P)]
     with pytest.raises(ValueError, match="not strict"):
-        make_skew_group_algebra(A, Bad)
+        GroupAction(A, cyclic_table(2), auts)
 
 
 def test_lift_idempotent_rejects_bad_precondition():

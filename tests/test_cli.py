@@ -233,6 +233,23 @@ def test_scenario_shapes_are_strict(tmp_path, capsys, change, error):
     assert json.loads(capsys.readouterr().err)["error"] == error
 
 
+TWISTED_SCENARIO = dict(MAT2_SCENARIO, field={"p": 3},
+                        algebra={"type": "twisted_group_ring", "q": 3, "deg_m": 2,
+                                 "group": "C2", "phi": [0, 1]},
+                        action={"group": "C1", "kind": "trivial"})
+
+
+def test_twisted_group_ring_is_over_the_scenario_field(tmp_path, capsys):
+    """F9 x| C2 is built over the field section's F_3; a q that is not the
+    field order exits 2 naming both, where the ring was built over F_q."""
+    assert main(["run", write_scenario(tmp_path, TWISTED_SCENARIO)]) == 0
+    capsys.readouterr()
+    code = main(["run", write_scenario(tmp_path, dict(TWISTED_SCENARIO, field={"p": 5}))])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == \
+        "algebra q 3 must equal the field order 5"
+
+
 def test_arrow_swap_scenario_runs(tmp_path, capsys):
     code = main(["run", write_scenario(tmp_path, dict(MAT2_SCENARIO, **arrow_swap()))])
     capsys.readouterr()

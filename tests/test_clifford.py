@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orbitcat import algebra as algebra_mod, clifford as clifford_mod
+from orbitcat import algebra as algebra_mod, clifford as clifford_mod, karoubi as karoubi_mod
 from orbitcat.algebra import AlgebraAut, make_group_algebra, make_matrix_algebra, radical
 from orbitcat.clifford import (
     CliffordViolation,
@@ -374,3 +374,40 @@ def test_no_algebra_has_its_radical_certified_twice(monkeypatch):
     assert is_simple(S)
     assert skewfield_check(action, S) == {"ok": True, "end_dim": 3}
     assert certified and len({id(E) for E in certified}) == len(certified)
+
+
+def test_clifford_run_builds_each_karoubi_corner_once(monkeypatch):
+    """Stage 1 passes its corners forward, so no compressed hom basis is
+    built twice for one pair of objects: on the Mat2/F5 simple under the
+    swap and the trivial F7C3 module under inversion (whole-group inertia,
+    two classes), on an order-4 character of F5[C4] (inertia {0, 2}, with
+    outside checks) and on a character with trivial inertia (one piece)."""
+    from orbitcat.scenarios import GROUP_TABLES, inversion_permutation_aut
+
+    pairs = []  # holds the objects, so no id is reused
+    original = karoubi_mod._kar_basis
+
+    def counting(P, Q):
+        pairs.append((P, Q))
+        return original(P, Q)
+
+    monkeypatch.setattr(karoubi_mod, "_kar_basis", counting)
+    A, action = mat2_swap_action()
+    F7C3 = make_group_algebra(cyclic_table(3), FF(7))
+    F = FF(5)
+    C4 = make_group_algebra(GROUP_TABLES["C4"], F)
+    ident = AlgebraAut(C4, np.eye(4, dtype=np.int64))
+    inv = inversion_permutation_aut(C4)
+    c4_action = GroupAction(C4, GROUP_TABLES["C4"], [ident, inv, ident, inv])
+    cases = [
+        (action, column_module(A)),
+        (inversion_action(F7C3), character_module(F7C3, FF(7), 1)),
+        (c4_action, Module(C4, [np.array([[F.pow(2, i)]], dtype=np.int64) for i in range(4)])),
+        (inversion_action(F7C3), character_module(F7C3, FF(7), 2)),
+    ]
+    for act, M in cases:
+        pairs.clear()
+        clifford_run(act, M)
+        keys = [tuple((id(X.module), X.support, X.idem.stack.tobytes()) for X in pair)
+                for pair in pairs]
+        assert keys and len(set(keys)) == len(keys)

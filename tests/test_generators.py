@@ -13,12 +13,12 @@ from orbitcat.algebra import (
     make_group_algebra,
     make_matrix_algebra,
     make_path_algebra,
-    make_skew_group_algebra,
-    make_twisted_group_ring,
     radical,
 )
 from orbitcat.ffield import FF
 from orbitcat.linalg import is_invertible, kernel_basis, rref
+from orbitcat.oracle import frobenius_action
+from orbitcat.orbit import make_skew_group_algebra
 from orbitcat.rep import (
     Module,
     ModuleMor,
@@ -49,11 +49,12 @@ def _builders():
         "Kronecker/F3": make_path_algebra(FF(3), 2, [(0, 1), (0, 1)]),
         "A3 path/F5": make_path_algebra(FF(5), 3, [(0, 1), (1, 2)]),
         "F7C3 x| C2": make_skew_group_algebra(
-            f7c3, build_action(f7c3, {"group": "C2", "kind": "inversion"})),
+            build_action(f7c3, {"group": "C2", "kind": "inversion"})),
         "Mat2/F5 x| C2": make_skew_group_algebra(
-            mat2, build_action(mat2, {"group": "C2", "kind": "conjugation",
-                                      "matrix": [[0, 1], [1, 0]]})),
-        "F4 x| C2 over F2": make_twisted_group_ring(2, 2, cyclic_table(2), [0, 1]),
+            build_action(mat2, {"group": "C2", "kind": "conjugation",
+                                "matrix": [[0, 1], [1, 0]]})),
+        "F4 x| C2 over F2": make_skew_group_algebra(
+            frobenius_action(2, 2, cyclic_table(2), [0, 1])),
     }
 
 
@@ -214,7 +215,7 @@ def test_module_mor_validate_rejects_defect_off_the_generators(mat3):
 @pytest.mark.parametrize("make", [
     lambda F: make_group_algebra([[0]], F),
     lambda F: make_matrix_algebra(1, F),
-    lambda F: make_twisted_group_ring(F.q, 1, [[0]], [0]),
+    lambda F: make_skew_group_algebra(frobenius_action(F.q, 1, [[0]], [0])),
 ], ids=["F C1", "Mat1", "twisted deg 1"])
 def test_algebra_generated_by_its_unit(make):
     F = FF(5)

@@ -8,9 +8,9 @@ from orbitcat.karoubi import (
     KarObject,
     kar_decompose,
     kar_end_algebra,
+    kar_functor_T,
     kar_hom,
     kar_is_isomorphic,
-    lift_functor_to_kar,
 )
 from orbitcat.orbit import (
     GroupAction,
@@ -18,6 +18,7 @@ from orbitcat.orbit import (
     adjunction_counit,
     functor_T,
     identity_orbitmor,
+    lifted_aut,
     orbit_compose,
     orbit_hom,
     sub_adjunction_counit,
@@ -25,7 +26,19 @@ from orbitcat.orbit import (
     sub_inclusion_S,
     sub_restriction_T,
 )
-from orbitcat.rep import Module, decompose, hom_space, is_isomorphic, regular_module
+from orbitcat.rep import (
+    Module,
+    ModuleMor,
+    decompose,
+    hom_space,
+    is_isomorphic,
+    regular_module,
+    submodule_from_image,
+)
+
+
+def kar_pieces(P):
+    return kar_decompose(P, *kar_end_algebra(P))
 
 
 def cyclic_table(k):
@@ -100,7 +113,7 @@ def test_kar_hom_complementary_corners():
 
     es = primitive_orthogonal_idempotents(E)
     assert len(es) == 2
-    pieces = kar_decompose(P)
+    pieces = kar_decompose(P, E, basis)
     p0, p1 = pieces
     # hom between complementary corners through composition is zero
     H01 = kar_hom(p0, p1)
@@ -112,7 +125,7 @@ def test_kar_decompose_mat2_swap():
     A, action = mat2_swap_action()
     S = column_module(A)
     P = KarObject(action, S)
-    pieces = kar_decompose(P)
+    pieces = kar_pieces(P)
     assert len(pieces) == 2
     assert kar_is_isomorphic(pieces[0], pieces[1]) is None
     for p in pieces:
@@ -135,11 +148,12 @@ def test_kar_decompose_checks_its_idempotents(monkeypatch, pick, error):
 
     A, action = mat2_swap_action()
     P = KarObject(action, column_module(A))
-    e1, e2 = primitive_orthogonal_idempotents(kar_end_algebra(P)[0])
+    E, H = kar_end_algebra(P)
+    e1, e2 = primitive_orthogonal_idempotents(E)
     monkeypatch.setattr(orbitcat.karoubi, "primitive_orthogonal_idempotents",
                         lambda E: pick(e1, e2))
     with pytest.raises(ValueError, match=error):
-        kar_decompose(P)
+        kar_decompose(P, E, H)
 
 
 def test_kar_decompose_trivial_action_matches_rep():
@@ -148,7 +162,7 @@ def test_kar_decompose_trivial_action_matches_rep():
     ident = AlgebraAut(A, np.eye(3, dtype=np.int64))
     action = GroupAction(A, [[0]], [ident])
     X = regular_module(A)
-    pieces = kar_decompose(KarObject(action, X))
+    pieces = kar_pieces(KarObject(action, X))
     dec = decompose(X)
     assert len(pieces) == sum(s.multiplicity for s in dec.summands) == 3
 
@@ -158,7 +172,7 @@ def test_kar_decompose_trivial_module_inversion():
     A = make_group_algebra(cyclic_table(3), F)
     action = inversion_action(A)
     triv = character_module(A, F, 1)
-    pieces = kar_decompose(KarObject(action, triv))
+    pieces = kar_pieces(KarObject(action, triv))
     assert len(pieces) == 2
     assert kar_is_isomorphic(pieces[0], pieces[1]) is None
 
@@ -172,7 +186,7 @@ def test_kar_is_isomorphic_self_and_witnesses():
     alpha, beta = pair
     assert orbit_compose(alpha, beta) == P.idem
     assert orbit_compose(beta, alpha) == P.idem
-    pieces = kar_decompose(P)
+    pieces = kar_pieces(P)
     # (X, e_i) -> (X, e) and back: both witnesses are e_i
     inc = KarMor(pieces[0], P, pieces[0].idem)
     pr = KarMor(P, pieces[0], pieces[0].idem)
@@ -199,8 +213,8 @@ def test_kar_idempotents_split_consistently():
     action = inversion_action(A)
     X = regular_module(A)
     P = KarObject(action, X)
-    pieces = kar_decompose(P)
-    total = sum(len(kar_decompose(p)) for p in pieces)
+    pieces = kar_pieces(P)
+    total = sum(len(kar_pieces(p)) for p in pieces)
     assert total == len(pieces)  # pieces are primitive: no further splitting
 
 
@@ -209,8 +223,9 @@ def test_lift_functor_sub_inclusion():
     S = column_module(A)
     sub = action.subgroup([0, 1])  # whole group here; also test trivial sub
     P = KarObject(action, S)
-    pieces = kar_decompose(P)
-    ext = lift_functor_to_kar("sub_inclusion_S", pieces[0], action, sub=sub)
+    pieces = kar_pieces(P)
+    ext = KarObject(action, pieces[0].module, sub_inclusion_S(pieces[0].idem, action, sub),
+                    validate=False)
     assert isinstance(ext, KarObject)
     assert ext.support == action.full_support()
 
@@ -221,10 +236,12 @@ def test_lift_functor_T_materializes():
     action = inversion_action(A)
     triv = character_module(A, F, 1)
     P = KarObject(action, triv)
-    pieces = kar_decompose(P)
+    pieces = kar_pieces(P)
     dims = []
     for p in pieces:
-        W, inc, pr = lift_functor_to_kar("functor_T", p, action)
+        Te = functor_T(p.idem, action, support=p.support)
+        W, inc, pr = submodule_from_image(Te.src, Te.matrix)
+        inc, pr = ModuleMor(W, Te.src, inc), ModuleMor(Te.src, W, pr)
         inc.validate()
         pr.validate()
         assert np.array_equal(
@@ -233,7 +250,7 @@ def test_lift_functor_T_materializes():
         dims.append(W.dim)
     assert sorted(dims) == [1, 1]
     for p, d in zip(pieces, dims):
-        W, _, _ = lift_functor_to_kar("functor_T", p, action)
+        W = kar_functor_T(p)
         # each materialized piece is a copy of the trivial module
         assert is_isomorphic(W, triv) is not None
 
@@ -259,7 +276,7 @@ def test_lifted_pair_triangle_identities_on_completion():
     assert comp == identity_orbitmor(S, action)
     # with a nontrivial idempotent: compress the triangle through (X, e)
     P = KarObject(action, S, support=action.full_support())
-    pieces = kar_decompose(P)
+    pieces = kar_pieces(P)
     for p in pieces:
         e = p.idem
         lhs = orbit_compose(orbit_compose(e, Seta), orbit_compose(eps, e))
@@ -271,11 +288,17 @@ def test_lifted_aut_on_kar_strict():
     A, action = mat2_swap_action()
     S = column_module(A)
     P = KarObject(action, S)
-    pieces = kar_decompose(P)
+    pieces = kar_pieces(P)
     p = pieces[0]
-    a1 = lift_functor_to_kar("lifted_aut", p, action, g=1)
-    a11 = lift_functor_to_kar("lifted_aut", a1, action, g=1)
-    assert a11 == lift_functor_to_kar("lifted_aut", p, action, g=0)
+
+    def lift(q, g):
+        return KarObject(action, lifted_aut(g, q.module, action),
+                         lifted_aut(g, q.idem, action, support=q.support), q.support,
+                         validate=False)
+
+    a1 = lift(p, 1)
+    a11 = lift(a1, 1)
+    assert a11 == lift(p, 0)
     # the lift fixes isomorphism classes in the completion
     pair = kar_is_isomorphic(p, a1)
     assert pair is not None

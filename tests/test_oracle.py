@@ -1,24 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from orbitcat.algebra import AlgebraAut, make_group_algebra, make_matrix_algebra, radical
 from orbitcat.clifford import clifford_run
-from orbitcat import oracle
 from orbitcat.ffield import FF
 from orbitcat.oracle import (
     GaloisScenario,
     SkewContext,
     counit_split_test,
+    first_root,
+    frobenius_action,
     galois_build,
     galois_monad_group_check,
     galois_rank_check,
     induce_skew,
     mackey_restriction_check,
-    normal_basis_element,
     oracle_compare,
     restrict_along,
 )
-from orbitcat.orbit import GroupAction
+from orbitcat.orbit import GroupAction, make_skew_group_algebra
 from orbitcat.rep import (
     Module,
     decompose,
@@ -28,6 +30,7 @@ from orbitcat.rep import (
     regular_module,
     submodule_span,
 )
+from orbitcat.scenarios import GROUP_TABLES
 
 
 def cyclic_table(k):
@@ -198,23 +201,66 @@ def scenario_q3():
 
 
 def test_galois_build_dimensions():
-    big, small, emb = galois_build(scenario_q3())
-    assert big.dim == 16
-    assert small.dim == 4
-    assert emb.shape == (16, 4)
+    t = galois_build(scenario_q3())
+    assert t.big.dim == 16
+    assert t.small.dim == 4
+    assert t.emb.shape == (16, 4)
+
+
+@pytest.mark.parametrize("q, m, group, phi", [
+    (2, 2, "C2", [0, 1]),
+    (3, 4, "C4", [0, 1, 2, 3]),
+    (4, 1, "C2", [0, 0]),
+    (4, 2, "C2xC2", [0, 1, 0, 1]),
+    (5, 2, "C4", [0, 1, 0, 1]),
+])
+def test_galois_ring_structure_constants_by_evaluation(q, m, group, phi):
+    """M x| G for M = F_{q^m}: the product of basis elements x^a (x) g and
+    x^b (x) h, read back into M as sum_t c_t x^t, is x^a Frob_q^phi(g)(x^b),
+    evaluated in M as x^a (x^b)^(q^phi(g)), in block gh and zero elsewhere."""
+    table = GROUP_TABLES[group]
+    A = make_skew_group_algebra(frobenius_action(q, m, table, phi))
+    Fq = A.field
+    big = FF(Fq.p, Fq.n * m)
+    x = big.from_digits([0, 1] + [0] * (Fq.n * m - 2)) if Fq.n * m > 1 else 1
+    # F_q inside M: its generator goes to the least root of its modulus
+    beta = first_root(big, Fq.modulus) if Fq.n > 1 else 1
+
+    def in_big(c):
+        out = 0
+        for s, dgt in enumerate(Fq.digits(int(c))):
+            out = big.add(out, big.mul(dgt, big.pow(beta, s)))
+        return out
+
+    k = len(table)
+    assert A.dim == m * k
+    assert np.array_equal(A.unit, np.eye(m * k, dtype=np.int64)[0])
+    for g in range(k):
+        for h in range(k):
+            gh = table[g][h]
+            for a in range(m):
+                for b in range(m):
+                    row = A.struct[g * m + a, h * m + b]
+                    block = row[gh * m : (gh + 1) * m]
+                    assert not np.delete(row, range(gh * m, (gh + 1) * m)).any()
+                    got = 0
+                    for t, c in enumerate(block):
+                        got = big.add(got, big.mul(in_big(c), big.pow(x, t)))
+                    expected = big.mul(big.pow(x, a), big.pow(big.pow(x, b), q ** phi[g]))
+                    assert got == expected
 
 
 def test_galois_build_degenerate_tower():
     sc = GaloisScenario(q=3, deg_l=1, deg_m=1, table=[[0]], phi=[0], H=[0])
-    big, small, emb = galois_build(sc)
-    assert small.dim == 1 and big.dim == 1
+    t = galois_build(sc)
+    assert t.small.dim == 1 and t.big.dim == 1
 
 
 def test_galois_build_q5_matrix_algebra():
     sc = GaloisScenario(
         q=5, deg_l=1, deg_m=2, table=cyclic_table(2), phi=[0, 1], H=[0, 1]
     )
-    big, small, emb = galois_build(sc)
+    big = galois_build(sc).big
     assert big.dim == 4
     # crossed product of a C2 Galois extension of F_5: a full 2x2 matrix algebra
     assert len(radical(big)) == 0
@@ -224,25 +270,25 @@ def test_galois_build_q5_matrix_algebra():
 
 
 def test_galois_rank_check_q3():
-    out = galois_rank_check(scenario_q3())
+    out = galois_rank_check(galois_build(scenario_q3()))
     assert out["ok"]
     assert out["rank"] == 4  # |Delta| * |G:H| = 2 * 2
 
 
-def test_galois_rank_check_rejects_a_non_normal_element(monkeypatch):
+def test_galois_rank_check_rejects_a_non_normal_element():
     # the Delta-orbit of 1 repeats, so its generators cannot form a basis
-    monkeypatch.setattr(oracle, "normal_basis_element", lambda sc: 1)
-    assert galois_rank_check(scenario_q3())["ok"] is False
+    tower = dataclasses.replace(galois_build(scenario_q3()), theta=1)
+    assert galois_rank_check(tower)["ok"] is False
 
 
 def test_galois_rank_check_agrees_with_krull_schmidt():
     """The decompose-and-match reference: Res M x| G is isomorphic to the
     free module of rank 4 over L x| H."""
-    big, small, emb = galois_build(scenario_q3())
-    res = restrict_along(emb, big, small, regular_module(big))
-    free, _, _ = direct_sum([regular_module(small)] * 4)
+    t = galois_build(scenario_q3())
+    res = restrict_along(t.emb, t.big, t.small, regular_module(t.big))
+    free, _, _ = direct_sum([regular_module(t.small)] * 4)
     assert is_isomorphic(res, free) is not None
-    assert galois_rank_check(scenario_q3())["ok"]
+    assert galois_rank_check(t)["ok"]
 
 
 @pytest.mark.parametrize("q, H, rank", [(3, [0], 8), (2, [0, 2], 4)])
@@ -250,7 +296,7 @@ def test_galois_rank_check_c4_towers(q, H, rank):
     sc = GaloisScenario(
         q=q, deg_l=2, deg_m=4, table=cyclic_table(4), phi=[0, 1, 2, 3], H=H
     )
-    assert galois_rank_check(sc) == {
+    assert galois_rank_check(galois_build(sc)) == {
         "ok": True, "rank": rank, "restricted_dim": 16, "free_dim": 16,
     }
 
@@ -259,7 +305,7 @@ def test_galois_rank_check_regular_over_itself():
     sc = GaloisScenario(
         q=5, deg_l=2, deg_m=2, table=cyclic_table(2), phi=[0, 1], H=[0, 1]
     )
-    out = galois_rank_check(sc)
+    out = galois_rank_check(galois_build(sc))
     assert out["ok"] and out["rank"] == 1
 
 
@@ -267,13 +313,13 @@ def test_galois_rank_check_q5_h_equals_g():
     sc = GaloisScenario(
         q=5, deg_l=1, deg_m=2, table=cyclic_table(2), phi=[0, 1], H=[0, 1]
     )
-    out = galois_rank_check(sc)
+    out = galois_rank_check(galois_build(sc))
     assert out["ok"] and out["rank"] == 2  # |Delta| * 1
 
 
 def test_normal_basis_element_exists():
     sc = scenario_q3()
-    theta = normal_basis_element(sc)
+    theta = galois_build(sc).theta
     assert theta >= 1
     # independence over F_3 of the full Frobenius orbit also holds for the
     # Gal(M:K) = C4 case by the normal basis theorem; check Delta-orbit
@@ -281,7 +327,7 @@ def test_normal_basis_element_exists():
 
 
 def test_galois_monad_group_check_q3():
-    out = galois_monad_group_check(scenario_q3())
+    out = galois_monad_group_check(galois_build(scenario_q3()))
     assert out["ok"]
     assert out["group_order"] == 4
     # Delta x G/H = C2 x C2: every nontrivial element has order 2
@@ -290,7 +336,7 @@ def test_galois_monad_group_check_q3():
 
 def test_galois_monad_group_trivial():
     sc = GaloisScenario(q=3, deg_l=1, deg_m=1, table=[[0]], phi=[0], H=[0])
-    out = galois_monad_group_check(sc)
+    out = galois_monad_group_check(galois_build(sc))
     assert out["ok"] and out["group_order"] == 1
 
 
@@ -301,7 +347,7 @@ def test_galois_monad_group_field_case():
     sc = GaloisScenario(
         q=3, deg_l=2, deg_m=4, table=cyclic_table(4), phi=[0, 1, 2, 3], H=[0]
     )
-    out = galois_monad_group_check(sc)
+    out = galois_monad_group_check(galois_build(sc))
     assert out["ok"]
     assert out["group_order"] == 8  # Delta x G/H = C2 x C4
     assert out["element_orders"] == [1, 2, 2, 2, 4, 4, 4, 4]

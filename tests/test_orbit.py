@@ -483,13 +483,6 @@ def test_orbit_compose_rejects_mismatch(f7c3_setup):
         orbit_compose(f, h)
 
 
-def test_sub_restriction_rejects_bad_reps():
-    A, action = mat2_swap_action()
-    S = column_module(A)
-    with pytest.raises(ValueError, match="invalid coset representatives"):
-        sub_restriction_T(S, action, [0], reps=[1, 0])
-
-
 def test_hom_space_rejects_algebra_mismatch(f7c3_setup):
     F, A, action = f7c3_setup
     B = make_group_algebra(cyclic_table(2), F)

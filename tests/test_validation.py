@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from orbitcat import algebra as algebra_mod
-from orbitcat.algebra import Algebra, AlgebraAut, make_matrix_algebra, make_skew_group_algebra
+from orbitcat.algebra import Algebra, AlgebraAut, make_matrix_algebra
 from orbitcat.ffield import FF
+from orbitcat.orbit import make_skew_group_algebra
 from orbitcat.rep import Module
 from orbitcat.scenarios import build_action
 
@@ -86,6 +87,6 @@ def test_large_skew_group_algebra_is_validated(monkeypatch):
     monkeypatch.setattr(algebra_mod.Algebra, "validate", spy)
     A = make_matrix_algebra(3, FF(5))
     action = build_action(A, {"group": "S3", "kind": "trivial"})
-    S = make_skew_group_algebra(A, action)
+    S = make_skew_group_algebra(action)
     assert S.dim == 54
     assert seen == [9, 54]
