@@ -291,10 +291,8 @@ def check_adjunction_laws(seed=0, min_samples=50) -> CheckResult:
             # lifted twists fix isomorphism classes: explicit two-sided inverse
             for g in action.elements():
                 Xg = lifted_aut(g, X, action)
-                u = OrbitMor(action, Xg, X,
-                             {g: F.eye(X.dim)}, validate=False)
-                v = OrbitMor(action, X, Xg,
-                             {action.inv(g): F.eye(X.dim)}, validate=False)
+                u = OrbitMor(action, Xg, X, {g: F.eye(X.dim)})
+                v = OrbitMor(action, X, Xg, {action.inv(g): F.eye(X.dim)})
                 if orbit_compose(v, u) != identity_orbitmor(X, action):
                     failures.append((name, f"twist-iso-{g}"))
     wanted = {

@@ -169,12 +169,8 @@ def run_task(task: str, doc: dict, seed: int, shared: dict) -> dict:
             out["pass"] = False
             out["details"] = {"error": str(ex)}
             return out
-        if cmp_out["status"].startswith("skipped"):
-            out["pass"] = True
-            out["details"] = cmp_out
-        else:
-            out["pass"] = bool(cmp_out["match"])
-            out["details"] = cmp_out
+        out["pass"] = bool(cmp_out["match"])
+        out["details"] = cmp_out
         return out
     if task == "trivial_inertia":
         try:

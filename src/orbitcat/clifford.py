@@ -188,8 +188,7 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
             # extension by zero from the whole group changes nothing
             ext, E = cls[0], corners[idx]
         else:
-            ext = KarObject(action, cls[0].module, sub_inclusion_S(cls[0].idem, action, sub),
-                            validate=False)
+            ext = KarObject(action, cls[0].module, sub_inclusion_S(cls[0].idem, action, sub))
             E, _ = kar_end_algebra(ext)
         J = radical(E)
         local = is_local(E, J)
@@ -221,8 +220,7 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
         for idx, cls in enumerate(classes):
             rep_piece = cls[0]
             image = KarObject(action, lifted_aut(g, rep_piece.module, action),
-                              lifted_aut(g, rep_piece.idem, action, support=sub), sub,
-                              validate=False)
+                              lifted_aut(g, rep_piece.idem, action, support=sub), sub)
             distinct = kar_is_isomorphic(rep_piece, image) is None
             outside.append({"g": g, "class": idx, "checked": True, "distinct": distinct})
             if not distinct:

@@ -39,10 +39,13 @@ from .rep import Module, submodule_from_image
 
 
 class KarObject:
-    """A pair (X, e): base object plus an idempotent orbit endomorphism."""
+    """A pair (X, e): base object plus an idempotent orbit endomorphism.
+
+    e is taken as given: the default identity needs no check, and
+    kar_decompose certifies the idempotents it builds."""
 
     def __init__(self, action: GroupAction, module: Module, idem: OrbitMor = None,
-                 support=None, validate: bool = True):
+                 support=None):
         self.action = action
         self.module = module
         self.support = tuple(support) if support is not None else action.full_support()
@@ -51,9 +54,6 @@ class KarObject:
         self.idem = idem
         if idem.support != self.support:
             raise ValueError("idempotent support does not match the object")
-        if validate:
-            if orbit_compose(idem, idem) != idem:
-                raise ValueError("the given endomorphism is not idempotent")
 
     def __eq__(self, other):
         return (
@@ -131,7 +131,7 @@ def kar_decompose(P: KarObject, E: Algebra, H: OrbitMor) -> List[KarObject]:
         raise ValueError("primitive summands are not orthogonal")
     if not np.array_equal(F.vsum(es.stack, axis=0), P.idem.stack):
         raise ValueError("primitive summands do not sum to the object idempotent")
-    return [KarObject(P.action, P.module, es.with_stack(e), P.support, validate=False)
+    return [KarObject(P.action, P.module, es.with_stack(e), P.support)
             for e in es.stack]
 
 

@@ -1,11 +1,15 @@
 """Independent verification layers for the orbit-category pipeline.
 
-The skew group algebra realizes induction/restriction classically: the
-induced module of M lives on the sum of the twisted copies of M, and its
-decomposition must match the pipeline's stage-2 summands whenever the
-trace-style counit splits (characteristic coprime to the group order).
-The comparison never assumes the match; it recomputes both sides and
-reports agreement or the mismatch.
+The skew group algebra realizes induction/restriction classically: Ind M
+lives on the sum of the twists of M, the orbit layer's T M before its
+label sort, and 1 (x) g permutes the twists, so induce_skew is that twist
+sum and one column gather.  The orbit category is the Kleisli category of
+T = Res Ind, so the comparison functor into A x| Gamma-modules is fully
+faithful in every characteristic, and the decomposition of Ind M must
+match the pipeline's stage-2 summands whether or not the counit splits
+(the splitting decides something else: whether every A x| Gamma-module
+is a summand of an induced one).  The comparison never assumes the match;
+it recomputes both sides and reports agreement or the mismatch.
 
 The Galois layer builds the twisted group rings M x| G of towers of
 finite fields as skew group algebras: G acts on M by Frobenius powers
@@ -27,49 +31,45 @@ from .algebra import Algebra, AlgebraAut, validate_group_table
 from .clifford import CliffordReport
 from .ffield import FF, FiniteField
 from .linalg import SpanSolver, inverse, kernel_basis, rank, rref, solve
-from .orbit import GroupAction, make_skew_group_algebra
+from .orbit import GroupAction, _twist_sum, make_skew_group_algebra
 from .rep import Module, ModuleMor, decompose, direct_sum, hom_space
 
 
 class SkewContext:
     """A strict action together with its skew group algebra A x| Gamma.
 
-    Carries the embedding a -> a (x) 1 and the section g -> 1 (x) g; the
-    conjugation identity (1 (x) g)(a (x) 1)(1 (x) g)^-1 = g(a) (x) 1 is
-    verified on construction."""
+    Carries the embedding a -> a (x) 1 and the sections g -> 1 (x) g, one
+    row per group element; the conjugation identity
+    (1 (x) g)(a (x) 1)(1 (x) g)^-1 = g(a) (x) 1 is verified on construction."""
 
     def __init__(self, action: GroupAction):
         self.action = action
         self.base = action.algebra
         self.skew = make_skew_group_algebra(action)
-        d, k = self.base.dim, action.k
-        F = self.base.field
-        self.embed = np.zeros((self.skew.dim, d), dtype=np.int64)
-        self.embed[:d, :] = F.eye(d)  # block g = 0 comes first
-        self.sections = []
-        for g in range(k):
-            v = np.zeros(self.skew.dim, dtype=np.int64)
-            v[g * d : (g + 1) * d] = self.base.unit
-            self.sections.append(v)
+        F, d = self.base.field, self.base.dim
+        self.embed = F.eye(self.skew.dim)[:, :d]  # block g = 0 comes first
+        self.sections = np.kron(F.eye(action.k), self.base.unit)
         self._verify()
 
     def _verify(self):
-        F = self.base.field
-        d = self.base.dim
-        for i in range(d):
-            for j in range(d):
-                lhs = self.skew.mul_vec(self.embed[:, i], self.embed[:, j])
-                rhs = self.embed @ self.base.mul_vec(F.eye(d)[i], F.eye(d)[j])
-                if not np.array_equal(lhs, F.arr(rhs)):
-                    raise ValueError("embedding is not multiplicative")
-        for g in range(self.action.k):
-            sg = self.sections[g]
-            sginv = self.sections[self.action.inv(g)]
-            for i in range(d):
-                conj = self.skew.mul_vec(self.skew.mul_vec(sg, self.embed[:, i]), sginv)
-                target = self.embed @ self.action.auts[g].matrix[:, i]
-                if not np.array_equal(conj, F.arr(target)):
-                    raise ValueError(f"section conjugation fails at ({g}, {i})")
+        """Both identities on every basis pair, each in one batched product;
+        an error names the first pair where one fails."""
+        F, skew, d = self.base.field, self.skew, self.base.dim
+        lhs = skew.span_products(self.embed.T, self.embed.T)
+        rhs = F.zeros(lhs.shape)
+        rhs[..., :d] = self.base.struct
+        bad = np.argwhere((lhs != rhs).any(axis=-1))
+        if bad.size:
+            raise ValueError(f"embedding is not multiplicative at pair {tuple(bad[0].tolist())}")
+        # conj[g, i] = (1 (x) g)(b_i (x) 1) times (1 (x) g)^-1
+        left = skew.span_products(self.sections, self.embed.T)
+        inv_sections = self.sections[self.action.inverses]
+        conj = F.vmatmul(inv_sections[:, None, None, :], F.combine(left, skew.struct))[:, :, 0]
+        target = F.zeros(conj.shape)
+        target[..., :d] = np.stack([aut.matrix.T for aut in self.action.auts])
+        bad = np.argwhere((conj != target).any(axis=-1))
+        if bad.size:
+            raise ValueError(f"section conjugation fails at {tuple(bad[0].tolist())}")
 
     def restrict(self, X: Module) -> Module:
         """A skew-algebra module viewed over the base algebra."""
@@ -77,31 +77,19 @@ class SkewContext:
 
 
 def induce_skew(ctx: SkewContext, M: Module) -> Module:
-    """The induced module over the skew algebra on the space sum_g (g (x) M).
+    """The induced module over the skew algebra on the space sum_h (h (x) M).
 
     The action is (a (x) g) . (h (x) m) = gh (x) rho(sigma_{(gh)^-1}(a)) m.
-    Restricting back to the base algebra gives exactly the sum of the
-    twisted copies of M, block by block."""
-    action = ctx.action
-    F = ctx.base.field
-    k, d, m = action.k, ctx.base.dim, M.dim
-    D = k * m
-    # acts[x][i] is the action of sigma_x(b_i) on M
-    acts = [F.combine(aut.matrix.T, M.stack()) for aut in action.auts]
-    mats = []
-    for i in range(d):
-        for g in range(k):
-            big = F.zeros((D, D))
-            for h in range(k):
-                gh = action.mul(g, h)
-                big[gh * m : (gh + 1) * m, h * m : (h + 1) * m] = acts[action.inv(gh)][i]
-            mats.append(big)
-    # reorder into skew basis order (g-major: index g*d + i)
-    ordered = [None] * ctx.skew.dim
-    for i in range(d):
-        for g in range(k):
-            ordered[g * d + i] = mats[i * k + g]
-    return Module(ctx.skew, ordered, validate=False)
+    Its restriction to the base algebra is the sum of the twists of M in
+    group order, T M before its label sort, and 1 (x) g permutes those
+    twists: column block h of b_i (x) g is column block gh of the action
+    of b_i on that sum."""
+    action, m = ctx.action, M.dim
+    twists = _twist_sum(M, action, action.full_support())
+    cols = (action.table[:, :, None] * m + np.arange(m)).reshape(action.k, -1)
+    # (b_i, rows, g, cols) -> the skew basis order, index g * dim A + i
+    mats = twists[:, :, cols].transpose(2, 0, 1, 3).reshape((-1,) + twists.shape[1:])
+    return Module(ctx.skew, list(mats), validate=False)
 
 
 def mackey_restriction_check(ctx: SkewContext, M: Module) -> bool:
@@ -128,9 +116,8 @@ def counit_split_test(ctx: SkewContext, X: Module) -> bool:
     F = ctx.base.field
     k, n = action.k, X.dim
     ind_res = induce_skew(ctx, ctx.restrict(X))
-    counit = F.zeros((n, k * n))
-    for g in range(k):
-        counit[:, g * n : (g + 1) * n] = X.act(ctx.sections[g])
+    # column block g is the action of 1 (x) g on X
+    counit = F.combine(ctx.sections, X.stack()).transpose(1, 0, 2).reshape(n, k * n)
     ModuleMor(ind_res, X, counit).validate()
     # s = sum_j c_j h_j over the basis of Hom(X, Ind Res X); solve counit s = id
     H = hom_space(X, ind_res).basis
@@ -143,15 +130,11 @@ def oracle_compare(report: CliffordReport, ctx: SkewContext,
     """Compare the pipeline's stage-2 signature with the classical
     decomposition of the induced module over the skew algebra.
 
-    A mismatch is reported, never raised: it would falsify the claimed
-    equivalence, so it belongs in the result.  When the characteristic
-    divides the group order the comparison is skipped (the counit does not
-    split and the two sides are not expected to agree)."""
-    F = ctx.base.field
-    if ctx.action.k % F.p == 0:
-        block = {"status": "skipped: counit not split"}
-        report.oracle = block
-        return block
+    The comparison functor from the orbit category to A x| Gamma-modules
+    is fully faithful in every characteristic (Res Ind = T), so the two
+    signatures agree whether or not the counit splits.  A mismatch is
+    reported, never raised: it would falsify the claimed equivalence, so
+    it belongs in the result."""
     if M is None:
         M = report.module
     if M is None:

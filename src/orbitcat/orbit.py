@@ -38,6 +38,11 @@ sorted by label, which makes the subgroup factorizations S = S[up] o
 S[down] and T = T[down] o T[up] hold as exact matrix equalities, not just
 up to a permutation.  The unit and counit of (S, T) are those of
 (S[up], T[up]) for the trivial subgroup.
+
+Ind along A -> A x| Gamma is T with Gamma permuting the twists: Ind X
+lives on the same sum of twists (before the label sort, ``_twist_sum``),
+a (x) 1 acts as on T X, and 1 (x) g sends the twist h to the twist gh.
+So Res Ind = T, the monad whose Kleisli category this is.
 """
 
 from __future__ import annotations
@@ -118,7 +123,9 @@ class GroupAction:
 
 
 def check_action(action: GroupAction) -> bool:
-    """Verify the group axioms and strictness; errors name the failing pair."""
+    """Verify the group axioms, each distinct automorphism object once, and
+    strictness; errors name the failing pair.  This is the one gate: the
+    automorphism builders leave validation to it."""
     table = action.table
     identity = validate_group_table(table)
     if identity != 0:
@@ -129,8 +136,8 @@ def check_action(action: GroupAction) -> bool:
     d = action.algebra.dim
     if not np.array_equal(action.auts[0].matrix, F.eye(d)):
         raise ValueError("identity element must act as the identity automorphism")
-    for g in range(action.k):
-        action.auts[g].validate()
+    for aut in {id(aut): aut for aut in action.auts}.values():
+        aut.validate()
     for g in range(action.k):
         for h in range(action.k):
             lhs = F.vmatmul(action.auts[g].matrix, action.auts[h].matrix)
@@ -182,9 +189,10 @@ class OrbitMor:
     ``comps``, ``validate`` and ``__repr__`` read a single morphism."""
 
     def __init__(self, action: GroupAction, src: Module, tgt: Module, comps,
-                 support=None, validate: bool = True):
+                 support=None):
         """``comps`` maps group elements to component matrices; the other
-        components in the support are zero."""
+        components in the support are zero.  Nothing is checked against the
+        action: ``validate`` does that on request."""
         self.action = action
         self.src = src
         self.tgt = tgt
@@ -198,14 +206,12 @@ class OrbitMor:
                 if g not in self.support:
                     raise ValueError(f"component {g} outside the support")
                 self.stack[self.support.index(g)] = m
-        if validate:
-            self.validate()
 
     @classmethod
     def from_stack(cls, action: GroupAction, src: Module, tgt: Module, stack,
                    support=None) -> "OrbitMor":
         """The morphism whose components are ``stack``, in support order."""
-        f = cls(action, src, tgt, {}, support, validate=False)
+        f = cls(action, src, tgt, {}, support)
         f.stack = stack
         return f
 
@@ -256,9 +262,7 @@ class OrbitMor:
 
 
 def identity_orbitmor(X: Module, action: GroupAction, support=None) -> OrbitMor:
-    return OrbitMor(
-        action, X, X, {0: np.eye(X.dim, dtype=np.int64)}, support, validate=False
-    )
+    return OrbitMor(action, X, X, {0: np.eye(X.dim, dtype=np.int64)}, support)
 
 
 def combine_orbitmors(mors: Sequence[OrbitMor], coeffs) -> OrbitMor:
@@ -349,7 +353,7 @@ def functor_S(x, action: GroupAction, support=None):
     if isinstance(x, Module):
         return x
     if isinstance(x, ModuleMor):
-        return OrbitMor(action, x.src, x.tgt, {0: x.matrix}, support, validate=False)
+        return OrbitMor(action, x.src, x.tgt, {0: x.matrix}, support)
     raise TypeError("functor_S expects a Module or ModuleMor")
 
 
@@ -383,15 +387,21 @@ def _twist_sum_layout(X: Module, action: GroupAction, twists: Sequence[int]):
     return blocks, perm
 
 
-def _t_object(X: Module, action: GroupAction, twists) -> Tuple[Module, np.ndarray]:
-    F = X.field
+def _twist_sum(X: Module, action: GroupAction, twists) -> np.ndarray:
+    """The action stack of the sum of the twists of X in the order of
+    ``twists``: block-diagonal, with diagonal block i the action of
+    twist(X, twists[i]).  T X is this sum with its blocks sorted by label;
+    Ind X over the skew group algebra permutes its column blocks."""
     m = X.dim
-    k = len(twists)
-    blocks, perm = _twist_sum_layout(X, action, twists)
-    big = F.zeros((X.algebra.dim, k * m, k * m))
+    big = X.field.zeros((X.algebra.dim, len(twists) * m, len(twists) * m))
     for ti, t in enumerate(twists):
         big[:, ti * m : (ti + 1) * m, ti * m : (ti + 1) * m] = action.twisted(X, t).stack()
-    mats = list(big[:, perm][:, :, perm])
+    return big
+
+
+def _t_object(X: Module, action: GroupAction, twists) -> Tuple[Module, np.ndarray]:
+    blocks, perm = _twist_sum_layout(X, action, twists)
+    mats = list(_twist_sum(X, action, twists)[:, perm][:, :, perm])
     return Module(X.algebra, mats, blocks=blocks, validate=False), perm
 
 
@@ -444,14 +454,8 @@ def lifted_aut(g: int, x, action: GroupAction, support=None):
                     f"is not normalized by element {g}"
                 )
             comps[idx] = m
-        return OrbitMor(
-            action,
-            action.twisted(f.src, g),
-            action.twisted(f.tgt, g),
-            comps,
-            support,
-            validate=False,
-        )
+        return OrbitMor(action, action.twisted(f.src, g), action.twisted(f.tgt, g), comps,
+                        support)
     raise TypeError("lifted_aut expects a Module or OrbitMor")
 
 
@@ -460,7 +464,7 @@ def sub_inclusion_S(f: OrbitMor, action: GroupAction, sub) -> OrbitMor:
     sub = action.subgroup(sub)
     if f.support != sub:
         raise ValueError("morphism is not supported on the given subgroup")
-    return OrbitMor(action, f.src, f.tgt, f.comps, None, validate=False)
+    return OrbitMor(action, f.src, f.tgt, f.comps)
 
 
 def sub_restriction_T(x, action: GroupAction, sub):
@@ -490,8 +494,7 @@ def sub_adjunction_unit(X: Module, action: GroupAction, sub) -> OrbitMor:
     sub = action.subgroup(sub)
     TX, perm = _t_object(X, action, action.right_coset_reps(sub))
     # unsorted layout: the identity representative's copy comes first
-    return OrbitMor(action, X, TX, {0: X.field.eye(TX.dim)[perm, : X.dim]}, sub,
-                    validate=False)
+    return OrbitMor(action, X, TX, {0: X.field.eye(TX.dim)[perm, : X.dim]}, sub)
 
 
 def sub_adjunction_counit(X: Module, action: GroupAction, sub) -> OrbitMor:
@@ -508,14 +511,8 @@ def sub_adjunction_counit(X: Module, action: GroupAction, sub) -> OrbitMor:
 def adjuster_nu(g: int, X: Module, action: GroupAction) -> OrbitMor:
     """The invariance adjuster: S X -> S(twist(X, g)) with a single
     identity component at g^{-1}."""
-    return OrbitMor(
-        action,
-        X,
-        action.twisted(X, g),
-        {action.inv(g): np.eye(X.dim, dtype=np.int64)},
-        None,
-        validate=False,
-    )
+    return OrbitMor(action, X, action.twisted(X, g),
+                    {action.inv(g): np.eye(X.dim, dtype=np.int64)})
 
 
 def kleisli_phi_psi(x, action: GroupAction):

@@ -67,6 +67,9 @@ def group_table(name_or_table, name: str = "group"):
 
 # ---------------------------------------------------------------------------
 # named automorphisms and actions
+#
+# The automorphism builders do not validate: the GroupAction that takes
+# them validates each one once (check_action).
 
 
 def inversion_permutation_aut(A: Algebra) -> AlgebraAut:
@@ -87,7 +90,7 @@ def inversion_permutation_aut(A: Algebra) -> AlgebraAut:
         if len(js) != 1:
             raise ValueError("inversion action expects a group algebra")
         U[js[0], i] = 1
-    return AlgebraAut(A, U)
+    return AlgebraAut(A, U, validate=False)
 
 
 def conjugation_aut(A: Algebra, unit_matrix, name: str = "conjugation matrix") -> AlgebraAut:
@@ -104,7 +107,7 @@ def conjugation_aut(A: Algebra, unit_matrix, name: str = "conjugation matrix") -
         Ej = np.zeros((n, n), dtype=np.int64)
         Ej[j // n, j % n] = 1
         U[:, j] = F.vmatmul(F.vmatmul(u, Ej), uinv).reshape(-1)
-    return AlgebraAut(A, U)
+    return AlgebraAut(A, U, validate=False)
 
 
 def basis_permutation_aut(A: Algebra, perm: Sequence[int], name: str = "perm") -> AlgebraAut:
@@ -117,7 +120,7 @@ def basis_permutation_aut(A: Algebra, perm: Sequence[int], name: str = "perm") -
                          f"a permutation of range({A.dim})")
     U = np.zeros((A.dim, A.dim), dtype=np.int64)
     U[p, np.arange(A.dim)] = 1
-    return AlgebraAut(A, U)
+    return AlgebraAut(A, U, validate=False)
 
 
 def build_action(A: Algebra, spec: dict) -> GroupAction:
@@ -155,7 +158,7 @@ def build_action(A: Algebra, spec: dict) -> GroupAction:
             gen = basis_permutation_aut(A, spec["perm"], "action perm")
             auts = _generated_cyclic(A, table, gen)
     elif kind == "explicit":
-        auts = [AlgebraAut(A, _field_codes(F, m, f"action matrices[{i}]"))
+        auts = [AlgebraAut(A, _field_codes(F, m, f"action matrices[{i}]"), validate=False)
                 for i, m in enumerate(spec["matrices"])]
     else:
         raise ValueError(f"unknown action kind {kind!r}")
@@ -358,7 +361,7 @@ def random_orbit_morphism(hom, rng) -> OrbitMor:
     """A uniformly random member of the orbit hom space ``hom``."""
     basis = hom.basis()
     if not basis:
-        return OrbitMor(hom.action, hom.source, hom.target, {}, hom.support, validate=False)
+        return OrbitMor(hom.action, hom.source, hom.target, {}, hom.support)
     return combine_orbitmors(basis, rng.integers(0, hom.action.algebra.field.q, size=len(basis)))
 
 

@@ -361,6 +361,47 @@ def test_oracle_compare_task(tmp_path, capsys):
     assert oc["details"]["match"] is True
 
 
+C3_ALGEBRA = {"type": "group_algebra", "group": "C3"}
+INVERSION = {"group": "C2", "kind": "inversion"}
+SWAP = conjugation([[0, 1], [1, 0]])
+KRONECKER3 = {"type": "path_algebra", "vertices": 2, "arrows": [[0, 1], [0, 1], [0, 1]]}
+ARROW_CYCLE = {"group": "C3", "kind": "basis_permutation", "perm": [0, 1, 3, 4, 2]}
+KLEIN_CYCLE = {"group": "C3", "kind": "basis_permutation", "perm": [0, 2, 3, 1]}
+# (field, algebra, action, module): p divides the order of the acting group
+MODULAR_SCENARIOS = {
+    "f2c3-trivial": ({"p": 2, "n": 1}, C3_ALGEBRA, INVERSION, {"kind": "trivial"}),
+    "f2c3-simple1": ({"p": 2, "n": 1}, C3_ALGEBRA, INVERSION, {"kind": "simple", "index": 1}),
+    "f4c3-trivial": ({"p": 2, "n": 2}, C3_ALGEBRA, INVERSION, {"kind": "trivial"}),
+    "mat2f2-swap": ({"p": 2, "n": 1}, MAT2_SCENARIO["algebra"], SWAP,
+                    {"kind": "simple", "index": 0}),
+    "mat2f4-swap": ({"p": 2, "n": 2}, MAT2_SCENARIO["algebra"], SWAP,
+                    {"kind": "simple", "index": 0}),
+    "kronecker-f2-simple0": ({"p": 2, "n": 1}, KRONECKER, arrow_swap()["action"],
+                             {"kind": "simple", "index": 0}),
+    "kronecker-f2-proj0": ({"p": 2, "n": 1}, KRONECKER, arrow_swap()["action"],
+                           {"kind": "regular_summand", "index": 0}),
+    "kronecker-f2-proj1": ({"p": 2, "n": 1}, KRONECKER, arrow_swap()["action"],
+                           {"kind": "regular_summand", "index": 1}),
+    "kronecker3-f3-proj1": ({"p": 3, "n": 1}, KRONECKER3, ARROW_CYCLE,
+                            {"kind": "regular_summand", "index": 1}),
+    "f3klein-trivial": ({"p": 3, "n": 1}, {"type": "group_algebra", "group": "C2xC2"},
+                        KLEIN_CYCLE, {"kind": "trivial"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULAR_SCENARIOS))
+def test_oracle_compare_modular(tmp_path, capsys, name):
+    """The orbit side and the skew-group-algebra side agree in modular
+    characteristic too: every case is compared, none skipped."""
+    field, alg, action, module = MODULAR_SCENARIOS[name]
+    doc = {"schema_version": 1, "field": field, "algebra": alg, "action": action,
+           "module": module, "tasks": ["oracle_compare"]}
+    code = main(["run", write_scenario(tmp_path, doc), "--format", "json"])
+    details = json.loads(capsys.readouterr().out)["results"][0]["details"]
+    assert code == 0
+    assert details["status"] == "compared" and details["match"] is True
+
+
 def test_clifford_and_oracle_share_one_run(tmp_path, monkeypatch):
     calls = []
     real = cli.clifford_run

@@ -24,8 +24,10 @@ SCENARIOS = {
     "mat2_f5_c2": ({"p": 5, "n": 1}, _MAT2, _SWAP, {"kind": "simple", "index": 0}),
     # extension field with lookup tables
     "mat2_f25_c2": ({"p": 5, "n": 2}, _MAT2, _SWAP, {"kind": "simple", "index": 0}),
-    # modular case: 3 divides |C3|
+    # modular algebra, coprime action: 3 divides |C3|, not |C2|
     "f3c3_regular": ({"p": 3, "n": 1}, _C3, _INVERSION, {"kind": "regular"}),
+    # modular action: 2 divides |C2|, and the oracle still compares
+    "f2c3_trivial": ({"p": 2, "n": 1}, _C3, _INVERSION, {"kind": "trivial"}),
 }
 
 GALOIS_Q3 = {
@@ -55,6 +57,10 @@ GOLDEN = {
         "c50952b5add479184e2194fc22dbe5186a4f22544033f888a2056957b8f4d4d7",
     "f3c3_regular/oc":
         "c8760d0af86ce68688d66ed8c603e7d55e89812be5dc1b55ce05730d9894563b",
+    "f2c3_trivial/co":
+        "2e1be0673e886f74f37b4d77cb8f39d3c54fa9011218e40c5e6b054d30065e60",
+    "f2c3_trivial/oc":
+        "4be073cd43e403ebe96ef425e085343780210589e9e0898074b1dea1eb7c56f1",
     "galois_q3":
         "9457419c951937bbac622ab76d2c6b8d2a4156edbd7348b640194f9ce2765dc6",
 }

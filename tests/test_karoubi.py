@@ -224,8 +224,7 @@ def test_lift_functor_sub_inclusion():
     sub = action.subgroup([0, 1])  # whole group here; also test trivial sub
     P = KarObject(action, S)
     pieces = kar_pieces(P)
-    ext = KarObject(action, pieces[0].module, sub_inclusion_S(pieces[0].idem, action, sub),
-                    validate=False)
+    ext = KarObject(action, pieces[0].module, sub_inclusion_S(pieces[0].idem, action, sub))
     assert isinstance(ext, KarObject)
     assert ext.support == action.full_support()
 
@@ -293,8 +292,7 @@ def test_lifted_aut_on_kar_strict():
 
     def lift(q, g):
         return KarObject(action, lifted_aut(g, q.module, action),
-                         lifted_aut(g, q.idem, action, support=q.support), q.support,
-                         validate=False)
+                         lifted_aut(g, q.idem, action, support=q.support), q.support)
 
     a1 = lift(p, 1)
     a11 = lift(a1, 1)

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from orbitcat.algebra import AlgebraAut, make_group_algebra, make_matrix_algebra, radical
+from orbitcat import oracle as oracle_mod
+from orbitcat.algebra import Algebra, AlgebraAut, make_group_algebra, make_matrix_algebra, radical
 from orbitcat.clifford import clifford_run
 from orbitcat.ffield import FF
 from orbitcat.oracle import (
@@ -20,7 +21,7 @@ from orbitcat.oracle import (
     oracle_compare,
     restrict_along,
 )
-from orbitcat.orbit import GroupAction, make_skew_group_algebra
+from orbitcat.orbit import GroupAction, functor_T, make_skew_group_algebra
 from orbitcat.rep import (
     Module,
     decompose,
@@ -30,7 +31,7 @@ from orbitcat.rep import (
     regular_module,
     submodule_span,
 )
-from orbitcat.scenarios import GROUP_TABLES
+from orbitcat.scenarios import GROUP_TABLES, corpus_pairs, indecomposable_pool
 
 
 def cyclic_table(k):
@@ -88,6 +89,61 @@ def test_induced_restricts_to_twist_sum(f7_ctx):
         chi = character_module(f7_ctx.base, F, val)
         assert mackey_restriction_check(f7_ctx, chi)
     assert mackey_restriction_check(f7_ctx, regular_module(f7_ctx.base))
+
+
+def _induce_by_formula(ctx, M):
+    """Ind M from its defining formula, one block at a time:
+    (b_i (x) g) . (h (x) m) = gh (x) rho(sigma_{(gh)^-1}(b_i)) m."""
+    action, F = ctx.action, ctx.base.field
+    k, d, m = action.k, ctx.base.dim, M.dim
+    mats = []
+    for g in range(k):
+        for i in range(d):
+            big = F.zeros((k * m, k * m))
+            for h in range(k):
+                gh = action.mul(g, h)
+                a = action.auts[action.inv(gh)].matrix[:, i]
+                big[gh * m : (gh + 1) * m, h * m : (h + 1) * m] = M.act(a)
+            mats.append(big)
+    return mats
+
+
+def _pool_with_labeled_module(A, action):
+    """The corpus pair's pool plus a labeled module: T of its first member,
+    whose blocks are sorted by label, not by twist."""
+    pool = indecomposable_pool(A)
+    return pool + [functor_T(pool[0], action)]
+
+
+@pytest.mark.parametrize("pair", corpus_pairs(), ids=lambda pair: pair[0])
+def test_induce_skew_is_the_twist_sum_with_permuted_blocks(pair):
+    """On every pool module, and on a T-object: Ind M follows its defining
+    formula, is a module over the skew algebra, and restricts to the sum
+    of the twists of M in group order."""
+    _, A, action = pair
+    ctx = SkewContext(action)
+    for M in _pool_with_labeled_module(A, action):
+        ind = induce_skew(ctx, M)
+        ind.validate()
+        assert all(np.array_equal(a, b) for a, b in zip(ind.mats, _induce_by_formula(ctx, M)))
+        assert mackey_restriction_check(ctx, M)
+
+
+@pytest.mark.parametrize("entry, message", [
+    # b_1 b_2 in the base block: the embedding identity fails
+    ((1, 2, 0), r"embedding is not multiplicative at pair \(1, 2\)"),
+    # (1 (x) g)(b_1 (x) 1) for g = 1: the conjugation identity fails
+    ((3, 1, 3), r"section conjugation fails at \(1, 1\)"),
+])
+def test_skew_context_names_the_failing_pair(monkeypatch, f7_ctx, entry, message):
+    """F7 C3 x| C2 with one structure constant changed by one."""
+    skew = f7_ctx.skew
+    struct = skew.struct.copy()
+    struct[entry] = (struct[entry] + 1) % 7
+    corrupted = Algebra(skew.field, struct, skew.unit, validate=False)
+    monkeypatch.setattr(oracle_mod, "make_skew_group_algebra", lambda action: corrupted)
+    with pytest.raises(ValueError, match=message):
+        SkewContext(f7_ctx.action)
 
 
 def test_induced_character_restriction_decomposes(f7_ctx):
@@ -153,7 +209,9 @@ def test_oracle_compare_f3_modular_coprime_index():
         assert out["match"], out
 
 
-def test_oracle_compare_skips_modular_group_order():
+def test_oracle_compare_modular_group_order_is_compared():
+    """p = 2 divides |C2|: the counit does not split, and the two sides
+    are compared and agree all the same (F_2 C_2 is local, of dim 2)."""
     F = FF(2)
     A = make_group_algebra([[0]], F)  # ground field
     ident = AlgebraAut(A, np.eye(1, dtype=np.int64))
@@ -162,7 +220,8 @@ def test_oracle_compare_skips_modular_group_order():
     triv = Module(A, [np.eye(1, dtype=np.int64)])
     rep = clifford_run(action, triv)
     out = oracle_compare(rep, ctx, triv)
-    assert out["status"].startswith("skipped")
+    assert out["status"] == "compared"
+    assert out["match"] and out["classical_signature"] == [(2, 1)]
 
 
 def test_counit_split_p7(f7_ctx):

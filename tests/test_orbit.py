@@ -168,10 +168,20 @@ def test_orbit_compose_twist_unit_counit_pair(f7c3_setup):
     X = regular_module(A)
     g = 1
     Xg = action.twisted(X, g)
-    u = OrbitMor(action, Xg, X, {g: np.eye(3, dtype=np.int64)})
-    v = OrbitMor(action, X, Xg, {action.inv(g): np.eye(3, dtype=np.int64)})
+    u = OrbitMor(action, Xg, X, {g: np.eye(3, dtype=np.int64)}).validate()
+    v = OrbitMor(action, X, Xg, {action.inv(g): np.eye(3, dtype=np.int64)}).validate()
     assert orbit_compose(v, u) == identity_orbitmor(X, action)
     assert orbit_compose(u, v) == identity_orbitmor(Xg, action)
+
+
+def test_orbit_mor_validate_rejects_a_non_intertwiner(f7c3_setup):
+    """The constructor takes components as given; validate() checks them.
+    The identity of the regular module is no map to its inversion twist."""
+    F, A, action = f7c3_setup
+    X = regular_module(A)
+    f = OrbitMor(action, X, X, {0: np.eye(3, dtype=np.int64), 1: np.eye(3, dtype=np.int64)})
+    with pytest.raises(ValueError, match="component 1 is not an intertwiner"):
+        f.validate()
 
 
 def test_orbit_compose_associative_random(f7c3_setup):
@@ -303,8 +313,8 @@ def test_lifted_aut_object_isomorphic_in_orbit(f7c3_setup):
     X = regular_module(A)
     g = 1
     Xg = lifted_aut(g, X, action)
-    u = OrbitMor(action, Xg, X, {g: np.eye(3, dtype=np.int64)})
-    v = OrbitMor(action, X, Xg, {action.inv(g): np.eye(3, dtype=np.int64)})
+    u = OrbitMor(action, Xg, X, {g: np.eye(3, dtype=np.int64)}).validate()
+    v = OrbitMor(action, X, Xg, {action.inv(g): np.eye(3, dtype=np.int64)}).validate()
     assert orbit_compose(v, u) == identity_orbitmor(X, action)
 
 
@@ -436,7 +446,7 @@ def test_adjuster_invertible():
     for g in range(4):
         nu = adjuster_nu(g, S, action)
         Sg = action.twisted(S, g)
-        back = OrbitMor(action, Sg, S, {g: np.eye(S.dim, dtype=np.int64)})
+        back = OrbitMor(action, Sg, S, {g: np.eye(S.dim, dtype=np.int64)}).validate()
         assert orbit_compose(nu, back) == identity_orbitmor(S, action)
         assert orbit_compose(back, nu) == identity_orbitmor(Sg, action)
 
@@ -639,7 +649,7 @@ def test_orbit_layer_matches_reference_formulas(name):
             for j, Y in enumerate(mods):
                 space = spaces[i, j] = orbit_hom(X, Y, action, support=support)
                 fams[i, j] = space.family()
-                singles = [OrbitMor(action, X, Y, {g: m}, support, validate=False)
+                singles = [OrbitMor(action, X, Y, {g: m}, support)
                            for g in support for m in space.components[g].basis]
                 assert members(fams[i, j]) == space.basis() == singles
                 assert fams[i, j].flatten().shape == (
