@@ -58,11 +58,9 @@ from .orbit import (
     sub_restriction_T,
 )
 from .karoubi import (
-    KarMor,
     KarObject,
     kar_decompose,
     kar_functor_T,
-    kar_hom,
     kar_is_isomorphic,
 )
 from .clifford import (

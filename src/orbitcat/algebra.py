@@ -14,7 +14,8 @@ each stage the map x -> c_{p^j}(x y) is additive and p^j-semilinear, so
 the condition set is cut out by a Frobenius-twisted linear system.  A
 stage reads only c_{p^j}, so only the leading p^j + 1 coefficients of
 each characteristic polynomial are computed (a truncated Berkowitz
-recurrence, exact by the argument in linalg.charpoly_batched).  The
+recurrence, exact by the argument in linalg.charpoly_batched), and only
+for the unordered pairs {x, y}, as charpoly(xy) = charpoly(yx).  The
 final set is the Jacobson radical.  Because the chain is subtle, the
 result is certified in-op: the span must be a two-sided ideal, a power of
 it must vanish, and the quotient must have zero radical.  The quotient's
@@ -26,10 +27,10 @@ Primitive idempotent extraction follows the classical route: split the
 semisimple quotient (Berlekamp fixed space of the q-power Frobenius on
 the center gives the block decomposition; inside a block, elements with
 composite minimal polynomial or a nilpotent part yield proper
-idempotents), then lift everything through the radical with the
-integer-coefficient iteration e -> 3e^2 - 2e^3.  Each primitive idempotent
-is certified once, on the field leaf where its split stopped (see
-primitive_orthogonal_idempotents).
+idempotents; a corner known to be simple skips the center), then lift
+everything through the radical with the integer-coefficient iteration
+e -> 3e^2 - 2e^3.  Each primitive idempotent is certified once, on the
+field leaf where its split stopped (see primitive_orthogonal_idempotents).
 """
 
 from __future__ import annotations
@@ -148,14 +149,23 @@ class Algebra:
         return F.vmatmul(np.atleast_2d(Y), F.combine(np.atleast_2d(X), self.struct))
 
     def power(self, x, e: int) -> np.ndarray:
-        acc = self.unit.copy()
+        """x^e by square-and-multiply, in the order acc * base.  x may be a
+        stack of rows (..., d): every row is raised at once, one batched
+        product per step."""
+        F = self.field
         base = np.asarray(x, dtype=np.int64)
+        acc = np.broadcast_to(self.unit, base.shape)
+
+        def mul(u, v):  # row by row, u_i * v_i
+            return F.vmatmul(v[..., None, :], F.combine(u, self.struct))[..., 0, :]
+
         while e:
             if e & 1:
-                acc = self.mul_vec(acc, base)
-            base = self.mul_vec(base, base)
+                acc = mul(acc, base)
             e >>= 1
-        return acc
+            if e:
+                base = mul(base, base)
+        return np.array(acc)
 
     def element_min_poly(self, x) -> Poly:
         x = np.asarray(x, dtype=np.int64)
@@ -323,21 +333,22 @@ class IdempotentSet:
         return iter(self.idempotents)
 
     def verify(self):
-        A = self.algebra
-        for e in self.idempotents:
-            if not np.array_equal(A.mul_vec(e, e), e):
-                raise CertificationError("element is not idempotent")
+        """Each e is idempotent; with the flags, e_i e_j = 0 for i != j and
+        the e sum to the unit.  Every product e_i e_j comes from one
+        span_products; a failure names the first pair in row order."""
+        A, F = self.algebra, self.algebra.field
+        k = len(self.idempotents)
+        es = np.reshape(np.asarray(self.idempotents, dtype=np.int64), (k, A.dim))
+        prods = A.span_products(es, es)  # [i, j] = e_i e_j
+        if not np.array_equal(prods[np.arange(k), np.arange(k)], es):
+            raise CertificationError("element is not idempotent")
         if self.orthogonal:
-            for i, e in enumerate(self.idempotents):
-                for j, f in enumerate(self.idempotents):
-                    if i != j and A.mul_vec(e, f).any():
-                        raise CertificationError(f"idempotents {i}, {j} not orthogonal")
-        if self.complete:
-            total = A.field.zeros(A.dim)
-            for e in self.idempotents:
-                total = A.field.vadd(total, e)
-            if not np.array_equal(total, A.unit):
-                raise CertificationError("idempotents do not sum to the unit")
+            bad = np.argwhere(prods.any(axis=-1) & ~np.eye(k, dtype=bool))
+            if bad.size:
+                i, j = bad[0]
+                raise CertificationError(f"idempotents {i}, {j} not orthogonal")
+        if self.complete and not np.array_equal(F.vsum(es, axis=0), A.unit):
+            raise CertificationError("idempotents do not sum to the unit")
         return True
 
 
@@ -565,20 +576,16 @@ def make_path_algebra(field: FiniteField, n_vertices: int, arrows, relations=())
 # radical (Cohen-Ivanyos-Wales chain) and certification
 
 
-def _inv_frobenius_rows(field, rows, j):
-    """Apply the inverse of x -> x^(p^j) coordinatewise."""
-    if field.n == 1 or j % field.n == 0:
-        return rows
-    k = (field.n - (j % field.n)) % field.n
-    out = np.array(rows, dtype=np.int64)
-    flat = out.ravel()
-    for idx in range(flat.size):
-        flat[idx] = field.frobenius(int(flat[idx]), k)
-    return out
-
-
 def radical(A: Algebra, certify: bool = True) -> np.ndarray:
     """Echelonized basis (rows) of the Jacobson radical.
+
+    Stage j of the chain solves sum_a lam_a^(p^j) C[a, b] = 0 for every b,
+    with C[a, b] = c_{p^j}(rep(x_a) rep(x_b)) over the current basis x.
+    C is symmetric, because charpoly(XY) = charpoly(YX) for square X and Y
+    (det(t - XY) = det(t - YX), Sylvester's determinant identity), so the
+    charpoly stage computes one characteristic polynomial per unordered
+    pair a <= b, r(r+1)/2 of them, and fills both triangles.  The trace
+    stage (p^j = 1) is one matrix product.
 
     Certified in-op: ideal closure, nilpotency, and a zero radical of the
     quotient; any failure raises CertificationError.
@@ -600,14 +607,19 @@ def radical(A: Algebra, certify: bool = True) -> np.ndarray:
             C = F.vmatmul(reps.reshape(r, nrep * nrep),
                           reps.transpose(0, 2, 1).reshape(r, nrep * nrep).T)
         else:
+            # one broadcast product expands each operand once; gathering
+            # the triangle's operands first expands r(r+1)/2 of them, and
+            # it measured a higher peak memory on the ladder workload
             prods = F.vmatmul(reps[:, None], reps[None, :])  # (r, r, n, n)
-            polys = charpoly_batched(F, prods.reshape(r * r, nrep, nrep), pj + 1)
-            C = polys[:, pj].reshape(r, r)
+            a, b = np.triu_indices(r)
+            polys = charpoly_batched(F, prods[a, b], pj + 1)
+            C = F.zeros((r, r))
+            C[a, b] = C[b, a] = polys[:, pj]
         W = kernel_basis(F, C.T)
         if len(W) == 0:
             basis = np.zeros((0, d), dtype=np.int64)
         else:
-            lam = _inv_frobenius_rows(F, np.array(W), j)
+            lam = F.vfrobenius(np.array(W), -j)  # the p^j-th roots
             basis, _ = rref(F, F.vmatmul(lam, basis))
         j += 1
         pj *= F.p
@@ -812,28 +824,29 @@ def _frobenius_fixed_dim(A: Algebra, rows) -> tuple:
     if r == 0:
         return 0, []
     solver = SpanSolver(F, rows)
-    Phi = solver.batch_coords(np.stack([A.power(v, F.q) for v in rows])).T
+    Phi = solver.batch_coords(A.power(rows, F.q)).T
     K = kernel_basis(F, F.vsub(Phi, F.eye(r)))
     fixed = F.combine(np.reshape(K, (len(K), r)), solver.basis)
     return len(K), fixed
 
 
 def lift_idempotent(A: Algebra, J, ebar) -> np.ndarray:
-    """Lift an idempotent-mod-J to a true idempotent via e -> 3e^2 - 2e^3."""
+    """Lift an idempotent-mod-J to a true idempotent via e -> 3e^2 - 2e^3.
+
+    J holds rows spanning the ideal, or is a SpanSolver of them, which a
+    caller lifting many idempotents builds once."""
     F = A.field
     e = np.asarray(ebar, dtype=np.int64)
-    solver = SpanSolver(F, J) if len(J) else None
+    solver = J if isinstance(J, SpanSolver) else SpanSolver(F, J)
     defect = F.vsub(A.mul_vec(e, e), e)
-    if defect.any():
-        if solver is None or not solver.contains(defect):
-            raise ValueError("element is not idempotent modulo the ideal")
+    if defect.any() and not solver.contains(defect):
+        raise ValueError("element is not idempotent modulo the ideal")
     for _ in range(64):
         e2 = A.mul_vec(e, e)
         if np.array_equal(e2, e):
-            if solver is not None and len(J):
-                diff = F.vsub(e, np.asarray(ebar, dtype=np.int64))
-                if diff.any() and not solver.contains(diff):
-                    raise CertificationError("lift drifted out of the coset")
+            diff = F.vsub(e, np.asarray(ebar, dtype=np.int64))
+            if diff.any() and not solver.contains(diff):
+                raise CertificationError("lift drifted out of the coset")
             return e
         e3 = A.mul_vec(e2, e)
         e = F.vsubmul(F.vmul(3 % F.p, e2), 2 % F.p, e3)
@@ -862,7 +875,12 @@ def _split_candidates(B: Algebra):
 
 
 def _crt_idempotents(B: Algebra, x, factors):
-    """Complete orthogonal idempotents from coprime factor components."""
+    """Complete orthogonal idempotents from coprime factor components.
+
+    With m = prod g^a over the factors (g, a) and h = m / g^a, the
+    idempotent of g is (u h mod m)(x) for u h = 1 mod g^a.  Every such
+    polynomial has degree < deg m, so each idempotent is one combine of
+    its coefficients with the powers x^0, ..., x^(deg m - 1), built once."""
     F = B.field
     m = Poly.one(F)
     parts = []
@@ -872,14 +890,17 @@ def _crt_idempotents(B: Algebra, x, factors):
             ga = ga * g
         parts.append(ga)
         m = m * ga
-    out = []
-    for ga in parts:
+    coeffs = F.zeros((len(parts), m.degree))
+    for row, ga in zip(coeffs, parts):
         h = m // ga
         gcd, u, _ = poly_xgcd(h, ga)
         assert gcd.degree == 0 and gcd.codes == (1,)
-        e = B.eval_poly((u * h) % m, x)
-        out.append(e)
-    return out
+        codes = ((u * h) % m).codes
+        row[:len(codes)] = codes
+    powers = [B.unit]
+    for _ in range(m.degree - 1):
+        powers.append(B.mul_vec(powers[-1], x))
+    return F.combine(coeffs, np.stack(powers))
 
 
 def _nilpotent_split(B: Algebra, nil):
@@ -910,17 +931,22 @@ def _nilpotent_split(B: Algebra, nil):
     return e
 
 
-def _corner_poi(B: Algebra, idempotents, depth: int):
+def _corner_poi(B: Algebra, idempotents, depth: int, simple: bool):
     """Primitive idempotents of B refining orthogonal idempotents, with
     their leaves: split each nonzero corner eBe and map its idempotents back
-    into B.  A leaf f(eBe)f of the corner is fBf, because f = efe."""
+    into B.  A leaf f(eBe)f of the corner is fBf, because f = efe.  simple
+    says the corners are known to be simple, so they skip the central
+    split."""
+    if depth >= 64:
+        raise CertificationError("idempotent splitting recursion too deep")
     F = B.field
+    split = _simple_poi if simple else _semisimple_poi
     out = []
     for ec in idempotents:
         if ec.any():
             Bc, emb = corner_algebra(B, ec)
             out.extend((F.vmatmul(f[None, :], emb)[0], leaf)
-                       for f, leaf in _semisimple_poi(Bc, depth + 1))
+                       for f, leaf in split(Bc, depth + 1))
     return out
 
 
@@ -929,47 +955,56 @@ def _semisimple_poi(B: Algebra, depth: int = 0):
 
     Returns (e, leaf) pairs: leaf is the algebra eBe on which the split of
     e stopped, either 1-dimensional or commutative with a 1-dimensional
-    Frobenius-fixed space."""
+    Frobenius-fixed space.
+
+    The fixed space of z -> z^q on the center Z(B) has one dimension per
+    simple block (Berlekamp): each block's center is a field holding one
+    copy of F_q.  A fixed v outside F_q 1 takes a value in F_q on each
+    block, and the CRT idempotents of its distinct values are central.
+    When its minimal polynomial has fixed_dim distinct roots, each value
+    marks one block, so each corner is simple and goes straight to
+    _simple_poi; otherwise a corner may hold several blocks, and it
+    recomputes its own center here."""
     F = B.field
-    d = B.dim
-    if d == 0:
+    if B.dim == 0:
         return []
-    if d == 1:
-        return [(B.unit.copy(), B)]
-    if depth > 64:
-        raise CertificationError("idempotent splitting recursion too deep")
-    Z = center_basis(B)
-    fixed_dim, fixed = _frobenius_fixed_dim(B, Z)
-    if fixed_dim > 1:
-        unit_solver = SpanSolver(F, B.unit[None, :])
-        v = None
-        for w in fixed:
-            if not unit_solver.contains(w):
-                v = w
-                break
-        assert v is not None
-        mp = B.element_min_poly(v)
-        factors = poly_factor(mp)
-        assert len(factors) >= 2 and all(g.degree == 1 and a == 1 for g, a in factors)
-        return _corner_poi(B, _crt_idempotents(B, v, factors), depth)
-    # connected block
+    if B.dim > 1:
+        fixed_dim, fixed = _frobenius_fixed_dim(B, center_basis(B))
+        if fixed_dim > 1:
+            unit_solver = SpanSolver(F, B.unit[None, :])
+            v = next(w for w in fixed if not unit_solver.contains(w))
+            factors = poly_factor(B.element_min_poly(v))
+            assert len(factors) >= 2 and all(g.degree == 1 and a == 1 for g, a in factors)
+            return _corner_poi(B, _crt_idempotents(B, v, factors), depth,
+                               simple=len(factors) == fixed_dim)
+    return _simple_poi(B, depth)
+
+
+def _simple_poi(B: Algebra, depth: int):
+    """The split of a simple algebra B, as _semisimple_poi returns it.
+
+    A commutative simple algebra is a field, a leaf.  Otherwise an element
+    with composite minimal polynomial or a nilpotent part splits B into
+    corners eBe, and a corner of a simple algebra is simple: its center is
+    eZ(B), a field.  So the corners recurse here, with no center to
+    compute."""
+    F = B.field
     if B.is_commutative():
         return [(B.unit.copy(), B)]
-    # noncommutative matrix block: hunt for a splitting idempotent
     for x in _split_candidates(B):
         if not x.any():
             continue
         mp = B.element_min_poly(x)
         factors = poly_factor(mp)
         if len(factors) >= 2:
-            return _corner_poi(B, _crt_idempotents(B, x, factors), depth)
+            return _corner_poi(B, _crt_idempotents(B, x, factors), depth, simple=True)
         g, a = factors[0]
         if a >= 2:
             nil = B.eval_poly(g, x)
             if nil.any():
                 e = _nilpotent_split(B, nil)
                 if e is not None:
-                    return _corner_poi(B, (e, F.vsub(B.unit, e)), depth)
+                    return _corner_poi(B, (e, F.vsub(B.unit, e)), depth, simple=True)
     raise CertificationError("no splitting element found in semisimple block")
 
 
@@ -1005,6 +1040,7 @@ def primitive_orthogonal_idempotents(A: Algebra) -> IdempotentSet:
     if d == 0:
         return IdempotentSet(A, [], orthogonal=True, complete=True, primitive=True)
     J = radical(A)
+    J_solver = SpanSolver(F, J)
     Abar, project, lift = quotient_algebra(A, J)
     leaves = _semisimple_poi(Abar)
     es = []
@@ -1018,13 +1054,13 @@ def primitive_orthogonal_idempotents(A: Algebra) -> IdempotentSet:
             a = lift(ebar)
             c = F.vsub(A.unit, done)
             b = A.mul_vec(c, A.mul_vec(a, c))
-            e = lift_idempotent(A, J, b)
+            e = lift_idempotent(A, J_solver, b)
         es.append(e)
         done = F.vadd(done, e)
     result = IdempotentSet(A, es, orthogonal=True, complete=True, primitive=True)
     result.verify()
     diffs = np.stack([F.vsub(e, lift(ebar)) for e, (ebar, _) in zip(es, leaves)])
-    if SpanSolver(F, J).residual(diffs).any():
+    if J_solver.residual(diffs).any():
         raise CertificationError("idempotent lies outside the coset of its leaf")
     for _, leaf in leaves:
         if not is_local(leaf):

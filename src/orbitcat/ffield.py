@@ -368,6 +368,17 @@ class FiniteField:
             return (np.asarray(A) * np.asarray(B)) % self.p
         return self.exp[self.log[A] + self.log[B]]
 
+    def vfrobenius(self, A, k: int = 1) -> np.ndarray:
+        """k-fold p-power Frobenius of every code in A, by one gather: a
+        nonzero a goes to exp[log a * p^k mod (q - 1)] and 0 stays 0.  The
+        map has order n, so a negative k gives the inverse power."""
+        A = np.asarray(A, dtype=np.int64)
+        k %= self.n
+        if k == 0:
+            return A
+        out = self.exp[self.log[A].astype(np.int64) * self.p ** k % (self.q - 1)]
+        return np.where(A == 0, 0, out)
+
     def vsum(self, A, axis: int) -> np.ndarray:
         A = np.asarray(A)
         if self.n == 1:

@@ -20,7 +20,6 @@ idempotent block matrix T(e) (kar_functor_T).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -66,27 +65,6 @@ class KarObject:
         return f"KarObject(dim={self.module.dim}, support={self.support})"
 
 
-@dataclass
-class KarMor:
-    src: KarObject
-    tgt: KarObject
-    mor: OrbitMor
-
-    def validate(self):
-        compressed = orbit_compose(orbit_compose(self.src.idem, self.mor), self.tgt.idem)
-        if compressed != self.mor:
-            raise ValueError("morphism is not compatible with the idempotents")
-        return self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KarMor)
-            and self.src == other.src
-            and self.tgt == other.tgt
-            and self.mor == other.mor
-        )
-
-
 def _kar_basis(P: KarObject, Q: KarObject) -> OrbitMor:
     """Echelonized basis of the compressed hom space e_Q o Hom o e_P, as
     one family: the raw hom family compressed in two compositions."""
@@ -96,12 +74,6 @@ def _kar_basis(P: KarObject, Q: KarObject) -> OrbitMor:
     rows = rref(P.action.algebra.field,
                 orbit_compose(orbit_compose(P.idem, raw), Q.idem).flatten())[0]
     return raw.with_stack(rows.reshape((len(rows),) + raw.stack.shape[1:]))
-
-
-def kar_hom(P: KarObject, Q: KarObject) -> List[KarMor]:
-    """Echelonized basis of the compressed hom space f o Hom o e."""
-    H = _kar_basis(P, Q)
-    return [KarMor(P, Q, H.with_stack(s)) for s in H.stack]
 
 
 def kar_end_algebra(P: KarObject) -> Tuple[Algebra, OrbitMor]:

@@ -32,7 +32,7 @@ from .clifford import CliffordReport
 from .ffield import FF, FiniteField
 from .linalg import SpanSolver, inverse, kernel_basis, rank, rref, solve
 from .orbit import GroupAction, _twist_sum, make_skew_group_algebra
-from .rep import Module, ModuleMor, decompose, direct_sum, hom_space
+from .rep import Module, ModuleMor, decompose, hom_space
 
 
 class SkewContext:
@@ -90,18 +90,6 @@ def induce_skew(ctx: SkewContext, M: Module) -> Module:
     # (b_i, rows, g, cols) -> the skew basis order, index g * dim A + i
     mats = twists[:, :, cols].transpose(2, 0, 1, 3).reshape((-1,) + twists.shape[1:])
     return Module(ctx.skew, list(mats), validate=False)
-
-
-def mackey_restriction_check(ctx: SkewContext, M: Module) -> bool:
-    """Res Ind M equals the sum of twists block by block (identity matrices)."""
-    action = ctx.action
-    ind = induce_skew(ctx, M)
-    res = ctx.restrict(ind)
-    expected, _, _ = direct_sum(
-        [action.twisted(M, h) for h in action.elements()],
-        labels=list(action.elements()),
-    )
-    return res == expected
 
 
 def counit_split_test(ctx: SkewContext, X: Module) -> bool:

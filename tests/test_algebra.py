@@ -312,6 +312,12 @@ def test_idempotent_set_verify_rejects_fakes():
     incomplete = IdempotentSet(A, [e11], orthogonal=True, complete=True)
     with pytest.raises(CertificationError, match="sum"):
         incomplete.verify()
+    # e11 + e12 is idempotent; of the pairs that fail, (0, 2), (2, 0) and
+    # (2, 1), the first in row order is named
+    e22 = np.eye(4, dtype=np.int64)[3]
+    overlapping = IdempotentSet(A, [e11, e22, e11 + e12], orthogonal=True)
+    with pytest.raises(CertificationError, match="idempotents 0, 2 not orthogonal"):
+        overlapping.verify()
 
 
 def test_brute_force_radical_agreement():

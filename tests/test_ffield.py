@@ -101,6 +101,18 @@ def test_frobenius_is_field_automorphism():
     assert out == a
 
 
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2)])
+def test_vfrobenius_matches_scalar_frobenius(p, n):
+    """Every code of the field, every power k of the Frobenius (negative
+    k included, the inverse powers), in one gather."""
+    F = FF(p, n)
+    codes = np.arange(F.q, dtype=np.int64).reshape(p, -1)
+    for k in range(-n, 2 * n):
+        expected = [[F.frobenius(int(a), k) for a in row] for row in codes]
+        np.testing.assert_array_equal(F.vfrobenius(codes, k), expected)
+    np.testing.assert_array_equal(F.vfrobenius(F.vfrobenius(codes, 1), -1), codes)
+
+
 def test_scalar_wrapper():
     F = FF(5)
     a = F.scalar(3)

@@ -4,12 +4,11 @@ import pytest
 from orbitcat.algebra import AlgebraAut, is_local, make_group_algebra, make_matrix_algebra
 from orbitcat.ffield import FF
 from orbitcat.karoubi import (
-    KarMor,
     KarObject,
+    _kar_basis,
     kar_decompose,
     kar_end_algebra,
     kar_functor_T,
-    kar_hom,
     kar_is_isomorphic,
 )
 from orbitcat.orbit import (
@@ -96,10 +95,10 @@ def test_kar_hom_identity_idempotents():
     action = inversion_action(A)
     X = regular_module(A)
     P = KarObject(action, X)
-    H = kar_hom(P, P)
-    assert len(H) == orbit_hom(X, X, action).dim
-    for km in H:
-        km.validate()
+    H = _kar_basis(P, P)
+    assert len(H.stack) == orbit_hom(X, X, action).dim
+    # every basis morphism is compatible with the idempotents
+    assert orbit_compose(orbit_compose(P.idem, H), P.idem) == H
 
 
 def test_kar_hom_complementary_corners():
@@ -116,9 +115,8 @@ def test_kar_hom_complementary_corners():
     pieces = kar_decompose(P, E, basis)
     p0, p1 = pieces
     # hom between complementary corners through composition is zero
-    H01 = kar_hom(p0, p1)
-    H10 = kar_hom(p1, p0)
-    assert len(H01) == 0 and len(H10) == 0
+    assert len(_kar_basis(p0, p1).stack) == 0
+    assert len(_kar_basis(p1, p0).stack) == 0
 
 
 def test_kar_decompose_mat2_swap():
@@ -187,11 +185,11 @@ def test_kar_is_isomorphic_self_and_witnesses():
     assert orbit_compose(alpha, beta) == P.idem
     assert orbit_compose(beta, alpha) == P.idem
     pieces = kar_pieces(P)
-    # (X, e_i) -> (X, e) and back: both witnesses are e_i
-    inc = KarMor(pieces[0], P, pieces[0].idem)
-    pr = KarMor(P, pieces[0], pieces[0].idem)
-    inc.validate()
-    pr.validate()
+    # (X, e_i) -> (X, e) and back: both witnesses are e_i, compatible with
+    # the idempotents on either side
+    e0 = pieces[0].idem
+    assert orbit_compose(orbit_compose(e0, e0), P.idem) == e0
+    assert orbit_compose(orbit_compose(P.idem, e0), e0) == e0
 
 
 def test_kar_embedding_fully_faithful():
@@ -203,7 +201,7 @@ def test_kar_embedding_fully_faithful():
     for (M, N) in [(X, X), (X, chi), (chi, X), (chi, chi)]:
         P = KarObject(action, M)
         Q = KarObject(action, N)
-        assert len(kar_hom(P, Q)) == orbit_hom(M, N, action).dim
+        assert len(_kar_basis(P, Q).stack) == orbit_hom(M, N, action).dim
 
 
 def test_kar_idempotents_split_consistently():

@@ -12,6 +12,7 @@ from orbitcat.algebra import (
     _certify_radical,
     _semisimple_poi,
     _graded_rep,
+    corner_algebra,
     is_local,
     make_group_algebra,
     make_matrix_algebra,
@@ -21,7 +22,7 @@ from orbitcat.algebra import (
     radical,
 )
 from orbitcat.ffield import FF
-from orbitcat.linalg import SpanSolver, rank
+from orbitcat.linalg import SpanSolver, charpoly_batched, kernel_basis, rank, rref
 from orbitcat.rep import (
     Module,
     decompose,
@@ -154,8 +155,10 @@ def test_graded_rep_is_used_on_sums_of_copies(monkeypatch):
 def test_radical_asks_only_for_the_coefficients_it_reads(monkeypatch):
     """End(regular Mat3/F3) acts on 9 dims and its trace form vanishes
     (p = 3 divides 9), so the chain reaches the p = 3 stage: one
-    (81, 9, 9) stack, of which it reads c_3 alone, so 4 coefficients of
-    10 are asked for.  The whole polynomials give the same radical."""
+    (45, 9, 9) stack, the products x_a x_b of the 9 * 10 / 2 pairs a <= b
+    (charpoly(XY) = charpoly(YX)), of which it reads c_3 alone, so 4
+    coefficients of 10 are asked for.  The whole polynomials give the same
+    radical."""
     E, _ = end_algebra(regular_module(make_matrix_algebra(3, FF(3))))
     calls = []
     original = algebra_mod.charpoly_batched
@@ -166,10 +169,92 @@ def test_radical_asks_only_for_the_coefficients_it_reads(monkeypatch):
 
     monkeypatch.setattr(algebra_mod, "charpoly_batched", recording)
     J = radical(E)
-    assert calls == [((81, 9, 9), 4)]
+    assert calls == [((45, 9, 9), 4)]
     monkeypatch.setattr(algebra_mod, "charpoly_batched", lambda F, mats, terms: original(F, mats))
     assert np.array_equal(radical(E), J)
     assert J.shape == (0, 9)
+
+
+def _radical_full_stage(A):
+    """The radical chain with a product for every ordered pair, whole
+    characteristic polynomials (the trace stage included, as -c_1) and an
+    entrywise inverse Frobenius: a reference for radical's triangular
+    stage."""
+    F = A.field
+    rep = np.stack(A.faithful_rep())
+    n = rep.shape[1]
+    basis = F.eye(A.dim)
+    j, pj = 0, 1
+    while pj <= n and len(basis):
+        r = len(basis)
+        reps = F.combine(basis, rep)
+        prods = F.vmatmul(reps[:, None], reps[None, :]).reshape(r * r, n, n)
+        C = charpoly_batched(F, prods)[:, pj].reshape(r, r)
+        W = np.reshape(kernel_basis(F, C.T), (-1, r))
+        roots = [[F.frobenius(int(a), -j) for a in row] for row in W]
+        basis = rref(F, F.vmatmul(np.reshape(roots, W.shape), basis))[0]
+        j += 1
+        pj *= F.p
+    return basis
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(POOLS)), seed=st.integers(0, 2 ** 32 - 1))
+def test_triangular_charpoly_stage_matches_the_full_stage(name, seed):
+    """charpoly(XY) = charpoly(YX), so the r(r+1)/2 products of the
+    unordered pairs give the radical the r^2 ordered ones give, on the
+    algebra and on the endomorphism algebra of a random module."""
+    A, pool = POOLS[name]
+    rng = np.random.default_rng(seed)
+    picks = [pool[i] for i in rng.integers(0, len(pool), size=rng.integers(1, 4))]
+    E, _ = end_algebra(random_base_change(direct_sum(picks)[0], rng))
+    for B in (A, E):
+        np.testing.assert_array_equal(radical(B, certify=False), _radical_full_stage(B))
+
+
+def _product_algebra(*factors):
+    """The direct product of algebras over one field, block by block."""
+    F = factors[0].field
+    d = sum(B.dim for B in factors)
+    struct, unit = F.zeros((d, d, d)), F.zeros(d)
+    off = 0
+    for B in factors:
+        block = slice(off, off + B.dim)
+        struct[block, block, block] = B.struct
+        unit[block] = B.unit
+        off += B.dim
+    return Algebra(F, struct, unit)
+
+
+def test_a_partial_central_split_recomputes_the_center_of_its_corners(monkeypatch):
+    """F5 x F5 x Mat2(F5) has three blocks, but the first Frobenius-fixed
+    central element is the unit of the first F5: it takes the value 0 on
+    the two other blocks, so one corner of the split holds F5 x Mat2(F5).
+    That corner is not simple and must run the central split again."""
+    F = FF(5)
+    point = Algebra(F, [[[1]]], [1])
+    A = _product_algebra(point, point, make_matrix_algebra(2, F))
+    seen = []
+    original = algebra_mod._semisimple_poi
+
+    def recording(B, depth=0):
+        seen.append((depth, B.dim, len(algebra_mod.center_basis(B))))
+        return original(B, depth)
+
+    monkeypatch.setattr(algebra_mod, "_semisimple_poi", recording)
+    es = primitive_orthogonal_idempotents(A)
+    # (depth, dim, center dim): both corners of the partial split run the
+    # central split again, and F5 x Mat2(F5) finds its 2-dim center; its
+    # own split is complete, so its simple corners (depth 2) skip it
+    assert sorted(seen) == [(0, 6, 3), (1, 1, 1), (1, 5, 2)]
+    assert len(es) == 4
+    assert [is_local(corner_algebra(A, e)[0]) for e in es] == [True] * 4
+    dec = decompose(regular_module(A), certify=True)
+    assert dec.certified_local and dec.signature() == [(1, 2), (2, 2)]
+    # three classes: the two points are not isomorphic
+    assert sorted((s.module.dim, s.multiplicity) for s in dec.summands) == [(1, 1), (1, 1), (2, 2)]
+    for s in dec.summands:
+        assert is_local(end_algebra(s.module)[0])
 
 
 @settings(max_examples=30, deadline=None)
