@@ -441,16 +441,28 @@ class FiniteField:
         return C
 
     def _matmul_mod_p(self, A, B) -> np.ndarray:
-        """A @ B mod p for int64 arrays with entries in range(p)."""
+        """A @ B mod p for int64 arrays with entries in range(p).
+
+        Large matrix-matrix products run in float64 and reduce there, as
+        C - p floor(C / p) with one cast at the end.  This is exact while
+        (p - 1)^2 inner < 2^52.  Every partial sum is then an integer in
+        [0, 2^52), so C is exact.  For C = k p + r with 0 <= r < p, the
+        quotient C / p < 2^52 / p is correctly rounded, with an error of at
+        most (C / p) 2^-53 < 1 / (2 p).  If r = 0 it is the integer k itself.
+        Otherwise the exact quotient k + r / p lies at least 1 / p from
+        every integer, so the rounded one stays inside (k, k + 1).  Either
+        way the floor is k, and p k and C - p k = r are exact."""
         rows, inner, cols = A.shape[-2], A.shape[-1], B.shape[-1]
         # multiplications in the product, with either operand batched
         mults = max(A.size * cols, B.size * rows)
-        # float64 is exact while (p-1)^2 * inner < 2^53; it pays for its
-        # casts only on large matrix-matrix products
+        # float64 pays for its casts only on large matrix-matrix products
         if (min(rows, cols) > 1 and mults > _FLOAT_GATE
                 and (self.p - 1) ** 2 * inner < 2 ** 52):
             C = np.matmul(A.astype(np.float64), B.astype(np.float64))
-            return np.rint(C).astype(np.int64) % self.p
+            R = np.floor(C / self.p)
+            R *= -self.p
+            R += C
+            return R.astype(np.int64)
         return np.matmul(A, B) % self.p
 
     def combine(self, coeffs, stack) -> np.ndarray:

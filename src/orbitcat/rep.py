@@ -182,19 +182,46 @@ class Decomposition:
 
 def hom_system(F, GM, GN) -> np.ndarray:
     """The linear system of N_g f - f M_g = 0 over the generators g, on
-    the row-major vec of the (n, m) matrix f: (N_g (x) I_m) - (I_n (x) M_g^T)
-    stacked, shape (g n m, n m).  GM and GN are (g, m, m) and (g, n, n).
+    the row-major vec of the (n, m) matrix f: the rows of
+    (N_g (x) I_m) - (I_n (x) M_g^T) that are not zero by construction,
+    shape (rows, n m).  GM and GN are (g, m, m) and (g, n, n).
 
     Row (a, b) of generator g holds N_g[a, c] at column (c, b) and
-    -M_g[e, b] at column (a, e); the two meet where c = a and e = b."""
+    -M_g[e, b] at column (a, e); the two meet where c = a and e = b.  So
+    it is zero when row a of N_g and column b of M_g both are.  When every
+    row of every N_g is nonzero the system is the whole stack, in
+    generator order.  Otherwise it holds the rows (a, b) with N_g[a] != 0,
+    for every b, then the rows with N_g[a] = 0 and M_g[:, b] != 0, which
+    carry only -M_g[:, b].
+
+    Leaving rows out is exact: a zero row constrains nothing, so the
+    row space, and with it the reduced echelon form and every kernel
+    basis taken from it, is the same as for the full Kronecker stack."""
     g, m, n = len(GM), GM.shape[1], GN.shape[1]
-    system = np.zeros((g, n, m, n, m), dtype=np.int64)
-    a, b = np.arange(n), np.arange(m)
-    # one generator at a time: the temporaries stay at n m^2 entries
-    for block, N_g, M_g in zip(system, GN, GM):
-        block[:, b, :, b] = N_g
-        block[a, :, a, :] = F.vsub(block[a, :, a, :], M_g.T)
-    return system.reshape(g * n * m, n * m)
+    neg = F.vneg(GM.transpose(0, 2, 1))  # neg[g, b, e] = -M_g[e, b]
+    # meet[g, a, b] = N_g[a, a] - M_g[b, b], written over the other two parts
+    meet = F.vadd(GN.diagonal(axis1=1, axis2=2)[:, :, None],
+                  neg.diagonal(axis1=1, axis2=2)[:, None, :])
+    live = GN.any(axis=2)  # live[g, a]: row a of N_g is nonzero
+    b = np.arange(m)
+    if live.all():
+        system = np.zeros((g, n, m, n, m), dtype=np.int64)
+        a = np.arange(n)
+        system[:, :, b, :, b] = GN
+        system[:, a, :, a, :] = neg
+        system[:, a[:, None], b, a[:, None], b] = meet
+        return system.reshape(g * n * m, n * m)
+    # the same three writes on the live rows only, then the -M_g rows
+    g_l, a_l = np.nonzero(live)
+    g_d, a_d, b_d = np.nonzero(~live[:, :, None] & GM.any(axis=1)[:, None, :])
+    rows = len(a_l) * m
+    system = np.zeros((rows + len(a_d), n * m), dtype=np.int64)
+    block, k = system[:rows].reshape(len(a_l), m, n, m), np.arange(len(a_l))
+    block[:, b, :, b] = GN[g_l, a_l]
+    block[k, :, a_l, :] = neg[g_l]
+    block[k[:, None], b, a_l[:, None], b] = meet[g_l, a_l]
+    system[np.arange(rows, len(system))[:, None], a_d[:, None] * m + b] = neg[g_d, b_d]
+    return system
 
 
 def hom_space(M: Module, N: Module) -> HomSpace:
@@ -362,8 +389,8 @@ def submodule_from_image(M: Module, P) -> Tuple[Module, np.ndarray, np.ndarray]:
     assert pr is not None
     if not np.array_equal(F.vmatmul(pr, inc), F.eye(k)):
         raise ValueError("image basis does not split the idempotent")
-    mats = [F.vmatmul(pr, F.vmatmul(m, inc)) for m in M.mats]
-    S = Module(M.algebra, mats, validate=False)
+    mats = F.vmatmul(pr, F.vmatmul(M.stack(), inc))
+    S = Module(M.algebra, list(mats), validate=False)
     return S, inc, pr
 
 

@@ -329,18 +329,44 @@ def test_vmatmul_matches_schoolbook_reference(field, batches, r, s, t, seed):
 def test_vmatmul_block_product_takes_both_gate_branches(monkeypatch, field, a_shape, b_shape,
                                                         floats):
     """The block product has inner size s n; above the float gate it runs
-    in float64 (seen as a call to np.rint), below it in int64, exact both
+    in float64 (seen as a call to np.floor), below it in int64, exact both
     ways."""
     F = FF(*field)
     rng = np.random.default_rng(0)
     A = rng.integers(0, F.q, size=a_shape)
     B = rng.integers(0, F.q, size=b_shape)
     inner, rounded = [], []
-    real_mm, real_rint = FiniteField._matmul_mod_p, np.rint
+    real_mm, real_floor = FiniteField._matmul_mod_p, np.floor
     monkeypatch.setattr(FiniteField, "_matmul_mod_p",
                         lambda self, X, Y: inner.append(X.shape[-1]) or real_mm(self, X, Y))
-    monkeypatch.setattr(np, "rint", lambda X: rounded.append(X.shape) or real_rint(X))
+    monkeypatch.setattr(np, "floor", lambda X: rounded.append(X.shape) or real_floor(X))
     got = F.vmatmul(A, B)
     assert inner == [a_shape[-1] * F.n]
     assert bool(rounded) == floats
     assert np.array_equal(got, _ref_matmul(F, A, B))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 65521, 1048573])
+def test_float_reduction_matches_int64_path(monkeypatch, p):
+    """The float64 branch reduces C - p floor(C / p) to the int64 C mod p,
+    on exact multiples of p and on all-(p-1) operands, whose every entry
+    is (p-1)^2 inner: the largest the float gate lets through."""
+    F = FF(p)
+    inner = min(4096, (2 ** 52 - 1) // (p - 1) ** 2)
+    rng = np.random.default_rng(p)
+    full = np.full((8, inner), p - 1, dtype=np.int64)
+    # B's column sums are multiples of p, so full @ B holds only multiples of p
+    B = rng.integers(0, p, size=(inner, 8))
+    B[-1] = -B[:-1].sum(axis=0) % p
+    cases = [(full, full.T.copy()), (full, B), (rng.integers(0, p, size=(8, inner)), B)]
+    floats, real_floor = [], np.floor
+    monkeypatch.setattr(np, "floor", lambda X: floats.append(X.shape) or real_floor(X))
+    for A, B in cases:
+        got = F._matmul_mod_p(A, B)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.matmul(A, B) % p)
+    assert len(floats) == len(cases)
+    # the largest p reaches the gate: one more inner term would pass 2^52
+    assert p < 2 ** 16 or (p - 1) ** 2 * (inner + 1) >= 2 ** 52
+    assert np.array_equal(F._matmul_mod_p(*cases[0]), np.full((8, 8), (p - 1) ** 2 * inner % p))
+    assert not F._matmul_mod_p(*cases[1]).any()

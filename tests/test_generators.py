@@ -29,6 +29,7 @@ from orbitcat.rep import (
     quotient_module,
     random_base_change,
     regular_module,
+    simple_modules,
     submodule_span,
 )
 from orbitcat.scenarios import build_action, group_table
@@ -61,18 +62,21 @@ def _builders():
 BUILDERS = _builders()
 
 
+def _kronecker_stack(F, GM, GN):
+    """The blocks (N_g (x) I_m) - (I_n (x) M_g^T), stacked in order."""
+    m, n = GM.shape[1], GN.shape[1]
+    blocks = [F.vsub(np.kron(b, np.eye(m, dtype=np.int64)), np.kron(np.eye(n, dtype=np.int64), a.T))
+              for a, b in zip(GM, GN)]
+    return np.concatenate(blocks + [np.zeros((0, n * m), dtype=np.int64)])
+
+
 def _basis_hom(M, N):
     """Hom(M, N) as the canonical echelon kernel of the all-basis system:
     one Kronecker block per basis element."""
-    F = M.field
-    m, n = M.dim, N.dim
-    blocks = [F.vsub(np.kron(b, np.eye(m, dtype=np.int64)),
-                     np.kron(np.eye(n, dtype=np.int64), a.T))
-              for a, b in zip(M.mats, N.mats)]
-    K = kernel_basis(F, np.concatenate(blocks))
+    K = kernel_basis(M.field, _kronecker_stack(M.field, M.stack(), N.stack()))
     if not K:
-        return np.zeros((0, n * m), dtype=np.int64)
-    return rref(F, np.stack(K))[0]
+        return np.zeros((0, N.dim * M.dim), dtype=np.int64)
+    return rref(M.field, np.stack(K))[0]
 
 
 def _basis_module_check(M):
@@ -101,30 +105,101 @@ def _random_module(A, rng):
     return M
 
 
-@settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(sorted(BUILDERS)), seed=st.integers(0, 2 ** 32 - 1))
-def test_hom_space_matches_all_basis_system(name, seed):
+def _permuted(M, rng):
+    """M on a permuted basis: as sparse as M, unlike a random base change."""
+    perm = rng.permutation(M.dim)
+    return Module(M.algebra, [m[perm][:, perm] for m in M.mats], validate=False)
+
+
+def _killed_simples(A):
+    """The simple modules on which some generator of A acts as zero."""
+    return [S for S in simple_modules(A) if not S.gen_mats().any(axis=(1, 2)).all()]
+
+
+KILLED = {name: _killed_simples(A) for name, A in BUILDERS.items()}
+
+
+def _sparse_module(A, name, rng):
+    """The regular module on a permuted basis, in a direct sum with a
+    module on which a generator acts as zero when A has one."""
+    P = _permuted(regular_module(A), rng)
+    if not KILLED[name] or rng.integers(0, 2):
+        return P
+    S = KILLED[name][rng.integers(0, len(KILLED[name]))]
+    return _permuted(direct_sum([P, S])[0], rng)
+
+
+def test_sparse_modules_reach_zero_rows():
+    """The sparse draws below meet structurally zero rows: the path algebras
+    have simples on which an arrow acts as zero, and on the regular module
+    of each algebra with a nilpotent generator that generator has a zero row."""
+    assert {name for name, S in KILLED.items() if S} == {"Kronecker/F3", "A3 path/F5"}
+    zero_rows = {name for name, A in BUILDERS.items()
+                 if not regular_module(A).gen_mats().any(axis=2).all()}
+    assert zero_rows == {"Mat2/F4", "Kronecker/F3", "A3 path/F5", "Mat2/F5 x| C2"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(BUILDERS)), sparse=st.tuples(st.booleans(), st.booleans()),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hom_space_matches_all_basis_system(name, sparse, seed):
     A = BUILDERS[name]
     rng = np.random.default_rng(seed)
-    M, N = _random_module(A, rng), _random_module(A, rng)
+    M, N = (_sparse_module(A, name, rng) if s else _random_module(A, rng) for s in sparse)
     H = hom_space(M, N)
     got = np.asarray(H.basis, dtype=np.int64).reshape(len(H.basis), M.dim * N.dim)
     assert np.array_equal(got, _basis_hom(M, N))
 
 
+def _kronecker_rows(F, GM, GN):
+    """The Kronecker stack without its rows (g, a, b) where row a of N_g and
+    column b of M_g are both zero."""
+    live = GN.any(axis=2)[:, :, None] | GM.any(axis=1)[:, None, :]
+    return _kronecker_stack(F, GM, GN)[live.reshape(-1)]
+
+
+def _check_hom_system(F, GM, GN):
+    got = hom_system(F, GM, GN)
+    expected = _kronecker_rows(F, GM, GN)
+    assert got.shape == (len(expected), GN.shape[1] * GM.shape[1])
+    assert sorted(map(bytes, got)) == sorted(map(bytes, expected))
+
+
 @settings(max_examples=60, deadline=None)
 @given(field=st.sampled_from([(5, 1), (2, 2), (3, 2)]), g=st.integers(0, 3),
-       m=st.integers(1, 5), n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
-def test_hom_system_matches_kronecker_formula(field, g, m, n, seed):
-    """Each generator's block is (N_g (x) I_m) - (I_n (x) M_g^T)."""
+       m=st.integers(1, 5), n=st.integers(1, 5), zeros=st.sampled_from([0.0, 0.5, 0.8]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hom_system_matches_kronecker_formula(field, g, m, n, zeros, seed):
+    """The system holds exactly the Kronecker rows that are not zero by
+    construction, as a multiset."""
     F = FF(*field)
     rng = np.random.default_rng(seed)
-    GM = rng.integers(0, F.q, size=(g, m, m))
-    GN = rng.integers(0, F.q, size=(g, n, n))
-    blocks = [F.vsub(np.kron(GN[i], np.eye(m, dtype=np.int64)),
-                     np.kron(np.eye(n, dtype=np.int64), GM[i].T)) for i in range(g)]
-    expected = np.concatenate(blocks) if blocks else np.zeros((0, n * m), dtype=np.int64)
-    np.testing.assert_array_equal(hom_system(F, GM, GN), expected)
+    GM = rng.integers(0, F.q, size=(g, m, m)) * (rng.random((g, m, m)) >= zeros)
+    GN = rng.integers(0, F.q, size=(g, n, n)) * (rng.random((g, n, n)) >= zeros)
+    _check_hom_system(F, GM, GN)
+
+
+def test_hom_system_leaves_out_structurally_zero_rows():
+    F = FF(3)
+    # M_0 has a zero column (1) and a zero row (2); N_0 has a zero row (0)
+    M_0 = np.array([[0, 0, 1], [2, 0, 0], [0, 0, 0]])
+    N_0 = np.array([[0, 0], [1, 2]])
+    # M_1 = 0 and N_1 = 0: no row at all; M_2 = 0 beside N_2 without zero rows:
+    # N_2's rows over every b; no zero row or column in M_3, N_3: the whole block
+    Z2, Z3 = np.zeros((2, 2), dtype=np.int64), np.zeros((3, 3), dtype=np.int64)
+    N_2, N_3 = np.array([[1, 1], [0, 2]]), np.array([[1, 1], [2, 0]])
+    M_3 = np.array([[1, 2, 0], [0, 1, 1], [1, 0, 2]])
+    GM, GN = np.stack([M_0, Z3, Z3, M_3]), np.stack([N_0, Z2, N_2, N_3])
+    _check_hom_system(F, GM, GN)
+    # generator 0: a = 1 for each of 3 b, and a = 0 for b in {0, 2};
+    # generator 1 none; generators 2 and 3: 2 x 3 each
+    assert len(hom_system(F, GM, GN)) == (3 + 2) + 0 + 6 + 6
+    # the kernel is that of the full system
+    assert np.array_equal(rref(F, hom_system(F, GM, GN))[0],
+                          rref(F, _kronecker_stack(F, GM, GN))[0])
+    # without a zero row in any N_g the system is the full stack, in order
+    dense = GM[[3, 0]], GN[[3, 2]]
+    np.testing.assert_array_equal(hom_system(F, *dense), _kronecker_stack(F, *dense))
 
 
 def test_builders_supply_few_generators():
