@@ -9,7 +9,7 @@ inertia-group decomposition pipeline; and independent skew-group-algebra
 and Galois-module oracles.
 """
 
-from .ffield import FF, FiniteField, Scalar
+from .ffield import FF, FiniteField
 from .poly import Poly, is_irreducible, poly_factor, poly_gcd
 from .algebra import (
     Algebra,

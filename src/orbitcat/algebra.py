@@ -318,13 +318,11 @@ class AlgebraAut:
 
 @dataclass
 class IdempotentSet:
-    """A list of idempotent coordinate vectors with certified flags."""
+    """A list of idempotent coordinate vectors, claimed pairwise orthogonal
+    and summing to the unit: a complete set.  verify checks the claim."""
 
     algebra: Algebra
     idempotents: list
-    orthogonal: bool = False
-    complete: bool = False
-    primitive: bool = False
 
     def __len__(self):
         return len(self.idempotents)
@@ -333,21 +331,20 @@ class IdempotentSet:
         return iter(self.idempotents)
 
     def verify(self):
-        """Each e is idempotent; with the flags, e_i e_j = 0 for i != j and
-        the e sum to the unit.  Every product e_i e_j comes from one
-        span_products; a failure names the first pair in row order."""
+        """Each e is idempotent, e_i e_j = 0 for i != j and the e sum to
+        the unit.  Every product e_i e_j comes from one span_products; a
+        failure names the first pair in row order."""
         A, F = self.algebra, self.algebra.field
         k = len(self.idempotents)
         es = np.reshape(np.asarray(self.idempotents, dtype=np.int64), (k, A.dim))
         prods = A.span_products(es, es)  # [i, j] = e_i e_j
         if not np.array_equal(prods[np.arange(k), np.arange(k)], es):
             raise CertificationError("element is not idempotent")
-        if self.orthogonal:
-            bad = np.argwhere(prods.any(axis=-1) & ~np.eye(k, dtype=bool))
-            if bad.size:
-                i, j = bad[0]
-                raise CertificationError(f"idempotents {i}, {j} not orthogonal")
-        if self.complete and not np.array_equal(F.vsum(es, axis=0), A.unit):
+        bad = np.argwhere(prods.any(axis=-1) & ~np.eye(k, dtype=bool))
+        if bad.size:
+            i, j = bad[0]
+            raise CertificationError(f"idempotents {i}, {j} not orthogonal")
+        if not np.array_equal(F.vsum(es, axis=0), A.unit):
             raise CertificationError("idempotents do not sum to the unit")
         return True
 
@@ -1038,7 +1035,7 @@ def primitive_orthogonal_idempotents(A: Algebra) -> IdempotentSet:
     F = A.field
     d = A.dim
     if d == 0:
-        return IdempotentSet(A, [], orthogonal=True, complete=True, primitive=True)
+        return IdempotentSet(A, [])
     J = radical(A)
     J_solver = SpanSolver(F, J)
     Abar, project, lift = quotient_algebra(A, J)
@@ -1057,7 +1054,7 @@ def primitive_orthogonal_idempotents(A: Algebra) -> IdempotentSet:
             e = lift_idempotent(A, J_solver, b)
         es.append(e)
         done = F.vadd(done, e)
-    result = IdempotentSet(A, es, orthogonal=True, complete=True, primitive=True)
+    result = IdempotentSet(A, es)
     result.verify()
     diffs = np.stack([F.vsub(e, lift(ebar)) for e, (ebar, _) in zip(es, leaves)])
     if J_solver.residual(diffs).any():

@@ -16,7 +16,9 @@ the leading T coefficients: coefficient t of each step reads only
 coefficients <= t of the previous one and the Krylov scalars R A^k C
 with k <= t - 2, so a truncated run keeps T coefficients and forms at
 most T - 2 scalars per step (see charpoly_batched).  Minimal polynomials
-come from the first linear dependence among matrix powers.
+come from the first linear dependence among the powers of an element
+under its multiplication action (min_poly_of_action); min_poly is the
+case of a matrix acting on the right of m x m matrices.
 """
 
 from __future__ import annotations
@@ -239,15 +241,6 @@ def charpoly_batched(field, A, terms=None) -> np.ndarray:
     return polys
 
 
-def char_poly(field, A) -> Poly:
-    """Characteristic polynomial (monic) of a single square matrix."""
-    A = np.asarray(A, dtype=np.int64)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("characteristic polynomial of non-square matrix")
-    desc = charpoly_batched(field, A[None, :, :])[0]
-    return Poly(field, list(desc[::-1]))
-
-
 class _KrylovTracker:
     """Incremental echelon with coordinate tracking in the original rows.
 
@@ -255,12 +248,11 @@ class _KrylovTracker:
     earlier ones yields its combination coefficients.
     """
 
-    def __init__(self, field, width):
+    def __init__(self, field):
         self.field = field
         self.rows = []  # echelonized (vector, combo) pairs
         self.pivots = []
         self.count = 0
-        self.width = width
 
     def add(self, v):
         """Returns None if independent, else combination coefficients."""
@@ -294,21 +286,14 @@ def poly_at_matrix(field, f: Poly, A) -> np.ndarray:
 
 
 def min_poly(field, A) -> Poly:
-    """Minimal polynomial via the first dependence among powers of A."""
+    """Minimal polynomial of a square matrix: min_poly_of_action for the
+    action X -> X A on flattened m x m matrices, from the identity."""
     A = np.asarray(A, dtype=np.int64)
     m = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("minimal polynomial of non-square matrix")
-    if m == 0:
-        return Poly.one(field)
-    tracker = _KrylovTracker(field, m * m)
-    power = field.eye(m)
-    for k in range(m + 1):
-        combo = tracker.add(power.ravel())
-        if combo is not None:
-            return Poly(field, [int(c) for c in combo])
-        power = field.vmatmul(power, A)
-    raise AssertionError("no dependence among matrix powers")  # unreachable
+    return min_poly_of_action(field, lambda v: field.vmatmul(v.reshape(m, m), A).ravel(),
+                              m * m, field.eye(m).ravel())
 
 
 def min_poly_of_action(field, mul, dim: int, start) -> Poly:
@@ -318,7 +303,7 @@ def min_poly_of_action(field, mul, dim: int, start) -> Poly:
     coordinate vector of the identity.  Iterates powers of the element
     itself, so the cost stays linear in the ambient dimension.
     """
-    tracker = _KrylovTracker(field, dim)
+    tracker = _KrylovTracker(field)
     cur = np.array(start, dtype=np.int64)
     for k in range(dim + 1):
         combo = tracker.add(cur)

@@ -12,7 +12,7 @@ lexicographically on the coefficient tuple.
 
 from __future__ import annotations
 
-from .ffield import FiniteField
+from .ffield import FiniteField, _prime_divisors
 
 
 class Poly:
@@ -48,15 +48,8 @@ class Poly:
         """Degree, with the convention deg 0 = -1."""
         return len(self.codes) - 1
 
-    @property
-    def coeffs(self):
-        return tuple(self.field.scalar(c) for c in self.codes)
-
     def is_zero(self) -> bool:
         return not self.codes
-
-    def is_monic(self) -> bool:
-        return bool(self.codes) and self.codes[-1] == 1
 
     def lead(self) -> int:
         if not self.codes:
@@ -134,14 +127,6 @@ class Poly:
     def __hash__(self):
         return hash((self.field.p, self.field.n, self.codes))
 
-    def __call__(self, a: int) -> int:
-        """Evaluate at a field code by Horner's rule."""
-        F = self.field
-        acc = 0
-        for c in reversed(self.codes):
-            acc = F.add(F.mul(acc, a), c)
-        return acc
-
     def derivative(self) -> "Poly":
         F = self.field
         return Poly(F, [F.mul(c, i % F.p) for i, c in enumerate(self.codes)][1:])
@@ -216,20 +201,6 @@ def is_irreducible(f: Poly) -> bool:
         if poly_gcd(acc - x, f).degree != 0:
             return False
     return True
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _pth_root(f: Poly) -> Poly:

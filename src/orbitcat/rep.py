@@ -197,25 +197,14 @@ def hom_system(F, GM, GN) -> np.ndarray:
     Leaving rows out is exact: a zero row constrains nothing, so the
     row space, and with it the reduced echelon form and every kernel
     basis taken from it, is the same as for the full Kronecker stack."""
-    g, m, n = len(GM), GM.shape[1], GN.shape[1]
+    m, n = GM.shape[1], GN.shape[1]
     neg = F.vneg(GM.transpose(0, 2, 1))  # neg[g, b, e] = -M_g[e, b]
     # meet[g, a, b] = N_g[a, a] - M_g[b, b], written over the other two parts
     meet = F.vadd(GN.diagonal(axis1=1, axis2=2)[:, :, None],
                   neg.diagonal(axis1=1, axis2=2)[:, None, :])
     live = GN.any(axis=2)  # live[g, a]: row a of N_g is nonzero
     b = np.arange(m)
-    # the live-rows writes below give this same array when every row is
-    # live, but these slice writes over the generators take 2/3 of their
-    # time on a dense 12x12 generator, where row indices and gathers
-    # cost as much as the writes themselves
-    if live.all():
-        system = np.zeros((g, n, m, n, m), dtype=np.int64)
-        a = np.arange(n)
-        system[:, :, b, :, b] = GN
-        system[:, a, :, a, :] = neg
-        system[:, a[:, None], b, a[:, None], b] = meet
-        return system.reshape(g * n * m, n * m)
-    # the same three writes on the live rows only, then the -M_g rows
+    # the three parts on the live rows only, then the -M_g rows
     g_l, a_l = np.nonzero(live)
     g_d, a_d, b_d = np.nonzero(~live[:, :, None] & GM.any(axis=1)[:, None, :])
     rows = len(a_l) * m

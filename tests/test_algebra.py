@@ -306,16 +306,16 @@ def test_idempotent_set_verify_rejects_fakes():
     A = make_matrix_algebra(2, FF(5))
     e11 = np.eye(4, dtype=np.int64)[0]
     e12 = np.eye(4, dtype=np.int64)[1]
-    bad = IdempotentSet(A, [e12], orthogonal=True, complete=False)
+    bad = IdempotentSet(A, [e12])
     with pytest.raises(CertificationError, match="not idempotent"):
         bad.verify()
-    incomplete = IdempotentSet(A, [e11], orthogonal=True, complete=True)
+    incomplete = IdempotentSet(A, [e11])
     with pytest.raises(CertificationError, match="sum"):
         incomplete.verify()
     # e11 + e12 is idempotent; of the pairs that fail, (0, 2), (2, 0) and
     # (2, 1), the first in row order is named
     e22 = np.eye(4, dtype=np.int64)[3]
-    overlapping = IdempotentSet(A, [e11, e22, e11 + e12], orthogonal=True)
+    overlapping = IdempotentSet(A, [e11, e22, e11 + e12])
     with pytest.raises(CertificationError, match="idempotents 0, 2 not orthogonal"):
         overlapping.verify()
 

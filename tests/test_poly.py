@@ -84,7 +84,7 @@ def test_factor_sorted_and_irreducible():
     last_key = None
     for g, m in factors:
         assert is_irreducible(g)
-        assert g.is_monic()
+        assert g.codes[-1] == 1
         if last_key is not None:
             assert g.sort_key() >= last_key
         last_key = g.sort_key()
@@ -182,7 +182,7 @@ def test_factor_over_extension_fields_brute_force(f):
     factors = poly_factor(f)
     prod = Poly.const(F, f.lead())
     for g, m in factors:
-        assert g.is_monic()
+        assert g.codes[-1] == 1
         for _ in range(m):
             prod = prod * g
         for d in range(1, g.degree // 2 + 1):
