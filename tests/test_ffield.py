@@ -139,7 +139,7 @@ def test_scalar_wrapper():
     assert F.add(3, 4) == 2
     assert F.mul(3, 4) == 2
     assert F.mul(3, F.inv(4)) == 2  # 3 / 4 = 3 * 4 = 12 = 2
-    assert F.p == 5 and F.n == 1 and F.digits(3) == (3,)
+    assert F.digits(3) == (3,)
     assert FF(2, 2).digits(2) == (0, 1)
 
 
