@@ -891,7 +891,8 @@ def _crt_idempotents(B: Algebra, x, factors):
     for row, ga in zip(coeffs, parts):
         h = m // ga
         gcd, u, _ = poly_xgcd(h, ga)
-        assert gcd.degree == 0 and gcd.codes == (1,)
+        if gcd.codes != (1,):
+            raise CertificationError("primary factors of the minimal polynomial are not coprime")
         codes = ((u * h) % m).codes
         row[:len(codes)] = codes
     powers = [B.unit]
@@ -971,7 +972,9 @@ def _semisimple_poi(B: Algebra, depth: int = 0):
             unit_solver = SpanSolver(F, B.unit[None, :])
             v = next(w for w in fixed if not unit_solver.contains(w))
             factors = poly_factor(B.element_min_poly(v))
-            assert len(factors) >= 2 and all(g.degree == 1 and a == 1 for g, a in factors)
+            if len(factors) < 2 or any(g.degree != 1 or a != 1 for g, a in factors):
+                raise CertificationError(
+                    "fixed central element does not split into distinct linear factors")
             return _corner_poi(B, _crt_idempotents(B, v, factors), depth,
                                simple=len(factors) == fixed_dim)
     return _simple_poi(B, depth)

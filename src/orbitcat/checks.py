@@ -14,6 +14,7 @@ from typing import Callable, List
 import numpy as np
 
 from .algebra import (
+    CertificationError,
     make_group_algebra,
     make_matrix_algebra,
     primitive_orthogonal_idempotents,
@@ -536,7 +537,8 @@ def _restrict_to_rows(N: Module, rows):
     for mat in N.mats:
         img = F.vmatmul(mat, inc)
         coeff = lsolve(F, inc, img)
-        assert coeff is not None, "subspace is not invariant"
+        if coeff is None:
+            raise CertificationError("subspace is not invariant")
         mats.append(coeff)
     return Module(N.algebra, mats, validate=False)
 

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraAut, validate_group_table
+from .algebra import Algebra, AlgebraAut, CertificationError, validate_group_table
 from .clifford import CliffordReport
 from .ffield import FF, FiniteField
 from .linalg import SpanSolver, inverse, kernel_basis, rank, rref, solve
@@ -645,7 +645,8 @@ def galois_monad_group_check(tower: GaloisTower) -> dict:
         while acc != ident:
             acc = mul_pair(acc, el)
             order += 1
-            assert order <= len(elements)
+            if order > len(elements):
+                raise CertificationError("element order exceeds the group order")
         orders.append(order)
     return {
         "ok": True,

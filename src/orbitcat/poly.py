@@ -318,7 +318,10 @@ def berlekamp_factor(f: Poly):
             if rest.degree > 0:
                 next_factors.append(rest.monic())
         factors = next_factors
-    assert len(factors) == r, "Berlekamp split incomplete"
+    if len(factors) != r:
+        from .algebra import CertificationError  # algebra imports this module
+
+        raise CertificationError("Berlekamp split incomplete")
     return factors
 
 

@@ -1,23 +1,30 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from orbitcat import rep
 from orbitcat.algebra import (
     AlgebraAut,
     corner_algebra,
     is_local,
     make_group_algebra,
     make_matrix_algebra,
+    make_path_algebra,
     primitive_orthogonal_idempotents,
     radical,
 )
 from orbitcat.ffield import FF
-from orbitcat.linalg import inverse, is_invertible, rank
+from orbitcat.linalg import inverse, is_invertible, kernel_basis, rank, rref
 from orbitcat.rep import (
     Module,
+    _coordinate_blocks,
     decompose,
     direct_sum,
     end_algebra,
     hom_space,
+    hom_system,
     is_isomorphic,
     random_base_change,
     regular_module,
@@ -25,6 +32,7 @@ from orbitcat.rep import (
     twist,
     zero_module,
 )
+from orbitcat.scenarios import group_table, indecomposable_pool
 
 
 def cyclic_table(k):
@@ -337,3 +345,93 @@ def test_hom_dim_invariant_under_base_change(F7C3):
         M2 = random_base_change(M, rng)
         N2 = random_base_change(N, rng)
         assert hom_space(M2, N2).dim == d0
+
+
+def _permuted(M, perm):
+    return Module(M.algebra, [a[perm][:, perm] for a in M.mats], validate=False)
+
+
+POOLS = {name: (A, indecomposable_pool(A)) for name, A in {
+    "F3C3": make_group_algebra(cyclic_table(3), FF(3)),
+    "F2[C2xC2]": make_group_algebra(group_table("C2xC2"), FF(2)),
+    "Mat2/F4": make_matrix_algebra(2, FF(2, 2)),
+    "Kronecker/F5": make_path_algebra(FF(5), 2, [(0, 1), (0, 1)]),
+}.items()}
+
+
+def _pool_sum(pool, basis, rng):
+    """A direct sum of 2-4 pool modules on its block basis, a permuted basis
+    or after a dense base change."""
+    M = direct_sum([pool[i] for i in rng.integers(0, len(pool), size=rng.integers(2, 5))])[0]
+    if basis == "permuted":
+        return _permuted(M, rng.permutation(M.dim))
+    return random_base_change(M, rng) if basis == "dense" else M
+
+
+def _whole_system_basis(M, N):
+    """The RREF of the kernel of the unsplit system, flattened."""
+    F = M.field
+    vecs = kernel_basis(F, hom_system(F, M.gen_mats(), N.gen_mats()))
+    return rref(F, np.stack(vecs))[0] if vecs else np.zeros((0, N.dim * M.dim), dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(POOLS)),
+       bases=st.tuples(*[st.sampled_from(["block", "permuted", "dense"])] * 2),
+       split_all=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_hom_space_split_matches_whole_system(name, bases, split_all, seed):
+    """Solved per pair of coordinate blocks, the hom basis is byte for byte
+    the one of the whole system, split or not (split_all lowers the gate so
+    every system with more than one block is split)."""
+    _, pool = POOLS[name]
+    rng = np.random.default_rng(seed)
+    M, N = (_pool_sum(pool, b, rng) for b in bases)
+    gate = 1 if split_all else rep._SPLIT_GATE
+    with mock.patch.object(rep, "_SPLIT_GATE", gate):
+        for X, Y in ((M, N), (M, M)):
+            H = hom_space(X, Y)
+            assert all(f.dtype == np.int64 and f.shape == (Y.dim, X.dim) for f in H.basis)
+            got = np.asarray(H.basis, dtype=np.int64).reshape(len(H.basis), Y.dim * X.dim)
+            expected = _whole_system_basis(X, Y)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def _check_partition(G, blocks):
+    """The blocks partition range(dim), and every matrix is zero off them."""
+    d = G.shape[1]
+    assert sorted(np.concatenate(blocks).tolist()) == list(range(d))
+    assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+    on = np.zeros((d, d), dtype=bool)
+    for b in blocks:
+        assert list(b) == sorted(b)
+        on[np.ix_(b, b)] = True
+    assert not G[:, ~on].any()
+
+
+def test_coordinate_blocks_of_a_permuted_regular_matrix_module():
+    rng = np.random.default_rng(5)
+    for n in (3, 4):
+        R = regular_module(make_matrix_algebra(n, FF(3)))
+        for M in (R, _permuted(R, rng.permutation(R.dim))):
+            G = M.gen_mats()
+            blocks = _coordinate_blocks(G)
+            assert [len(b) for b in blocks] == [n] * n
+            _check_partition(G, blocks)
+        # a dense base change leaves one block
+        G = random_base_change(R, rng).gen_mats()
+        assert [len(b) for b in _coordinate_blocks(G)] == [n * n]
+
+
+def test_coordinate_blocks_keep_a_non_split_extension_whole():
+    _, pool = POOLS["Kronecker/F5"]
+    # the 3-dim projective: a simple top over two copies of the other simple
+    P = max(pool, key=lambda X: X.dim)
+    assert P.dim == 3 and len(decompose(P, certify=False).summands) == 1
+    rng = np.random.default_rng(9)
+    for X in (P, _permuted(P, rng.permutation(3)), random_base_change(P, rng)):
+        assert [b.tolist() for b in _coordinate_blocks(X.gen_mats())] == [[0, 1, 2]]
+    # a sum with it splits into its block and one per simple summand
+    S, _, _ = direct_sum([pool[0], P, pool[1]])
+    blocks = _coordinate_blocks(S.gen_mats())
+    assert [b.tolist() for b in blocks] == [[0], [1, 2, 3], [4]]
+    _check_partition(S.gen_mats(), blocks)
