@@ -35,7 +35,7 @@ field leaf where its split stopped (see primitive_orthogonal_idempotents).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
@@ -319,10 +319,21 @@ class AlgebraAut:
 @dataclass
 class IdempotentSet:
     """A list of idempotent coordinate vectors, claimed pairwise orthogonal
-    and summing to the unit: a complete set.  verify checks the claim."""
+    and summing to the unit: a complete set.  verify checks the claim.
+
+    primitive_orthogonal_idempotents also groups its idempotents by
+    isomorphism of the right ideals e A.  labels[i] is the class of e_i,
+    classes numbered in order of first appearance, and isos[i] is a
+    certified pair (alpha, beta) with alpha in r A e_i, beta in e_i A r,
+    beta alpha = e_i and alpha beta = r, for r the first idempotent of the
+    class (alpha = beta = r for r itself).  Left multiplication by alpha is
+    then an isomorphism e_i A -> r A with inverse beta.  A set built by
+    hand has neither."""
 
     algebra: Algebra
     idempotents: list
+    labels: list = field(default_factory=list)
+    isos: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.idempotents)
@@ -908,17 +919,9 @@ def _nilpotent_split(B: Algebra, nil):
     L, _ = rref(F, B.span_products(F.eye(B.dim), nil[None, :])[:, 0, :])
     if len(L) == 0:
         return None
-    # solve for e in L with x e = x for every basis x of L
-    k = len(L)
-    rows = []
-    rhs = []
-    for x in L:
-        Lx = B.left_mult_matrix(x)
-        rows.append(F.vmatmul(Lx, L.T))  # columns: x * l_s
-        rhs.append(x)
-    Asys = np.concatenate(rows, axis=0)
-    bsys = np.concatenate(rhs, axis=0)
-    c = solve(F, Asys, bsys)
+    # solve for e in L with x e = x for every basis x of L: block x of the
+    # system has columns x * l_s
+    c = solve(F, B.span_products(L, L).transpose(0, 2, 1).reshape(-1, len(L)), L.reshape(-1))
     if c is None:
         return None
     e = F.vmatmul(np.asarray(c)[None, :], L)[0]
@@ -1034,6 +1037,13 @@ def primitive_orthogonal_idempotents(A: Algebra) -> IdempotentSet:
     The leaves have dimension 1 (decided at once) or are small commutative
     fields, so this one check replaces a locality test on every eAe, and on
     End(S) = eEe for each summand S that `rep.decompose` builds from e.
+
+    This is also the one place that decides which of the e are isomorphic:
+    e A and f A are isomorphic iff ebar and fbar lie in one simple block of
+    Abar, and `_iso_classes` decides it from whether r A e lies in J, with a
+    checked isomorphism for every "yes" (labels and isos; see
+    IdempotentSet).  `rep.decompose` and `clifford.clifford_run` group their
+    summands by these labels.
     """
     F = A.field
     d = A.dim
@@ -1065,7 +1075,58 @@ def primitive_orthogonal_idempotents(A: Algebra) -> IdempotentSet:
     for _, leaf in leaves:
         if not is_local(leaf):
             raise CertificationError("leaf of a claimed primitive idempotent is not a field")
+    result.labels, result.isos = _iso_classes(A, es, J_solver)
     return result
+
+
+def _iso_classes(A: Algebra, es, J_solver):
+    """Isomorphism classes of the right ideals e A of primitive idempotents,
+    with witnesses: (labels, isos) as IdempotentSet documents them.
+
+    Each e is tested against the first idempotent r of every class found so
+    far, all in one product.  The r b e over A's basis b span
+    r A e = Hom_A(e A, r A).
+    - "No": r A e lies in J = rad A.  Then rbar Abar ebar = 0, so
+      Hom(ebar Abar, rbar Abar) = 0 and the tops ebar Abar, rbar Abar of
+      e A, r A are not isomorphic: neither are e A and r A.
+    - "Yes": some alpha in r A e lies outside J.  ebar Abar and rbar Abar
+      are simple (ebar, rbar are primitive in the semisimple Abar), and
+      left multiplication by alpha-bar maps ebar to alpha-bar != 0, so it is
+      an isomorphism of the tops.  By Nakayama, alpha: e A -> r A is onto;
+      it splits, as r A is projective, and e A is indecomposable, so alpha
+      is an isomorphism.  Its inverse is beta = e x r for any x with
+      x alpha = e (one solve; then beta alpha = e x alpha = e), and
+      alpha beta = r is checked.
+    So e A and r A are isomorphic iff ebar and rbar lie in one simple block
+    of Abar (Lam, A First Course in Noncommutative Rings, sections 21-22;
+    Curtis-Reiner, Methods of Representation Theory I, section 6).  A failed
+    solve or check raises CertificationError naming the pair; by the
+    argument above it signals a bug."""
+    F, d = A.field, A.dim
+    rows = np.reshape(np.asarray(es, dtype=np.int64), (len(es), d))
+    # e_i x = x @ left[i] and x e_i = x @ right[i] (rows e_i b_k and b_k e_i)
+    left, right = F.combine(rows, A.struct), F.combine(rows, A.struct.transpose(1, 0, 2))
+    reps, labels, isos = [], [], []  # reps: the index of each class's first e
+    for i, e in enumerate(es):
+        # row c d + k is r b_k e for r the first idempotent of class c: rows
+        # c d, ..., c d + d - 1 span r A e, and every class is tested at once
+        spans = F.vmatmul(left[reps], right[i]).reshape(-1, d)
+        hits = np.flatnonzero(J_solver.residual(spans).any(axis=1))
+        if not len(hits):
+            labels.append(len(reps))
+            reps.append(i)
+            isos.append((e, e))
+            continue
+        c, j, alpha = hits[0] // d, reps[hits[0] // d], spans[hits[0]]
+        x = solve(F, A.right_mult_matrix(alpha), e)  # x alpha = e, and r alpha = alpha
+        beta = None if x is None else F.vmatmul(F.vmatmul(x, left[i]), right[j])
+        if beta is None or not np.array_equal(A.mul_vec(alpha, beta), es[j]):
+            raise CertificationError(
+                f"class test of idempotents {j} and {i}: no beta in e A r inverts "
+                "the alpha in r A e outside the radical")
+        labels.append(int(c))
+        isos.append((alpha, beta))
+    return labels, isos
 
 
 def is_local(A: Algebra, J=None) -> bool:

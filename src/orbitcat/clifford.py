@@ -133,28 +133,28 @@ class CliffordViolation(RuntimeError):
 
 
 def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
-    """Run the full decomposition pipeline on an indecomposable module."""
+    """Run the full decomposition pipeline on an indecomposable module.
+
+    Stage 1 groups the primitive summands of P = (M, id) over the inertia
+    subgroup into isomorphism classes with no hom solve: the summands are
+    (M, e) for the primitive idempotents e of E_P = End(P), and (M, e) is
+    isomorphic to (M, f) iff eE_P is isomorphic to fE_P, which
+    primitive_orthogonal_idempotents decides, certified, from the blocks
+    of E_P / rad E_P (its labels; classes in order of first appearance).
+    The outside checks compare summands with their images under elements
+    outside the inertia, objects of different corners, by
+    kar_is_isomorphic."""
     ind = inertia(M, action)
     sub = ind.subgroup
     P = KarObject(action, M, support=sub)
     E_P, H_P = kar_end_algebra(P)
-    pieces = kar_decompose(P, E_P, H_P)
-    # group the primitive summands into isomorphism classes
-    classes: List[List[KarObject]] = []
-    for p in pieces:
-        placed = False
-        for cls in classes:
-            if kar_is_isomorphic(cls[0], p) is not None:
-                cls.append(p)
-                placed = True
-                break
-        if not placed:
-            classes.append([p])
+    es = primitive_orthogonal_idempotents(E_P)
+    pieces = kar_decompose(P, E_P, H_P, es)
+    reps = [pieces[es.labels.index(c)] for c in range(max(es.labels) + 1)]
     stage1 = []
     corners = []
     total_n = 0
-    for idx, cls in enumerate(classes):
-        rep_piece = cls[0]
+    for idx, rep_piece in enumerate(reps):
         W = kar_functor_T(rep_piece)
         dec = decompose(W, certify=False)
         n_copies = 0
@@ -166,29 +166,29 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
                 )
             n_copies += s.multiplicity
         # a single piece has the idempotent of P, so its corner is P's
-        corners.append(E_P if len(pieces) == 1 else kar_end_algebra(rep_piece)[0])
+        corners.append(E_P if len(es) == 1 else kar_end_algebra(rep_piece)[0])
         stage1.append(
             StageOneSummand(
                 index=idx,
-                multiplicity=len(cls),
+                multiplicity=es.labels.count(idx),
                 n_copies=n_copies,
                 corner_dim=corners[-1].dim,
                 restricted_dim=W.dim,
             )
         )
-        total_n += n_copies * len(cls)
+        total_n += n_copies * es.labels.count(idx)
     sum_ok = total_n == len(sub)
     if not sum_ok:
         raise CliffordViolation(
             f"sum of copy counts {total_n} differs from the inertia order {len(sub)}"
         )
     stage2 = []
-    for idx, cls in enumerate(classes):
+    for idx, rep_piece in enumerate(reps):
         if len(sub) == action.k:
             # extension by zero from the whole group changes nothing
-            ext, E = cls[0], corners[idx]
+            ext, E = rep_piece, corners[idx]
         else:
-            ext = KarObject(action, cls[0].module, sub_inclusion_S(cls[0].idem, action, sub))
+            ext = KarObject(action, rep_piece.module, sub_inclusion_S(rep_piece.idem, action, sub))
             E, _ = kar_end_algebra(ext)
         J = radical(E)
         local = is_local(E, J)
@@ -217,8 +217,7 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
         if not normalizes:
             outside.append({"g": g, "checked": False, "reason": "not normalizing"})
             continue
-        for idx, cls in enumerate(classes):
-            rep_piece = cls[0]
+        for idx, rep_piece in enumerate(reps):
             image = KarObject(action, lifted_aut(g, rep_piece.module, action),
                               lifted_aut(g, rep_piece.idem, action, support=sub), sub)
             distinct = kar_is_isomorphic(rep_piece, image) is None

@@ -86,14 +86,16 @@ def kar_end_algebra(P: KarObject) -> Tuple[Algebra, OrbitMor]:
     return E, H
 
 
-def kar_decompose(P: KarObject, E: Algebra, H: OrbitMor) -> List[KarObject]:
+def kar_decompose(P: KarObject, E: Algebra, H: OrbitMor, es=None) -> List[KarObject]:
     """Primitive orthogonal summands of (X, e), one KarObject per
     idempotent; they sum to e exactly and each corner is local.  (E, H) is
-    kar_end_algebra(P)."""
+    kar_end_algebra(P), and es is primitive_orthogonal_idempotents(E) when
+    the caller holds it already (for its isomorphism classes)."""
     if E.dim == 0:
         return []
     F = P.action.algebra.field
-    es = H.with_stack(F.combine(list(primitive_orthogonal_idempotents(E)), H.stack))
+    es = H.with_stack(F.combine(list(primitive_orthogonal_idempotents(E) if es is None else es),
+                                H.stack))
     # prods[a, b] = e_b o e_a: e_a on the diagonal, zero off it
     prods = orbit_compose(es.with_stack(es.stack[:, None]), es.with_stack(es.stack[None])).stack
     r = len(es.stack)
@@ -113,7 +115,13 @@ def kar_is_isomorphic(P: KarObject, Q: KarObject):
     A basis scan of the compressed hom space.  It is conclusive when P is
     primitive, as every summand kar_decompose returns is (the
     non-isomorphisms form a proper subspace of the local corner bimodule);
-    for other P a None may miss an isomorphism."""
+    for other P a None may miss an isomorphism.
+
+    Summands of one object need no scan: (X, e) and (X, f) for primitive
+    idempotents e, f of E = End(X) are isomorphic iff eE and fE are, which
+    primitive_orthogonal_idempotents decides from the blocks of E/J (see
+    its labels).  This scan is for objects of different corners, such as
+    clifford_run's outside checks."""
     F = P.action.algebra.field
     HPQ = _kar_basis(P, Q)
     HQP = _kar_basis(Q, P)

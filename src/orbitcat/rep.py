@@ -407,8 +407,6 @@ def _match_decompositions(DM: Decomposition, DN: Decomposition):
         for j, sN in enumerate(DN.summands):
             if used[j] or sN.multiplicity != sM.multiplicity:
                 continue
-            if sN.module.dim != sM.module.dim:
-                continue
             iso = _indec_iso(sM.module, sN.module)
             if iso is not None:
                 hit = (j, iso)
@@ -465,37 +463,36 @@ def decompose(M: Module, certify: bool = True) -> Decomposition:
     End(S) is local without a test of its own: f -> inc f pr is an
     isomorphism End(S) -> eEe, because pr inc = id_S and inc pr = e, and
     primitive_orthogonal_idempotents has certified every eEe local on the
-    field leaf of its semisimple split.  When certify is set, the witness
-    identities are verified and the result is marked certified_local.
+    field leaf of its semisimple split.
+
+    The summands are grouped by the classes of that same call: S_e and S_r
+    are isomorphic iff eE and rE are (Hom(S_e, S_r) = rEe, by
+    f -> inc_r f pr_e), and the certified pair alpha in rEe, beta in eEr
+    with beta alpha = e, alpha beta = r gives a copy's witnesses through
+    its class representative r with no solve: inc = beta inc_r and
+    pr = pr_r alpha, so pr inc = pr_r r inc_r = id and inc pr = beta alpha
+    = e.  Classes and copies keep their order of first appearance, and
+    every copy includes the representative's module.  When certify is set,
+    the witness identities are verified and the result is marked
+    certified_local.
     """
     F = M.field
     if M.dim == 0:
         return Decomposition(M, [], certified_local=True)
     E, emb = end_algebra(M)
     es = primitive_orthogonal_idempotents(E)
-    pieces = []
     emb = np.stack(emb)
-    for evec in es:
-        S, inc, pr = submodule_from_image(M, F.combine(evec, emb))
-        pieces.append((S, inc, pr))
-    # group by isomorphism class, preserving first appearance
     summands: List[Summand] = []
-    for S, inc, pr in pieces:
-        placed = False
-        for s in summands:
-            if s.module.dim == S.dim:
-                iso = _indec_iso(S, s.module)
-                if iso is not None:
-                    # rewrite witnesses through the isomorphism so every
-                    # copy includes the *class representative*
-                    inc2 = F.vmatmul(inc, inverse(F, iso))
-                    pr2 = F.vmatmul(iso, pr)
-                    s.witnesses.append((inc2, pr2))
-                    s.multiplicity += 1
-                    placed = True
-                    break
-        if not placed:
+    for evec, label, (alpha, beta) in zip(es, es.labels, es.isos):
+        if label == len(summands):
+            S, inc, pr = submodule_from_image(M, F.combine(evec, emb))
             summands.append(Summand(S, 1, [(inc, pr)]))
+            continue
+        s = summands[label]
+        inc, pr = s.witnesses[0]
+        s.witnesses.append((F.vmatmul(F.combine(beta, emb), inc),
+                            F.vmatmul(pr, F.combine(alpha, emb))))
+        s.multiplicity += 1
     dec = Decomposition(M, summands, certified_local=False)
     if certify:
         total = F.zeros((M.dim, M.dim))

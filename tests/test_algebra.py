@@ -320,6 +320,57 @@ def test_idempotent_set_verify_rejects_fakes():
         overlapping.verify()
 
 
+@pytest.mark.parametrize("p, labels", [(2, [0, 1, 1]), (3, [0, 1]), (5, [0, 0, 1, 2])])
+def test_poi_classes_come_with_isomorphisms(p, labels):
+    """F_p S3: over F2 a local block beside Mat2(F2), over F3 one block
+    with two non-isomorphic projectives and a radical, over F5 Mat2 beside
+    two points.  Each (alpha, beta) lies in r A e x e A r for r its class
+    representative, with beta alpha = e and alpha beta = r."""
+    A = make_group_algebra(s3_table(), FF(p))
+    es = primitive_orthogonal_idempotents(A)
+    assert es.labels == labels
+    for e, label, (alpha, beta) in zip(es, es.labels, es.isos):
+        r = es.idempotents[labels.index(label)]
+        assert np.array_equal(A.mul_vec(A.mul_vec(r, alpha), e), alpha)
+        assert np.array_equal(A.mul_vec(A.mul_vec(e, beta), r), beta)
+        assert np.array_equal(A.mul_vec(beta, alpha), e)
+        assert np.array_equal(A.mul_vec(alpha, beta), r)
+
+
+def test_a_class_test_that_says_yes_across_blocks_is_rejected():
+    """With the radical taken as zero, the class test reads the arrow of
+    the A2 path algebra, which lies in r A e for one order of its two
+    idempotents, as an isomorphism; no beta inverts it."""
+    from orbitcat.algebra import _iso_classes
+
+    A = make_path_algebra(FF(5), 2, [(0, 1)])
+    es = list(primitive_orthogonal_idempotents(A))
+    no_radical = SpanSolver(A.field, np.zeros((0, A.dim), dtype=np.int64))
+    caught = []
+    for order in (es, es[::-1]):
+        try:
+            assert _iso_classes(A, order, no_radical)[0] == [0, 1]
+        except CertificationError as exc:
+            caught.append(str(exc))
+    assert caught == ["class test of idempotents 0 and 1: no beta in e A r inverts "
+                      "the alpha in r A e outside the radical"]
+
+
+def test_a_corrupted_beta_fails_the_class_check(monkeypatch):
+    """Mat2/F5: both idempotents are in one class.  A beta off by one in
+    every solved coefficient still lies in e A r but fails alpha beta = r."""
+    import orbitcat.algebra as algebra_mod
+
+    A = make_matrix_algebra(2, FF(5))
+    es = list(primitive_orthogonal_idempotents(A))
+    no_radical = SpanSolver(A.field, np.zeros((0, A.dim), dtype=np.int64))
+    assert algebra_mod._iso_classes(A, es, no_radical)[0] == [0, 0]
+    solve = algebra_mod.solve
+    monkeypatch.setattr(algebra_mod, "solve", lambda F, M, b: (solve(F, M, b) + 1) % F.p)
+    with pytest.raises(CertificationError, match="idempotents 0 and 1"):
+        algebra_mod._iso_classes(A, es, no_radical)
+
+
 def test_brute_force_radical_agreement():
     """Cross-check the chain radical against the properly-nilpotent set
     on small algebras where elements can be enumerated."""

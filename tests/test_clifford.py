@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,13 @@ from orbitcat.clifford import (
     trivial_inertia_check,
 )
 from orbitcat.ffield import FF
+from orbitcat.karoubi import (
+    KarObject,
+    kar_decompose,
+    kar_end_algebra,
+    kar_functor_T,
+    kar_is_isomorphic,
+)
 from orbitcat.orbit import GroupAction
 from orbitcat.rep import (
     Module,
@@ -411,3 +419,45 @@ def test_clifford_run_builds_each_karoubi_corner_once(monkeypatch):
         keys = [tuple((id(X.module), X.support, X.idem.stack.tobytes()) for X in pair)
                 for pair in pairs]
         assert keys and len(set(keys)) == len(keys)
+
+
+def symmetric_conjugation_action(n, F):
+    """S_n acting on Mat_n by conjugation with permutation matrices, the
+    group table over itertools.permutations(range(n)), (a b)(i) = a[b[i]]."""
+    A = make_matrix_algebra(n, F)
+    perms = list(itertools.permutations(range(n)))
+    index = {q: i for i, q in enumerate(perms)}
+    table = [[index[tuple(a[b[i]] for i in range(n))] for b in perms] for a in perms]
+    auts = []
+    for q in perms:
+        u = np.zeros((n, n), dtype=np.int64)
+        u[list(q), range(n)] = 1
+        auts.append(AlgebraAut(A, conjugation_matrix(A, u, F)))
+    return A, GroupAction(A, table, auts)
+
+
+@pytest.mark.parametrize("n, stage1", [
+    (3, [(2, 2), (1, 1), (1, 1)]),
+    (4, [(2, 2), (1, 1), (3, 3), (3, 3), (1, 1)]),
+])
+def test_clifford_stage1_matches_a_pairwise_grouping(monkeypatch, n, stage1):
+    """Stage 1 reads its classes off the blocks of E_P / rad E_P; grouping
+    the same primitive summands pairwise with kar_is_isomorphic, as
+    clifford_run did before, gives the same classes in the same order.
+    S_n on Mat_n/F5, the simple module; the inertia is all of S_n, so
+    there are no outside checks and no kar_is_isomorphic call at all."""
+    A, action = symmetric_conjugation_action(n, FF(5))
+    M = simple_modules(A)[0]
+    P = KarObject(action, M, support=inertia(M, action).subgroup)
+    classes = []
+    for p in kar_decompose(P, *kar_end_algebra(P)):
+        hit = next((c for c in classes if kar_is_isomorphic(c[0], p) is not None), None)
+        if hit is None:
+            classes.append([p])
+        else:
+            hit.append(p)
+    monkeypatch.setattr(clifford_mod, "kar_is_isomorphic", None)
+    report = clifford_run(action, M)
+    assert [(s.multiplicity, s.n_copies) for s in report.stage1] == stage1
+    assert [s.multiplicity for s in report.stage1] == [len(c) for c in classes]
+    assert [s.restricted_dim for s in report.stage1] == [kar_functor_T(c[0]).dim for c in classes]

@@ -29,6 +29,7 @@ from orbitcat.rep import (
     random_base_change,
     regular_module,
     simple_modules,
+    submodule_from_image,
     twist,
     zero_module,
 )
@@ -435,3 +436,50 @@ def test_coordinate_blocks_keep_a_non_split_extension_whole():
     blocks = _coordinate_blocks(S.gen_mats())
     assert [b.tolist() for b in blocks] == [[0], [1, 2, 3], [4]]
     _check_partition(S.gen_mats(), blocks)
+
+
+def _pairwise_grouping(M):
+    """The grouping decompose made before its classes came from E/J: the
+    images of the primitive idempotents of End(M), each compared by a
+    hom-basis scan with the representative of every class so far."""
+    F = M.field
+    E, emb = end_algebra(M)
+    classes = []  # [representative module, multiplicity]
+    for e in primitive_orthogonal_idempotents(E):
+        S = submodule_from_image(M, F.combine(e, np.stack(emb)))[0]
+        hit = next((c for c in classes if rep._indec_iso(S, c[0]) is not None), None)
+        if hit is None:
+            classes.append([S, 1])
+        else:
+            hit[1] += 1
+    return classes
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(POOLS)), seed=st.integers(0, 2 ** 32 - 1))
+def test_decompose_classes_match_a_pairwise_grouping(name, seed):
+    """On random base-changed pool sums, decompose's classes (read off the
+    blocks of E/J) are the pairwise scan's, in its order, with the same
+    representatives and multiplicities; every copy's witnesses carry the
+    representative's action: pr rho(b) inc = rho_S(b) and pr inc = id."""
+    _, pool = POOLS[name]
+    M = _pool_sum(pool, "dense", np.random.default_rng(seed))
+    F = M.field
+    dec = decompose(M, certify=True)
+    assert [(s.module, s.multiplicity) for s in dec.summands] == \
+        [tuple(c) for c in _pairwise_grouping(M)]
+    for s in dec.summands:
+        assert len(s.witnesses) == s.multiplicity
+        for inc, pr in s.witnesses:
+            assert np.array_equal(F.vmatmul(pr, inc), F.eye(s.module.dim))
+            assert np.array_equal(F.vmatmul(pr, F.vmatmul(M.stack(), inc)), s.module.stack())
+
+
+def test_decompose_makes_no_pairwise_hom_solve():
+    """Grouping the summands costs no hom_space call beyond End(M)'s own."""
+    _, pool = POOLS["Kronecker/F5"]
+    M = _pool_sum(pool, "dense", np.random.default_rng(3))
+    with mock.patch.object(rep, "hom_space", wraps=rep.hom_space) as spy, \
+            mock.patch.object(rep, "_indec_iso", side_effect=AssertionError):
+        dec = decompose(M)
+    assert spy.call_count == 1 and sum(s.multiplicity for s in dec.summands) >= 2
