@@ -919,9 +919,17 @@ def _nilpotent_split(B: Algebra, nil):
     L, _ = rref(F, B.span_products(F.eye(B.dim), nil[None, :])[:, 0, :])
     if len(L) == 0:
         return None
-    # solve for e in L with x e = x for every basis x of L: block x of the
-    # system has columns x * l_s
-    c = solve(F, B.span_products(L, L).transpose(0, 2, 1).reshape(-1, len(L)), L.reshape(-1))
+    # solve for e in L with x e = x for every basis x of L
+    k = len(L)
+    rows = []
+    rhs = []
+    for x in L:
+        Lx = B.left_mult_matrix(x)
+        rows.append(F.vmatmul(Lx, L.T))  # columns: x * l_s
+        rhs.append(x)
+    Asys = np.concatenate(rows, axis=0)
+    bsys = np.concatenate(rhs, axis=0)
+    c = solve(F, Asys, bsys)
     if c is None:
         return None
     e = F.vmatmul(np.asarray(c)[None, :], L)[0]
@@ -1102,6 +1110,8 @@ def _iso_classes(A: Algebra, es, J_solver):
     Curtis-Reiner, Methods of Representation Theory I, section 6).  A failed
     solve or check raises CertificationError naming the pair; by the
     argument above it signals a bug."""
+    if len(es) < 2:  # a lone idempotent is its own class: nothing to test
+        return list(range(len(es))), [(e, e) for e in es]
     F, d = A.field, A.dim
     rows = np.reshape(np.asarray(es, dtype=np.int64), (len(es), d))
     # e_i x = x @ left[i] and x e_i = x @ right[i] (rows e_i b_k and b_k e_i)

@@ -112,7 +112,7 @@ def check_mat2_orbit_end(seed=0) -> CheckResult:
     P = KarObject(action, S)
     E, H = kar_end_algebra(P)
     es = primitive_orthogonal_idempotents(E)
-    pieces = kar_decompose(P, E, H, es)
+    pieces = kar_decompose(P, H, es)
     distinct = kar_is_isomorphic(pieces[0], pieces[1]) is None if len(pieces) == 2 else False
     passed = oh.dim == 2 and len(es) == 2 and len(pieces) == 2 and distinct
     return CheckResult(

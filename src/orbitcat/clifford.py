@@ -149,7 +149,7 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
     P = KarObject(action, M, support=sub)
     E_P, H_P = kar_end_algebra(P)
     es = primitive_orthogonal_idempotents(E_P)
-    pieces = kar_decompose(P, E_P, H_P, es)
+    pieces = kar_decompose(P, H_P, es)
     reps = [pieces[es.labels.index(c)] for c in range(max(es.labels) + 1)]
     stage1 = []
     corners = []

@@ -24,7 +24,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .algebra import Algebra, algebra_on_span, primitive_orthogonal_idempotents
+from .algebra import Algebra, IdempotentSet, algebra_on_span
 from .linalg import rref, solve
 from .orbit import (
     GroupAction,
@@ -86,16 +86,16 @@ def kar_end_algebra(P: KarObject) -> Tuple[Algebra, OrbitMor]:
     return E, H
 
 
-def kar_decompose(P: KarObject, E: Algebra, H: OrbitMor, es=None) -> List[KarObject]:
+def kar_decompose(P: KarObject, H: OrbitMor, es: IdempotentSet) -> List[KarObject]:
     """Primitive orthogonal summands of (X, e), one KarObject per
-    idempotent; they sum to e exactly and each corner is local.  (E, H) is
-    kar_end_algebra(P), and es is primitive_orthogonal_idempotents(E) when
-    the caller holds it already (for its isomorphism classes)."""
-    if E.dim == 0:
+    idempotent; they sum to e exactly and each corner is local.  H is the
+    basis family of kar_end_algebra(P) = (E, H), and es is
+    primitive_orthogonal_idempotents(E), whose labels group the summands
+    into isomorphism classes."""
+    if len(es) == 0:
         return []
     F = P.action.algebra.field
-    es = H.with_stack(F.combine(list(primitive_orthogonal_idempotents(E) if es is None else es),
-                                H.stack))
+    es = H.with_stack(F.combine(list(es), H.stack))
     # prods[a, b] = e_b o e_a: e_a on the diagonal, zero off it
     prods = orbit_compose(es.with_stack(es.stack[:, None]), es.with_stack(es.stack[None])).stack
     r = len(es.stack)

@@ -407,6 +407,8 @@ def _match_decompositions(DM: Decomposition, DN: Decomposition):
         for j, sN in enumerate(DN.summands):
             if used[j] or sN.multiplicity != sM.multiplicity:
                 continue
+            if sN.module.dim != sM.module.dim:
+                continue
             iso = _indec_iso(sM.module, sN.module)
             if iso is not None:
                 hit = (j, iso)

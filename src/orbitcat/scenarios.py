@@ -26,7 +26,6 @@ from .oracle import frobenius_action
 from .orbit import GroupAction, OrbitMor, combine_orbitmors, make_skew_group_algebra
 from .rep import (
     Module,
-    _indec_iso,
     decompose,
     direct_sum,
     quotient_module,
@@ -295,6 +294,8 @@ def indecomposable_pool(A: Algebra) -> List[Module]:
     def add(M):
         if M.dim == 0:
             return
+        from .rep import _indec_iso
+
         for P in pool:
             if P.dim == M.dim and _indec_iso(M, P) is not None:
                 return

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from orbitcat import algebra as algebra_mod, clifford as clifford_mod, karoubi as karoubi_mod
-from orbitcat.algebra import AlgebraAut, make_group_algebra, make_matrix_algebra, radical
+from orbitcat.algebra import (
+    AlgebraAut,
+    make_group_algebra,
+    make_matrix_algebra,
+    primitive_orthogonal_idempotents,
+    radical,
+)
 from orbitcat.clifford import (
     CliffordViolation,
     clifford_run,
@@ -450,7 +456,8 @@ def test_clifford_stage1_matches_a_pairwise_grouping(monkeypatch, n, stage1):
     M = simple_modules(A)[0]
     P = KarObject(action, M, support=inertia(M, action).subgroup)
     classes = []
-    for p in kar_decompose(P, *kar_end_algebra(P)):
+    E, H = kar_end_algebra(P)
+    for p in kar_decompose(P, H, primitive_orthogonal_idempotents(E)):
         hit = next((c for c in classes if kar_is_isomorphic(c[0], p) is not None), None)
         if hit is None:
             classes.append([p])

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from orbitcat.algebra import AlgebraAut, is_local, make_group_algebra, make_matrix_algebra
+from orbitcat.algebra import (
+    AlgebraAut,
+    is_local,
+    make_group_algebra,
+    make_matrix_algebra,
+    primitive_orthogonal_idempotents,
+)
 from orbitcat.ffield import FF
 from orbitcat.karoubi import (
     KarObject,
@@ -37,7 +43,8 @@ from orbitcat.rep import (
 
 
 def kar_pieces(P):
-    return kar_decompose(P, *kar_end_algebra(P))
+    E, H = kar_end_algebra(P)
+    return kar_decompose(P, H, primitive_orthogonal_idempotents(E))
 
 
 def cyclic_table(k):
@@ -108,11 +115,9 @@ def test_kar_hom_complementary_corners():
     P = KarObject(action, S)
     E, basis = kar_end_algebra(P)
     assert E.dim == 2
-    from orbitcat.algebra import primitive_orthogonal_idempotents
-
     es = primitive_orthogonal_idempotents(E)
     assert len(es) == 2
-    pieces = kar_decompose(P, E, basis)
+    pieces = kar_decompose(P, basis, es)
     p0, p1 = pieces
     # hom between complementary corners through composition is zero
     assert len(_kar_basis(p0, p1).stack) == 0
@@ -136,22 +141,17 @@ def test_kar_decompose_mat2_swap():
     (lambda e1, e2: [e1, e1], "not orthogonal"),
     (lambda e1, e2: [e1], "do not sum"),
 ], ids=["not-idempotent", "not-orthogonal", "short-sum"])
-def test_kar_decompose_checks_its_idempotents(monkeypatch, pick, error):
+def test_kar_decompose_checks_its_idempotents(pick, error):
     """The corner of the Mat2/F5 swap object is F5 x F5 with idempotents
     e1, e2.  Bad idempotent lists fail the checks in order: squares first,
     then orthogonality, then the sum: (2 e1)^2 = 4 e1, e1 e1 = e1 != 0,
     and e1 alone does not sum to the unit."""
-    import orbitcat.karoubi
-    from orbitcat.algebra import primitive_orthogonal_idempotents
-
     A, action = mat2_swap_action()
     P = KarObject(action, column_module(A))
     E, H = kar_end_algebra(P)
     e1, e2 = primitive_orthogonal_idempotents(E)
-    monkeypatch.setattr(orbitcat.karoubi, "primitive_orthogonal_idempotents",
-                        lambda E: pick(e1, e2))
     with pytest.raises(ValueError, match=error):
-        kar_decompose(P, E, H)
+        kar_decompose(P, H, pick(e1, e2))
 
 
 def test_kar_decompose_trivial_action_matches_rep():
