@@ -110,7 +110,7 @@ def check_mat2_orbit_end(seed=0) -> CheckResult:
     S = _column_module(A)
     oh = orbit_hom(S, S, action)
     P = KarObject(action, S)
-    E, H = kar_end_algebra(P)
+    E, H = kar_end_algebra(P, oh)
     es = primitive_orthogonal_idempotents(E)
     pieces = kar_decompose(P, H, es)
     distinct = kar_is_isomorphic(pieces[0], pieces[1]) is None if len(pieces) == 2 else False

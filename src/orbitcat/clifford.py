@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import is_local, primitive_orthogonal_idempotents, radical
+from .algebra import corner_algebra, is_local, primitive_orthogonal_idempotents, radical
 from .karoubi import (
     KarObject,
     kar_decompose,
@@ -26,35 +26,67 @@ from .karoubi import (
     kar_functor_T,
     kar_is_isomorphic,
 )
-from .linalg import rank
-from .orbit import GroupAction, lifted_aut, orbit_hom, sub_inclusion_S
-from .rep import Module, decompose, end_algebra, hom_space, is_isomorphic
+from .linalg import inverse, is_invertible, rank, rref
+from .orbit import GroupAction, OrbitHomSpace, lifted_aut, orbit_hom, sub_inclusion_S
+from .rep import HomSpace, Module, decompose, end_algebra, hom_space, is_isomorphic
 
 
 @dataclass
 class InertiaData:
+    """The inertia subgroup of an indecomposable M, with what fixes the
+    orbit endomorphisms over it: for each g in the subgroup an invertible
+    intertwiner witnesses[g]: twist(M, g) -> M, and the echelonized basis
+    end_basis of End(M), as hom_space(M, M) returns it."""
+
     module: Module
+    action: GroupAction
     subgroup: Tuple[int, ...]
     witnesses: Dict[int, np.ndarray]  # g -> invertible intertwiner twist(M,g) -> M
+    end_basis: List[np.ndarray]
+
+    def orbit_end(self) -> OrbitHomSpace:
+        """Hom_orbit(M, M) over the inertia subgroup, with no hom solve.
+
+        For g in the subgroup, w = witnesses[g] is an isomorphism
+        gM -> M, so f -> w^-1 f is a linear bijection End(M) -> Hom(M, gM)
+        and component g is spanned by the w^-1 f over End(M)'s basis: one
+        inverse, one product and one rref.  A subspace has one reduced
+        echelon form and hom_space echelonizes the space it solves for, so
+        each component's basis is the one hom_space(M, twist(M, g)) returns,
+        byte for byte."""
+        M, action = self.module, self.action
+        F = M.field
+        end = np.stack(self.end_basis)
+        comps = {}
+        for g in self.subgroup:
+            rows = rref(F, F.vmatmul(inverse(F, self.witnesses[g]), end).reshape(len(end), -1))[0]
+            comps[g] = HomSpace(M, action.twisted(M, g), list(rows.reshape(-1, M.dim, M.dim)))
+        return OrbitHomSpace(M, M, self.subgroup, comps, action)
 
 
 def inertia(M: Module, action: GroupAction) -> InertiaData:
     """The subgroup of elements fixing the isomorphism class of M.
 
-    M must be indecomposable (checked through a full decomposition)."""
-    dec = decompose(M, certify=False)
-    if len(dec.summands) != 1 or dec.summands[0].multiplicity != 1:
+    M must be indecomposable: End(M) is solved once and
+    primitive_orthogonal_idempotents must find exactly one idempotent, the
+    test decompose(M) makes, without building the summand.  A strict action
+    has aut_0 = id, so twist(M, 0) has M's matrices.  Every twist with M's
+    matrices needs no solve: Hom(gM, M) is then End(M), and the witness is
+    the first invertible element of End(M)'s basis, the one
+    is_isomorphic(twist(M, g), M) would return (End(M) is local, so one
+    exists)."""
+    E, end_basis = end_algebra(M)
+    if len(primitive_orthogonal_idempotents(E)) != 1:
         raise ValueError("decompose first: the module is not indecomposable")
-    members = []
-    witnesses = {}
-    for g in action.elements():
+    F = M.field
+    witnesses = {0: next(f for f in end_basis if is_invertible(F, f))}
+    for g in action.elements()[1:]:
         tw = action.twisted(M, g)
-        iso = is_isomorphic(tw, M)
+        iso = witnesses[0] if tw == M else is_isomorphic(tw, M)
         if iso is not None:
-            members.append(g)
             witnesses[g] = iso
-    subgroup = action.subgroup(members)  # closure holds; this certifies it
-    return InertiaData(M, subgroup, witnesses)
+    subgroup = action.subgroup(witnesses)  # closure holds; this certifies it
+    return InertiaData(M, action, subgroup, witnesses, end_basis)
 
 
 @dataclass
@@ -143,30 +175,52 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
     of E_P / rad E_P (its labels; classes in order of first appearance).
     The outside checks compare summands with their images under elements
     outside the inertia, objects of different corners, by
-    kar_is_isomorphic."""
+    kar_is_isomorphic.
+
+    Each hom space and each corner is built once per run:
+    - E_P compresses the raw Hom_orbit(M, M) over the inertia that
+      InertiaData.orbit_end carries from End(M) and the witnesses, the
+      bases hom_space would solve for, byte for byte.
+    - A class's corner is e E_P e for its first idempotent e, by
+      corner_algebra.  E_P's basis (the compressed family H_P) maps
+      e E_P e onto e o Hom_orbit(M, M) o e = End((M, e)) and keeps
+      products and the unit, so the two are isomorphic algebras.  The
+      report reads only invariants of the isomorphism class: dimension,
+      radical dimension and locality.
+    - When the inertia is the whole group, extension by zero changes
+      nothing: stage 2 reads stage 1's corner and the dimension of its
+      T-object.  Under a proper inertia, Hom_orbit(M, M) over the whole
+      group is solved once for every class.
+    - A restriction W or a summand of it with M's matrices is M, so it
+      needs no decompose and no hom solve to count as copies of M."""
     ind = inertia(M, action)
     sub = ind.subgroup
     P = KarObject(action, M, support=sub)
-    E_P, H_P = kar_end_algebra(P)
+    E_P, H_P = kar_end_algebra(P, ind.orbit_end())
     es = primitive_orthogonal_idempotents(E_P)
     pieces = kar_decompose(P, H_P, es)
-    reps = [pieces[es.labels.index(c)] for c in range(max(es.labels) + 1)]
+    firsts = [es.labels.index(c) for c in range(max(es.labels) + 1)]
+    reps = [pieces[i] for i in firsts]
     stage1 = []
     corners = []
     total_n = 0
     for idx, rep_piece in enumerate(reps):
         W = kar_functor_T(rep_piece)
-        dec = decompose(W, certify=False)
+        # a module with M's matrices is M: W is then one copy (M is
+        # indecomposable), and a summand is a copy with no hom solve
+        summands = ([(W, 1)] if W == M else
+                    [(s.module, s.multiplicity) for s in decompose(W, certify=False).summands])
         n_copies = 0
-        for s in dec.summands:
-            if is_isomorphic(s.module, M) is None:
+        for S, multiplicity in summands:
+            if S != M and is_isomorphic(S, M) is None:
                 raise CliffordViolation(
                     f"restriction of summand {idx} contains a non-copy of M "
-                    f"(dimension {s.module.dim})"
+                    f"(dimension {S.dim})"
                 )
-            n_copies += s.multiplicity
+            n_copies += multiplicity
         # a single piece has the idempotent of P, so its corner is P's
-        corners.append(E_P if len(es) == 1 else kar_end_algebra(rep_piece)[0])
+        corners.append(E_P if len(es) == 1
+                       else corner_algebra(E_P, es.idempotents[firsts[idx]])[0])
         stage1.append(
             StageOneSummand(
                 index=idx,
@@ -182,14 +236,17 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
         raise CliffordViolation(
             f"sum of copy counts {total_n} differs from the inertia order {len(sub)}"
         )
+    whole = len(sub) == action.k
+    raw = None if whole else orbit_hom(M, M, action)
     stage2 = []
     for idx, rep_piece in enumerate(reps):
-        if len(sub) == action.k:
+        if whole:
             # extension by zero from the whole group changes nothing
-            ext, E = rep_piece, corners[idx]
+            E, materialized_dim = corners[idx], stage1[idx].restricted_dim
         else:
-            ext = KarObject(action, rep_piece.module, sub_inclusion_S(rep_piece.idem, action, sub))
-            E, _ = kar_end_algebra(ext)
+            ext = KarObject(action, M, sub_inclusion_S(rep_piece.idem, action, sub))
+            E, _ = kar_end_algebra(ext, raw)
+            materialized_dim = kar_functor_T(ext).dim
         J = radical(E)
         local = is_local(E, J)
         stage2.append(
@@ -198,7 +255,7 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
                 corner_dim=E.dim,
                 corner_radical_dim=len(J),
                 local=local,
-                materialized_dim=kar_functor_T(ext).dim,
+                materialized_dim=materialized_dim,
             )
         )
         if not local:
@@ -246,7 +303,7 @@ def trivial_inertia_check(action: GroupAction, W: Module) -> dict:
     if ind.subgroup != (0,):
         raise ValueError("inertia not trivial")
     P = KarObject(action, W)
-    E, _ = kar_end_algebra(P)
+    E, _ = kar_end_algebra(P, orbit_hom(W, W, action))
     if not is_local(E):
         es = primitive_orthogonal_idempotents(E)
         witness = [list(map(int, e)) for e in es][:2]
@@ -286,7 +343,7 @@ def skewfield_check(action: GroupAction, M: Module) -> dict:
             f"orbit endomorphism dimension {oh.dim} exceeds the plain one {end_dim}"
         )
     P = KarObject(action, M)
-    E, _ = kar_end_algebra(P)
+    E, _ = kar_end_algebra(P, oh)
     J = radical(E)
     if len(J) != 0 or not is_local(E, J):
         raise CliffordViolation("orbit endomorphism algebra is not a field")

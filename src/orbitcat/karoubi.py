@@ -9,9 +9,10 @@ inclusion/projection witnesses ((X, e_i) -> (X, e) is e_i in both
 directions), so multiplicity claims stay matrix-checkable.
 
 Each per-basis step is one composition of orbit morphism families: the
-compressed hom basis is e_Q o raw o e_P for the whole raw hom family, the
-corner's products are one broadcast composition of its basis with itself,
-and the summand checks compose all pairs of idempotents at once.
+compressed hom basis is e_Q o raw o e_P for the whole raw hom family
+(which the caller solves or carries), the corner's products are one
+broadcast composition of its basis with itself, and the summand checks
+compose all pairs of idempotents at once.
 
 Functors lift pointwise: F(X, e) = (F X, F e).  The right adjoint into
 the base category is materialized as an honest module, the image of the
@@ -28,6 +29,7 @@ from .algebra import Algebra, IdempotentSet, algebra_on_span
 from .linalg import rref, solve
 from .orbit import (
     GroupAction,
+    OrbitHomSpace,
     OrbitMor,
     functor_T,
     identity_orbitmor,
@@ -65,20 +67,38 @@ class KarObject:
         return f"KarObject(dim={self.module.dim}, support={self.support})"
 
 
-def _kar_basis(P: KarObject, Q: KarObject) -> OrbitMor:
+def _kar_basis(P: KarObject, Q: KarObject, raw: OrbitHomSpace) -> OrbitMor:
     """Echelonized basis of the compressed hom space e_Q o Hom o e_P, as
-    one family: the raw hom family compressed in two compositions."""
+    one family: the raw hom family compressed in two compositions.
+
+    raw is Hom_orbit(X_P, X_Q) over the objects' support, from the caller,
+    which solves it once for all the objects on those modules (or carries
+    it along the inertia, as clifford_run does).  The compressed family
+    spans e_Q o Hom o e_P whatever basis raw has, and the span's reduced
+    echelon form is unique, so the result depends on the space alone."""
     if P.action is not Q.action or P.support != Q.support:
         raise ValueError("objects live over different orbit categories")
-    raw = orbit_hom(P.module, Q.module, P.action, support=P.support).family()
+    if raw.support != P.support:
+        raise ValueError("raw hom support does not match the objects")
+    if raw.source != P.module or raw.target != Q.module:
+        raise ValueError("raw hom is not between the objects' modules")
+    fam = raw.family()
     rows = rref(P.action.algebra.field,
-                orbit_compose(orbit_compose(P.idem, raw), Q.idem).flatten())[0]
-    return raw.with_stack(rows.reshape((len(rows),) + raw.stack.shape[1:]))
+                orbit_compose(orbit_compose(P.idem, fam), Q.idem).flatten())[0]
+    return fam.with_stack(rows.reshape((len(rows),) + fam.stack.shape[1:]))
 
 
-def kar_end_algebra(P: KarObject) -> Tuple[Algebra, OrbitMor]:
-    """The corner algebra e o End(X) o e with unit e, and its basis family."""
-    H = _kar_basis(P, P)
+def kar_end_algebra(P: KarObject, raw: OrbitHomSpace) -> Tuple[Algebra, OrbitMor]:
+    """The corner algebra e o End(X) o e with unit e, and its basis family.
+
+    raw is Hom_orbit(X, X) over P's support, from the caller (see
+    _kar_basis): clifford_run passes the one InertiaData.orbit_end carries,
+    whose bases are hom_space's byte for byte, so the algebra is the same
+    as over a fresh orbit_hom.  For a summand (X, f) of P, with f an
+    idempotent of E = kar_end_algebra(P)[0], corner_algebra(E, f) is
+    isomorphic to kar_end_algebra of (X, f) and needs no orbit
+    composition: clifford_run builds its class corners that way."""
+    H = _kar_basis(P, P, raw)
     # products[i, j] = b_i * b_j, the composition "b_j first, then b_i"
     products = orbit_compose(H.with_stack(H.stack[None]), H.with_stack(H.stack[:, None]))
     E = algebra_on_span(P.action.algebra.field, H.flatten(), products.flatten(),
@@ -122,9 +142,9 @@ def kar_is_isomorphic(P: KarObject, Q: KarObject):
     primitive_orthogonal_idempotents decides from the blocks of E/J (see
     its labels).  This scan is for objects of different corners, such as
     clifford_run's outside checks."""
-    F = P.action.algebra.field
-    HPQ = _kar_basis(P, Q)
-    HQP = _kar_basis(Q, P)
+    F, S = P.action.algebra.field, P.support
+    HPQ = _kar_basis(P, Q, orbit_hom(P.module, Q.module, P.action, support=S))
+    HQP = _kar_basis(Q, P, orbit_hom(Q.module, P.module, P.action, support=S))
     if not len(HPQ.stack) or not len(HQP.stack):
         return None
     # systems[i, j] = b_j o alpha_i for alpha_i in HPQ and b_j in HQP: row i

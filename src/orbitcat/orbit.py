@@ -65,6 +65,7 @@ class GroupAction:
         self.auts = list(auts)
         self.k = self.table.shape[0]
         self._twist_cache: Dict = {}
+        self._t_cache: Dict = {}  # see _t_object
         check_action(self)
         # inverses[g] = g^-1, the column of the identity in row g
         self.inverses = np.argmax(self.table == 0, axis=1)
@@ -400,9 +401,24 @@ def _twist_sum(X: Module, action: GroupAction, twists) -> np.ndarray:
 
 
 def _t_object(X: Module, action: GroupAction, twists) -> Tuple[Module, np.ndarray]:
+    """(T-object, perm): the label-sorted sum of the twists of X over
+    ``twists``, and perm[new_coord] = unsorted_coord.
+
+    Built once per (X, twists) for the life of the action, keyed and
+    guarded as ``GroupAction.twisted`` is: the key holds id(X), and a hit
+    counts only if the stored module is X itself, so a recycled id or a
+    distinct module with equal content builds anew.  The result is a
+    function of X's matrices and blocks and the action alone, and no
+    caller mutates it, so a hit returns what a build would."""
+    key = (id(X), tuple(twists))
+    hit = action._t_cache.get(key)
+    if hit is not None and hit[0] is X:
+        return hit[1]
     blocks, perm = _twist_sum_layout(X, action, twists)
     mats = list(_twist_sum(X, action, twists)[:, perm][:, :, perm])
-    return Module(X.algebra, mats, blocks=blocks, validate=False), perm
+    built = Module(X.algebra, mats, blocks=blocks, validate=False), perm
+    action._t_cache[key] = (X, built)
+    return built
 
 
 def functor_T(x, action: GroupAction, support=None):

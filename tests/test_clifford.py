@@ -1,5 +1,7 @@
 import itertools
 import math
+import pathlib
+import runpy
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ import pytest
 from orbitcat import algebra as algebra_mod, clifford as clifford_mod, karoubi as karoubi_mod
 from orbitcat.algebra import (
     AlgebraAut,
+    corner_algebra,
+    is_local,
     make_group_algebra,
     make_matrix_algebra,
     primitive_orthogonal_idempotents,
@@ -28,11 +32,13 @@ from orbitcat.karoubi import (
     kar_functor_T,
     kar_is_isomorphic,
 )
-from orbitcat.orbit import GroupAction
+from orbitcat.orbit import GroupAction, orbit_hom
+from orbitcat.scenarios import build_action, build_algebra, build_field, build_module
 from orbitcat.rep import (
     Module,
     decompose,
     direct_sum,
+    hom_space,
     quotient_module,
     random_base_change,
     regular_module,
@@ -401,9 +407,9 @@ def test_clifford_run_builds_each_karoubi_corner_once(monkeypatch):
     pairs = []  # holds the objects, so no id is reused
     original = karoubi_mod._kar_basis
 
-    def counting(P, Q):
+    def counting(P, Q, raw):
         pairs.append((P, Q))
-        return original(P, Q)
+        return original(P, Q, raw)
 
     monkeypatch.setattr(karoubi_mod, "_kar_basis", counting)
     A, action = mat2_swap_action()
@@ -456,7 +462,7 @@ def test_clifford_stage1_matches_a_pairwise_grouping(monkeypatch, n, stage1):
     M = simple_modules(A)[0]
     P = KarObject(action, M, support=inertia(M, action).subgroup)
     classes = []
-    E, H = kar_end_algebra(P)
+    E, H = kar_end_algebra(P, orbit_hom(M, M, action, support=P.support))
     for p in kar_decompose(P, H, primitive_orthogonal_idempotents(E)):
         hit = next((c for c in classes if kar_is_isomorphic(c[0], p) is not None), None)
         if hit is None:
@@ -468,3 +474,118 @@ def test_clifford_stage1_matches_a_pairwise_grouping(monkeypatch, n, stage1):
     assert [(s.multiplicity, s.n_copies) for s in report.stage1] == stage1
     assert [s.multiplicity for s in report.stage1] == [len(c) for c in classes]
     assert [s.restricted_dim for s in report.stage1] == [kar_functor_T(c[0]).dim for c in classes]
+
+
+# The module scenarios of the benchmark's orbit workload, read from its
+# source without importing it as a package, and the S3 and S4 cases above.
+ORBIT_SCENARIOS = {
+    name: doc for name, doc in runpy.run_path(
+        str(pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    )["ORBIT_SCENARIOS"].items() if "module" in doc
+}
+DIFFERENTIAL_CASES = sorted(ORBIT_SCENARIOS) + ["S3/Mat3/F5", "S4/Mat4/F5"]
+
+
+def differential_case(name):
+    """(action, module) of an orbit-workload scenario or of S_n on Mat_n/F5."""
+    if name in ORBIT_SCENARIOS:
+        doc = ORBIT_SCENARIOS[name]
+        A = build_algebra(build_field(doc["field"]), doc["algebra"])
+        return build_action(A, doc["action"]), build_module(A, doc["module"])
+    A, action = symmetric_conjugation_action(int(name[1]), FF(5))
+    return action, simple_modules(A)[0]
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_CASES)
+def test_inertia_carried_homs_are_the_solved_ones(name):
+    """Hom(M, gM) = w_g^-1 End(M) for g in the inertia: the carried bases
+    are byte for byte those hom_space solves for, and the carried orbit
+    hom is orbit_hom over the inertia."""
+    action, M = differential_case(name)
+    ind = inertia(M, action)
+    carried = ind.orbit_end()
+    assert carried.support == ind.subgroup
+    for g in ind.subgroup:
+        solved = hom_space(M, action.twisted(M, g)).basis
+        mine = carried.components[g].basis
+        assert len(mine) == len(solved)
+        for a, b in zip(mine, solved):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    solved = orbit_hom(M, M, action, support=ind.subgroup).family().stack
+    assert carried.family().stack.tobytes() == solved.tobytes()
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_CASES)
+def test_class_corners_from_e_p_match_the_compressed_corners(name):
+    """A class corner e E_P e has the dimension and radical dimension of
+    kar_end_algebra of its piece over a freshly solved orbit_hom (the path
+    clifford_run took before), and the report carries those numbers; when
+    the inertia is the whole group, stage 2 reads the same corner."""
+    action, M = differential_case(name)
+    sub = inertia(M, action).subgroup
+    raw = orbit_hom(M, M, action, support=sub)
+    P = KarObject(action, M, support=sub)
+    E_P, H = kar_end_algebra(P, raw)
+    es = primitive_orthogonal_idempotents(E_P)
+    pieces = kar_decompose(P, H, es)
+    report = clifford_run(action, M)
+    firsts = [es.labels.index(c) for c in range(max(es.labels) + 1)]
+    assert len(report.stage1) == len(firsts)
+    for s1, s2, i in zip(report.stage1, report.stage2, firsts):
+        old, _ = kar_end_algebra(pieces[i], orbit_hom(M, M, action, support=sub))
+        new, _ = corner_algebra(E_P, es.idempotents[i])
+        J_old, J_new = radical(old), radical(new)
+        assert (new.dim, len(J_new)) == (old.dim, len(J_old))
+        assert s1.corner_dim == old.dim
+        if len(sub) == action.k:
+            assert (s2.corner_dim, s2.corner_radical_dim, s2.local) == \
+                (old.dim, len(J_old), is_local(old, J_old))
+            assert s2.materialized_dim == kar_functor_T(pieces[i]).dim
+
+
+def test_clifford_run_on_mat2f5_c4_solves_no_orbit_hom(monkeypatch):
+    """Mat2/F5 under C4 acting by conjugation, the whole group in the
+    inertia: the raw orbit hom comes from End(M) and the witnesses, and
+    the one compressed corner is P's, so a run makes no orbit_hom call and
+    one kar_end_algebra call."""
+    calls = {"orbit_hom": 0, "kar_end_algebra": 0}
+
+    def counting(mod, name):
+        original = getattr(mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, wrapper)
+
+    for mod, name in [(clifford_mod, "orbit_hom"), (karoubi_mod, "orbit_hom"),
+                      (clifford_mod, "kar_end_algebra")]:
+        counting(mod, name)
+    action, M = differential_case("mat2f5_c4")
+    report = clifford_run(action, M)
+    assert report.inertia_subgroup == tuple(action.elements())
+    assert not report.outside_checks
+    assert calls == {"orbit_hom": 0, "kar_end_algebra": 1}
+
+
+def test_kar_end_algebra_rejects_a_raw_hom_of_another_support():
+    A, action = mat2_swap_action()
+    M = column_module(A)
+    P = KarObject(action, M, support=(0,))
+    with pytest.raises(ValueError, match="support"):
+        kar_end_algebra(P, orbit_hom(M, M, action))
+    with pytest.raises(ValueError, match="modules"):
+        kar_end_algebra(P, orbit_hom(action.twisted(M, 1), M, action, support=(0,)))
+
+
+def test_clifford_run_rejects_a_restriction_with_a_non_copy(monkeypatch):
+    """Stage 1 checks every summand of the restriction T(M, e) against M:
+    with T(M, e) replaced by M + chi for a character chi not isomorphic
+    to the trivial M, the run fails and names the non-copy."""
+    F = FF(7)
+    A = make_group_algebra(cyclic_table(3), F)
+    M, chi = character_module(A, F, 1), character_module(A, F, 2)
+    monkeypatch.setattr(clifford_mod, "kar_functor_T", lambda piece: direct_sum([M, chi])[0])
+    with pytest.raises(CliffordViolation, match="non-copy of M"):
+        clifford_run(inversion_action(A), M)

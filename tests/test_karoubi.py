@@ -42,8 +42,13 @@ from orbitcat.rep import (
 )
 
 
+def raw_hom(P, Q):
+    """Hom_orbit between the modules of P and Q over their support."""
+    return orbit_hom(P.module, Q.module, P.action, support=P.support)
+
+
 def kar_pieces(P):
-    E, H = kar_end_algebra(P)
+    E, H = kar_end_algebra(P, raw_hom(P, P))
     return kar_decompose(P, H, primitive_orthogonal_idempotents(E))
 
 
@@ -102,7 +107,7 @@ def test_kar_hom_identity_idempotents():
     action = inversion_action(A)
     X = regular_module(A)
     P = KarObject(action, X)
-    H = _kar_basis(P, P)
+    H = _kar_basis(P, P, raw_hom(P, P))
     assert len(H.stack) == orbit_hom(X, X, action).dim
     # every basis morphism is compatible with the idempotents
     assert orbit_compose(orbit_compose(P.idem, H), P.idem) == H
@@ -113,15 +118,15 @@ def test_kar_hom_complementary_corners():
     A, action = mat2_swap_action()
     S = column_module(A)
     P = KarObject(action, S)
-    E, basis = kar_end_algebra(P)
+    E, basis = kar_end_algebra(P, raw_hom(P, P))
     assert E.dim == 2
     es = primitive_orthogonal_idempotents(E)
     assert len(es) == 2
     pieces = kar_decompose(P, basis, es)
     p0, p1 = pieces
     # hom between complementary corners through composition is zero
-    assert len(_kar_basis(p0, p1).stack) == 0
-    assert len(_kar_basis(p1, p0).stack) == 0
+    assert len(_kar_basis(p0, p1, raw_hom(p0, p1)).stack) == 0
+    assert len(_kar_basis(p1, p0, raw_hom(p1, p0)).stack) == 0
 
 
 def test_kar_decompose_mat2_swap():
@@ -132,7 +137,7 @@ def test_kar_decompose_mat2_swap():
     assert len(pieces) == 2
     assert kar_is_isomorphic(pieces[0], pieces[1]) is None
     for p in pieces:
-        E, _ = kar_end_algebra(p)
+        E, _ = kar_end_algebra(p, raw_hom(p, p))
         assert is_local(E)
 
 
@@ -148,7 +153,7 @@ def test_kar_decompose_checks_its_idempotents(pick, error):
     and e1 alone does not sum to the unit."""
     A, action = mat2_swap_action()
     P = KarObject(action, column_module(A))
-    E, H = kar_end_algebra(P)
+    E, H = kar_end_algebra(P, raw_hom(P, P))
     e1, e2 = primitive_orthogonal_idempotents(E)
     with pytest.raises(ValueError, match=error):
         kar_decompose(P, H, pick(e1, e2))
@@ -201,7 +206,7 @@ def test_kar_embedding_fully_faithful():
     for (M, N) in [(X, X), (X, chi), (chi, X), (chi, chi)]:
         P = KarObject(action, M)
         Q = KarObject(action, N)
-        assert len(_kar_basis(P, Q).stack) == orbit_hom(M, N, action).dim
+        assert len(_kar_basis(P, Q, raw_hom(P, Q)).stack) == orbit_hom(M, N, action).dim
 
 
 def test_kar_idempotents_split_consistently():

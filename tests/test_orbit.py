@@ -690,3 +690,27 @@ def test_orbit_compose_rejects_support_not_closed():
     f = identity_orbitmor(X, action, support=(0, 1))
     with pytest.raises(ValueError, match="not closed under the product"):
         orbit_compose(f, f)
+
+
+def test_t_object_is_built_once_per_module_and_twists():
+    """The action keeps one T-object per (module, twists): the same module
+    object gets the same T-object back, from _t_object and from the
+    functors; a distinct module with equal content, other twists or
+    another action build anew, with equal content."""
+    F = FF(7)
+    A = make_group_algebra(cyclic_table(3), F)
+    action = inversion_action(A)
+    X = regular_module(A)
+    TX, perm = _t_object(X, action, (0, 1))
+    assert _t_object(X, action, [0, 1])[0] is TX
+    assert _t_object(X, action, (0, 1))[0] is TX
+    assert _t_object(X, action, (0, 1))[1] is perm
+    assert functor_T(X, action) is TX
+    assert functor_T(identity_orbitmor(X, action), action).src is TX
+    Y = Module(A, [m.copy() for m in X.mats], validate=False)
+    TY, perm_y = _t_object(Y, action, (0, 1))
+    assert TY is not TX and TY.equal_with_blocks(TX) and np.array_equal(perm_y, perm)
+    assert _t_object(X, action, (0,))[0] is not TX
+    other = inversion_action(A)
+    TO, perm_o = _t_object(X, other, (0, 1))
+    assert TO is not TX and TO.equal_with_blocks(TX) and np.array_equal(perm_o, perm)
