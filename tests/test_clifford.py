@@ -33,7 +33,6 @@ from orbitcat.karoubi import (
     kar_is_isomorphic,
 )
 from orbitcat.orbit import GroupAction, orbit_hom
-from orbitcat.scenarios import build_action, build_algebra, build_field, build_module
 from orbitcat.rep import (
     Module,
     decompose,
@@ -45,6 +44,7 @@ from orbitcat.rep import (
     simple_modules,
     submodule_span,
 )
+from orbitcat.scenarios import build_action, build_algebra, build_field, build_module
 
 
 def cyclic_table(k):
