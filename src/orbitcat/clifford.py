@@ -18,7 +18,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import corner_algebra, is_local, primitive_orthogonal_idempotents, radical
+from .algebra import (
+    _iso_classes,
+    corner_algebra,
+    is_local,
+    primitive_orthogonal_idempotents,
+    radical,
+)
 from .karoubi import (
     KarObject,
     kar_decompose,
@@ -26,7 +32,7 @@ from .karoubi import (
     kar_functor_T,
     kar_is_isomorphic,
 )
-from .linalg import inverse, is_invertible, rank, rref
+from .linalg import SpanSolver, inverse, is_invertible, rank, rref
 from .orbit import GroupAction, OrbitHomSpace, lifted_aut, orbit_hom, sub_inclusion_S
 from .rep import HomSpace, Module, decompose, end_algebra, hom_space, is_isomorphic
 
@@ -175,7 +181,8 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
     of E_P / rad E_P (its labels; classes in order of first appearance).
     The outside checks compare summands with their images under elements
     outside the inertia, objects of different corners, by
-    kar_is_isomorphic.
+    kar_is_isomorphic over Hom_orbit(M, gM) and Hom_orbit(gM, M), solved
+    once per outside g.
 
     Each hom space and each corner is built once per run:
     - E_P compresses the raw Hom_orbit(M, M) over the inertia that
@@ -187,12 +194,26 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
       products and the unit, so the two are isomorphic algebras.  The
       report reads only invariants of the isomorphism class: dimension,
       radical dimension and locality.
-    - When the inertia is the whole group, extension by zero changes
-      nothing: stage 2 reads stage 1's corner and the dimension of its
-      T-object.  Under a proper inertia, Hom_orbit(M, M) over the whole
-      group is solved once for every class.
     - A restriction W or a summand of it with M's matrices is M, so it
-      needs no decompose and no hom solve to count as copies of M."""
+      needs no decompose and no hom solve to count as copies of M.
+
+    Stage 2 reads one algebra, E_G = End((M, id)) over the whole group.
+    When the inertia is the whole group, E_G is E_P, extension by zero
+    changes nothing, and stage 2 reads stage 1's corners and T-objects.
+    Otherwise E_G is built once, and each idempotent e of E_P extends by
+    zero (sub_inclusion_S) to e~ in E_G, with coordinates from one solve
+    against E_G's basis (which raises if an e~ leaves it).  This is exact:
+    - The inertia is closed under products, so extension by zero is an
+      injective map E_P -> E_G that keeps composition: each e~ is an
+      idempotent of E_G.
+    - kar_end_algebra((M, e~)) is isomorphic to corner_algebra(E_G, e~)
+      (see kar_end_algebra), so a corner's locality certifies (M, e~)
+      indecomposable.
+    - With two or more idempotents, the classes of the e~ that
+      _iso_classes reads off E_G / rad E_G must be stage 1's labels, or
+      CliffordViolation names both lists: classes stay distinct over the
+      whole group, and multiplicities carry over."""
+    F = M.field
     ind = inertia(M, action)
     sub = ind.subgroup
     P = KarObject(action, M, support=sub)
@@ -201,8 +222,13 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
     pieces = kar_decompose(P, H_P, es)
     firsts = [es.labels.index(c) for c in range(max(es.labels) + 1)]
     reps = [pieces[i] for i in firsts]
+
+    def class_corners(E, idems):
+        # e E e for each class's first idempotent e; a lone one is the unit
+        return [E] if len(es) == 1 else [corner_algebra(E, idems[i])[0] for i in firsts]
+
+    corners = class_corners(E_P, es.idempotents)
     stage1 = []
-    corners = []
     total_n = 0
     for idx, rep_piece in enumerate(reps):
         W = kar_functor_T(rep_piece)
@@ -218,15 +244,12 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
                     f"(dimension {S.dim})"
                 )
             n_copies += multiplicity
-        # a single piece has the idempotent of P, so its corner is P's
-        corners.append(E_P if len(es) == 1
-                       else corner_algebra(E_P, es.idempotents[firsts[idx]])[0])
         stage1.append(
             StageOneSummand(
                 index=idx,
                 multiplicity=es.labels.count(idx),
                 n_copies=n_copies,
-                corner_dim=corners[-1].dim,
+                corner_dim=corners[idx].dim,
                 restricted_dim=W.dim,
             )
         )
@@ -236,17 +259,24 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
         raise CliffordViolation(
             f"sum of copy counts {total_n} differs from the inertia order {len(sub)}"
         )
-    whole = len(sub) == action.k
-    raw = None if whole else orbit_hom(M, M, action)
+    if len(sub) == action.k:
+        # extension by zero from the whole group changes nothing
+        stage2_corners, materialized = corners, [s.restricted_dim for s in stage1]
+    else:
+        E_G, H_G = kar_end_algebra(KarObject(action, M), orbit_hom(M, M, action))
+        ext = [sub_inclusion_S(p.idem, action, sub) for p in pieces]
+        ext_es = SpanSolver(F, H_G.flatten()).batch_coords(np.stack([e.flatten() for e in ext]))
+        if len(es) > 1:
+            labels, _ = _iso_classes(E_G, ext_es, SpanSolver(F, radical(E_G)))
+            if labels != es.labels:
+                raise CliffordViolation(
+                    f"extension by zero changes the isomorphism classes: labels "
+                    f"{es.labels} over the inertia, {labels} over the whole group"
+                )
+        stage2_corners = class_corners(E_G, ext_es)
+        materialized = [kar_functor_T(KarObject(action, M, ext[i])).dim for i in firsts]
     stage2 = []
-    for idx, rep_piece in enumerate(reps):
-        if whole:
-            # extension by zero from the whole group changes nothing
-            E, materialized_dim = corners[idx], stage1[idx].restricted_dim
-        else:
-            ext = KarObject(action, M, sub_inclusion_S(rep_piece.idem, action, sub))
-            E, _ = kar_end_algebra(ext, raw)
-            materialized_dim = kar_functor_T(ext).dim
+    for idx, E in enumerate(stage2_corners):
         J = radical(E)
         local = is_local(E, J)
         stage2.append(
@@ -255,7 +285,7 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
                 corner_dim=E.dim,
                 corner_radical_dim=len(J),
                 local=local,
-                materialized_dim=materialized_dim,
+                materialized_dim=materialized[idx],
             )
         )
         if not local:
@@ -274,10 +304,12 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
         if not normalizes:
             outside.append({"g": g, "checked": False, "reason": "not normalizing"})
             continue
+        gM = lifted_aut(g, M, action)
+        raw_to = orbit_hom(M, gM, action, support=sub)
+        raw_from = orbit_hom(gM, M, action, support=sub)
         for idx, rep_piece in enumerate(reps):
-            image = KarObject(action, lifted_aut(g, rep_piece.module, action),
-                              lifted_aut(g, rep_piece.idem, action, support=sub), sub)
-            distinct = kar_is_isomorphic(rep_piece, image) is None
+            image = KarObject(action, gM, lifted_aut(g, rep_piece.idem, action, support=sub), sub)
+            distinct = kar_is_isomorphic(rep_piece, image, raw_to, raw_from) is None
             outside.append({"g": g, "class": idx, "checked": True, "distinct": distinct})
             if not distinct:
                 raise CliffordViolation(

@@ -10,9 +10,9 @@ directions), so multiplicity claims stay matrix-checkable.
 
 Each per-basis step is one composition of orbit morphism families: the
 compressed hom basis is e_Q o raw o e_P for the whole raw hom family
-(which the caller solves or carries), the corner's products are one
-broadcast composition of its basis with itself, and the summand checks
-compose all pairs of idempotents at once.
+(which the caller solves or carries; this module solves no hom space),
+the corner's products are one broadcast composition of its basis with
+itself, and the summand checks compose all pairs of idempotents at once.
 
 Functors lift pointwise: F(X, e) = (F X, F e).  The right adjoint into
 the base category is materialized as an honest module, the image of the
@@ -34,7 +34,6 @@ from .orbit import (
     functor_T,
     identity_orbitmor,
     orbit_compose,
-    orbit_hom,
 )
 from .rep import Module, submodule_from_image
 
@@ -97,7 +96,8 @@ def kar_end_algebra(P: KarObject, raw: OrbitHomSpace) -> Tuple[Algebra, OrbitMor
     as over a fresh orbit_hom.  For a summand (X, f) of P, with f an
     idempotent of E = kar_end_algebra(P)[0], corner_algebra(E, f) is
     isomorphic to kar_end_algebra of (X, f) and needs no orbit
-    composition: clifford_run builds its class corners that way."""
+    composition: clifford_run builds its class corners that way, in E_P
+    over the inertia and in E_G over the whole group."""
     H = _kar_basis(P, P, raw)
     # products[i, j] = b_i * b_j, the composition "b_j first, then b_i"
     products = orbit_compose(H.with_stack(H.stack[None]), H.with_stack(H.stack[:, None]))
@@ -129,22 +129,25 @@ def kar_decompose(P: KarObject, H: OrbitMor, es: IdempotentSet) -> List[KarObjec
             for e in es.stack]
 
 
-def kar_is_isomorphic(P: KarObject, Q: KarObject):
+def kar_is_isomorphic(P: KarObject, Q: KarObject, raw_pq: OrbitHomSpace,
+                      raw_qp: OrbitHomSpace):
     """(alpha, beta) with beta o alpha = e_P and alpha o beta = e_Q, or None.
 
-    A basis scan of the compressed hom space.  It is conclusive when P is
-    primitive, as every summand kar_decompose returns is (the
-    non-isomorphisms form a proper subspace of the local corner bimodule);
-    for other P a None may miss an isomorphism.
+    raw_pq and raw_qp are Hom_orbit(X_P, X_Q) and Hom_orbit(X_Q, X_P) over
+    the objects' support, from the caller (see _kar_basis), which solves
+    them once for all the objects on those two modules.  A basis scan of
+    the compressed hom space.  It is conclusive when P is primitive, as
+    every summand kar_decompose returns is (the non-isomorphisms form a
+    proper subspace of the local corner bimodule); for other P a None may
+    miss an isomorphism.
 
     Summands of one object need no scan: (X, e) and (X, f) for primitive
     idempotents e, f of E = End(X) are isomorphic iff eE and fE are, which
     primitive_orthogonal_idempotents decides from the blocks of E/J (see
     its labels).  This scan is for objects of different corners, such as
     clifford_run's outside checks."""
-    F, S = P.action.algebra.field, P.support
-    HPQ = _kar_basis(P, Q, orbit_hom(P.module, Q.module, P.action, support=S))
-    HQP = _kar_basis(Q, P, orbit_hom(Q.module, P.module, P.action, support=S))
+    F = P.action.algebra.field
+    HPQ, HQP = _kar_basis(P, Q, raw_pq), _kar_basis(Q, P, raw_qp)
     if not len(HPQ.stack) or not len(HQP.stack):
         return None
     # systems[i, j] = b_j o alpha_i for alpha_i in HPQ and b_j in HQP: row i

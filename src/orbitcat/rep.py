@@ -364,12 +364,15 @@ def regular_module(A: Algebra) -> Module:
 
 
 def is_isomorphic(M: Module, N: Module) -> Optional[np.ndarray]:
-    """An invertible intertwiner M -> N, or None.
+    """An invertible intertwiner M -> N, or None: the first invertible
+    element of the echelonized basis of Hom(M, N).
 
-    A basis scan of Hom(M, N) decides the question for indecomposables
-    (non-isomorphisms between indecomposables form a proper subspace, so a
-    whole basis cannot avoid the isomorphisms).  If the scan fails and the
-    modules are decomposable, both sides are decomposed and matched.
+    The scan decides the question when Hom(M, N) is empty (then "no" for
+    any M) or when M is indecomposable: the non-isomorphisms M -> N then
+    form a proper subspace of Hom(M, N) (End(M) is local), so a basis
+    cannot avoid the isomorphisms.  A nonempty Hom with no invertible basis
+    element and a decomposable M decides nothing, and raises ValueError:
+    compare such modules class by class through decompose.
     """
     if M.dim != N.dim:
         return None
@@ -377,64 +380,11 @@ def is_isomorphic(M: Module, N: Module) -> Optional[np.ndarray]:
         return np.zeros((0, 0), dtype=np.int64)
     F = M.field
     H = hom_space(M, N)
-    if not H.basis:
-        return None
-    iso = _basis_iso(F, H)
-    if iso is not None:
-        return iso
-    # decompose-and-match fallback for decomposable inputs
-    DM = decompose(M, certify=False)
-    if len(DM.summands) == 1 and DM.summands[0].multiplicity == 1:
-        return None  # M indecomposable: the basis scan was conclusive
-    DN = decompose(N, certify=False)
-    matched = _match_decompositions(DM, DN)
-    if matched is None:
-        return None
-    total = F.zeros((N.dim, M.dim))
-    for (sM, sN, iso) in matched:
-        for (incM, prM), (incN, prN) in zip(sM.witnesses, sN.witnesses):
-            total = F.vadd(total, F.vmatmul(incN, F.vmatmul(iso, prM)))
-    if is_invertible(F, total):
-        return total
-    return None
-
-
-def _match_decompositions(DM: Decomposition, DN: Decomposition):
-    used = [False] * len(DN.summands)
-    out = []
-    for sM in DM.summands:
-        hit = None
-        for j, sN in enumerate(DN.summands):
-            if used[j] or sN.multiplicity != sM.multiplicity:
-                continue
-            if sN.module.dim != sM.module.dim:
-                continue
-            iso = _indec_iso(sM.module, sN.module)
-            if iso is not None:
-                hit = (j, iso)
-                break
-        if hit is None:
-            return None
-        used[hit[0]] = True
-        out.append((sM, DN.summands[hit[0]], hit[1]))
-    if not all(used):
-        return None
-    return out
-
-
-def _basis_iso(F, H: HomSpace) -> Optional[np.ndarray]:
-    """The first invertible element of the hom basis, or None."""
-    for f in H.basis:
-        if is_invertible(F, f):
-            return f
-    return None
-
-
-def _indec_iso(M: Module, N: Module) -> Optional[np.ndarray]:
-    """Isomorphism test by hom-basis scan (valid for indecomposables)."""
-    if M.dim != N.dim:
-        return None
-    return _basis_iso(M.field, hom_space(M, N))
+    iso = next((f for f in H.basis if is_invertible(F, f)), None)
+    if iso is None and H.basis and len(primitive_orthogonal_idempotents(end_algebra(M)[0])) != 1:
+        raise ValueError("no invertible element in the hom basis of a decomposable module; "
+                         "compare its summands class by class")
+    return iso
 
 
 def submodule_from_image(M: Module, P) -> Tuple[Module, np.ndarray, np.ndarray]:

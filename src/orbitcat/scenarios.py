@@ -28,6 +28,7 @@ from .rep import (
     Module,
     decompose,
     direct_sum,
+    is_isomorphic,
     quotient_module,
     random_base_change,
     regular_module,
@@ -294,10 +295,8 @@ def indecomposable_pool(A: Algebra) -> List[Module]:
     def add(M):
         if M.dim == 0:
             return
-        from .rep import _indec_iso
-
         for P in pool:
-            if P.dim == M.dim and _indec_iso(M, P) is not None:
+            if P.dim == M.dim and is_isomorphic(M, P) is not None:
                 return
         pool.append(M)
 

@@ -9,10 +9,12 @@ import pytest
 from orbitcat import algebra as algebra_mod, clifford as clifford_mod, karoubi as karoubi_mod
 from orbitcat.algebra import (
     AlgebraAut,
+    CertificationError,
     corner_algebra,
     is_local,
     make_group_algebra,
     make_matrix_algebra,
+    make_path_algebra,
     primitive_orthogonal_idempotents,
     radical,
 )
@@ -32,7 +34,8 @@ from orbitcat.karoubi import (
     kar_functor_T,
     kar_is_isomorphic,
 )
-from orbitcat.orbit import GroupAction, orbit_hom
+from orbitcat.oracle import SkewContext, oracle_compare
+from orbitcat.orbit import GroupAction, orbit_hom, sub_inclusion_S
 from orbitcat.rep import (
     Module,
     decompose,
@@ -44,7 +47,14 @@ from orbitcat.rep import (
     simple_modules,
     submodule_span,
 )
-from orbitcat.scenarios import build_action, build_algebra, build_field, build_module
+from orbitcat.scenarios import (
+    GROUP_TABLES,
+    build_action,
+    build_algebra,
+    build_field,
+    build_module,
+    inversion_permutation_aut,
+)
 
 
 def cyclic_table(k):
@@ -110,6 +120,17 @@ def f3c3_indecomposables():
     dim2 = quotient_module(reg, sub2)
     dim1 = character_module(A, F, 1)
     return A, [dim1, dim2, reg]
+
+
+def c4_character_case():
+    """An order-4 character of F5[C4] under inversion through C4 -> C2: the
+    inertia is {0, 2}, both classes have outside checks at g = 1 and 3."""
+    F = FF(5)
+    C4 = make_group_algebra(GROUP_TABLES["C4"], F)
+    ident = AlgebraAut(C4, np.eye(4, dtype=np.int64))
+    inv = inversion_permutation_aut(C4)
+    action = GroupAction(C4, GROUP_TABLES["C4"], [ident, inv, ident, inv])
+    return action, Module(C4, [np.array([[F.pow(2, i)]], dtype=np.int64) for i in range(4)])
 
 
 def test_inertia_trivial_module():
@@ -221,15 +242,7 @@ def test_clifford_run_intermediate_inertia():
     inertia exactly {0, 2}, a proper nontrivial subgroup, so stage 2
     extends into a strictly bigger group and the outside elements must
     move both summands."""
-    from orbitcat.oracle import SkewContext, oracle_compare
-    from orbitcat.scenarios import GROUP_TABLES, inversion_permutation_aut
-
-    F = FF(5)
-    A = make_group_algebra(GROUP_TABLES["C4"], F)
-    inv = inversion_permutation_aut(A)
-    ident = AlgebraAut(A, np.eye(4, dtype=np.int64))
-    action = GroupAction(A, GROUP_TABLES["C4"], [ident, inv, ident, inv])
-    chi = Module(A, [np.array([[F.pow(2, i)]], dtype=np.int64) for i in range(4)])
+    action, chi = c4_character_case()
     rep = clifford_run(action, chi)
     assert rep.inertia_subgroup == (0, 2)
     assert [(s.multiplicity, s.n_copies) for s in rep.stage1] == [(1, 1), (1, 1)]
@@ -402,8 +415,6 @@ def test_clifford_run_builds_each_karoubi_corner_once(monkeypatch):
     swap and the trivial F7C3 module under inversion (whole-group inertia,
     two classes), on an order-4 character of F5[C4] (inertia {0, 2}, with
     outside checks) and on a character with trivial inertia (one piece)."""
-    from orbitcat.scenarios import GROUP_TABLES, inversion_permutation_aut
-
     pairs = []  # holds the objects, so no id is reused
     original = karoubi_mod._kar_basis
 
@@ -414,15 +425,10 @@ def test_clifford_run_builds_each_karoubi_corner_once(monkeypatch):
     monkeypatch.setattr(karoubi_mod, "_kar_basis", counting)
     A, action = mat2_swap_action()
     F7C3 = make_group_algebra(cyclic_table(3), FF(7))
-    F = FF(5)
-    C4 = make_group_algebra(GROUP_TABLES["C4"], F)
-    ident = AlgebraAut(C4, np.eye(4, dtype=np.int64))
-    inv = inversion_permutation_aut(C4)
-    c4_action = GroupAction(C4, GROUP_TABLES["C4"], [ident, inv, ident, inv])
     cases = [
         (action, column_module(A)),
         (inversion_action(F7C3), character_module(F7C3, FF(7), 1)),
-        (c4_action, Module(C4, [np.array([[F.pow(2, i)]], dtype=np.int64) for i in range(4)])),
+        c4_character_case(),
         (inversion_action(F7C3), character_module(F7C3, FF(7), 2)),
     ]
     for act, M in cases:
@@ -462,9 +468,11 @@ def test_clifford_stage1_matches_a_pairwise_grouping(monkeypatch, n, stage1):
     M = simple_modules(A)[0]
     P = KarObject(action, M, support=inertia(M, action).subgroup)
     classes = []
-    E, H = kar_end_algebra(P, orbit_hom(M, M, action, support=P.support))
+    raw = orbit_hom(M, M, action, support=P.support)
+    E, H = kar_end_algebra(P, raw)
     for p in kar_decompose(P, H, primitive_orthogonal_idempotents(E)):
-        hit = next((c for c in classes if kar_is_isomorphic(c[0], p) is not None), None)
+        hit = next((c for c in classes if kar_is_isomorphic(c[0], p, raw, raw) is not None),
+                   None)
         if hit is None:
             classes.append([p])
         else:
@@ -476,22 +484,86 @@ def test_clifford_stage1_matches_a_pairwise_grouping(monkeypatch, n, stage1):
     assert [s.restricted_dim for s in report.stage1] == [kar_functor_T(c[0]).dim for c in classes]
 
 
+# S3 acting with a proper inertia: permuting the outer vertices 1, 2, 3 of
+# the star quiver 1 -> 0 <- 2, 3 -> 0 (basis e0..e3, then the arrows), and
+# permuting the vertices of F5^3, in s3_table's element order
+STAR_PERMS = [[0, 1, 2, 3, 4, 5, 6], [0, 2, 3, 1, 5, 6, 4], [0, 3, 1, 2, 6, 4, 5],
+              [0, 1, 3, 2, 4, 6, 5], [0, 3, 2, 1, 6, 5, 4], [0, 2, 1, 3, 5, 4, 6]]
+CUBE_PERMS = [[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1], [2, 1, 0], [1, 0, 2]]
+WHOLE = (0, 1, 2, 3, 4, 5)
+# name -> (inertia, stage-1 tuples (multiplicity, n_copies, corner_dim,
+# restricted_dim), stage-2 tuples (corner_dim, corner_radical_dim, local,
+# materialized_dim)); the oracle matches on every case
+S3_PINS = {
+    "star_f2/simple/0": ((0, 5), [(1, 2, 2, 2)], [(2, 1, True, 6)]),
+    "star_f2/simple/1": ((0, 4), [(1, 2, 2, 2)], [(2, 1, True, 6)]),
+    "star_f2/simple/2": ((0, 3), [(1, 2, 2, 2)], [(2, 1, True, 6)]),
+    "star_f2/simple/3": (WHOLE, [(1, 2, 2, 2), (2, 2, 1, 2)], [(2, 1, True, 2), (1, 0, True, 2)]),
+    "star_f2/regular_summand/0":
+        (WHOLE, [(1, 2, 2, 2), (2, 2, 1, 2)], [(2, 1, True, 2), (1, 0, True, 2)]),
+    "star_f2/regular_summand/1": ((0, 5), [(1, 2, 2, 4)], [(2, 1, True, 12)]),
+    "star_f2/regular_summand/2": ((0, 4), [(1, 2, 2, 4)], [(2, 1, True, 12)]),
+    "star_f2/regular_summand/3": ((0, 3), [(1, 2, 2, 4)], [(2, 1, True, 12)]),
+    "star_f3/simple/0": ((0, 5), [(1, 1, 1, 1)] * 2, [(1, 0, True, 3)] * 2),
+    "star_f3/simple/1": ((0, 4), [(1, 1, 1, 1)] * 2, [(1, 0, True, 3)] * 2),
+    "star_f3/simple/2": ((0, 3), [(1, 1, 1, 1)] * 2, [(1, 0, True, 3)] * 2),
+    "star_f3/simple/3": (WHOLE, [(1, 3, 2, 3)] * 2, [(2, 1, True, 3)] * 2),
+    "star_f3/regular_summand/0": (WHOLE, [(1, 3, 2, 3)] * 2, [(2, 1, True, 3)] * 2),
+    "star_f3/regular_summand/1": ((0, 5), [(1, 1, 1, 2)] * 2, [(1, 0, True, 6)] * 2),
+    "star_f3/regular_summand/2": ((0, 4), [(1, 1, 1, 2)] * 2, [(1, 0, True, 6)] * 2),
+    "star_f3/regular_summand/3": ((0, 3), [(1, 1, 1, 2)] * 2, [(1, 0, True, 6)] * 2),
+    "star_f5/simple/0": ((0, 5), [(1, 1, 1, 1)] * 2, [(1, 0, True, 3)] * 2),
+    "star_f5/simple/1": ((0, 4), [(1, 1, 1, 1)] * 2, [(1, 0, True, 3)] * 2),
+    "star_f5/simple/2": ((0, 3), [(1, 1, 1, 1)] * 2, [(1, 0, True, 3)] * 2),
+    "star_f5/simple/3": (WHOLE, [(2, 2, 1, 2), (1, 1, 1, 1), (1, 1, 1, 1)],
+                         [(1, 0, True, 2), (1, 0, True, 1), (1, 0, True, 1)]),
+    "star_f5/regular_summand/0": (WHOLE, [(2, 2, 1, 2), (1, 1, 1, 1), (1, 1, 1, 1)],
+                                  [(1, 0, True, 2), (1, 0, True, 1), (1, 0, True, 1)]),
+    "star_f5/regular_summand/1": ((0, 5), [(1, 1, 1, 2)] * 2, [(1, 0, True, 6)] * 2),
+    "star_f5/regular_summand/2": ((0, 4), [(1, 1, 1, 2)] * 2, [(1, 0, True, 6)] * 2),
+    "star_f5/regular_summand/3": ((0, 3), [(1, 1, 1, 2)] * 2, [(1, 0, True, 6)] * 2),
+    "cube_f5/simple/0": ((0, 5), [(1, 1, 1, 1)] * 2, [(1, 0, True, 3)] * 2),
+    "cube_f5/simple/1": ((0, 4), [(1, 1, 1, 1)] * 2, [(1, 0, True, 3)] * 2),
+    "cube_f5/simple/2": ((0, 3), [(1, 1, 1, 1)] * 2, [(1, 0, True, 3)] * 2),
+}
+PROPER_S3 = sorted(name for name, pin in S3_PINS.items() if pin[0] != WHOLE)
+
+
+def s3_case(name):
+    """(action, module) of an S3_PINS case: '<quiver>_f<p>/<kind>/<index>'."""
+    quiver, kind, index = name.split("/")
+    F = FF(int(quiver.split("_f")[1]))
+    if quiver.startswith("star"):
+        A, perms = make_path_algebra(F, 4, [(1, 0), (2, 0), (3, 0)]), STAR_PERMS
+    else:
+        A, perms = make_path_algebra(F, 3, []), CUBE_PERMS
+    action = build_action(A, {"group": "S3", "kind": "basis_permutation", "perms": perms})
+    return action, build_module(A, {"kind": kind, "index": int(index)})
+
+
 # The module scenarios of the benchmark's orbit workload, read from its
-# source without importing it as a package, and the S3 and S4 cases above.
+# source without importing it as a package, the S3 and S4 cases above, and
+# the proper-inertia cases: the S3 ones and the C4 character.
 ORBIT_SCENARIOS = {
     name: doc for name, doc in runpy.run_path(
         str(pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
     )["ORBIT_SCENARIOS"].items() if "module" in doc
 }
-DIFFERENTIAL_CASES = sorted(ORBIT_SCENARIOS) + ["S3/Mat3/F5", "S4/Mat4/F5"]
+DIFFERENTIAL_CASES = (sorted(ORBIT_SCENARIOS) + ["S3/Mat3/F5", "S4/Mat4/F5"] + PROPER_S3
+                      + ["c4_character"])
 
 
 def differential_case(name):
-    """(action, module) of an orbit-workload scenario or of S_n on Mat_n/F5."""
+    """(action, module) of an orbit-workload scenario, an S3_PINS case, the
+    C4 character or S_n on Mat_n/F5."""
     if name in ORBIT_SCENARIOS:
         doc = ORBIT_SCENARIOS[name]
         A = build_algebra(build_field(doc["field"]), doc["algebra"])
         return build_action(A, doc["action"]), build_module(A, doc["module"])
+    if name in S3_PINS:
+        return s3_case(name)
+    if name == "c4_character":
+        return c4_character_case()
     A, action = symmetric_conjugation_action(int(name[1]), FF(5))
     return action, simple_modules(A)[0]
 
@@ -518,9 +590,12 @@ def test_inertia_carried_homs_are_the_solved_ones(name):
 @pytest.mark.parametrize("name", DIFFERENTIAL_CASES)
 def test_class_corners_from_e_p_match_the_compressed_corners(name):
     """A class corner e E_P e has the dimension and radical dimension of
-    kar_end_algebra of its piece over a freshly solved orbit_hom (the path
-    clifford_run took before), and the report carries those numbers; when
-    the inertia is the whole group, stage 2 reads the same corner."""
+    kar_end_algebra of its piece over a freshly solved orbit_hom, and the
+    report carries those numbers.  When the inertia is the whole group,
+    stage 2 reads the same corner.  Under a proper inertia, the stage-2
+    corner e~ E_G e~ has the numbers of kar_end_algebra of the extended
+    piece (M, e~) over the whole group, one Karoubi algebra per class, and
+    the T-object of (M, e~) has the reported dimension."""
     action, M = differential_case(name)
     sub = inertia(M, action).subgroup
     raw = orbit_hom(M, M, action, support=sub)
@@ -541,6 +616,27 @@ def test_class_corners_from_e_p_match_the_compressed_corners(name):
             assert (s2.corner_dim, s2.corner_radical_dim, s2.local) == \
                 (old.dim, len(J_old), is_local(old, J_old))
             assert s2.materialized_dim == kar_functor_T(pieces[i]).dim
+        else:
+            ext = KarObject(action, M, sub_inclusion_S(pieces[i].idem, action, sub))
+            E, _ = kar_end_algebra(ext, orbit_hom(M, M, action))
+            J = radical(E)
+            assert (s2.corner_dim, s2.corner_radical_dim, s2.local, s2.materialized_dim) == \
+                (E.dim, len(J), is_local(E, J), kar_functor_T(ext).dim)
+
+
+def count_clifford_calls(monkeypatch, *names):
+    """Calls to the named functions as clifford looks them up, counted from
+    now on in the returned dict."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(clifford_mod, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(clifford_mod, name, wrapper)
+    return calls
 
 
 def test_clifford_run_on_mat2f5_c4_solves_no_orbit_hom(monkeypatch):
@@ -548,20 +644,9 @@ def test_clifford_run_on_mat2f5_c4_solves_no_orbit_hom(monkeypatch):
     inertia: the raw orbit hom comes from End(M) and the witnesses, and
     the one compressed corner is P's, so a run makes no orbit_hom call and
     one kar_end_algebra call."""
-    calls = {"orbit_hom": 0, "kar_end_algebra": 0}
-
-    def counting(mod, name):
-        original = getattr(mod, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(mod, name, wrapper)
-
-    for mod, name in [(clifford_mod, "orbit_hom"), (karoubi_mod, "orbit_hom"),
-                      (clifford_mod, "kar_end_algebra")]:
-        counting(mod, name)
+    calls = count_clifford_calls(monkeypatch, "orbit_hom", "kar_end_algebra")
+    # karoubi solves no hom space: every raw hom comes from its caller
+    assert not hasattr(karoubi_mod, "orbit_hom") and not hasattr(karoubi_mod, "hom_space")
     action, M = differential_case("mat2f5_c4")
     report = clifford_run(action, M)
     assert report.inertia_subgroup == tuple(action.elements())
@@ -589,3 +674,71 @@ def test_clifford_run_rejects_a_restriction_with_a_non_copy(monkeypatch):
     monkeypatch.setattr(clifford_mod, "kar_functor_T", lambda piece: direct_sum([M, chi])[0])
     with pytest.raises(CliffordViolation, match="non-copy of M"):
         clifford_run(inversion_action(A), M)
+
+
+@pytest.mark.parametrize("name", sorted(S3_PINS))
+def test_s3_stage_tuples_and_oracle_are_pinned(name):
+    """Every simple and regular summand of the S3 star quiver over F2, F3
+    and F5, and the simples of F5^3: the stage tuples the run reports, and
+    the oracle's verdict on them."""
+    action, M = s3_case(name)
+    report = clifford_run(action, M)
+    stage1 = [(s.multiplicity, s.n_copies, s.corner_dim, s.restricted_dim)
+              for s in report.stage1]
+    stage2 = [(s.corner_dim, s.corner_radical_dim, s.local, s.materialized_dim)
+              for s in report.stage2]
+    assert (report.inertia_subgroup, stage1, stage2) == S3_PINS[name]
+    assert oracle_compare(report, SkewContext(action))["match"] is True
+
+
+@pytest.mark.parametrize("name", ["star_f2/simple/0", "star_f5/simple/0", "c4_character"])
+def test_proper_inertia_builds_two_karoubi_algebras(monkeypatch, name):
+    """Under a proper inertia a run makes two kar_end_algebra calls, E_P
+    and E_G, with one class (F2 star) or two (F5 star, C4), and solves
+    Hom_orbit(M, M) over the whole group once plus Hom_orbit(M, gM) and
+    Hom_orbit(gM, M) once per normalizing outside g, whatever the number
+    of classes."""
+    calls = count_clifford_calls(monkeypatch, "orbit_hom", "kar_end_algebra")
+    action, M = differential_case(name)
+    report = clifford_run(action, M)
+    normalizing = {o["g"] for o in report.outside_checks if o["checked"]}
+    assert len(report.inertia_subgroup) < action.k
+    assert calls == {"orbit_hom": 1 + 2 * len(normalizing), "kar_end_algebra": 2}
+    if name == "c4_character":
+        assert len(report.stage1) == 2 and normalizing == {1, 3}
+
+
+def test_stage2_rejects_labels_that_merge_two_classes(monkeypatch):
+    """F5 star, outer simple: stage 1 finds two classes.  Told that they
+    are one class, the run fails the label check on E_G, which names both
+    label lists."""
+    original = clifford_mod.primitive_orthogonal_idempotents
+
+    def merged(E):
+        es = original(E)
+        es.labels = [0 if label == 1 else label for label in es.labels]
+        return es
+
+    monkeypatch.setattr(clifford_mod, "primitive_orthogonal_idempotents", merged)
+    action, M = s3_case("star_f5/simple/0")
+    with pytest.raises(CliffordViolation, match=r"\[0, 0\] over the inertia, \[0, 1\]"):
+        clifford_run(action, M)
+
+
+def test_stage2_rejects_a_non_primitive_extension(monkeypatch):
+    """F5 star, outer simple: with the second extension replaced by
+    e0~ + e1~, an idempotent that is not primitive, the class test on E_G
+    finds no inverse for the pair, or the labels disagree."""
+    original = clifford_mod.sub_inclusion_S
+    made = []
+
+    def summed(f, action, sub):
+        made.append(original(f, action, sub))
+        if len(made) == 2:
+            return made[1].with_stack(action.algebra.field.vadd(made[0].stack, made[1].stack))
+        return made[-1]
+
+    monkeypatch.setattr(clifford_mod, "sub_inclusion_S", summed)
+    action, M = s3_case("star_f5/simple/0")
+    with pytest.raises((CliffordViolation, CertificationError), match="0 and 1|labels"):
+        clifford_run(action, M)

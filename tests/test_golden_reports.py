@@ -18,6 +18,11 @@ _MAT2 = {"type": "matrix_algebra", "n": 2}
 _SWAP = {"group": "C2", "kind": "conjugation", "matrix": [[0, 1], [1, 0]]}
 _C3 = {"type": "group_algebra", "group": "C3"}
 _INVERSION = {"group": "C2", "kind": "inversion"}
+# S3 permuting the outer vertices 1, 2, 3 of the star quiver 1 -> 0 <- 2, 3 -> 0
+_STAR = {"type": "path_algebra", "vertices": 4, "arrows": [[1, 0], [2, 0], [3, 0]]}
+_STAR_S3 = {"group": "S3", "kind": "basis_permutation", "perms": [
+    [0, 1, 2, 3, 4, 5, 6], [0, 2, 3, 1, 5, 6, 4], [0, 3, 1, 2, 6, 4, 5],
+    [0, 1, 3, 2, 4, 6, 5], [0, 3, 2, 1, 6, 5, 4], [0, 2, 1, 3, 5, 4, 6]]}
 
 SCENARIOS = {
     # prime field
@@ -28,6 +33,10 @@ SCENARIOS = {
     "f3c3_regular": ({"p": 3, "n": 1}, _C3, _INVERSION, {"kind": "regular"}),
     # modular action: 2 divides |C2|, and the oracle still compares
     "f2c3_trivial": ({"p": 2, "n": 1}, _C3, _INVERSION, {"kind": "trivial"}),
+    # proper inertia C2 < S3 on an outer simple: stage 2 over the whole group,
+    # with one class (F2) and with two (F5)
+    "star_f2_s3": ({"p": 2, "n": 1}, _STAR, _STAR_S3, {"kind": "simple", "index": 0}),
+    "star_f5_s3": ({"p": 5, "n": 1}, _STAR, _STAR_S3, {"kind": "simple", "index": 0}),
 }
 
 GALOIS_Q3 = {
@@ -61,6 +70,14 @@ GOLDEN = {
         "2e1be0673e886f74f37b4d77cb8f39d3c54fa9011218e40c5e6b054d30065e60",
     "f2c3_trivial/oc":
         "4be073cd43e403ebe96ef425e085343780210589e9e0898074b1dea1eb7c56f1",
+    "star_f2_s3/co":
+        "7d92425f58a7fbd25bed94e81feb5bb96509aa6e4c5b29bd2dd52c00c4ba18ad",
+    "star_f2_s3/oc":
+        "6cb755c8d49af92bcde9dc87176a8861c4de14093636627e3fe78d4d4fb0be37",
+    "star_f5_s3/co":
+        "25885c469b958e0c8f8fe08dac54fd12d23c5d3fe6ebdf6f5ccb95259b7c730b",
+    "star_f5_s3/oc":
+        "d1fa84f1af1caef95a684efe2572fb161abd12b6f5225b7ee7d85fa10db66327",
     "galois_q3":
         "9457419c951937bbac622ab76d2c6b8d2a4156edbd7348b640194f9ce2765dc6",
 }

@@ -47,6 +47,11 @@ def raw_hom(P, Q):
     return orbit_hom(P.module, Q.module, P.action, support=P.support)
 
 
+def kar_iso(P, Q):
+    """kar_is_isomorphic over raw homs solved for the pair."""
+    return kar_is_isomorphic(P, Q, raw_hom(P, Q), raw_hom(Q, P))
+
+
 def kar_pieces(P):
     E, H = kar_end_algebra(P, raw_hom(P, P))
     return kar_decompose(P, H, primitive_orthogonal_idempotents(E))
@@ -135,7 +140,7 @@ def test_kar_decompose_mat2_swap():
     P = KarObject(action, S)
     pieces = kar_pieces(P)
     assert len(pieces) == 2
-    assert kar_is_isomorphic(pieces[0], pieces[1]) is None
+    assert kar_iso(pieces[0], pieces[1]) is None
     for p in pieces:
         E, _ = kar_end_algebra(p, raw_hom(p, p))
         assert is_local(E)
@@ -177,14 +182,14 @@ def test_kar_decompose_trivial_module_inversion():
     triv = character_module(A, F, 1)
     pieces = kar_pieces(KarObject(action, triv))
     assert len(pieces) == 2
-    assert kar_is_isomorphic(pieces[0], pieces[1]) is None
+    assert kar_iso(pieces[0], pieces[1]) is None
 
 
 def test_kar_is_isomorphic_self_and_witnesses():
     A, action = mat2_swap_action()
     S = column_module(A)
     P = KarObject(action, S)
-    pair = kar_is_isomorphic(P, P)
+    pair = kar_iso(P, P)
     assert pair is not None
     alpha, beta = pair
     assert orbit_compose(alpha, beta) == P.idem
@@ -301,5 +306,5 @@ def test_lifted_aut_on_kar_strict():
     a11 = lift(a1, 1)
     assert a11 == lift(p, 0)
     # the lift fixes isomorphism classes in the completion
-    pair = kar_is_isomorphic(p, a1)
+    pair = kar_iso(p, a1)
     assert pair is not None

@@ -52,6 +52,19 @@ def inversion_action(A):
     return GroupAction(A, cyclic_table(2), [ident, AlgebraAut(A, U)])
 
 
+def assert_isomorphic_by_classes(X, Y):
+    """X and Y are isomorphic, decided class by class: the summand classes of
+    decompose(X) and decompose(Y) match one to one by is_isomorphic on their
+    (indecomposable) representatives, with equal multiplicities."""
+    left = decompose(X).summands
+    right = decompose(Y).summands
+    assert len(left) == len(right)
+    for s in left:
+        t = next((t for t in right if is_isomorphic(s.module, t.module) is not None), None)
+        assert t is not None and t.multiplicity == s.multiplicity
+        right = [u for u in right if u is not t]
+
+
 @pytest.fixture
 def f7_ctx():
     A = make_group_algebra(cyclic_table(3), FF(7))
@@ -160,7 +173,7 @@ def test_induced_character_restriction_decomposes(f7_ctx):
     ind = induce_skew(f7_ctx, chi)
     res = f7_ctx.restrict(ind)
     expected, _, _ = direct_sum([chi, chi2])
-    assert is_isomorphic(res, expected) is not None
+    assert_isomorphic_by_classes(res, expected)
 
 
 def test_induced_simple_over_s3(f7_ctx):
@@ -353,7 +366,7 @@ def test_galois_rank_check_agrees_with_krull_schmidt():
     t = galois_build(scenario_q3())
     res = restrict_along(t.emb, t.big, t.small, regular_module(t.big))
     free, _, _ = direct_sum([regular_module(t.small)] * 4)
-    assert is_isomorphic(res, free) is not None
+    assert_isomorphic_by_classes(res, free)
     assert galois_rank_check(t)["ok"]
 
 

@@ -185,6 +185,18 @@ def test_is_isomorphic_different_characters(F7C3):
     assert is_isomorphic(chi, chi2) is None
 
 
+def test_is_isomorphic_rejects_an_undecided_decomposable(F7C3):
+    """Hom(chi2 + 1, chi2 + chi4) is nonzero and holds no isomorphism; the
+    source is decomposable, so a basis scan decides nothing and raises."""
+    F = FF(7)
+    chi2, chi4, triv = (character_module(F7C3, F, v) for v in (2, 4, 1))
+    M, _, _ = direct_sum([chi2, triv])
+    N, _, _ = direct_sum([chi2, chi4])
+    assert hom_space(M, N).dim == 1
+    with pytest.raises(ValueError, match="decomposable"):
+        is_isomorphic(M, N)
+
+
 def test_is_isomorphic_after_base_change(F7C3):
     rng = np.random.default_rng(7)
     reg = regular_module(F7C3)
@@ -447,7 +459,7 @@ def _pairwise_grouping(M):
     classes = []  # [representative module, multiplicity]
     for e in primitive_orthogonal_idempotents(E):
         S = submodule_from_image(M, F.combine(e, np.stack(emb)))[0]
-        hit = next((c for c in classes if rep._indec_iso(S, c[0]) is not None), None)
+        hit = next((c for c in classes if rep.is_isomorphic(S, c[0]) is not None), None)
         if hit is None:
             classes.append([S, 1])
         else:
@@ -480,6 +492,6 @@ def test_decompose_makes_no_pairwise_hom_solve():
     _, pool = POOLS["Kronecker/F5"]
     M = _pool_sum(pool, "dense", np.random.default_rng(3))
     with mock.patch.object(rep, "hom_space", wraps=rep.hom_space) as spy, \
-            mock.patch.object(rep, "_indec_iso", side_effect=AssertionError):
+            mock.patch.object(rep, "is_isomorphic", side_effect=AssertionError):
         dec = decompose(M)
     assert spy.call_count == 1 and sum(s.multiplicity for s in dec.summands) >= 2
