@@ -919,17 +919,10 @@ def _nilpotent_split(B: Algebra, nil):
     L, _ = rref(F, B.span_products(F.eye(B.dim), nil[None, :])[:, 0, :])
     if len(L) == 0:
         return None
-    # solve for e in L with x e = x for every basis x of L
-    k = len(L)
-    rows = []
-    rhs = []
-    for x in L:
-        Lx = B.left_mult_matrix(x)
-        rows.append(F.vmatmul(Lx, L.T))  # columns: x * l_s
-        rhs.append(x)
-    Asys = np.concatenate(rows, axis=0)
-    bsys = np.concatenate(rhs, axis=0)
-    c = solve(F, Asys, bsys)
+    # solve for e in L with x e = x for every basis x of L: block x of the
+    # system has the columns x * l_s
+    k, d = L.shape
+    c = solve(F, B.span_products(L, L).transpose(0, 2, 1).reshape(k * d, k), L.reshape(-1))
     if c is None:
         return None
     e = F.vmatmul(np.asarray(c)[None, :], L)[0]

@@ -32,42 +32,38 @@ from .karoubi import (
     kar_functor_T,
     kar_is_isomorphic,
 )
-from .linalg import SpanSolver, inverse, is_invertible, rank, rref
-from .orbit import GroupAction, OrbitHomSpace, lifted_aut, orbit_hom, sub_inclusion_S
+from .linalg import SpanSolver, is_invertible, rank
+from .orbit import GroupAction, OrbitHomSpace, lifted_aut, sub_inclusion_S
 from .rep import HomSpace, Module, decompose, end_algebra, hom_space, is_isomorphic
 
 
 @dataclass
 class InertiaData:
-    """The inertia subgroup of an indecomposable M, with what fixes the
-    orbit endomorphisms over it: for each g in the subgroup an invertible
-    intertwiner witnesses[g]: twist(M, g) -> M, and the echelonized basis
-    end_basis of End(M), as hom_space(M, M) returns it."""
+    """The inertia subgroup of an indecomposable M, with the raw hom family
+    it is read from: raw = Hom_orbit(M, M) over the whole group, component
+    g the echelonized Hom(M, gM) as hom_space returns it, and for each g
+    in the subgroup an invertible intertwiner witnesses[g]: twist(M, g) -> M.
+
+    Every raw hom of a Clifford run is a sub-sum of raw (an orbit hom is a
+    sum of twisted homs), so hom_over reads it with no hom solve."""
 
     module: Module
     action: GroupAction
     subgroup: Tuple[int, ...]
     witnesses: Dict[int, np.ndarray]  # g -> invertible intertwiner twist(M,g) -> M
-    end_basis: List[np.ndarray]
+    raw: OrbitHomSpace
 
-    def orbit_end(self) -> OrbitHomSpace:
-        """Hom_orbit(M, M) over the inertia subgroup, with no hom solve.
-
-        For g in the subgroup, w = witnesses[g] is an isomorphism
-        gM -> M, so f -> w^-1 f is a linear bijection End(M) -> Hom(M, gM)
-        and component g is spanned by the w^-1 f over End(M)'s basis: one
-        inverse, one product and one rref.  A subspace has one reduced
-        echelon form and hom_space echelonizes the space it solves for, so
-        each component's basis is the one hom_space(M, twist(M, g)) returns,
-        byte for byte."""
-        M, action = self.module, self.action
-        F = M.field
-        end = np.stack(self.end_basis)
-        comps = {}
-        for g in self.subgroup:
-            rows = rref(F, F.vmatmul(inverse(F, self.witnesses[g]), end).reshape(len(end), -1))[0]
-            comps[g] = HomSpace(M, action.twisted(M, g), list(rows.reshape(-1, M.dim, M.dim)))
-        return OrbitHomSpace(M, M, self.subgroup, comps, action)
+    def hom_over(self, src: Module, tgt: Module, shift) -> OrbitHomSpace:
+        """Hom_orbit(src, tgt) over the inertia for twists src and tgt of M,
+        component h read off raw component shift(h).  A strict twist keeps a
+        morphism's matrix, so for g outside the inertia:
+        - Hom(M, h gM) is Hom(M, (hg)M): shift h -> hg for (M, gM);
+        - Hom(gM, hM) is Hom(M, (g^-1 h)M): shift h -> g^-1 h for (gM, M).
+        The spaces are equal, and so are their reduced echelon bases."""
+        twisted = self.action.twisted
+        comps = {h: HomSpace(src, twisted(tgt, h), self.raw.components[shift(h)].basis)
+                 for h in self.subgroup}
+        return OrbitHomSpace(src, tgt, self.subgroup, comps, self.action)
 
 
 def inertia(M: Module, action: GroupAction) -> InertiaData:
@@ -75,24 +71,31 @@ def inertia(M: Module, action: GroupAction) -> InertiaData:
 
     M must be indecomposable: End(M) is solved once and
     primitive_orthogonal_idempotents must find exactly one idempotent, the
-    test decompose(M) makes, without building the summand.  A strict action
-    has aut_0 = id, so twist(M, 0) has M's matrices.  Every twist with M's
-    matrices needs no solve: Hom(gM, M) is then End(M), and the witness is
-    the first invertible element of End(M)'s basis, the one
-    is_isomorphic(twist(M, g), M) would return (End(M) is local, so one
-    exists)."""
-    E, end_basis = end_algebra(M)
+    test decompose(M) makes, without building the summand.  Hom(M, gM) is
+    solved once per distinct twist gM, End(M) included (a strict action has
+    aut_0 = id, so twist(M, 0) is M).  Hom(gM, M) and Hom(M, g^-1 M) are
+    the same matrices, so the witness for g is the first invertible element
+    of raw component g^-1, the one is_isomorphic(twist(M, g), M) returns:
+    End(M) is local, so the scan is conclusive."""
+    E, basis = end_algebra(M)
     if len(primitive_orthogonal_idempotents(E)) != 1:
         raise ValueError("decompose first: the module is not indecomposable")
     F = M.field
-    witnesses = {0: next(f for f in end_basis if is_invertible(F, f))}
-    for g in action.elements()[1:]:
+    solved = {M: basis}
+    comps = {}
+    for g in action.elements():
         tw = action.twisted(M, g)
-        iso = witnesses[0] if tw == M else is_isomorphic(tw, M)
+        if tw not in solved:
+            solved[tw] = hom_space(M, tw).basis
+        comps[g] = HomSpace(M, tw, solved[tw])
+    witnesses = {}
+    for g in action.elements():
+        iso = next((f for f in comps[action.inv(g)].basis if is_invertible(F, f)), None)
         if iso is not None:
             witnesses[g] = iso
     subgroup = action.subgroup(witnesses)  # closure holds; this certifies it
-    return InertiaData(M, action, subgroup, witnesses, end_basis)
+    raw = OrbitHomSpace(M, M, action.full_support(), comps, action)
+    return InertiaData(M, action, subgroup, witnesses, raw)
 
 
 @dataclass
@@ -181,13 +184,13 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
     of E_P / rad E_P (its labels; classes in order of first appearance).
     The outside checks compare summands with their images under elements
     outside the inertia, objects of different corners, by
-    kar_is_isomorphic over Hom_orbit(M, gM) and Hom_orbit(gM, M), solved
-    once per outside g.
+    kar_is_isomorphic over Hom_orbit(M, gM) and Hom_orbit(gM, M).
 
     Each hom space and each corner is built once per run:
-    - E_P compresses the raw Hom_orbit(M, M) over the inertia that
-      InertiaData.orbit_end carries from End(M) and the witnesses, the
-      bases hom_space would solve for, byte for byte.
+    - Every raw hom is read off the family Hom(M, gM) that inertia solves
+      once per distinct twist (InertiaData.hom_over): E_P over the
+      inertia, E_G over the whole group, and the outside checks' homs
+      once per outside g.
     - A class's corner is e E_P e for its first idempotent e, by
       corner_algebra.  E_P's basis (the compressed family H_P) maps
       e E_P e onto e o Hom_orbit(M, M) o e = End((M, e)) and keeps
@@ -217,7 +220,7 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
     ind = inertia(M, action)
     sub = ind.subgroup
     P = KarObject(action, M, support=sub)
-    E_P, H_P = kar_end_algebra(P, ind.orbit_end())
+    E_P, H_P = kar_end_algebra(P, ind.hom_over(M, M, lambda h: h))
     es = primitive_orthogonal_idempotents(E_P)
     pieces = kar_decompose(P, H_P, es)
     firsts = [es.labels.index(c) for c in range(max(es.labels) + 1)]
@@ -263,7 +266,7 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
         # extension by zero from the whole group changes nothing
         stage2_corners, materialized = corners, [s.restricted_dim for s in stage1]
     else:
-        E_G, H_G = kar_end_algebra(KarObject(action, M), orbit_hom(M, M, action))
+        E_G, H_G = kar_end_algebra(KarObject(action, M), ind.raw)
         ext = [sub_inclusion_S(p.idem, action, sub) for p in pieces]
         ext_es = SpanSolver(F, H_G.flatten()).batch_coords(np.stack([e.flatten() for e in ext]))
         if len(es) > 1:
@@ -304,9 +307,9 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
         if not normalizes:
             outside.append({"g": g, "checked": False, "reason": "not normalizing"})
             continue
-        gM = lifted_aut(g, M, action)
-        raw_to = orbit_hom(M, gM, action, support=sub)
-        raw_from = orbit_hom(gM, M, action, support=sub)
+        gM, ginv = lifted_aut(g, M, action), action.inv(g)
+        raw_to = ind.hom_over(M, gM, lambda h: action.mul(h, g))
+        raw_from = ind.hom_over(gM, M, lambda h: action.mul(ginv, h))
         for idx, rep_piece in enumerate(reps):
             image = KarObject(action, gM, lifted_aut(g, rep_piece.idem, action, support=sub), sub)
             distinct = kar_is_isomorphic(rep_piece, image, raw_to, raw_from) is None
@@ -334,8 +337,7 @@ def trivial_inertia_check(action: GroupAction, W: Module) -> dict:
     ind = inertia(W, action)
     if ind.subgroup != (0,):
         raise ValueError("inertia not trivial")
-    P = KarObject(action, W)
-    E, _ = kar_end_algebra(P, orbit_hom(W, W, action))
+    E, _ = kar_end_algebra(KarObject(action, W), ind.raw)
     if not is_local(E):
         es = primitive_orthogonal_idempotents(E)
         witness = [list(map(int, e)) for e in es][:2]
@@ -363,19 +365,15 @@ def skewfield_check(action: GroupAction, M: Module) -> dict:
     endomorphism ring collapses to the plain one and is a (skew) field."""
     if not is_simple(M):
         raise ValueError("module is not simple")
-    for g in action.elements():
-        if g == 0:
-            continue
-        if is_isomorphic(action.twisted(M, g), M) is not None:
-            raise ValueError(f"twist by {g} fixes the module; inertia not trivial")
-    end_dim = hom_space(M, M).dim
-    oh = orbit_hom(M, M, action)
-    if oh.dim != end_dim:
+    ind = inertia(M, action)
+    if len(ind.subgroup) > 1:
+        raise ValueError(f"twist by {ind.subgroup[1]} fixes the module; inertia not trivial")
+    end_dim = ind.raw.components[0].dim
+    if ind.raw.dim != end_dim:
         raise CliffordViolation(
-            f"orbit endomorphism dimension {oh.dim} exceeds the plain one {end_dim}"
+            f"orbit endomorphism dimension {ind.raw.dim} exceeds the plain one {end_dim}"
         )
-    P = KarObject(action, M)
-    E, _ = kar_end_algebra(P, oh)
+    E, _ = kar_end_algebra(KarObject(action, M), ind.raw)
     J = radical(E)
     if len(J) != 0 or not is_local(E, J):
         raise CliffordViolation("orbit endomorphism algebra is not a field")

@@ -71,8 +71,9 @@ def _kar_basis(P: KarObject, Q: KarObject, raw: OrbitHomSpace) -> OrbitMor:
     one family: the raw hom family compressed in two compositions.
 
     raw is Hom_orbit(X_P, X_Q) over the objects' support, from the caller,
-    which solves it once for all the objects on those modules (or carries
-    it along the inertia, as clifford_run does).  The compressed family
+    which solves it once for all the objects on those modules (or reads it
+    off the family Hom(M, gM) that clifford.inertia solves, as
+    clifford_run does).  The compressed family
     spans e_Q o Hom o e_P whatever basis raw has, and the span's reduced
     echelon form is unique, so the result depends on the space alone."""
     if P.action is not Q.action or P.support != Q.support:
@@ -91,9 +92,9 @@ def kar_end_algebra(P: KarObject, raw: OrbitHomSpace) -> Tuple[Algebra, OrbitMor
     """The corner algebra e o End(X) o e with unit e, and its basis family.
 
     raw is Hom_orbit(X, X) over P's support, from the caller (see
-    _kar_basis): clifford_run passes the one InertiaData.orbit_end carries,
-    whose bases are hom_space's byte for byte, so the algebra is the same
-    as over a fresh orbit_hom.  For a summand (X, f) of P, with f an
+    _kar_basis): clifford_run passes components of InertiaData.raw, whose
+    bases are hom_space's byte for byte, so the algebra is the same as
+    over a fresh orbit_hom.  For a summand (X, f) of P, with f an
     idempotent of E = kar_end_algebra(P)[0], corner_algebra(E, f) is
     isomorphic to kar_end_algebra of (X, f) and needs no orbit
     composition: clifford_run builds its class corners that way, in E_P

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from orbitcat import algebra as algebra_mod, clifford as clifford_mod, karoubi as karoubi_mod
+from orbitcat import rep as rep_mod
 from orbitcat.algebra import (
     AlgebraAut,
     CertificationError,
@@ -41,6 +42,7 @@ from orbitcat.rep import (
     decompose,
     direct_sum,
     hom_space,
+    is_isomorphic,
     quotient_module,
     random_base_change,
     regular_module,
@@ -555,7 +557,7 @@ DIFFERENTIAL_CASES = (sorted(ORBIT_SCENARIOS) + ["S3/Mat3/F5", "S4/Mat4/F5"] + P
 
 def differential_case(name):
     """(action, module) of an orbit-workload scenario, an S3_PINS case, the
-    C4 character or S_n on Mat_n/F5."""
+    C4 character, the cyclic quiver or S_n on Mat_n/F5."""
     if name in ORBIT_SCENARIOS:
         doc = ORBIT_SCENARIOS[name]
         A = build_algebra(build_field(doc["field"]), doc["algebra"])
@@ -564,27 +566,95 @@ def differential_case(name):
         return s3_case(name)
     if name == "c4_character":
         return c4_character_case()
+    if name == "cycle_f5_c4":
+        return cycle_case()
     A, action = symmetric_conjugation_action(int(name[1]), FF(5))
     return action, simple_modules(A)[0]
 
 
-@pytest.mark.parametrize("name", DIFFERENTIAL_CASES)
-def test_inertia_carried_homs_are_the_solved_ones(name):
-    """Hom(M, gM) = w_g^-1 End(M) for g in the inertia: the carried bases
-    are byte for byte those hom_space solves for, and the carried orbit
-    hom is orbit_hom over the inertia."""
+def cycle_case():
+    """The projective at a vertex of the 4-cycle quiver over F5 with radical
+    square zero, rotated by C4: trivial inertia, and Hom(M, gM) has
+    dimensions 1, 0, 0, 1 by g, nonzero outside the inertia and not equal
+    to Hom(M, g^-1 M)."""
+    A = make_path_algebra(FF(5), 4, [(0, 1), (1, 2), (2, 3), (3, 0)],
+                          [(0, 1), (1, 2), (2, 3), (3, 0)])
+    action = build_action(A, {"group": "C4", "kind": "basis_permutation",
+                              "perm": [1, 2, 3, 0, 5, 6, 7, 4]})
+    return action, build_module(A, {"kind": "regular_summand", "index": 0})
+
+
+def same_family(mine, solved):
+    """Two orbit hom spaces with the same objects, support, component
+    targets and basis family, byte for byte."""
+    assert (mine.source, mine.target, mine.support) == \
+        (solved.source, solved.target, solved.support)
+    assert all(mine.components[g].target == solved.components[g].target
+               for g in solved.support)
+    a, b = mine.family().stack, solved.family().stack
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_CASES + ["cycle_f5_c4"])
+def test_inertia_carried_homs_are_the_solved_ones(monkeypatch, name):
+    """Component g of the raw family is hom_space(M, gM) byte for byte, a
+    witness is what is_isomorphic(gM, M) returns, and every raw hom of a
+    run is the orbit_hom it stands for, byte for byte: Hom_orbit(M, M)
+    over the inertia for E_P and over the whole group for E_G, and
+    Hom_orbit(M, gM) and Hom_orbit(gM, M) over the inertia for each
+    outside check."""
     action, M = differential_case(name)
     ind = inertia(M, action)
-    carried = ind.orbit_end()
-    assert carried.support == ind.subgroup
-    for g in ind.subgroup:
-        solved = hom_space(M, action.twisted(M, g)).basis
-        mine = carried.components[g].basis
-        assert len(mine) == len(solved)
+    assert ind.raw.support == tuple(action.elements())
+    for g in action.elements():
+        gM = action.twisted(M, g)
+        solved = hom_space(M, gM).basis
+        mine = ind.raw.components[g].basis
+        assert ind.raw.components[g].target == gM and len(mine) == len(solved)
         for a, b in zip(mine, solved):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    solved = orbit_hom(M, M, action, support=ind.subgroup).family().stack
-    assert carried.family().stack.tobytes() == solved.tobytes()
+        iso = is_isomorphic(gM, M)
+        assert (g in ind.subgroup) == (iso is not None)
+        if iso is not None:
+            assert ind.witnesses[g].tobytes() == iso.tobytes()
+    ends, checks = [], []
+    kar_end, kar_iso = clifford_mod.kar_end_algebra, clifford_mod.kar_is_isomorphic
+
+    def end_recording(P, raw):
+        ends.append(raw)
+        return kar_end(P, raw)
+
+    def iso_recording(P, Q, raw_pq, raw_qp):
+        checks.append((Q.module, raw_pq, raw_qp))
+        return kar_iso(P, Q, raw_pq, raw_qp)
+
+    monkeypatch.setattr(clifford_mod, "kar_end_algebra", end_recording)
+    monkeypatch.setattr(clifford_mod, "kar_is_isomorphic", iso_recording)
+    report = clifford_run(action, M)
+    sub = ind.subgroup
+    same_family(ends[0], orbit_hom(M, M, action, support=sub))
+    if len(sub) < action.k:
+        assert len(ends) == 2
+        same_family(ends[1], orbit_hom(M, M, action))
+    checked = [o["g"] for o in report.outside_checks if o["checked"]]
+    assert len(checks) == len(checked)
+    for g, (gM, raw_to, raw_from) in zip(checked, checks):
+        assert gM == action.twisted(M, g)
+        same_family(raw_to, orbit_hom(M, gM, action, support=sub))
+        same_family(raw_from, orbit_hom(gM, M, action, support=sub))
+
+
+def test_cycle_case_has_homs_outside_the_inertia():
+    """The cyclic case is the one that tells Hom_orbit(M, gM) from
+    Hom_orbit(gM, M) apart: both nonzero outside the inertia, at
+    different group elements."""
+    action, M = cycle_case()
+    ind = inertia(M, action)
+    assert ind.subgroup == (0,)
+    assert [ind.raw.components[g].dim for g in action.elements()] == [1, 0, 0, 1]
+    report = clifford_run(action, M)
+    assert [(o["g"], o["checked"], o["distinct"]) for o in report.outside_checks] == \
+        [(1, True, True), (2, True, True), (3, True, True)]
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL_CASES)
@@ -624,34 +694,48 @@ def test_class_corners_from_e_p_match_the_compressed_corners(name):
                 (E.dim, len(J), is_local(E, J), kar_functor_T(ext).dim)
 
 
-def count_clifford_calls(monkeypatch, *names):
-    """Calls to the named functions as clifford looks them up, counted from
-    now on in the returned dict."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(clifford_mod, name)
+def count_hom_solves(monkeypatch):
+    """hom_space calls as clifford and rep look it up, counted from now on
+    under "hom_space", and under "at_kar_end_algebra" the count at each of
+    clifford's kar_end_algebra calls."""
+    counts = {"hom_space": 0, "at_kar_end_algebra": []}
+    solve, kar_end = rep_mod.hom_space, clifford_mod.kar_end_algebra
 
-        def wrapper(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def solving(M, N):
+        counts["hom_space"] += 1
+        return solve(M, N)
 
-        monkeypatch.setattr(clifford_mod, name, wrapper)
-    return calls
+    def snapshot(P, raw):
+        counts["at_kar_end_algebra"].append(counts["hom_space"])
+        return kar_end(P, raw)
+
+    monkeypatch.setattr(rep_mod, "hom_space", solving)
+    monkeypatch.setattr(clifford_mod, "hom_space", solving)
+    monkeypatch.setattr(clifford_mod, "kar_end_algebra", snapshot)
+    return counts
+
+
+def distinct_twists(action, M):
+    return len({action.twisted(M, g) for g in action.elements()})
 
 
 def test_clifford_run_on_mat2f5_c4_solves_no_orbit_hom(monkeypatch):
     """Mat2/F5 under C4 acting by conjugation, the whole group in the
-    inertia: the raw orbit hom comes from End(M) and the witnesses, and
-    the one compressed corner is P's, so a run makes no orbit_hom call and
-    one kar_end_algebra call."""
-    calls = count_clifford_calls(monkeypatch, "orbit_hom", "kar_end_algebra")
-    # karoubi solves no hom space: every raw hom comes from its caller
+    inertia: the raw orbit hom is the family inertia solves, one hom_space
+    call per distinct twist, and the one compressed corner is P's, so a
+    run makes no other hom solve and one kar_end_algebra call."""
+    # karoubi solves no hom space, and clifford no orbit hom: every raw hom
+    # comes from the caller, or from the family inertia solves
     assert not hasattr(karoubi_mod, "orbit_hom") and not hasattr(karoubi_mod, "hom_space")
+    assert not hasattr(clifford_mod, "orbit_hom")
     action, M = differential_case("mat2f5_c4")
+    twists = distinct_twists(action, M)
+    counts = count_hom_solves(monkeypatch)
     report = clifford_run(action, M)
     assert report.inertia_subgroup == tuple(action.elements())
     assert not report.outside_checks
-    assert calls == {"orbit_hom": 0, "kar_end_algebra": 1}
+    assert twists == 4
+    assert counts == {"hom_space": twists, "at_kar_end_algebra": [twists]}
 
 
 def test_kar_end_algebra_rejects_a_raw_hom_of_another_support():
@@ -694,16 +778,17 @@ def test_s3_stage_tuples_and_oracle_are_pinned(name):
 @pytest.mark.parametrize("name", ["star_f2/simple/0", "star_f5/simple/0", "c4_character"])
 def test_proper_inertia_builds_two_karoubi_algebras(monkeypatch, name):
     """Under a proper inertia a run makes two kar_end_algebra calls, E_P
-    and E_G, with one class (F2 star) or two (F5 star, C4), and solves
-    Hom_orbit(M, M) over the whole group once plus Hom_orbit(M, gM) and
-    Hom_orbit(gM, M) once per normalizing outside g, whatever the number
-    of classes."""
-    calls = count_clifford_calls(monkeypatch, "orbit_hom", "kar_end_algebra")
+    and E_G, with one class (F2 star) or two (F5 star, C4).  Every raw hom
+    is solved before E_P, one hom_space call per distinct twist, and
+    stage 2 and the outside checks solve none, whatever the number of
+    classes."""
     action, M = differential_case(name)
+    twists = distinct_twists(action, M)
+    counts = count_hom_solves(monkeypatch)
     report = clifford_run(action, M)
     normalizing = {o["g"] for o in report.outside_checks if o["checked"]}
     assert len(report.inertia_subgroup) < action.k
-    assert calls == {"orbit_hom": 1 + 2 * len(normalizing), "kar_end_algebra": 2}
+    assert counts["at_kar_end_algebra"] == [twists, counts["hom_space"]]
     if name == "c4_character":
         assert len(report.stage1) == 2 and normalizing == {1, 3}
 

@@ -4,7 +4,9 @@ The digests guard refactors of the arithmetic and the runner: a change
 that moves a single byte of the selftest report or of one of the scenario
 reports below fails here.  Each module scenario runs the ``clifford`` and
 ``oracle_compare`` tasks in both orders, so a report shared between the
-two tasks cannot leak into the other one's details.
+two tasks cannot leak into the other one's details; the single-task
+scenarios pin the ``trivial_inertia`` and ``skewfield`` reports, a failing
+one included.
 """
 
 import hashlib
@@ -23,6 +25,12 @@ _STAR = {"type": "path_algebra", "vertices": 4, "arrows": [[1, 0], [2, 0], [3, 0
 _STAR_S3 = {"group": "S3", "kind": "basis_permutation", "perms": [
     [0, 1, 2, 3, 4, 5, 6], [0, 2, 3, 1, 5, 6, 4], [0, 3, 1, 2, 6, 4, 5],
     [0, 1, 3, 2, 4, 6, 5], [0, 3, 2, 1, 6, 5, 4], [0, 2, 1, 3, 5, 4, 6]]}
+# the 4-cycle quiver 0 -> 1 -> 2 -> 3 -> 0 with radical square zero, rotated
+# by C4 (vertices, then arrows); a projective has Hom(M, gM) of dimensions
+# 1, 0, 0, 1 by g: nonzero outside its trivial inertia, and not symmetric in g
+_CYCLE = {"type": "path_algebra", "vertices": 4, "arrows": [[0, 1], [1, 2], [2, 3], [3, 0]],
+          "relations": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+_ROTATION = {"group": "C4", "kind": "basis_permutation", "perm": [1, 2, 3, 0, 5, 6, 7, 4]}
 
 SCENARIOS = {
     # prime field
@@ -37,6 +45,21 @@ SCENARIOS = {
     # with one class (F2) and with two (F5)
     "star_f2_s3": ({"p": 2, "n": 1}, _STAR, _STAR_S3, {"kind": "simple", "index": 0}),
     "star_f5_s3": ({"p": 5, "n": 1}, _STAR, _STAR_S3, {"kind": "simple", "index": 0}),
+    # trivial inertia with a nonzero hom outside it
+    "cycle_f5_c4": ({"p": 5, "n": 1}, _CYCLE, _ROTATION,
+                    {"kind": "regular_summand", "index": 0}),
+}
+
+# name -> (scenario, task, exit code): a nontrivial character of F7C3 under
+# inversion passes both checks, and the Mat2/F5 simple, fixed by the swap,
+# fails the trivial-inertia one
+TASK_SCENARIOS = {
+    "f7c3_chi/trivial_inertia":
+        (({"p": 7, "n": 1}, _C3, _INVERSION, {"kind": "simple", "index": 1}),
+         "trivial_inertia", 0),
+    "f7c3_chi/skewfield":
+        (({"p": 7, "n": 1}, _C3, _INVERSION, {"kind": "simple", "index": 1}), "skewfield", 0),
+    "mat2_f5_c2/trivial_inertia": (SCENARIOS["mat2_f5_c2"], "trivial_inertia", 1),
 }
 
 GALOIS_Q3 = {
@@ -78,6 +101,16 @@ GOLDEN = {
         "25885c469b958e0c8f8fe08dac54fd12d23c5d3fe6ebdf6f5ccb95259b7c730b",
     "star_f5_s3/oc":
         "d1fa84f1af1caef95a684efe2572fb161abd12b6f5225b7ee7d85fa10db66327",
+    "cycle_f5_c4/co":
+        "914db37bee6a864d634c20931aff100262483ea11d184e54708f3b813f49b9c4",
+    "cycle_f5_c4/oc":
+        "0544c7ee4cc28430122fe9781f386f1c03e73e17b1acf19dc38a05de36e54a74",
+    "f7c3_chi/trivial_inertia":
+        "8498a9665fabcc6f8d5b0879dc1cdacd6c637609c47d7a10267ba50c85e83003",
+    "f7c3_chi/skewfield":
+        "2b43cfc86ec1fbc26595b59cf335d9e4a099c9697174d9be161fe50d0e15798a",
+    "mat2_f5_c2/trivial_inertia":
+        "634b98010be075c1cb0da04aab7859b25ea3c1ee56e275fab38f20639d74fbf2",
     "galois_q3":
         "9457419c951937bbac622ab76d2c6b8d2a4156edbd7348b640194f9ce2765dc6",
 }
@@ -85,6 +118,12 @@ GOLDEN = {
 
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _module_doc(scenario, tasks):
+    field, alg, action, module = scenario
+    return {"schema_version": 1, "field": field, "algebra": alg, "action": action,
+            "module": module, "tasks": tasks}
 
 
 def _run_doc(tmp_path, doc):
@@ -98,12 +137,17 @@ def _run_doc(tmp_path, doc):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 @pytest.mark.parametrize("order", sorted(ORDERS))
 def test_scenario_report_digest(tmp_path, name, order):
-    field, alg, action, module = SCENARIOS[name]
-    doc = {"schema_version": 1, "field": field, "algebra": alg, "action": action,
-           "module": module, "tasks": ORDERS[order]}
-    code, digest = _run_doc(tmp_path, doc)
+    code, digest = _run_doc(tmp_path, _module_doc(SCENARIOS[name], ORDERS[order]))
     assert code == 0
     assert digest == GOLDEN[f"{name}/{order}"]
+
+
+@pytest.mark.parametrize("name", sorted(TASK_SCENARIOS))
+def test_task_report_digest(tmp_path, name):
+    scenario, task, exit_code = TASK_SCENARIOS[name]
+    code, digest = _run_doc(tmp_path, _module_doc(scenario, [task]))
+    assert code == exit_code
+    assert digest == GOLDEN[name]
 
 
 def test_galois_report_digest(tmp_path):

@@ -329,6 +329,16 @@ def test_galois_ring_structure_constants_by_evaluation(q, m, group, phi):
                     assert got == expected
 
 
+@pytest.mark.parametrize("root", [1, 2, 5])
+def test_galois_build_names_the_first_non_multiplicative_pair(monkeypatch, root):
+    """With y replaced by an element that is not a root of L's modulus, the
+    powers of y span no copy of L, and the embedding check names the first
+    basis pair (i, j) whose product it does not keep."""
+    monkeypatch.setattr(oracle_mod, "first_root", lambda field, coeffs: root)
+    with pytest.raises(ValueError, match=r"embedding not multiplicative at pair \(1, 1\)$"):
+        galois_build(scenario_q3())
+
+
 def test_galois_build_degenerate_tower():
     sc = GaloisScenario(q=3, deg_l=1, deg_m=1, table=[[0]], phi=[0], H=[0])
     t = galois_build(sc)
