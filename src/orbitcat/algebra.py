@@ -35,6 +35,7 @@ field leaf where its split stopped (see primitive_orthogonal_idempotents).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import List
 
@@ -583,6 +584,22 @@ def make_path_algebra(field: FiniteField, n_vertices: int, arrows, relations=())
 # ---------------------------------------------------------------------------
 # radical (Cohen-Ivanyos-Wales chain) and certification
 
+# product cells that one block of a streamed product may hold (_row_blocks):
+# it bounds the memory of the radical chain's charpoly stage and of the
+# certificate's ideal check.  One radical of End(regular Mat6/F3), whose
+# charpoly stage multiplies 36 x 36 matrices for 36 x 36 pairs (2-core
+# x86_64, one BLAS thread): unblocked 42-45 ms at a 39.2 MB tracemalloc
+# peak; 2^19 cells 38-39 ms at 12.8 MB; 2^18 (8 blocks of 5 rows) 38-41 ms
+# at 7.1 MB; 2^17 46 ms at 3.5 MB; 2^16 69 ms at 2.2 MB
+_BLOCK_CELLS = 2 ** 18
+
+
+def _row_blocks(rows: int, row_cells: int):
+    """Slices covering range(rows) in order, each of at most _BLOCK_CELLS
+    cells when a row costs row_cells, and of at least one row."""
+    k = max(1, _BLOCK_CELLS // row_cells)
+    return [slice(a, min(a + k, rows)) for a in range(0, rows, k)]
+
 
 def radical(A: Algebra, certify: bool = True) -> np.ndarray:
     """Echelonized basis (rows) of the Jacobson radical.
@@ -592,8 +609,12 @@ def radical(A: Algebra, certify: bool = True) -> np.ndarray:
     C is symmetric, because charpoly(XY) = charpoly(YX) for square X and Y
     (det(t - XY) = det(t - YX), Sylvester's determinant identity), so the
     charpoly stage computes one characteristic polynomial per unordered
-    pair a <= b, r(r+1)/2 of them, and fills both triangles.  The trace
-    stage (p^j = 1) is one matrix product.
+    pair a <= b, r(r+1)/2 of them, and fills both triangles.  It streams
+    the pairs in blocks of rows a (_row_blocks): each block multiplies its
+    rows by every b from its first row on, so its product holds at most
+    max(_BLOCK_CELLS, r n^2) matrix entries, not r^2 n^2, and C is the
+    same for every block size.  The trace stage (p^j = 1) is one matrix
+    product.
 
     Certified in-op: ideal closure, nilpotency, and a zero radical of the
     quotient; any failure raises CertificationError.
@@ -615,14 +636,16 @@ def radical(A: Algebra, certify: bool = True) -> np.ndarray:
             C = F.vmatmul(reps.reshape(r, nrep * nrep),
                           reps.transpose(0, 2, 1).reshape(r, nrep * nrep).T)
         else:
-            # one broadcast product expands each operand once; gathering
-            # the triangle's operands first expands r(r+1)/2 of them, and
-            # it measured a higher peak memory on the ladder workload
-            prods = F.vmatmul(reps[:, None], reps[None, :])  # (r, r, n, n)
-            a, b = np.triu_indices(r)
-            polys = charpoly_batched(F, prods[a, b], pj + 1)
+            # rows a of a block against columns b >= the block's first row:
+            # a broadcast product expands each operand once per block, where
+            # gathering the triangle's operands would expand r(r+1)/2 of them
             C = F.zeros((r, r))
-            C[a, b] = C[b, a] = polys[:, pj]
+            for blk in _row_blocks(r, r * nrep * nrep):
+                prods = F.vmatmul(reps[blk, None], reps[None, blk.start:])
+                a, b = np.triu_indices(prods.shape[0], m=prods.shape[1])
+                polys = charpoly_batched(F, prods[a, b], pj + 1)
+                a, b = a + blk.start, b + blk.start
+                C[a, b] = C[b, a] = polys[:, pj]
         W = kernel_basis(F, C.T)
         if len(W) == 0:
             basis = np.zeros((0, d), dtype=np.int64)
@@ -642,16 +665,21 @@ def _certify_radical(A: Algebra, J):
 
     The ideal check multiplies J by the generators only: a subspace closed
     under multiplication by them on both sides is closed under every
-    right-nested generator word, by associativity.  For J = 0 the quotient
-    is A itself and the chain that found J would only be rerun, so the
-    claim that A is semisimple has no certificate beyond that chain."""
+    right-nested generator word, by associativity.  The products g x are
+    formed for one block of generators g at a time and the x g for one
+    block of rows x of J (_row_blocks, d^2 cells a row), each block checked
+    against one solver for J.  For J = 0 the quotient is A itself and the
+    chain that found J would only be rerun, so the claim that A is
+    semisimple has no certificate beyond that chain."""
     F = A.field
     d = A.dim
     gens = A.generators
-    products = np.concatenate([A.span_products(gens, J).reshape(-1, d),
-                               A.span_products(J, gens).reshape(-1, d)])
-    if SpanSolver(F, J).residual(products).any():
-        raise CertificationError("claimed radical is not an ideal")
+    J_solver = SpanSolver(F, J)
+    left = (A.span_products(gens[blk], J) for blk in _row_blocks(len(gens), d * d))
+    right = (A.span_products(J[blk], gens) for blk in _row_blocks(len(J), d * d))
+    for products in itertools.chain(left, right):
+        if J_solver.residual(products.reshape(-1, d)).any():
+            raise CertificationError("claimed radical is not an ideal")
     # nilpotency: successive power spans must strictly shrink to zero
     S = J
     for _ in range(d + 1):

@@ -80,8 +80,14 @@ def inertia(M: Module, action: GroupAction) -> InertiaData:
     E, basis = end_algebra(M)
     if len(primitive_orthogonal_idempotents(E)) != 1:
         raise ValueError("decompose first: the module is not indecomposable")
+    return _inertia_of(M, action, basis)
+
+
+def _inertia_of(M: Module, action: GroupAction, end_basis) -> InertiaData:
+    """inertia(M, action) for an M already known to be indecomposable, with
+    end_basis the echelonized End(M) that hom_space(M, M) returns."""
     F = M.field
-    solved = {M: basis}
+    solved = {M: end_basis}
     comps = {}
     for g in action.elements():
         tw = action.twisted(M, g)
@@ -347,12 +353,16 @@ def trivial_inertia_check(action: GroupAction, W: Module) -> dict:
     return {"ok": True, "end_dim": E.dim}
 
 
-def is_simple(M: Module) -> bool:
+def is_simple(M: Module, E=None) -> bool:
     """Density criterion: M is simple iff D = End_A(M) is a division ring
-    and dim span{rho(b_i)} * dim D = m^2, i.e. A acts as all of End_D(M)."""
+    and dim span{rho(b_i)} * dim D = m^2, i.e. A acts as all of End_D(M).
+
+    E, when given, is End(M) as end_algebra returns it; it is not solved
+    again."""
     if M.dim == 0:
         return False
-    E, _ = end_algebra(M)
+    if E is None:
+        E, _ = end_algebra(M)
     J = radical(E)
     if len(J) != 0 or not is_local(E, J):
         return False
@@ -362,10 +372,13 @@ def is_simple(M: Module) -> bool:
 
 def skewfield_check(action: GroupAction, M: Module) -> dict:
     """For a simple module not fixed by any nontrivial twist, the orbit
-    endomorphism ring collapses to the plain one and is a (skew) field."""
-    if not is_simple(M):
+    endomorphism ring collapses to the plain one and is a (skew) field.
+    End(M) is solved once: the simplicity test and the inertia read it, and
+    a simple M is indecomposable, as inertia requires."""
+    E, basis = end_algebra(M)
+    if not is_simple(M, E):
         raise ValueError("module is not simple")
-    ind = inertia(M, action)
+    ind = _inertia_of(M, action, basis)
     if len(ind.subgroup) > 1:
         raise ValueError(f"twist by {ind.subgroup[1]} fixes the module; inertia not trivial")
     end_dim = ind.raw.components[0].dim

@@ -108,6 +108,22 @@ def test_adjunction_laws_catch_a_wrong_orbit_hom(monkeypatch):
     assert "'hom-formula'" in r.details
 
 
+def test_adjunction_laws_solve_each_twisted_pool_hom_once(monkeypatch):
+    """The hom-formula loop asks orbit_hom only for components whose pair
+    (P, gQ) that call has not solved, so no pair is asked for twice."""
+    real = checks.orbit_hom
+    asked = []
+
+    def recording(X, Y, action, support=None):
+        if support is not None:
+            asked.extend((X, action.twisted(Y, g)) for g in support)
+        return real(X, Y, action, support)
+
+    monkeypatch.setattr(checks, "orbit_hom", recording)
+    assert checks.check_adjunction_laws(seed=0, min_samples=7).passed
+    assert asked and len(set(asked)) == len(asked)
+
+
 def test_acceptance_6_subgroup_factorization():
     """Subgroup factorization: S and T factor exactly through every subgroup
     of C4 and C2 x C2 on sampled data; adjuster coherence holds exhaustively."""

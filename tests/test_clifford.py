@@ -793,6 +793,21 @@ def test_proper_inertia_builds_two_karoubi_algebras(monkeypatch, name):
         assert len(report.stage1) == 2 and normalizing == {1, 3}
 
 
+def test_skewfield_check_solves_end_once(monkeypatch):
+    """The F7C3 character under inversion: the simplicity test and the
+    inertia read one End(M), so skewfield_check makes one hom_space call
+    per distinct twist (End(M) included) and none after its one
+    kar_end_algebra call."""
+    F = FF(7)
+    A = make_group_algebra(cyclic_table(3), F)
+    action = inversion_action(A)
+    chi = character_module(A, F, 2)
+    counts = count_hom_solves(monkeypatch)
+    assert skewfield_check(action, chi) == {"ok": True, "end_dim": 1}
+    assert counts["at_kar_end_algebra"] == [distinct_twists(action, chi)] == [2]
+    assert counts["hom_space"] == 2
+
+
 def test_stage2_rejects_labels_that_merge_two_classes(monkeypatch):
     """F5 star, outer simple: stage 1 finds two classes.  Told that they
     are one class, the run fails the label check on E_G, which names both

@@ -1,6 +1,8 @@
 """The radical's semisimplicity certificate: A/J checked in a faithful
 representation on the top layers of gr V, or in its regular one."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +175,71 @@ def test_radical_asks_only_for_the_coefficients_it_reads(monkeypatch):
     monkeypatch.setattr(algebra_mod, "charpoly_batched", lambda F, mats, terms: original(F, mats))
     assert np.array_equal(radical(E), J)
     assert J.shape == (0, 9)
+
+
+def _trace_degenerate_algebras():
+    """Algebras whose faithful representation has a vanishing or degenerate
+    trace form, so the chain reaches its charpoly stage p^j > 1."""
+    return {
+        "End(regular Mat3/F3)": end_algebra(regular_module(make_matrix_algebra(3, FF(3))))[0],
+        "Mat2/F2": make_matrix_algebra(2, FF(2)),
+        "Mat2/F4": make_matrix_algebra(2, FF(2, 2)),
+        "F3C3": make_group_algebra(cyclic_table(3), FF(3)),
+        "F2[C2xC2]": make_group_algebra(group_table("C2xC2"), FF(2)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_trace_degenerate_algebras()))
+def test_one_row_blocks_give_the_same_radical(monkeypatch, name):
+    """The charpoly stage streams the upper triangle in row blocks of at
+    most _BLOCK_CELLS product cells.  With a budget of 1 cell every block
+    is one row (and every ideal-check block one generator); the certified
+    radical is the same, byte for byte, as with the default budget."""
+    A = _trace_degenerate_algebras()[name]
+    J = radical(A)
+    calls = []
+    original = algebra_mod.charpoly_batched
+
+    def recording(F, mats, terms=None):
+        calls.append(len(mats))
+        return original(F, mats, terms)
+
+    monkeypatch.setattr(algebra_mod, "charpoly_batched", recording)
+    monkeypatch.setattr(algebra_mod, "_BLOCK_CELLS", 1)
+    J1 = radical(A)
+    assert len(calls) > 1  # the stage ran, in more than one block
+    assert J1.dtype == J.dtype and J1.shape == J.shape
+    assert J1.tobytes() == J.tobytes()
+
+
+def test_charpoly_stage_memory_is_bounded_by_the_block_budget():
+    """End(regular Mat6/F3) has dimension 36 and acts on 36 dims, and p = 3
+    divides 36: one (36, 36, 36, 36) product stack of the charpoly stage
+    peaked at ~38 MB traced.  Streamed in blocks of at most _BLOCK_CELLS
+    product cells, the whole certified radical stays under 16 MB."""
+    E, _ = end_algebra(regular_module(make_matrix_algebra(6, FF(3))))
+    tracemalloc.start()
+    try:
+        J = radical(E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert J.shape == (0, 36)
+    assert peak <= 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("cells", [1, 2 ** 18])
+def test_ideal_check_streams_every_generator_block(monkeypatch, cells):
+    """F3C3 with the basis 1, g, g^2 as generators: span{1 - g} is closed
+    under 1 but not under g, so with one generator per block the failure
+    sits in the second block, and it is found there as in one block."""
+    C3 = make_group_algebra(cyclic_table(3), FF(3))
+    A = Algebra(C3.field, C3.struct, C3.unit)
+    assert np.array_equal(A.generators, A.field.eye(3))
+    monkeypatch.setattr(algebra_mod, "_BLOCK_CELLS", cells)
+    with pytest.raises(CertificationError, match="claimed radical is not an ideal"):
+        _certify_radical(A, np.array([[1, 2, 0]], dtype=np.int64))
+    _certify_radical(A, radical(A, certify=False))
 
 
 def _radical_full_stage(A):
