@@ -69,6 +69,7 @@ from .clifford import (
     InertiaData,
     clifford_run,
     inertia,
+    is_simple,
     skewfield_check,
     trivial_inertia_check,
 )

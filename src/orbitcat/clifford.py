@@ -353,16 +353,18 @@ def trivial_inertia_check(action: GroupAction, W: Module) -> dict:
     return {"ok": True, "end_dim": E.dim}
 
 
-def is_simple(M: Module, E=None) -> bool:
+def is_simple(M: Module) -> bool:
     """Density criterion: M is simple iff D = End_A(M) is a division ring
-    and dim span{rho(b_i)} * dim D = m^2, i.e. A acts as all of End_D(M).
-
-    E, when given, is End(M) as end_algebra returns it; it is not solved
-    again."""
+    and dim span{rho(b_i)} * dim D = m^2, i.e. A acts as all of End_D(M)."""
     if M.dim == 0:
         return False
-    if E is None:
-        E, _ = end_algebra(M)
+    E, _ = end_algebra(M)
+    return _is_simple_over(M, E)
+
+
+def _is_simple_over(M: Module, E) -> bool:
+    """is_simple(M) for a nonzero M, with E the End(M) that end_algebra(M)
+    returns."""
     J = radical(E)
     if len(J) != 0 or not is_local(E, J):
         return False
@@ -375,8 +377,10 @@ def skewfield_check(action: GroupAction, M: Module) -> dict:
     endomorphism ring collapses to the plain one and is a (skew) field.
     End(M) is solved once: the simplicity test and the inertia read it, and
     a simple M is indecomposable, as inertia requires."""
+    if M.dim == 0:
+        raise ValueError("module is not simple")
     E, basis = end_algebra(M)
-    if not is_simple(M, E):
+    if not _is_simple_over(M, E):
         raise ValueError("module is not simple")
     ind = _inertia_of(M, action, basis)
     if len(ind.subgroup) > 1:
