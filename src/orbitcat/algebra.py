@@ -554,23 +554,14 @@ def make_path_algebra(field: FiniteField, n_vertices: int, arrows, relations=())
 
     d = len(paths)
     index = {(p[0], p[1]): i for i, p in enumerate(paths)}
-    rel_set = set(relations)
-
-    def concat_ok(word):
-        for start in range(len(word)):
-            for rel in rel_set:
-                if word[start : start + len(rel)] == rel:
-                    return False
-        return True
-
     struct = np.zeros((d, d, d), dtype=np.int64)
-    # product p * q means "q first, then p": defined when start(p) == end(q)
-    for i, (ps, pw, pe) in enumerate(paths):
+    # product p * q means "q first, then p": defined when start(p) == end(q),
+    # and nonzero iff the walk q then p is relation-free, a basis walk
+    for i, (ps, pw, _) in enumerate(paths):
         for j, (qs, qw, qe) in enumerate(paths):
-            if ps == qe:
-                word = qw + pw
-                if concat_ok(word):
-                    struct[i, j, index[(qs, word)]] = 1
+            k = index.get((qs, qw + pw)) if ps == qe else None
+            if k is not None:
+                struct[i, j, k] = 1
     unit = np.zeros(d, dtype=np.int64)
     for v in range(n_vertices):
         unit[index[(v, ())]] = 1

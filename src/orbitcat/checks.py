@@ -236,20 +236,19 @@ def check_adjunction_laws(seed=0, min_samples=50) -> CheckResult:
       every sample is a direct sum of pool members under a base change,
       so the pool pairs cover every sample.  The samples themselves are
       not induced: their hom systems over A x| Gamma are far larger.
-      dim Hom_orbit(P, Q) is the sum of dim Hom(P, gQ) over g, and a twist
-      gQ often has the matrices of a pool member, so orbit_hom is asked
-      only for the components g whose pair (P, gQ) this call has not
-      solved yet, keyed on both modules."""
+
+    Each corpus algebra's pool is built once, also when several actions
+    share the algebra."""
     rng = np.random.default_rng(seed)
     samples = 0
     pairs = corpus_pairs()
-    pools = {}
-    for name, A, action in pairs:
-        pools[name] = indecomposable_pool(A)
+    pools = {}  # id(A) -> indecomposable_pool(A)
+    for _, A, _ in pairs:
+        if id(A) not in pools:
+            pools[id(A)] = indecomposable_pool(A)
     failures = []
     groups_seen = set()
     per_pair = max(1, (min_samples + len(pairs) - 1) // len(pairs))
-    hom_dims = {}  # (P, gQ) -> dim Hom(P, gQ)
     for name, A, action in pairs:
         orders = []
         for g in action.elements():
@@ -260,20 +259,13 @@ def check_adjunction_laws(seed=0, min_samples=50) -> CheckResult:
             orders.append(order)
         groups_seen.add((action.k, tuple(sorted(orders))))
         F = A.field
-        pool = pools[name]
+        pool = pools[id(A)]
         # hom dimension formula: Frobenius reciprocity on the pool
         ctx = SkewContext(action)
         induced = [induce_skew(ctx, P) for P in pool]
         for P, IP in zip(pool, induced):
             for Q, IQ in zip(pool, induced):
-                keys = [(P, action.twisted(Q, g)) for g in action.elements()]
-                # one g per unsolved pair: equal twists have one hom space
-                new = {key: g for g, key in zip(action.elements(), keys) if key not in hom_dims}
-                if new:
-                    space = orbit_hom(P, Q, action, sorted(new.values()))
-                    hom_dims.update((key, space.components[g].dim) for key, g in new.items())
-                orbit_dim = sum(hom_dims[key] for key in keys)
-                if hom_space(IP, IQ).dim != orbit_dim:
+                if hom_space(IP, IQ).dim != orbit_hom(P, Q, action).dim:
                     failures.append((name, "hom-formula"))
         for _ in range(per_pair):
             X, _ = random_module_from_pool(pool, rng, max_dim=6)
@@ -339,6 +331,8 @@ def check_subgroup_factorization(seed=0) -> CheckResult:
                          "matrices": [np.eye(2, dtype=np.int64), diag, swap,
                                       F5.vmatmul(diag, swap)]}),
     ]
+    S = _column_module(A)
+    pool = indecomposable_pool(A)
     failures = []
     for action in actions:
         k = action.k
@@ -352,8 +346,7 @@ def check_subgroup_factorization(seed=0) -> CheckResult:
             except ValueError:
                 continue
         subgroups = sorted(set(subgroups))
-        S = _column_module(A)
-        X, _ = random_module_from_pool(indecomposable_pool(A), rng, max_dim=6)
+        X, _ = random_module_from_pool(pool, rng, max_dim=6)
         for sub in subgroups:
             # S factorization on morphisms
             for m in hom_space(S, X).basis[:2]:

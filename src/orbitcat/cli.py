@@ -87,15 +87,47 @@ def _build_context(doc: dict):
 
 
 def _clifford_report(shared: dict):
-    """The scenario's clifford_run report, or the error it raised; the
-    clifford and oracle_compare tasks of one scenario share one run."""
+    """The scenario's clifford_run report; the clifford and oracle_compare
+    tasks of one scenario share one run, and an error it raised is raised
+    again for each of them."""
     if "clifford" not in shared:
         _, _, action, module = shared["context"]
         try:
             shared["clifford"] = clifford_run(action, module)
         except (CliffordViolation, ValueError) as ex:
             shared["clifford"] = ex
+    if isinstance(shared["clifford"], Exception):
+        raise shared["clifford"]
     return shared["clifford"]
+
+
+def _clifford_details(rep) -> dict:
+    """The clifford task's details: the report and its certificates in words."""
+    det = rep.to_dict()
+    det["orbit End dimension"] = rep.orbit_end_dim
+    det["certificates"] = [
+        f"summand {s.index}: local: {s.local} "
+        f"(radical dim {s.corner_radical_dim} of corner dim {s.corner_dim})"
+        for s in rep.stage2
+    ]
+    det["sum_check"] = (
+        f"sum of n_j weighted by multiplicity = "
+        f"{sum(s.n_copies * s.multiplicity for s in rep.stage1)} "
+        f"= |inertia| = {len(rep.inertia_subgroup)}"
+    )
+    return det
+
+
+def _outcome(out: dict, compute, verdict) -> dict:
+    """out with compute()'s details and verdict(details) as its pass flag;
+    a CliffordViolation or ValueError fails the task, its text the error."""
+    try:
+        details = compute()
+    except (CliffordViolation, ValueError) as ex:
+        out["pass"], out["details"] = False, {"error": str(ex)}
+    else:
+        out["pass"], out["details"] = bool(verdict(details)), details
+    return out
 
 
 def run_task(task: str, doc: dict, seed: int, shared: dict) -> dict:
@@ -135,61 +167,17 @@ def run_task(task: str, doc: dict, seed: int, shared: dict) -> dict:
     if "context" not in shared:
         shared["context"] = _build_context(doc)
     _, _, action, module = shared["context"]
-    if task in ("clifford", "oracle_compare"):
-        rep = _clifford_report(shared)
-        if isinstance(rep, Exception):
-            out["pass"] = False
-            out["details"] = {"error": str(rep)}
-            return out
     if task == "clifford":
-        out["pass"] = bool(
-            rep.sum_n_equals_inertia and all(s.local for s in rep.stage2)
-        )
-        det = rep.to_dict()
-        det["oracle"] = None  # the comparison is the oracle_compare task's result
-        det["orbit End dimension"] = rep.orbit_end_dim
-        det["summands"] = sum(s.multiplicity for s in rep.stage1)
-        det["certificates"] = [
-            f"summand {s.index}: local: {s.local} "
-            f"(radical dim {s.corner_radical_dim} of corner dim {s.corner_dim})"
-            for s in rep.stage2
-        ]
-        det["sum_check"] = (
-            f"sum of n_j weighted by multiplicity = "
-            f"{sum(s.n_copies * s.multiplicity for s in rep.stage1)} "
-            f"= |inertia| = {len(rep.inertia_subgroup)}"
-        )
-        out["details"] = det
-        return out
+        return _outcome(out, lambda: _clifford_details(_clifford_report(shared)),
+                        lambda d: d["sum_n_equals_inertia"] and all(s["local"] for s in d["stage2"]))
     if task == "oracle_compare":
-        try:
-            ctx = SkewContext(action)
-            cmp_out = oracle_compare(rep, ctx, module)
-        except (CliffordViolation, ValueError) as ex:
-            out["pass"] = False
-            out["details"] = {"error": str(ex)}
-            return out
-        out["pass"] = bool(cmp_out["match"])
-        out["details"] = cmp_out
-        return out
+        return _outcome(out, lambda: oracle_compare(_clifford_report(shared),
+                                                    SkewContext(action), module),
+                        lambda d: d["match"])
     if task == "trivial_inertia":
-        try:
-            res = trivial_inertia_check(action, module)
-            out["pass"] = bool(res["ok"])
-            out["details"] = res
-        except (CliffordViolation, ValueError) as ex:
-            out["pass"] = False
-            out["details"] = {"error": str(ex)}
-        return out
+        return _outcome(out, lambda: trivial_inertia_check(action, module), lambda d: d["ok"])
     if task == "skewfield":
-        try:
-            res = skewfield_check(action, module)
-            out["pass"] = bool(res["ok"])
-            out["details"] = res
-        except (CliffordViolation, ValueError) as ex:
-            out["pass"] = False
-            out["details"] = {"error": str(ex)}
-        return out
+        return _outcome(out, lambda: skewfield_check(action, module), lambda d: d["ok"])
     raise ScenarioError(f"unknown task {task!r}")
 
 

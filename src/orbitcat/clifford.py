@@ -13,7 +13,7 @@ ranks of explicit witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -69,16 +69,15 @@ class InertiaData:
 def inertia(M: Module, action: GroupAction) -> InertiaData:
     """The subgroup of elements fixing the isomorphism class of M.
 
-    M must be indecomposable: End(M) is solved once and
-    primitive_orthogonal_idempotents must find exactly one idempotent, the
-    test decompose(M) makes, without building the summand.  Hom(M, gM) is
+    M must be indecomposable: End(M) is solved once and must be local,
+    that is, have exactly one primitive idempotent.  Hom(M, gM) is
     solved once per distinct twist gM, End(M) included (a strict action has
     aut_0 = id, so twist(M, 0) is M).  Hom(gM, M) and Hom(M, g^-1 M) are
     the same matrices, so the witness for g is the first invertible element
     of raw component g^-1, the one is_isomorphic(twist(M, g), M) returns:
     End(M) is local, so the scan is conclusive."""
     E, basis = end_algebra(M)
-    if len(primitive_orthogonal_idempotents(E)) != 1:
+    if not is_local(E):
         raise ValueError("decompose first: the module is not indecomposable")
     return _inertia_of(M, action, basis)
 
@@ -132,7 +131,6 @@ class CliffordReport:
     stage2: List[StageTwoSummand]
     sum_n_equals_inertia: bool
     outside_checks: List[dict]
-    oracle: Optional[dict] = None
     module: Optional[Module] = None  # the pipeline input, for oracle reruns
 
     def signature(self):
@@ -149,29 +147,11 @@ class CliffordReport:
             "inertia_subgroup": list(self.inertia_subgroup),
             "orbit_end_dim": self.orbit_end_dim,
             "summands": sum(s.multiplicity for s in self.stage1),
-            "stage1": [
-                {
-                    "index": s.index,
-                    "multiplicity": s.multiplicity,
-                    "n_copies": s.n_copies,
-                    "corner_dim": s.corner_dim,
-                    "restricted_dim": s.restricted_dim,
-                }
-                for s in self.stage1
-            ],
-            "stage2": [
-                {
-                    "index": s.index,
-                    "corner_dim": s.corner_dim,
-                    "corner_radical_dim": s.corner_radical_dim,
-                    "local": s.local,
-                    "materialized_dim": s.materialized_dim,
-                }
-                for s in self.stage2
-            ],
+            "stage1": [asdict(s) for s in self.stage1],
+            "stage2": [asdict(s) for s in self.stage2],
             "sum_n_equals_inertia": self.sum_n_equals_inertia,
             "outside_checks": self.outside_checks,
-            "oracle": self.oracle,
+            "oracle": None,  # the comparison is the oracle_compare task's result
         }
 
 

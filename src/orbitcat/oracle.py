@@ -128,21 +128,14 @@ def oracle_compare(report: CliffordReport, ctx: SkewContext,
     if M is None:
         raise ValueError("the report does not carry its module; pass it explicitly")
     ind = induce_skew(ctx, M)
-    dec = decompose(ind, certify=False)
-    classical = {}
-    for s in dec.summands:
-        classical[s.module.dim] = classical.get(s.module.dim, 0) + s.multiplicity
-    classical_sig = sorted(classical.items())
+    classical_sig = decompose(ind, certify=False).signature()
     orbit_sig = report.signature()
-    match = classical_sig == orbit_sig
-    block = {
+    return {
         "status": "compared",
         "classical_signature": classical_sig,
         "orbit_signature": orbit_sig,
-        "match": match,
+        "match": classical_sig == orbit_sig,
     }
-    report.oracle = block
-    return block
 
 
 # ---------------------------------------------------------------------------

@@ -240,11 +240,6 @@ class OrbitMor:
                 )
         return self
 
-    def component(self, g: int) -> np.ndarray:
-        if g in self.support:
-            return self.stack[self.support.index(g)]
-        return np.zeros((self.tgt.dim, self.src.dim), dtype=np.int64)
-
     def flatten(self) -> np.ndarray:
         """Fixed layout: support order, each component row-major; a family
         keeps its batch axes."""

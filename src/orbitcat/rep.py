@@ -34,6 +34,7 @@ from .algebra import (
     AlgebraAut,
     CertificationError,
     algebra_on_span,
+    is_local,
     primitive_orthogonal_idempotents,
 )
 from .linalg import (
@@ -381,7 +382,7 @@ def is_isomorphic(M: Module, N: Module) -> Optional[np.ndarray]:
     F = M.field
     H = hom_space(M, N)
     iso = next((f for f in H.basis if is_invertible(F, f)), None)
-    if iso is None and H.basis and len(primitive_orthogonal_idempotents(end_algebra(M)[0])) != 1:
+    if iso is None and H.basis and not is_local(end_algebra(M)[0]):
         raise ValueError("no invertible element in the hom basis of a decomposable module; "
                          "compare its summands class by class")
     return iso

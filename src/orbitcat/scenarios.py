@@ -21,7 +21,7 @@ from .algebra import (
     radical,
 )
 from .ffield import FF, FiniteField
-from .linalg import inverse
+from .linalg import inverse, rref
 from .oracle import frobenius_action
 from .orbit import GroupAction, OrbitMor, combine_orbitmors, make_skew_group_algebra
 from .rep import (
@@ -33,7 +33,6 @@ from .rep import (
     random_base_change,
     regular_module,
     simple_modules,
-    submodule_span,
 )
 
 GROUP_TABLES: Dict[str, list] = {
@@ -302,30 +301,22 @@ def indecomposable_pool(A: Algebra) -> List[Module]:
 
     for S in simple_modules(A):
         add(S)
-    reg = regular_module(A)
-    dec = decompose(reg, certify=False)
     J = radical(A)
-    for s in dec.summands:
+    for s in decompose(regular_module(A), certify=False).summands:
         P = s.module
         add(P)
-        if len(J):
-            # radical filtration quotients of the projective summand
-            rows = []
-            for jv in J:
-                img = P.act(jv)
-                rows.extend(img.T)  # columns of the radical action span J*P
-            rad = submodule_span(P, np.array(rows)) if rows else []
-            current = rad
-            while len(current):
-                add(quotient_module(P, current))
-                # deepen the filtration: J * current
-                prods = []
-                for jv in J:
-                    mat = P.act(jv)
-                    prods.extend(A.field.vmatmul(np.array(current), mat.T))
-                current = (
-                    submodule_span(P, np.array(prods)) if prods else np.zeros((0, P.dim))
-                )
+        if not len(J):
+            continue
+        # the quotients by the radical layers J^{i+1} P = J (J^i P), from
+        # J^0 P = P: the rows of X rho(j)^T span J X, a submodule whenever
+        # X is, so one rref gives its echelon basis
+        rho_t = P.act(J).transpose(0, 2, 1)
+        layer = A.field.eye(P.dim)
+        while True:
+            layer = rref(A.field, A.field.vmatmul(layer, rho_t).reshape(-1, P.dim))[0]
+            if not len(layer):
+                break
+            add(quotient_module(P, layer))
     pool.sort(key=lambda m: (m.dim, tuple(x.tobytes() for x in m.mats)))
     return pool
 

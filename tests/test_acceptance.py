@@ -108,20 +108,23 @@ def test_adjunction_laws_catch_a_wrong_orbit_hom(monkeypatch):
     assert "'hom-formula'" in r.details
 
 
-def test_adjunction_laws_solve_each_twisted_pool_hom_once(monkeypatch):
-    """The hom-formula loop asks orbit_hom only for components whose pair
-    (P, gQ) that call has not solved, so no pair is asked for twice."""
-    real = checks.orbit_hom
-    asked = []
+def test_laws_and_factorization_build_each_algebra_pool_once(monkeypatch):
+    """check_adjunction_laws builds one indecomposable pool per corpus
+    algebra (five: Mat2/F5 carries three actions), and
+    check_subgroup_factorization one for its two actions on Mat2/F5."""
+    real = checks.indecomposable_pool
+    built = []
 
-    def recording(X, Y, action, support=None):
-        if support is not None:
-            asked.extend((X, action.twisted(Y, g)) for g in support)
-        return real(X, Y, action, support)
+    def counting(A):
+        built.append(A)
+        return real(A)
 
-    monkeypatch.setattr(checks, "orbit_hom", recording)
+    monkeypatch.setattr(checks, "indecomposable_pool", counting)
     assert checks.check_adjunction_laws(seed=0, min_samples=7).passed
-    assert asked and len(set(asked)) == len(asked)
+    assert len(built) == 5 and len({id(A) for A in built}) == 5
+    built.clear()
+    assert checks.check_subgroup_factorization(seed=0).passed
+    assert len(built) == 1
 
 
 def test_acceptance_6_subgroup_factorization():

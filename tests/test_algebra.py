@@ -127,6 +127,63 @@ def test_path_algebra_infinite_detected():
     assert len(radical(A)) == 1
 
 
+def _struct_by_relation_scan(arrows, relations, labels):
+    """Path algebra structure constants by scanning each concatenated walk
+    for a relation, on the basis that ``labels`` names."""
+    paths = []
+    for lab in labels:
+        if lab.startswith("e"):
+            paths.append((int(lab[1:]), (), int(lab[1:])))
+        else:
+            word = tuple(int(a[1:]) for a in lab.split("*"))
+            paths.append((arrows[word[0]][0], word, arrows[word[-1]][1]))
+    index = {(s, w): i for i, (s, w, _) in enumerate(paths)}
+    d = len(paths)
+    struct = np.zeros((d, d, d), dtype=np.int64)
+    for i, (ps, pw, _) in enumerate(paths):
+        for j, (qs, qw, qe) in enumerate(paths):
+            word = qw + pw
+            if ps == qe and not any(word[k:k + len(r)] == r
+                                    for k in range(len(word)) for r in relations):
+                struct[i, j, index[(qs, word)]] = 1
+    return struct
+
+
+def _random_walk(arrows, rng, length):
+    """A composable arrow word of at most ``length`` arrows, or ()."""
+    word = [int(rng.integers(len(arrows)))]
+    while len(word) < length:
+        nxt = [a for a, (s, _) in enumerate(arrows) if s == arrows[word[-1]][1]]
+        if not nxt:
+            break
+        word.append(nxt[int(rng.integers(len(nxt)))])
+    return tuple(word)
+
+
+def test_path_algebra_matches_relation_scan_on_random_quivers():
+    """On seeded random quivers with monomial relations, a product is
+    nonzero exactly when the concatenated walk is a basis walk: the
+    structure constants are those of the relation scan, and a quiver
+    whose basis is infinite raises."""
+    rng = np.random.default_rng(2029)
+    finite = 0
+    for _ in range(150):
+        n = int(rng.integers(1, 4))
+        arrows = [tuple(int(v) for v in rng.integers(0, n, size=2))
+                  for _ in range(int(rng.integers(0, 5)))]
+        relations = ([_random_walk(arrows, rng, int(rng.integers(1, 4)))
+                      for _ in range(int(rng.integers(0, 4)))] if arrows else [])
+        try:
+            A = make_path_algebra(FF(3), n, arrows, relations)
+        except ValueError as ex:
+            assert "infinite path basis" in str(ex)
+            continue
+        finite += 1
+        expected = _struct_by_relation_scan(arrows, relations, A.labels)
+        assert A.struct.tobytes() == expected.tobytes(), (n, arrows, relations)
+    assert finite >= 40
+
+
 def test_radical_f7c3_semisimple():
     A = make_group_algebra(cyclic_table(3), FF(7))
     assert len(radical(A)) == 0

@@ -28,12 +28,14 @@ from orbitcat.rep import (
     is_isomorphic,
     random_base_change,
     regular_module,
+    quotient_module,
     simple_modules,
     submodule_from_image,
+    submodule_span,
     twist,
     zero_module,
 )
-from orbitcat.scenarios import group_table, indecomposable_pool
+from orbitcat.scenarios import corpus_pairs, group_table, indecomposable_pool
 
 
 def cyclic_table(k):
@@ -370,6 +372,50 @@ POOLS = {name: (A, indecomposable_pool(A)) for name, A in {
     "Mat2/F4": make_matrix_algebra(2, FF(2, 2)),
     "Kronecker/F5": make_path_algebra(FF(5), 2, [(0, 1), (0, 1)]),
 }.items()}
+
+
+def _pool_by_submodule_span(A):
+    """indecomposable_pool(A) with each radical layer J^{i+1} P closed by
+    submodule_span from the columns of J acting on J^i P."""
+    pool = []
+
+    def add(M):
+        if M.dim and not any(P.dim == M.dim and is_isomorphic(M, P) is not None for P in pool):
+            pool.append(M)
+
+    for S in simple_modules(A):
+        add(S)
+    J = radical(A)
+    for s in decompose(regular_module(A), certify=False).summands:
+        P = s.module
+        add(P)
+        if len(J):
+            current = submodule_span(P, np.array([c for jv in J for c in P.act(jv).T]))
+            while len(current):
+                add(quotient_module(P, current))
+                prods = [r for jv in J for r in A.field.vmatmul(current, P.act(jv).T)]
+                current = submodule_span(P, np.array(prods))
+    pool.sort(key=lambda m: (m.dim, tuple(x.tobytes() for x in m.mats)))
+    return pool
+
+
+# the corpus algebras by their first pair's name: Mat2/F5 carries three actions
+CORPUS_ALGEBRAS = {}
+for _name, _A, _ in corpus_pairs():
+    if all(A is not _A for A in CORPUS_ALGEBRAS.values()):
+        CORPUS_ALGEBRAS["corpus " + _name] = _A
+
+
+@pytest.mark.parametrize("name", sorted(POOLS) + sorted(CORPUS_ALGEBRAS))
+def test_indecomposable_pool_matches_submodule_span_layers(name):
+    """Each radical layer taken as one rref of J times the last layer gives
+    the pool, byte for byte, that closing it with submodule_span gives."""
+    A = POOLS[name][0] if name in POOLS else CORPUS_ALGEBRAS[name]
+    got, expected = indecomposable_pool(A), _pool_by_submodule_span(A)
+    assert [M.dim for M in got] == [M.dim for M in expected]
+    for M, N in zip(got, expected):
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                   for a, b in zip(M.mats, N.mats))
 
 
 def _pool_sum(pool, basis, rng):
