@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List
 
 import numpy as np
@@ -199,6 +200,28 @@ class Algebra:
 
     def is_commutative(self) -> bool:
         return bool(np.array_equal(self.struct, self.struct.transpose(1, 0, 2)))
+
+    @cached_property
+    def unit_pieces(self) -> tuple:
+        """The basis elements in the unit's support, as indices, when the
+        unit is their sum and struct shows them pairwise orthogonal
+        idempotents (b_v b_w = b_v if v = w, else 0); () otherwise, and
+        when the unit is one basis element.  Path algebras give their
+        vertices, matrix algebras the e_ii.
+
+        Every module M is then the direct sum of the images of the actions
+        of the b_v, and every module map carries the image of b_v into the
+        image of b_v (Assem-Simson-Skowronski, *Elements of the
+        Representation Theory of Associative Algebras 1*, sec. III.1)."""
+        support = np.flatnonzero(self.unit)
+        s = len(support)
+        if s < 2 or np.any(self.unit[support] != 1):
+            return ()
+        want = np.zeros((s, s, self.dim), dtype=np.int64)
+        want[np.arange(s), np.arange(s), support] = 1
+        if not np.array_equal(self.struct[np.ix_(support, support)], want):
+            return ()
+        return tuple(int(v) for v in support)
 
     def __eq__(self, other):
         if self is other:

@@ -161,9 +161,9 @@ def check_f7c3_clifford(seed=0) -> CheckResult:
     chi = _character(A, F, 2)
     triv = _character(A, F, 1)
     rep_chi = clifford_run(action, chi)
-    cmp_chi = oracle_compare(rep_chi, ctx, chi)
+    cmp_chi = oracle_compare(rep_chi, ctx)
     rep_triv = clifford_run(action, triv)
-    cmp_triv = oracle_compare(rep_triv, ctx, triv)
+    cmp_triv = oracle_compare(rep_triv, ctx)
     conds = [
         rep_chi.inertia_subgroup == (0,),
         # under trivial inertia the stage-2 corner is End((chi, id)) over the
@@ -203,7 +203,7 @@ def check_f3c3_modular(seed=0) -> CheckResult:
     oks = []
     for M in mods:
         rep = clifford_run(action, M)
-        cmp_out = oracle_compare(rep, ctx, M)
+        cmp_out = oracle_compare(rep, ctx)
         oks.append(
             rep.sum_n_equals_inertia
             and all(s.local for s in rep.stage2)

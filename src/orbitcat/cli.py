@@ -171,8 +171,7 @@ def run_task(task: str, doc: dict, seed: int, shared: dict) -> dict:
         return _outcome(out, lambda: _clifford_details(_clifford_report(shared)),
                         lambda d: d["sum_n_equals_inertia"] and all(s["local"] for s in d["stage2"]))
     if task == "oracle_compare":
-        return _outcome(out, lambda: oracle_compare(_clifford_report(shared),
-                                                    SkewContext(action), module),
+        return _outcome(out, lambda: oracle_compare(_clifford_report(shared), SkewContext(action)),
                         lambda d: d["match"])
     if task == "trivial_inertia":
         return _outcome(out, lambda: trivial_inertia_check(action, module), lambda d: d["ok"])

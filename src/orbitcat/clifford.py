@@ -14,7 +14,7 @@ ranks of explicit witnesses.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -131,7 +131,7 @@ class CliffordReport:
     stage2: List[StageTwoSummand]
     sum_n_equals_inertia: bool
     outside_checks: List[dict]
-    module: Optional[Module] = None  # the pipeline input, for oracle reruns
+    module: Module  # the pipeline input, for oracle reruns
 
     def signature(self):
         """Dimension-aggregated multiset of stage-2 materialized summands."""

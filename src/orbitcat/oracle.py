@@ -23,7 +23,7 @@ module alone knows the power-basis layout of a tower (SubfieldMap).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -113,21 +113,17 @@ def counit_split_test(ctx: SkewContext, X: Module) -> bool:
     return solve(F, comps.reshape(len(H), -1).T, F.eye(n).reshape(-1)) is not None
 
 
-def oracle_compare(report: CliffordReport, ctx: SkewContext,
-                   M: Optional[Module] = None) -> dict:
+def oracle_compare(report: CliffordReport, ctx: SkewContext) -> dict:
     """Compare the pipeline's stage-2 signature with the classical
-    decomposition of the induced module over the skew algebra.
+    decomposition of the skew algebra's module induced from the
+    pipeline's input, report.module.
 
     The comparison functor from the orbit category to A x| Gamma-modules
     is fully faithful in every characteristic (Res Ind = T), so the two
     signatures agree whether or not the counit splits.  A mismatch is
     reported, never raised: it would falsify the claimed equivalence, so
     it belongs in the result."""
-    if M is None:
-        M = report.module
-    if M is None:
-        raise ValueError("the report does not carry its module; pass it explicitly")
-    ind = induce_skew(ctx, M)
+    ind = induce_skew(ctx, report.module)
     classical_sig = decompose(ind, certify=False).signature()
     orbit_sig = report.signature()
     return {

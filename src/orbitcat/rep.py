@@ -6,7 +6,11 @@ over the algebra's generators only (``Algebra.generators``): a linear map
 that commutes with rho(g) for each generator g commutes with rho of every
 word in them, and the words span the algebra.  Hom spaces are kernels of
 that intertwining system, one Kronecker block per generator (for Mat6 that
-is 10 blocks instead of 36).  A large system is split first: coordinate
+is 10 blocks instead of 36).  When the algebra's unit is a sum of
+orthogonal idempotent basis elements (its unit pieces), a module map
+carries each piece's image into itself in every basis, so both modules
+are put into the basis of those images and only the unknowns inside one
+piece are solved for.  A large system is split too: coordinate
 blocks that every generator maps into themselves are submodules, and
 Hom((+)_I M_I, (+)_J N_J) = (+)_{I, J} Hom(M_I, N_J), so one small system is
 solved per pair of blocks; the reduced echelon basis of the sum is the one
@@ -52,8 +56,19 @@ from .linalg import (
 # thread): 81 unknowns in 3 x 3 blocks 1.3-1.8 ms against 1.8-2.3 ms; 256 in
 # 4 x 4 blocks (regular Mat4/F3, Mat4/F16) 5.8 and 7.4 ms against 4.7 and
 # 7.5 ms; 625 in 5 x 5 blocks 22 ms against 10 ms; 1296 in 6 x 6 blocks
-# (regular Mat6/F3) 120 ms against 21 ms
+# (regular Mat6/F3) 120 ms against 21 ms.  Re-measured on the adapted
+# systems of the unit pieces (below): 81 unknowns 0.92-1.40 ms whole against
+# 1.28-1.47 ms split
 _SPLIT_GATE = 256
+
+# hom systems with at least this many unknowns are solved over the unit
+# pieces when the algebra has them (Algebra.unit_pieces).  Per call, whole
+# system against pieces, over the hom_space calls of the engine and orbit
+# benchmark workloads (2-core x86_64, one BLAS thread, median of 7 rounds):
+# 16 unknowns 0.37-0.43 ms against 0.38-0.39 ms; 24 0.65 against 0.58-0.63
+# ms; 25 0.45-0.67 against 0.40-0.59 ms; 36 1.0-1.2 against 0.67-0.77 ms;
+# 144 3.3-25 against 2.3-3.1 ms
+_PIECE_GATE = 25
 
 
 class Module:
@@ -262,19 +277,57 @@ def _coordinate_blocks(G) -> List[np.ndarray]:
     return [np.flatnonzero(reach[a]) for a in heads]
 
 
+def _piece_basis(M: Module, pieces, role: str):
+    """(T, T^-1, labels): the basis of M adapted to the algebra's unit
+    pieces.  The columns of T are the rows of rref(P_v^T), P_v = M.mats[v],
+    piece after piece; T^-1 stacks the rows P_v[pivots] in the same order,
+    and labels[a] is the piece of column a.  Raises ValueError, naming M,
+    unless T^-1 T = I."""
+    F = M.field
+    cols, rows, labels = [], [], []
+    for i, v in enumerate(pieces):
+        P = M.mats[v]
+        B, piv = rref(F, P.T)
+        cols.append(B)
+        rows.append(P[piv])
+        labels += [i] * len(piv)
+    T, Ti = np.concatenate(cols).T, np.concatenate(rows)
+    if Ti.shape != (M.dim, M.dim) or not np.array_equal(F.vmatmul(Ti, T), F.eye(M.dim)):
+        raise ValueError(f"the unit pieces of the {role} module {M!r} do not act as "
+                         "complementary projections")
+    return T, Ti, np.array(labels)
+
+
 def hom_space(M: Module, N: Module) -> HomSpace:
     """Solution space of f rho_M(g) = rho_N(g) f over the generators g,
     echelonized.
+
+    From _PIECE_GATE unknowns on, when the algebra has unit pieces b_v
+    (Algebra.unit_pieces), M and N are first put into their pieces' basis
+    (_piece_basis) and only the unknowns f'[a, b] with a and b in the same
+    piece are solved for; then f = T_N f' T_M^-1.  The basis is unchanged:
+    - T^-1 T = I proves the P_v complementary projections.  For every
+      matrix P_v, P_v = T_v T^-1_v, with T_v the columns and T^-1_v the
+      rows of piece v: the rows of rref(P_v^T) span the columns of P_v and
+      are the identity at the pivots.  So P_v P_w = T_v (T^-1_v T_w) T^-1_w
+      is P_v when v = w and 0 otherwise, and sum_v P_v = T T^-1 = I.
+    - f is in Hom(M, N) iff f' = T_N^-1 f T_M solves the system of the
+      adapted generators T^-1 rho(g) T.  Such f commutes with rho(b_v), so
+      f T_{M,v} = P_{N,v} f T_{M,v} and block (w, v) of f' is
+      T^-1_{N,w} P_{N,v} f T_{M,v} = 0 for w != v.  The restricted system
+      keeps every generator equation and only drops unknowns that are zero
+      on Hom, so it admits exactly the f' of Hom(M, N).
+    - A subspace has one reduced echelon form.
 
     A coordinate block that every generator maps into itself spans a
     submodule (generator words span the algebra), so M = (+)_I M_I and
     N = (+)_J N_J over the blocks of _coordinate_blocks, and
     Hom(M, N) = (+)_{I, J} Hom(M_I, N_J): f solves the system exactly when
     each block f[J, I] solves the system of its pair.  Above _SPLIT_GATE
-    unknowns one small system is solved per pair and each kernel vector is
-    placed at its (J, I) positions.  The stacked vectors span the same
-    subspace as the kernel of the whole system, and a subspace has one
-    reduced echelon form, so the basis is the same either way."""
+    unknowns one small system is solved per pair, on the adapted generators
+    when the pieces apply, and each kernel vector is placed at its (J, I)
+    positions.  The stacked vectors span the same subspace as the kernel of
+    the whole system, so again the basis is the same either way."""
     if M.algebra is not N.algebra and M.algebra != N.algebra:
         raise ValueError("modules over different algebras")
     F = M.field
@@ -282,26 +335,41 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     if m == 0 or n == 0:
         return HomSpace(M, N, [])
     GM, GN = M.gen_mats(), N.gen_mats()
+    pieces = M.algebra.unit_pieces if m * n >= _PIECE_GATE else ()
+    if pieces:
+        TM, TMi, lm = _piece_basis(M, pieces, "source")
+        TN, TNi, ln = (TM, TMi, lm) if N is M else _piece_basis(N, pieces, "target")
+        GM = F.vmatmul(TMi, F.vmatmul(GM, TM))
+        GN = GM if N is M else F.vmatmul(TNi, F.vmatmul(GN, TN))
     src, tgt = [np.arange(m)], [np.arange(n)]
     if m * n >= _SPLIT_GATE:
         src = _coordinate_blocks(GM)
         tgt = src if N is M else _coordinate_blocks(GN)
-    if len(src) == len(tgt) == 1:
-        vecs = kernel_basis(F, hom_system(F, GM, GN))
+    if not pieces and len(src) == len(tgt) == 1:
+        vecs = np.reshape(kernel_basis(F, hom_system(F, GM, GN)), (-1, n, m))
     else:
-        vecs = []
+        vecs = [np.zeros((0, n, m), dtype=np.int64)]
         for J in tgt:
             for I in src:
-                for k in kernel_basis(F, hom_system(F, GM[:, I[:, None], I],
-                                                    GN[:, J[:, None], J])):
-                    f = np.zeros((n, m), dtype=np.int64)
-                    f[J[:, None], I] = k.reshape(len(J), len(I))
-                    vecs.append(f.reshape(-1))
-    if vecs:
+                # the unknowns of the pair that may be nonzero: every one, or
+                # those whose two coordinates lie in the same piece
+                live = (ln[J][:, None] == lm[I]).reshape(-1) if pieces else slice(None)
+                system = hom_system(F, GM[:, I[:, None], I], GN[:, J[:, None], J])
+                ks = kernel_basis(F, system[:, live])
+                if ks:
+                    block = np.zeros((len(ks), len(J) * len(I)), dtype=np.int64)
+                    block[:, live] = ks
+                    f = np.zeros((len(ks), n, m), dtype=np.int64)
+                    f[:, J[:, None], I] = block.reshape(-1, len(J), len(I))
+                    vecs.append(f)
+        vecs = np.concatenate(vecs)
+        if pieces and len(vecs):
+            vecs = F.vmatmul(TN, F.vmatmul(vecs, TMi))
+    if len(vecs):
         # canonical form: the flattened basis stack is in reduced echelon form,
         # so coordinate solvers built on it are consistent with this basis
-        vecs = list(rref(F, np.stack(vecs))[0])
-    basis = [v.reshape(n, m) for v in vecs]
+        vecs = rref(F, vecs.reshape(len(vecs), n * m))[0]
+    basis = list(vecs.reshape(-1, n, m))
     return HomSpace(M, N, basis)
 
 
@@ -477,9 +545,13 @@ def simple_modules(M_algebra: Algebra) -> List[Module]:
 
 
 def submodule_span(M: Module, vectors) -> np.ndarray:
-    """Echelon basis of the submodule generated by the given vectors."""
+    """Echelon basis of the submodule generated by the given vectors.
+
+    The span grows by the generators' images until one step adds nothing:
+    the input is echelonized first, so its rank, not its number of rows,
+    is what a step is compared with."""
     F = M.field
-    rows = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
+    rows, _ = rref(F, np.atleast_2d(np.asarray(vectors, dtype=np.int64)))
     gens = M.gen_mats()
     while True:
         images = [rows]

@@ -672,3 +672,65 @@ def test_algebra_on_span_rejects_spans_that_are_not_closed():
     with pytest.raises(ValueError, match="echelon"):
         algebra_on_span(F, 2 * e00[None], A.span_products(e00[None], e00[None]), e00)
 
+
+def test_unit_pieces_of_each_builder():
+    """Path algebras give their vertices, matrix algebras the e_ii and skew
+    group algebras over either the e_v (x) 1.  The unit of a group algebra,
+    of a field extension and of a quotient of a group algebra is one basis
+    element, and a local algebra (a corner at a primitive idempotent, the
+    End of an indecomposable) has no two orthogonal idempotents: none."""
+    from orbitcat.rep import end_algebra, random_base_change, regular_module
+    from orbitcat.scenarios import build_action
+
+    F5 = FF(5)
+    K = make_path_algebra(F5, 2, [(0, 1), (0, 1)])
+    chain = make_path_algebra(FF(3), 4, [(0, 1), (1, 2), (2, 3)], relations=[[0, 1]])
+    A = make_matrix_algebra(3, F5)
+    assert K.unit_pieces == (0, 1)
+    assert chain.unit_pieces == (0, 1, 2, 3)
+    assert A.unit_pieces == (0, 4, 8)
+    assert make_matrix_algebra(1, F5).unit_pieces == ()
+    swap = build_action(make_matrix_algebra(2, F5),
+                        {"group": "C2", "kind": "conjugation", "matrix": [[0, 1], [1, 0]]})
+    arrows = build_action(K, {"group": "C2", "kind": "basis_permutation", "perm": [0, 1, 3, 2]})
+    assert make_skew_group_algebra(swap).unit_pieces == (0, 3)
+    assert make_skew_group_algebra(arrows).unit_pieces == (0, 1)
+
+    G = make_group_algebra(cyclic_table(3), FF(3))
+    galois = frobenius_action(3, 2, cyclic_table(2), {0: 0, 1: 1})
+    assert G.unit_pieces == ()
+    assert galois.algebra.unit_pieces == ()
+    assert make_skew_group_algebra(galois).unit_pieces == ()
+    assert quotient_algebra(G, radical(G))[0].unit_pieces == ()
+    assert corner_algebra(A, A.field.eye(9)[0])[0].unit_pieces == ()
+    assert end_algebra(regular_module(G))[0].unit_pieces == ()
+    column = random_base_change(regular_module(A), np.random.default_rng(0))
+    E, _ = end_algebra(column)
+    e = next(iter(primitive_orthogonal_idempotents(E)))
+    assert corner_algebra(E, e)[0].unit_pieces == ()
+    # the invariant reads struct alone: an algebra on a span that keeps the
+    # pieces as basis elements has them too
+    assert quotient_algebra(K, radical(K))[0].unit_pieces == (0, 1)
+    assert corner_algebra(K, K.unit)[0].unit_pieces == (0, 1)
+    assert end_algebra(regular_module(make_matrix_algebra(2, F5)))[0].unit_pieces == (0, 3)
+
+
+def test_unit_pieces_need_orthogonal_idempotents_summing_to_the_unit():
+    F = FF(5)
+    # F5 x F5 on the basis (e, f) of its two orthogonal idempotents
+    struct = np.zeros((2, 2, 2), dtype=np.int64)
+    struct[0, 0, 0] = struct[1, 1, 1] = 1
+    assert Algebra(F, struct, [1, 1]).unit_pieces == (0, 1)
+    # on the basis (1, e): e^2 = e, and the unit is one basis element
+    struct = np.zeros((2, 2, 2), dtype=np.int64)
+    struct[0, 0, 0] = struct[0, 1, 1] = struct[1, 0, 1] = struct[1, 1, 1] = 1
+    assert Algebra(F, struct, [1, 0]).unit_pieces == ()
+    # F5[x]/(x^2) on the basis (1 - x, x): the unit is their sum, but x^2 = 0
+    struct = np.zeros((2, 2, 2), dtype=np.int64)
+    struct[0, 0] = [1, 4]
+    struct[0, 1] = struct[1, 0] = [0, 1]
+    assert Algebra(F, struct, [1, 1]).unit_pieces == ()
+    # F5 x F5 on the basis (2 e, 3 f): the unit 3 (2 e) + 2 (3 f)
+    struct = np.zeros((2, 2, 2), dtype=np.int64)
+    struct[0, 0, 0], struct[1, 1, 1] = 2, 3
+    assert Algebra(F, struct, [3, 2]).unit_pieces == ()

@@ -198,13 +198,13 @@ def test_oracle_compare_f7(f7_ctx):
     F = FF(7)
     chi = character_module(f7_ctx.base, F, 2)
     rep = clifford_run(f7_ctx.action, chi)
-    out = oracle_compare(rep, f7_ctx, chi)
+    out = oracle_compare(rep, f7_ctx)
     assert out["status"] == "compared"
     assert out["match"]
     assert out["classical_signature"] == [(2, 1)]
     triv = character_module(f7_ctx.base, F, 1)
     rep = clifford_run(f7_ctx.action, triv)
-    out = oracle_compare(rep, f7_ctx, triv)
+    out = oracle_compare(rep, f7_ctx)
     assert out["match"] and out["classical_signature"] == [(1, 2)]
 
 
@@ -215,7 +215,7 @@ def test_oracle_compare_f3_modular_coprime_index():
     ctx = SkewContext(action)
     reg = regular_module(A)
     rep = clifford_run(action, reg)
-    out = oracle_compare(rep, ctx, reg)
+    out = oracle_compare(rep, ctx)
     assert out["status"] == "compared"
     assert out["match"]
     # the dim-1 and dim-2 indecomposables as well
@@ -225,7 +225,7 @@ def test_oracle_compare_f3_modular_coprime_index():
     triv = character_module(A, F, 1)
     for M in (triv, dim2):
         rep = clifford_run(action, M)
-        out = oracle_compare(rep, ctx, M)
+        out = oracle_compare(rep, ctx)
         assert out["match"], out
 
 
@@ -239,7 +239,7 @@ def test_oracle_compare_modular_group_order_is_compared():
     ctx = SkewContext(action)
     triv = Module(A, [np.eye(1, dtype=np.int64)])
     rep = clifford_run(action, triv)
-    out = oracle_compare(rep, ctx, triv)
+    out = oracle_compare(rep, ctx)
     assert out["status"] == "compared"
     assert out["match"] and out["classical_signature"] == [(2, 1)]
 

@@ -541,3 +541,95 @@ def test_decompose_makes_no_pairwise_hom_solve():
             mock.patch.object(rep, "is_isomorphic", side_effect=AssertionError):
         dec = decompose(M)
     assert spy.call_count == 1 and sum(s.multiplicity for s in dec.summands) >= 2
+
+
+def _mat2_swap_skew():
+    """The skew group algebra of Mat2/F5 under the C2 swap conjugation, with
+    its induction context."""
+    from orbitcat.oracle import SkewContext
+    from orbitcat.scenarios import build_action
+
+    A = make_matrix_algebra(2, FF(5))
+    ctx = SkewContext(build_action(A, {"group": "C2", "kind": "conjugation",
+                                       "matrix": [[0, 1], [1, 0]]}))
+    return ctx, regular_module(A)
+
+
+def _piece_cases():
+    """(name, module): dense base changes of regular modules over algebras
+    whose unit splits into pieces, and Ind M for the Mat2/F5 swap."""
+    from orbitcat.oracle import induce_skew
+
+    rng = np.random.default_rng(30)
+    algebras = {
+        "Mat3/F3": make_matrix_algebra(3, FF(3)),
+        "Mat3/F4": make_matrix_algebra(3, FF(2, 2)),
+        "Mat4/F3": make_matrix_algebra(4, FF(3)),
+        "Kronecker/F5": POOLS["Kronecker/F5"][0],
+        "A4 with a relation/F3": make_path_algebra(FF(3), 4, [(0, 1), (1, 2), (2, 3)],
+                                                   relations=[[0, 1]]),
+    }
+    cases = [(name, random_base_change(regular_module(A), rng)) for name, A in algebras.items()]
+    ctx, R = _mat2_swap_skew()
+    cases.append(("Ind Mat2/F5 swap", random_base_change(induce_skew(ctx, R), rng)))
+    return cases
+
+
+@pytest.mark.parametrize("name, M", _piece_cases(), ids=lambda x: x if isinstance(x, str) else "")
+@pytest.mark.parametrize("gate", ["default", 1])
+def test_hom_space_over_unit_pieces_matches_whole_system(name, M, gate):
+    """End(M), Hom(M, N) and Hom(N, M), solved over the unit pieces, are byte
+    for byte the whole system's basis; N is another dense module, M plus a
+    simple module.  Gate 1 takes every system over the pieces (the regular
+    Kronecker module has 16 unknowns only)."""
+    A = M.algebra
+    assert len(A.unit_pieces) > 1
+    S = simple_modules(A)[-1]
+    N = random_base_change(direct_sum([M, S])[0], np.random.default_rng(M.dim))
+    gate = rep._PIECE_GATE if gate == "default" else gate
+    with mock.patch.object(rep, "_PIECE_GATE", gate), \
+            mock.patch.object(rep, "_piece_basis", wraps=rep._piece_basis) as spy:
+        for X, Y in ((M, M), (M, N), (N, M)):
+            H = hom_space(X, Y)
+            got = np.asarray(H.basis, dtype=np.int64).reshape(len(H.basis), Y.dim * X.dim)
+            expected = _whole_system_basis(X, Y)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    if M.dim ** 2 >= gate:
+        assert spy.call_count == 5  # End(M) adapts M once
+
+
+def test_hom_space_rejects_piece_actions_that_are_not_projections():
+    """A module whose e_00 acts as 2 P, no projection over F5, raises and
+    names the module, as source and as target."""
+    R = regular_module(make_matrix_algebra(3, FF(5)))
+    mats = list(R.mats)
+    mats[0] = FF(5).vmul(2, mats[0])
+    bad = Module(R.algebra, mats, validate=False)
+    with pytest.raises(ValueError, match="source module Module"):
+        hom_space(bad, R)
+    with pytest.raises(ValueError, match="target module Module"):
+        hom_space(R, bad)
+
+
+def test_end_of_a_dense_regular_mat4_solves_over_the_pieces():
+    """End of a dense regular Mat4/F3 module hands kernel_basis systems of at
+    most sum_v m_v^2 = 4 * 4^2 = 64 unknowns, not 16^2 = 256."""
+    M = random_base_change(regular_module(make_matrix_algebra(4, FF(3))),
+                           np.random.default_rng(4))
+    with mock.patch.object(rep, "kernel_basis", wraps=rep.kernel_basis) as spy:
+        H = hom_space(M, M)
+    assert H.dim == 16
+    assert max(np.shape(c.args[1])[1] for c in spy.call_args_list) <= 64
+
+
+@pytest.mark.parametrize("vectors", [[[1, 0, 0, 0, 0, 0]], [[1, 0, 0, 0, 0, 0]] * 2,
+                                     [[1, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0]]])
+def test_submodule_span_closes_dependent_inputs(vectors):
+    """e0 generates the 3-dim projective P_0 of the path algebra 0 -> 1 -> 2
+    however often it is repeated."""
+    A = make_path_algebra(FF(5), 3, [(0, 1), (1, 2)])
+    R = regular_module(A)
+    assert A.labels[0] == "e0"
+    S = submodule_span(R, np.array(vectors))
+    assert len(S) == 3
+    assert rank(FF(5), np.concatenate([S] + [FF(5).vmatmul(S, g.T) for g in R.gen_mats()])) == 3
