@@ -75,15 +75,38 @@ def load_scenario(doc: dict) -> dict:
     return doc
 
 
-def _build_context(doc: dict):
+def _read_section(doc: dict, section: str, build):
+    """build(doc[section]); a parse error is a ScenarioError, which names the
+    section when it is not an object, lacks a key or has the wrong type."""
+    spec = doc[section]
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"scenario section {section!r} must be an object, "
+                            f"not {type(spec).__name__}")
     try:
-        field = build_field(doc["field"])
-        algebra = build_algebra(field, doc["algebra"])
-        action = build_action(algebra, doc["action"])
-        module = build_module(algebra, doc["module"])
-    except (ValueError, KeyError, IndexError, TypeError) as ex:
+        return build(spec)
+    except KeyError as ex:
+        raise ScenarioError(f"scenario section {section!r} has no key {ex.args[0]!r}") from ex
+    except TypeError as ex:
+        raise ScenarioError(f"scenario section {section!r}: {ex}") from ex
+    except (ValueError, IndexError) as ex:
         raise ScenarioError(str(ex)) from ex
+
+
+def _build_context(doc: dict):
+    field = _read_section(doc, "field", build_field)
+    algebra = _read_section(doc, "algebra", lambda spec: build_algebra(field, spec))
+    action = _read_section(doc, "action", lambda spec: build_action(algebra, spec))
+    module = _read_section(doc, "module", lambda spec: build_module(algebra, spec))
     return field, algebra, action, module
+
+
+def _galois_scenario(g: dict) -> GaloisScenario:
+    deg_m = _checked_int(g["deg_m"], "galois deg_m", 1)
+    table = group_table(g["group"], "galois group")
+    return GaloisScenario(
+        q=_checked_int(g["q"], "galois q", 2), deg_l=_checked_int(g["deg_l"], "galois deg_l", 1),
+        deg_m=deg_m, table=table, phi=_checked_ints(g["phi"], "galois phi", 0, deg_m, "deg_m"),
+        H=_checked_ints(g["H"], "galois H", 0, len(table), "the group order"))
 
 
 def _clifford_report(shared: dict):
@@ -134,21 +157,7 @@ def run_task(task: str, doc: dict, seed: int, shared: dict) -> dict:
     """Run one task; ``shared`` carries what the tasks of one scenario reuse."""
     out = {"task": task}
     if task == "galois":
-        g = doc["galois"]
-        try:
-            deg_m = _checked_int(g["deg_m"], "galois deg_m", 1)
-            table = group_table(g["group"], "galois group")
-            sc = GaloisScenario(
-                q=_checked_int(g["q"], "galois q", 2),
-                deg_l=_checked_int(g["deg_l"], "galois deg_l", 1),
-                deg_m=deg_m,
-                table=table,
-                phi=_checked_ints(g["phi"], "galois phi", 0, deg_m, "deg_m"),
-                H=_checked_ints(g["H"], "galois H", 0, len(table), "the group order"),
-            )
-        except (ValueError, KeyError, IndexError, TypeError) as ex:
-            raise ScenarioError(str(ex)) from ex
-        tower = galois_build(sc)
+        tower = galois_build(_read_section(doc, "galois", _galois_scenario))
         rank_out = galois_rank_check(tower)
         monad_out = galois_monad_group_check(tower)
         out["pass"] = bool(rank_out["ok"] and monad_out["ok"])

@@ -6,15 +6,16 @@ over the algebra's generators only (``Algebra.generators``): a linear map
 that commutes with rho(g) for each generator g commutes with rho of every
 word in them, and the words span the algebra.  Hom spaces are kernels of
 that intertwining system, one Kronecker block per generator (for Mat6 that
-is 10 blocks instead of 36).  When the algebra's unit is a sum of
-orthogonal idempotent basis elements (its unit pieces), a module map
-carries each piece's image into itself in every basis, so both modules
-are put into the basis of those images and only the unknowns inside one
-piece are solved for.  A large system is split too: coordinate
-blocks that every generator maps into themselves are submodules, and
-Hom((+)_I M_I, (+)_J N_J) = (+)_{I, J} Hom(M_I, N_J), so one small system is
-solved per pair of blocks; the reduced echelon basis of the sum is the one
-the whole system gives, because a subspace has one.  Endomorphism algebras
+is 10 blocks instead of 36), built on the unknowns that can be nonzero
+only.  When the algebra's unit is a sum of orthogonal idempotent basis
+elements (its unit pieces), a module map carries each piece's image into
+itself in every basis, so both modules are put into the basis of those
+images and only the unknowns inside one piece are kept.  From 256 unknowns
+the system is split too: coordinate blocks that every generator maps into
+themselves are submodules, and Hom((+)_I M_I, (+)_J N_J) =
+(+)_{I, J} Hom(M_I, N_J), so one small system is solved per pair of blocks.
+Either way the reduced echelon basis is the one the whole system gives,
+because a subspace has one.  Endomorphism algebras
 come with their matrix embedding, and Krull-Schmidt decomposition routes
 through the primitive orthogonal idempotents of the endomorphism algebra:
 each idempotent's image carries the restricted action, with explicit
@@ -50,24 +51,21 @@ from .linalg import (
     solve,
 )
 
-# hom systems with fewer unknowns (m n) than this are solved whole: below it
-# the fixed numpy cost of one system per block pair outweighs the smaller
-# eliminations.  Per call, whole against split (2-core x86_64, one BLAS
-# thread): 81 unknowns in 3 x 3 blocks 1.3-1.8 ms against 1.8-2.3 ms; 256 in
-# 4 x 4 blocks (regular Mat4/F3, Mat4/F16) 5.8 and 7.4 ms against 4.7 and
-# 7.5 ms; 625 in 5 x 5 blocks 22 ms against 10 ms; 1296 in 6 x 6 blocks
-# (regular Mat6/F3) 120 ms against 21 ms.  Re-measured on the adapted
-# systems of the unit pieces (below): 81 unknowns 0.92-1.40 ms whole against
-# 1.28-1.47 ms split
+# hom systems with at least this many unknowns (m n) are solved per pair of
+# coordinate blocks (_coordinate_blocks).  End(M) per call, one block against
+# split (2-core x86_64, one BLAS thread, best of 31 interleaved): 81 unknowns
+# in 3 x 3 blocks (F3C3 regular x 3) 1.34 against 2.00 ms; 256 in 4 x 4
+# blocks (F2 Klein regular x 4) 6.1 against 4.7 ms.  Over the unit pieces the
+# split costs time but halves the rref cells: the ladder's permuted regular
+# Mat6/F3 8.4 against 9.0 ms, at 132,192 against 56,592 cells
 _SPLIT_GATE = 256
 
 # hom systems with at least this many unknowns are solved over the unit
-# pieces when the algebra has them (Algebra.unit_pieces).  Per call, whole
-# system against pieces, over the hom_space calls of the engine and orbit
-# benchmark workloads (2-core x86_64, one BLAS thread, median of 7 rounds):
-# 16 unknowns 0.37-0.43 ms against 0.38-0.39 ms; 24 0.65 against 0.58-0.63
-# ms; 25 0.45-0.67 against 0.40-0.59 ms; 36 1.0-1.2 against 0.67-0.77 ms;
-# 144 3.3-25 against 2.3-3.1 ms
+# pieces when the algebra has them (Algebra.unit_pieces).  Per call, every
+# unknown against the pieces' only, median over the engine and orbit
+# workloads' hom_space calls (2-core x86_64, one BLAS thread, best of 11):
+# 12 unknowns 0.31 against 0.39 ms; 16 0.35 against 0.32; 24 0.58 against
+# 0.52; 25 0.56 against 0.49; 36 1.03 against 0.68; 144 18.2 against 2.6 ms
 _PIECE_GATE = 25
 
 
@@ -215,41 +213,41 @@ class Decomposition:
         return sorted(agg.items())
 
 
-def hom_system(F, GM, GN) -> np.ndarray:
-    """The linear system of N_g f - f M_g = 0 over the generators g, on
-    the row-major vec of the (n, m) matrix f: the rows of
-    (N_g (x) I_m) - (I_n (x) M_g^T) that are not zero by construction,
-    shape (rows, n m).  GM and GN are (g, m, m) and (g, n, n).
+def hom_system(F, GM, GN, lm, ln) -> np.ndarray:
+    """The linear system of N_g f - f M_g = 0 over the generators g, on the
+    kept unknowns f[c, b] of the (n, m) matrix f, those with ln[c] == lm[b],
+    in row-major order: the rows of (N_g (x) I_m) - (I_n (x) M_g^T) on the
+    kept columns that are not zero by construction, shape (rows, kept).  GM
+    and GN are (g, m, m) and (g, n, n); lm and ln label their coordinates.
 
     Row (a, b) of generator g holds N_g[a, c] at column (c, b) and
-    -M_g[e, b] at column (a, e); the two meet where c = a and e = b.  So
-    it is zero when row a of N_g and column b of M_g both are.  When every
-    row of every N_g is nonzero the system is the whole stack, in
-    generator order.  Otherwise it holds the rows (a, b) with N_g[a] != 0,
-    for every b, then the rows with N_g[a] = 0 and M_g[:, b] != 0, which
-    carry only -M_g[:, b].
-
-    Leaving rows out is exact: a zero row constrains nothing, so the
-    row space, and with it the reduced echelon form and every kernel
-    basis taken from it, is the same as for the full Kronecker stack."""
+    -M_g[e, b] at column (a, e); the two meet where c = a and e = b.  So it
+    is zero on the kept columns unless N_g[a, c] != 0 for a kept (c, b) or
+    M_g[e, b] != 0 for a kept (a, e).  The system holds the rows with such
+    a c, then the other rows with such an e, which carry only -M_g[:, b],
+    each part in (g, a, b) order.  With constant labels and every row of
+    every N_g nonzero it is the whole stack, in generator order.  Leaving
+    rows out is exact: a zero row constrains nothing, so the row space, and
+    with it every kernel basis, is that of the stack on the kept columns."""
     m, n = GM.shape[1], GN.shape[1]
+    keep = ln[:, None] == lm  # keep[c, b]: the unknown f[c, b] is kept
+    # col[c, b]: 1 + the column of f[c, b] if it is kept, else the cut-off 0
+    col = keep.cumsum().reshape(n, m) * keep
     neg = F.vneg(GM.transpose(0, 2, 1))  # neg[g, b, e] = -M_g[e, b]
     # meet[g, a, b] = N_g[a, a] - M_g[b, b], written over the other two parts
     meet = F.vadd(GN.diagonal(axis1=1, axis2=2)[:, :, None],
                   neg.diagonal(axis1=1, axis2=2)[:, None, :])
-    live = GN.any(axis=2)  # live[g, a]: row a of N_g is nonzero
-    b = np.arange(m)
-    # the three parts on the live rows only, then the -M_g rows
-    g_l, a_l = np.nonzero(live)
-    g_d, a_d, b_d = np.nonzero(~live[:, :, None] & GM.any(axis=1)[:, None, :])
-    rows = len(a_l) * m
-    system = np.zeros((rows + len(a_d), n * m), dtype=np.int64)
-    block, k = system[:rows].reshape(len(a_l), m, n, m), np.arange(len(a_l))
-    block[:, b, :, b] = GN[g_l, a_l]
-    block[k, :, a_l, :] = neg[g_l]
-    block[k[:, None], b, a_l[:, None], b] = meet[g_l, a_l]
-    system[np.arange(rows, len(system))[:, None], a_d[:, None] * m + b] = neg[g_d, b_d]
-    return system
+    via_n = (GN != 0) @ keep  # via_n[g, a, b]: N_g[a, c] != 0 for a kept (c, b)
+    g_l, a_l, b_l = np.nonzero(via_n)
+    g_d, a_d, b_d = np.nonzero((keep @ (GM != 0)) & ~via_n)
+    rows = len(a_l)
+    system = np.zeros((rows + len(a_d), np.count_nonzero(keep) + 1), dtype=np.int64)
+    r = np.arange(rows)
+    system[r[:, None], col.T[b_l]] = GN[g_l, a_l]
+    system[r[:, None], col[a_l]] = neg[g_l, b_l]
+    system[r, col[a_l, b_l]] = meet[g_l, a_l, b_l]
+    system[np.arange(rows, len(system))[:, None], col[a_d]] = neg[g_d, b_d]
+    return system[:, 1:]
 
 
 def _coordinate_blocks(G) -> List[np.ndarray]:
@@ -302,10 +300,13 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     """Solution space of f rho_M(g) = rho_N(g) f over the generators g,
     echelonized.
 
-    From _PIECE_GATE unknowns on, when the algebra has unit pieces b_v
-    (Algebra.unit_pieces), M and N are first put into their pieces' basis
-    (_piece_basis) and only the unknowns f'[a, b] with a and b in the same
-    piece are solved for; then f = T_N f' T_M^-1.  The basis is unchanged:
+    One loop solves hom_system for each pair (I, J) of coordinate blocks
+    (from _SPLIT_GATE unknowns on those of _coordinate_blocks, else one per
+    module) on the unknowns whose labels match, and places each kernel
+    vector in f.  The labels are 0 unless the algebra has unit pieces b_v
+    (Algebra.unit_pieces) and m n >= _PIECE_GATE: then M and N are put into
+    their pieces' basis (_piece_basis), a label is a piece, and a solution
+    f' gives f = T_N f' T_M^-1.  The basis is the whole system's:
     - T^-1 T = I proves the P_v complementary projections.  For every
       matrix P_v, P_v = T_v T^-1_v, with T_v the columns and T^-1_v the
       rows of piece v: the rows of rref(P_v^T) span the columns of P_v and
@@ -314,20 +315,13 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     - f is in Hom(M, N) iff f' = T_N^-1 f T_M solves the system of the
       adapted generators T^-1 rho(g) T.  Such f commutes with rho(b_v), so
       f T_{M,v} = P_{N,v} f T_{M,v} and block (w, v) of f' is
-      T^-1_{N,w} P_{N,v} f T_{M,v} = 0 for w != v.  The restricted system
-      keeps every generator equation and only drops unknowns that are zero
-      on Hom, so it admits exactly the f' of Hom(M, N).
-    - A subspace has one reduced echelon form.
-
-    A coordinate block that every generator maps into itself spans a
-    submodule (generator words span the algebra), so M = (+)_I M_I and
-    N = (+)_J N_J over the blocks of _coordinate_blocks, and
-    Hom(M, N) = (+)_{I, J} Hom(M_I, N_J): f solves the system exactly when
-    each block f[J, I] solves the system of its pair.  Above _SPLIT_GATE
-    unknowns one small system is solved per pair, on the adapted generators
-    when the pieces apply, and each kernel vector is placed at its (J, I)
-    positions.  The stacked vectors span the same subspace as the kernel of
-    the whole system, so again the basis is the same either way."""
+      T^-1_{N,w} P_{N,v} f T_{M,v} = 0 for w != v: the dropped unknowns are
+      zero on Hom.
+    - A coordinate block that every generator maps into itself spans a
+      submodule (generator words span the algebra), so Hom(M, N) =
+      (+)_{I, J} Hom(M_I, N_J): f solves the system exactly when each block
+      f[J, I] solves the system of its pair.
+    So the placed kernel vectors span Hom(M, N): one reduced echelon form."""
     if M.algebra is not N.algebra and M.algebra != N.algebra:
         raise ValueError("modules over different algebras")
     F = M.field
@@ -335,6 +329,7 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     if m == 0 or n == 0:
         return HomSpace(M, N, [])
     GM, GN = M.gen_mats(), N.gen_mats()
+    lm, ln = np.zeros(m, dtype=np.int64), np.zeros(n, dtype=np.int64)
     pieces = M.algebra.unit_pieces if m * n >= _PIECE_GATE else ()
     if pieces:
         TM, TMi, lm = _piece_basis(M, pieces, "source")
@@ -345,32 +340,25 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     if m * n >= _SPLIT_GATE:
         src = _coordinate_blocks(GM)
         tgt = src if N is M else _coordinate_blocks(GN)
-    if not pieces and len(src) == len(tgt) == 1:
-        vecs = np.reshape(kernel_basis(F, hom_system(F, GM, GN)), (-1, n, m))
-    else:
-        vecs = [np.zeros((0, n, m), dtype=np.int64)]
-        for J in tgt:
-            for I in src:
-                # the unknowns of the pair that may be nonzero: every one, or
-                # those whose two coordinates lie in the same piece
-                live = (ln[J][:, None] == lm[I]).reshape(-1) if pieces else slice(None)
-                system = hom_system(F, GM[:, I[:, None], I], GN[:, J[:, None], J])
-                ks = kernel_basis(F, system[:, live])
-                if ks:
-                    block = np.zeros((len(ks), len(J) * len(I)), dtype=np.int64)
-                    block[:, live] = ks
-                    f = np.zeros((len(ks), n, m), dtype=np.int64)
-                    f[:, J[:, None], I] = block.reshape(-1, len(J), len(I))
-                    vecs.append(f)
-        vecs = np.concatenate(vecs)
-        if pieces and len(vecs):
-            vecs = F.vmatmul(TN, F.vmatmul(vecs, TMi))
+    vecs = [np.zeros((0, n * m), dtype=np.int64)]
+    for J in tgt:
+        for I in src:
+            lI, lJ = lm[I], ln[J]
+            ks = kernel_basis(F, hom_system(F, GM.take(I, 1).take(I, 2),
+                                            GN.take(J, 1).take(J, 2), lI, lJ))
+            if ks:
+                # the kept unknowns f[J[c], I[b]], in the system's column order
+                f = np.zeros((len(ks), n * m), dtype=np.int64)
+                f[:, (J[:, None] * m + I)[lJ[:, None] == lI]] = ks
+                vecs.append(f)
+    vecs = np.concatenate(vecs)
+    if pieces and len(vecs):
+        vecs = F.vmatmul(TN, F.vmatmul(vecs.reshape(-1, n, m), TMi)).reshape(-1, n * m)
     if len(vecs):
         # canonical form: the flattened basis stack is in reduced echelon form,
         # so coordinate solvers built on it are consistent with this basis
-        vecs = rref(F, vecs.reshape(len(vecs), n * m))[0]
-    basis = list(vecs.reshape(-1, n, m))
-    return HomSpace(M, N, basis)
+        vecs = rref(F, vecs)[0]
+    return HomSpace(M, N, list(vecs.reshape(-1, n, m)))
 
 
 def end_algebra(M: Module):

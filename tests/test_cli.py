@@ -239,6 +239,53 @@ TWISTED_SCENARIO = dict(MAT2_SCENARIO, field={"p": 3},
                         action={"group": "C1", "kind": "trivial"})
 
 
+def _dropped(doc, section, key):
+    """doc without key in its section."""
+    return dict(doc, **{section: {k: v for k, v in doc[section].items() if k != key}})
+
+
+GALOIS_SCENARIO = {"schema_version": 1, "tasks": ["galois"], "galois": GALOIS_C2}
+PATH_SCENARIO = dict(MAT2_SCENARIO, algebra={"type": "path_algebra", "vertices": 2,
+                                             "arrows": [[0, 1]]},
+                     action={"group": "C1", "kind": "trivial"})
+
+
+@pytest.mark.parametrize("doc,section,named", [
+    (_dropped(MAT2_SCENARIO, "algebra", "type"), "algebra", "no key 'type'"),
+    (_dropped(MAT2_SCENARIO, "algebra", "n"), "algebra", "no key 'n'"),
+    (_dropped(PATH_SCENARIO, "algebra", "vertices"), "algebra", "no key 'vertices'"),
+    (_dropped(PATH_SCENARIO, "algebra", "arrows"), "algebra", "no key 'arrows'"),
+    (dict(MAT2_SCENARIO, algebra={"type": "group_algebra"}), "algebra", "no key 'group'"),
+    (_dropped(TWISTED_SCENARIO, "algebra", "q"), "algebra", "no key 'q'"),
+    (_dropped(MAT2_SCENARIO, "action", "group"), "action", "no key 'group'"),
+    (_dropped(MAT2_SCENARIO, "action", "matrix"), "action", "no key 'matrix'"),
+    (dict(MAT2_SCENARIO, algebra=KRONECKER, action={"group": "C2", "kind": "basis_permutation"}),
+     "action", "no key 'perm'"),
+    (dict(MAT2_SCENARIO, action={"group": "C1", "kind": "explicit"}), "action",
+     "no key 'matrices'"),
+    (_dropped(MAT2_SCENARIO, "module", "kind"), "module", "no key 'kind'"),
+    (_dropped(MAT2_SCENARIO, "field", "p"), "field", "no key 'p'"),
+    (_dropped(GALOIS_SCENARIO, "galois", "q"), "galois", "no key 'q'"),
+    (_dropped(GALOIS_SCENARIO, "galois", "H"), "galois", "no key 'H'"),
+    (dict(MAT2_SCENARIO, algebra=3), "algebra", "must be an object, not int"),
+    (dict(MAT2_SCENARIO, module=[0]), "module", "must be an object, not list"),
+    (dict(GALOIS_SCENARIO, galois="C2"), "galois", "must be an object, not str"),
+    (dict(MAT2_SCENARIO, algebra={"type": "skew_group_algebra", "base": 3,
+                                  "action": {"group": "C1"}}),
+     "algebra", "'int' object is not subscriptable"),
+], ids=["algebra-type", "algebra-n", "algebra-vertices", "algebra-arrows", "algebra-group",
+        "algebra-q", "action-group", "action-matrix", "action-perm", "action-matrices",
+        "module-kind", "field-p", "galois-q", "galois-H", "algebra-int", "module-list",
+        "galois-str", "skew-base-int"])
+def test_scenario_errors_name_the_section_and_the_key(tmp_path, capsys, doc, section, named):
+    """A missing key exits 2 naming its section and the key, and a section
+    that is not an object exits 2 naming the section and its type."""
+    code = main(["run", write_scenario(tmp_path, doc)])
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert code == 2
+    assert err.startswith(f"scenario section {section!r}") and named in err
+
+
 def test_twisted_group_ring_is_over_the_scenario_field(tmp_path, capsys):
     """F9 x| C2 is built over the field section's F_3; a q that is not the
     field order exits 2 naming both, where the ring was built over F_q."""

@@ -151,32 +151,45 @@ def test_hom_space_matches_all_basis_system(name, sparse, seed):
     assert np.array_equal(got, _basis_hom(M, N))
 
 
-def _kronecker_rows(F, GM, GN):
-    """The Kronecker stack without its rows (g, a, b) where row a of N_g and
-    column b of M_g are both zero."""
-    live = GN.any(axis=2)[:, :, None] | GM.any(axis=1)[:, None, :]
-    return _kronecker_stack(F, GM, GN)[live.reshape(-1)]
+def _kronecker_rows(F, GM, GN, lm, ln):
+    """The Kronecker stack on the kept columns (c, b), ln[c] == lm[b],
+    without its rows (g, a, b) that are zero on them by construction: no
+    N_g[a, c] != 0 with (c, b) kept and no M_g[e, b] != 0 with (a, e) kept."""
+    keep = ln[:, None] == lm
+    live = ((GN != 0) @ keep) | (keep @ (GM != 0))
+    return _kronecker_stack(F, GM, GN)[live.reshape(-1)][:, keep.reshape(-1)]
 
 
-def _check_hom_system(F, GM, GN):
-    got = hom_system(F, GM, GN)
-    expected = _kronecker_rows(F, GM, GN)
-    assert got.shape == (len(expected), GN.shape[1] * GM.shape[1])
+def _flat(m):
+    """Constant labels: every unknown of an m-coordinate side is kept."""
+    return np.zeros(m, dtype=np.int64)
+
+
+def _check_hom_system(F, GM, GN, lm, ln):
+    got = hom_system(F, GM, GN, lm, ln)
+    expected = _kronecker_rows(F, GM, GN, lm, ln)
+    assert got.shape == (len(expected), np.count_nonzero(ln[:, None] == lm))
     assert sorted(map(bytes, got)) == sorted(map(bytes, expected))
 
 
 @settings(max_examples=60, deadline=None)
 @given(field=st.sampled_from([(5, 1), (2, 2), (3, 2)]), g=st.integers(0, 3),
        m=st.integers(1, 5), n=st.integers(1, 5), zeros=st.sampled_from([0.0, 0.5, 0.8]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_hom_system_matches_kronecker_formula(field, g, m, n, zeros, seed):
+       pieces=st.integers(0, 3), disjoint=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_hom_system_matches_kronecker_formula(field, g, m, n, zeros, pieces, disjoint, seed):
     """The system holds exactly the Kronecker rows that are not zero by
-    construction, as a multiset."""
+    construction on the kept columns, as a multiset.  pieces = 0 draws
+    constant labels, otherwise random labels over that many pieces;
+    disjoint moves the target's labels off the source's, so no column is
+    kept."""
     F = FF(*field)
     rng = np.random.default_rng(seed)
     GM = rng.integers(0, F.q, size=(g, m, m)) * (rng.random((g, m, m)) >= zeros)
     GN = rng.integers(0, F.q, size=(g, n, n)) * (rng.random((g, n, n)) >= zeros)
-    _check_hom_system(F, GM, GN)
+    lm, ln = (rng.integers(0, pieces, size=k) if pieces else _flat(k) for k in (m, n))
+    if disjoint:
+        ln = ln + 3
+    _check_hom_system(F, GM, GN, lm, ln)
 
 
 def test_hom_system_leaves_out_structurally_zero_rows():
@@ -190,16 +203,17 @@ def test_hom_system_leaves_out_structurally_zero_rows():
     N_2, N_3 = np.array([[1, 1], [0, 2]]), np.array([[1, 1], [2, 0]])
     M_3 = np.array([[1, 2, 0], [0, 1, 1], [1, 0, 2]])
     GM, GN = np.stack([M_0, Z3, Z3, M_3]), np.stack([N_0, Z2, N_2, N_3])
-    _check_hom_system(F, GM, GN)
+    lm, ln = _flat(3), _flat(2)
+    _check_hom_system(F, GM, GN, lm, ln)
     # generator 0: a = 1 for each of 3 b, and a = 0 for b in {0, 2};
     # generator 1 none; generators 2 and 3: 2 x 3 each
-    assert len(hom_system(F, GM, GN)) == (3 + 2) + 0 + 6 + 6
+    assert len(hom_system(F, GM, GN, lm, ln)) == (3 + 2) + 0 + 6 + 6
     # the kernel is that of the full system
-    assert np.array_equal(rref(F, hom_system(F, GM, GN))[0],
+    assert np.array_equal(rref(F, hom_system(F, GM, GN, lm, ln))[0],
                           rref(F, _kronecker_stack(F, GM, GN))[0])
     # without a zero row in any N_g the system is the full stack, in order
     dense = GM[[3, 0]], GN[[3, 2]]
-    np.testing.assert_array_equal(hom_system(F, *dense), _kronecker_stack(F, *dense))
+    np.testing.assert_array_equal(hom_system(F, *dense, lm, ln), _kronecker_stack(F, *dense))
 
 
 def test_builders_supply_few_generators():
