@@ -1,9 +1,11 @@
 """Finite-dimensional associative unital algebras by structure constants.
 
-An Algebra holds a (d, d, d) tensor c with b_i * b_j = sum_k c[i,j,k] b_k,
-the unit's coordinate vector, and optionally a faithful matrix
-representation used to speed up radical computations (the regular
-representation is the fallback).
+An Algebra holds a (d, d, d) tensor c with b_i * b_j = sum_k c[i,j,k] b_k
+and the unit's coordinate vector.  Only the radical chain reads a matrix
+representation, a (d, n, n) stack, and only the algebras it needs a small
+one for carry it: End algebras their hom basis, and the certificate's
+quotient the graded representation below.  Every other algebra runs the
+chain in its regular representation, b_i acting by c[i].T.
 
 The radical is computed with the characteristic-p chain of Cohen, Ivanyos
 and Wales: working inside a faithful representation on an n-dimensional
@@ -38,7 +40,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List
 
 import numpy as np
 
@@ -81,8 +82,7 @@ class Algebra:
         self.struct = struct
         self.unit = unit
         self.labels = tuple(labels) if labels is not None else None
-        self.rep = None if rep is None else [np.asarray(m, dtype=np.int64) for m in rep]
-        self._regular = None
+        self.rep = None if rep is None else np.asarray(rep, dtype=np.int64)
         # (g, d) coordinate rows that generate A together with the unit; the
         # basis unless a builder knows fewer
         if generators is None:
@@ -186,17 +186,12 @@ class Algebra:
 
     # -- representations ---------------------------------------------------
 
-    def regular_rep(self) -> List[np.ndarray]:
-        if self._regular is None:
-            self._regular = [self.left_mult_matrix(v) for v in self.field.eye(self.dim)]
-        return self._regular
+    def regular_rep(self) -> np.ndarray:
+        """left_mult_matrix(b_i) for every basis element, as one (d, d, d) array."""
+        return self.struct.transpose(0, 2, 1)
 
-    def faithful_rep(self) -> List[np.ndarray]:
+    def faithful_rep(self) -> np.ndarray:
         return self.rep if self.rep is not None else self.regular_rep()
-
-    def rep_of(self, x, rep=None) -> np.ndarray:
-        rep = self.faithful_rep() if rep is None else rep
-        return self.field.combine(x, np.stack(rep))
 
     def is_commutative(self) -> bool:
         return bool(np.array_equal(self.struct, self.struct.transpose(1, 0, 2)))
@@ -637,7 +632,7 @@ def radical(A: Algebra, certify: bool = True) -> np.ndarray:
     d = A.dim
     if d == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    rep = np.stack(A.faithful_rep())
+    rep = A.faithful_rep()
     nrep = rep.shape[1]
     basis = F.eye(d)
     j = 0
@@ -708,7 +703,7 @@ def _certify_radical(A: Algebra, J):
         raise CertificationError("claimed radical is not nilpotent")
     if len(J) == 0:
         return
-    Abar, _, _ = quotient_algebra(A, J, rep=_graded_rep(A, J))
+    Abar, _, _ = quotient_algebra(A, J_solver, rep=_graded_rep(A, J))
     if len(radical(Abar, certify=False)) != 0:
         raise CertificationError("quotient by claimed radical is not semisimple")
 
@@ -742,7 +737,7 @@ def _graded_rep(A: Algebra, J):
     F = A.field
     d = A.dim
     dbar = d - len(J)
-    rep = np.stack(A.rep)
+    rep = A.rep
     n = rep.shape[1]
     rep_t = rep.transpose(0, 2, 1)
     rep_J_t = F.combine(J, rep).transpose(0, 2, 1)
@@ -778,18 +773,14 @@ def quotient_algebra(A: Algebra, J, rep=None):
     """Quotient A/span(J).  Returns (Abar, project, lift) with
     project: d-coords -> dbar-coords and lift a linear section of it.
 
-    The lifts of the quotient basis are basis elements of A.  rep, if
-    given, holds one matrix per basis element of A for a representation
-    that vanishes on span(J); Abar gets the matrices of its lifted basis
-    as its faithful representation."""
+    J holds rows spanning the ideal, or is a SpanSolver of them.  The lifts
+    of the quotient basis are the basis elements of A outside J's pivots.
+    rep, if given, is a (d, n, n) stack for a representation that vanishes
+    on span(J); Abar gets the matrices of its lifted basis as its faithful
+    representation, and none without it."""
     F = A.field
     d = A.dim
-    if len(J) == 0:
-        ident = lambda x: np.asarray(x, dtype=np.int64)
-        Anew = Algebra(F, A.struct, A.unit, rep=A.rep if rep is None else rep,
-                       validate=False)
-        return Anew, ident, ident
-    solver = SpanSolver(F, J)
+    solver = J if isinstance(J, SpanSolver) else SpanSolver(F, J)
     free = sorted(set(range(d)) - set(solver.pivots))
     dbar = len(free)
 
@@ -805,7 +796,7 @@ def quotient_algebra(A: Algebra, J, rep=None):
     prods = A.struct[np.ix_(free, free)].reshape(-1, d)
     struct = solver.residual(prods)[:, free].reshape(dbar, dbar, dbar)
     Abar = Algebra(F, struct, project(A.unit), validate=False,
-                   rep=None if rep is None else [rep[i] for i in free])
+                   rep=None if rep is None else rep[free])
     return Abar, project, lift
 
 
@@ -830,22 +821,15 @@ def algebra_on_span(field: FiniteField, basis, products, unit, rep=None) -> Alge
 
 
 def corner_algebra(A: Algebra, e):
-    """Corner eAe with its product, unit e, and an embedding row matrix."""
+    """Corner eAe with its product, unit e, and an embedding row matrix.
+
+    It carries no representation: the corners whose radical is taken are
+    small field leaves, and clifford_run's, whose algebras carry none."""
     F = A.field
     e = np.asarray(e, dtype=np.int64)
     # columns of Le @ Re are the products e * b_i * e
     basis, _ = rref(F, F.vmatmul(A.left_mult_matrix(e), A.right_mult_matrix(e)).T)
-    rep = None
-    if A.rep is not None:
-        # restrict the representation to the image of rep(e): column j of
-        # the restriction of rep(b) holds the coordinates of rep(b) img_j
-        re = A.rep_of(e)
-        S = SpanSolver(F, re.T)
-        images = F.vmatmul(S.basis, A.rep_of(basis).transpose(0, 2, 1))  # (k, dim S, n)
-        coords = S.batch_coords(images.reshape(-1, len(re)))
-        rep = list(coords.reshape(len(basis), S.dim, S.dim).transpose(0, 2, 1))
-    B = algebra_on_span(F, basis, A.span_products(basis, basis), e, rep=rep)
-    return B, basis
+    return algebra_on_span(F, basis, A.span_products(basis, basis), e), basis
 
 
 def center_basis(A: Algebra) -> np.ndarray:
@@ -1094,7 +1078,7 @@ def primitive_orthogonal_idempotents(A: Algebra) -> IdempotentSet:
         return IdempotentSet(A, [])
     J = radical(A)
     J_solver = SpanSolver(F, J)
-    Abar, project, lift = quotient_algebra(A, J)
+    Abar, project, lift = quotient_algebra(A, J_solver)
     leaves = _semisimple_poi(Abar)
     es = []
     done = F.zeros(d)

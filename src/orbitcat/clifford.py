@@ -348,7 +348,7 @@ def _is_simple_over(M: Module, E) -> bool:
     J = radical(E)
     if len(J) != 0 or not is_local(E, J):
         return False
-    image_dim = rank(M.field, np.stack(M.mats).reshape(len(M.mats), -1))
+    image_dim = rank(M.field, M.mats.reshape(len(M.mats), -1))
     return image_dim * E.dim == M.dim ** 2
 
 

@@ -89,7 +89,7 @@ def induce_skew(ctx: SkewContext, M: Module) -> Module:
     cols = (action.table[:, :, None] * m + np.arange(m)).reshape(action.k, -1)
     # (b_i, rows, g, cols) -> the skew basis order, index g * dim A + i
     mats = twists[:, :, cols].transpose(2, 0, 1, 3).reshape((-1,) + twists.shape[1:])
-    return Module(ctx.skew, list(mats), validate=False)
+    return Module(ctx.skew, mats, validate=False)
 
 
 def counit_split_test(ctx: SkewContext, X: Module) -> bool:
@@ -105,7 +105,7 @@ def counit_split_test(ctx: SkewContext, X: Module) -> bool:
     k, n = action.k, X.dim
     ind_res = induce_skew(ctx, ctx.restrict(X))
     # column block g is the action of 1 (x) g on X
-    counit = F.combine(ctx.sections, X.stack()).transpose(1, 0, 2).reshape(n, k * n)
+    counit = F.combine(ctx.sections, X.mats).transpose(1, 0, 2).reshape(n, k * n)
     ModuleMor(ind_res, X, counit).validate()
     # s = sum_j c_j h_j over the basis of Hom(X, Ind Res X); solve counit s = id
     H = hom_space(X, ind_res).basis
@@ -240,9 +240,10 @@ class GaloisScenario:
     H: list
 
     def __post_init__(self):
-        _prime_power(self.q)
+        p, e = _prime_power(self.q)
         if self.deg_l < 1 or self.deg_m < 1:
             raise ValueError("the degrees of L and M must be at least 1")
+        FF(p, e * self.deg_m)  # the field M: above the field bound this names its order
         self.table = np.asarray(self.table, dtype=np.int64)
         identity = validate_group_table(self.table)
         if identity != 0:
@@ -340,8 +341,7 @@ def galois_build(sc: GaloisScenario) -> GaloisTower:
 
 def restrict_along(emb, big: Algebra, small: Algebra, X: Module) -> Module:
     """View a big-algebra module over the small algebra via the embedding."""
-    mats = X.field.combine(emb.T, X.stack())
-    return Module(small, list(mats), validate=False)
+    return Module(small, X.field.combine(emb.T, X.mats), validate=False)
 
 
 def galois_rank_check(tower: GaloisTower) -> dict:

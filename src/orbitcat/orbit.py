@@ -391,7 +391,7 @@ def _twist_sum(X: Module, action: GroupAction, twists) -> np.ndarray:
     m = X.dim
     big = X.field.zeros((X.algebra.dim, len(twists) * m, len(twists) * m))
     for ti, t in enumerate(twists):
-        big[:, ti * m : (ti + 1) * m, ti * m : (ti + 1) * m] = action.twisted(X, t).stack()
+        big[:, ti * m : (ti + 1) * m, ti * m : (ti + 1) * m] = action.twisted(X, t).mats
     return big
 
 
@@ -410,7 +410,7 @@ def _t_object(X: Module, action: GroupAction, twists) -> Tuple[Module, np.ndarra
     if hit is not None and hit[0] is X:
         return hit[1]
     blocks, perm = _twist_sum_layout(X, action, twists)
-    mats = list(_twist_sum(X, action, twists)[:, perm][:, :, perm])
+    mats = _twist_sum(X, action, twists)[:, perm][:, :, perm]
     built = Module(X.algebra, mats, blocks=blocks, validate=False), perm
     action._t_cache[key] = (X, built)
     return built
@@ -557,5 +557,4 @@ def kleisli_phi_psi(x, action: GroupAction):
 
 def _strip_blocks(TX: Module, k: int, m: int) -> Module:
     """Recover the underlying module from a T-object (block 0 restriction)."""
-    mats = [mat[:m, :m] for mat in TX.mats]
-    return Module(TX.algebra, mats, validate=False)
+    return Module(TX.algebra, TX.mats[:, :m, :m], validate=False)

@@ -1,7 +1,8 @@
 """Modules over a structure-constant algebra and their decompositions.
 
-A Module stores one action matrix per algebra basis element (acting on
-column vectors).  Every check that a map commutes with the action runs
+A Module stores its action as one (dim A, n, n) array, matrix i acting
+as basis element b_i on column vectors, and a hom space its basis as one
+(k, n, m) array.  Every check that a map commutes with the action runs
 over the algebra's generators only (``Algebra.generators``): a linear map
 that commutes with rho(g) for each generator g commutes with rho of every
 word in them, and the words span the algebra.  Hom spaces are kernels of
@@ -75,13 +76,16 @@ class Module:
     def __init__(self, algebra: Algebra, mats: Sequence, blocks=None,
                  validate: bool = True):
         self.algebra = algebra
-        self.mats = [np.asarray(m, dtype=np.int64) for m in mats]
-        if len(self.mats) != algebra.dim:
+        if len(mats) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
-        self.dim = self.mats[0].shape[0] if self.mats else 0
-        for m in self.mats:
-            if m.shape != (self.dim, self.dim):
-                raise ValueError("action matrices must be square of equal size")
+        try:  # matrices of unequal shapes make no array
+            mats = (np.ascontiguousarray(mats, dtype=np.int64) if algebra.dim
+                    else np.zeros((0, 0, 0), dtype=np.int64))
+        except ValueError:
+            mats = None
+        if mats is None or mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+            raise ValueError("action matrices must be square of equal size")
+        self.mats, self.dim = mats, mats.shape[1]  # mats: (algebra dim, dim, dim)
         # blocks: tuple of (label or None, size); labels are group elements
         if blocks is None:
             blocks = ((None, self.dim),) if self.dim else ()
@@ -95,17 +99,13 @@ class Module:
     def field(self):
         return self.algebra.field
 
-    def stack(self) -> np.ndarray:
-        """The action matrices as one (algebra dim, dim, dim) array."""
-        return np.array(self.mats, dtype=np.int64).reshape(len(self.mats), self.dim, self.dim)
-
     def act(self, x) -> np.ndarray:
         """Action matrix of the algebra element with coordinates x."""
-        return self.field.combine(x, self.stack())
+        return self.field.combine(x, self.mats)
 
     def gen_mats(self) -> np.ndarray:
         """The action of the algebra's generators, shape (g, dim, dim)."""
-        return self.field.combine(self.algebra.generators, self.stack())
+        return self.field.combine(self.algebra.generators, self.mats)
 
     def validate(self):
         """rho(1) = I and rho(g) rho(b_j) = rho(g b_j) for every generator g.
@@ -119,11 +119,10 @@ class Module:
             return
         if not np.array_equal(self.act(A.unit), F.eye(self.dim)):
             raise ValueError("unit does not act as the identity")
-        stack = self.stack()
 
         def check(x):
             # entry j: rho(x) rho(b_j) and rho(x b_j)
-            return F.vmatmul(self.act(x), stack), F.combine(F.combine(x, A.struct), stack)
+            return F.vmatmul(self.act(x), self.mats), F.combine(F.combine(x, A.struct), self.mats)
 
         bad = A.first_defect(check)
         if bad is not None:
@@ -136,14 +135,14 @@ class Module:
             isinstance(other, Module)
             and self.dim == other.dim
             and (self.algebra is other.algebra or self.algebra == other.algebra)
-            and all(np.array_equal(a, b) for a, b in zip(self.mats, other.mats))
+            and np.array_equal(self.mats, other.mats)
         )
 
     def equal_with_blocks(self, other) -> bool:
         return self == other and self.blocks == other.blocks
 
     def __hash__(self):
-        return hash((id(self.algebra), self.dim) + tuple(m.tobytes() for m in self.mats))
+        return hash((id(self.algebra), self.dim, self.mats.tobytes()))
 
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra!r})"
@@ -183,7 +182,7 @@ class ModuleMor:
 class HomSpace:
     source: Module
     target: Module
-    basis: list  # list of (tgt.dim, src.dim) matrices, echelonized order
+    basis: np.ndarray  # (dim, tgt.dim, src.dim), echelonized order
 
     @property
     def dim(self):
@@ -327,7 +326,7 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     F = M.field
     m, n = M.dim, N.dim
     if m == 0 or n == 0:
-        return HomSpace(M, N, [])
+        return HomSpace(M, N, np.zeros((0, n, m), dtype=np.int64))
     GM, GN = M.gen_mats(), N.gen_mats()
     lm, ln = np.zeros(m, dtype=np.int64), np.zeros(n, dtype=np.int64)
     pieces = M.algebra.unit_pieces if m * n >= _PIECE_GATE else ()
@@ -358,25 +357,23 @@ def hom_space(M: Module, N: Module) -> HomSpace:
         # canonical form: the flattened basis stack is in reduced echelon form,
         # so coordinate solvers built on it are consistent with this basis
         vecs = rref(F, vecs)[0]
-    return HomSpace(M, N, list(vecs.reshape(-1, n, m)))
+    return HomSpace(M, N, vecs.reshape(-1, n, m))
 
 
 def end_algebra(M: Module):
     """(endomorphism algebra, its matrix basis).  Product is composition."""
     F = M.field
-    H = hom_space(M, M)
-    stack = np.asarray(H.basis, dtype=np.int64).reshape(len(H.basis), M.dim, M.dim)
+    basis = hom_space(M, M).basis
     # row i: f_i after f_j for every j, one row at a time to bound memory
-    products = (F.vmatmul(f, stack) for f in stack)
-    E = algebra_on_span(F, stack, products, F.eye(M.dim), rep=H.basis)
-    return E, H.basis
+    products = (F.vmatmul(f, basis) for f in basis)
+    return algebra_on_span(F, basis, products, F.eye(M.dim), rep=basis), basis
 
 
 def twist(M: Module, g: AlgebraAut) -> Module:
     """Module with the action transported through the automorphism:
     the new action of b is the old action of g^{-1}(b)."""
-    mats = M.field.combine(g.inverse_matrix().T, M.stack())
-    return Module(M.algebra, list(mats), blocks=M.blocks, validate=False)
+    mats = M.field.combine(g.inverse_matrix().T, M.mats)
+    return Module(M.algebra, mats, blocks=M.blocks, validate=False)
 
 
 def direct_sum(mods: Sequence[Module], labels=None):
@@ -392,13 +389,13 @@ def direct_sum(mods: Sequence[Module], labels=None):
     mats = F.zeros((A.dim, total, total))
     off = 0
     for m in mods:
-        mats[:, off : off + m.dim, off : off + m.dim] = m.stack()
+        mats[:, off : off + m.dim, off : off + m.dim] = m.mats
         off += m.dim
     if labels is None:
         blocks = tuple((None, m.dim) for m in mods)
     else:
         blocks = tuple((lab, m.dim) for lab, m in zip(labels, mods))
-    S = Module(A, list(mats), blocks=blocks, validate=False)
+    S = Module(A, mats, blocks=blocks, validate=False)
     incls, projs = [], []
     off = 0
     for m in mods:
@@ -413,7 +410,7 @@ def direct_sum(mods: Sequence[Module], labels=None):
 
 
 def zero_module(A: Algebra) -> Module:
-    return Module(A, [np.zeros((0, 0), dtype=np.int64)] * A.dim, validate=False)
+    return Module(A, np.zeros((A.dim, 0, 0), dtype=np.int64), validate=False)
 
 
 def regular_module(A: Algebra) -> Module:
@@ -438,7 +435,7 @@ def is_isomorphic(M: Module, N: Module) -> Optional[np.ndarray]:
     F = M.field
     H = hom_space(M, N)
     iso = next((f for f in H.basis if is_invertible(F, f)), None)
-    if iso is None and H.basis and not is_local(end_algebra(M)[0]):
+    if iso is None and len(H.basis) and not is_local(end_algebra(M)[0]):
         raise ValueError("no invertible element in the hom basis of a decomposable module; "
                          "compare its summands class by class")
     return iso
@@ -459,8 +456,8 @@ def submodule_from_image(M: Module, P) -> Tuple[Module, np.ndarray, np.ndarray]:
         raise CertificationError("image basis does not span the image of P")
     if not np.array_equal(F.vmatmul(pr, inc), F.eye(k)):
         raise ValueError("image basis does not split the idempotent")
-    mats = F.vmatmul(pr, F.vmatmul(M.stack(), inc))
-    S = Module(M.algebra, list(mats), validate=False)
+    mats = F.vmatmul(pr, F.vmatmul(M.mats, inc))
+    S = Module(M.algebra, mats, validate=False)
     return S, inc, pr
 
 
@@ -490,7 +487,6 @@ def decompose(M: Module, certify: bool = True) -> Decomposition:
         return Decomposition(M, [], certified_local=True)
     E, emb = end_algebra(M)
     es = primitive_orthogonal_idempotents(E)
-    emb = np.stack(emb)
     summands: List[Summand] = []
     for evec, label, (alpha, beta) in zip(es, es.labels, es.isos):
         if label == len(summands):
@@ -528,7 +524,7 @@ def simple_modules(M_algebra: Algebra) -> List[Module]:
     inflated = Module(A, mats, validate=False)
     dec = decompose(inflated, certify=False)
     reps = [s.module for s in dec.summands]
-    reps.sort(key=lambda S: (S.dim, tuple(m.tobytes() for m in S.mats)))
+    reps.sort(key=lambda S: (S.dim, S.mats.tobytes()))
     return reps
 
 
@@ -574,5 +570,4 @@ def random_base_change(M: Module, rng) -> Module:
         if is_invertible(F, g):
             break
     ginv = inverse(F, g)
-    mats = [F.vmatmul(g, F.vmatmul(a, ginv)) for a in M.mats]
-    return Module(M.algebra, mats, validate=False)
+    return Module(M.algebra, F.vmatmul(g, F.vmatmul(M.mats, ginv)), validate=False)

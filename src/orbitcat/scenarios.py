@@ -145,7 +145,7 @@ def build_action(A: Algebra, spec: dict) -> GroupAction:
         if "matrices" in spec:
             auts = [conjugation_aut(A, _field_codes(F, m, f"action matrices[{i}]"),
                                     f"action matrices[{i}]")
-                    for i, m in enumerate(spec["matrices"])]
+                    for i, m in enumerate(_listed(spec["matrices"], "action matrices"))]
         else:
             gen = conjugation_aut(A, _field_codes(F, spec["matrix"], "action matrix"),
                                   "action matrix")
@@ -153,13 +153,13 @@ def build_action(A: Algebra, spec: dict) -> GroupAction:
     elif kind == "basis_permutation":
         if "perms" in spec:
             auts = [basis_permutation_aut(A, p, f"action perms[{i}]")
-                    for i, p in enumerate(spec["perms"])]
+                    for i, p in enumerate(_listed(spec["perms"], "action perms"))]
         else:
             gen = basis_permutation_aut(A, spec["perm"], "action perm")
             auts = _generated_cyclic(A, table, gen)
     elif kind == "explicit":
         auts = [AlgebraAut(A, _field_codes(F, m, f"action matrices[{i}]"), validate=False)
-                for i, m in enumerate(spec["matrices"])]
+                for i, m in enumerate(_listed(spec["matrices"], "action matrices"))]
     else:
         raise ValueError(f"unknown action kind {kind!r}")
     return GroupAction(A, table, auts)
@@ -196,10 +196,11 @@ def build_algebra(field: FiniteField, spec: dict) -> Algebra:
                                                      "the number of vertices"),
                                        (2,), f"algebra arrows[{i}]",
                                        "a (source, target) pair").tolist())
-                  for i, a in enumerate(spec["arrows"])]
+                  for i, a in enumerate(_listed(spec["arrows"], "algebra arrows"))]
         relations = [tuple(_checked_ints(r, f"algebra relations[{i}]", 0, len(arrows),
                                          "the number of arrows").tolist())
-                     for i, r in enumerate(spec.get("relations", []))]
+                     for i, r in enumerate(_listed(spec.get("relations", []),
+                                                   "algebra relations"))]
         return make_path_algebra(field, n, arrows, relations)
     if kind == "skew_group_algebra":
         base = build_algebra(field, spec["base"])
@@ -221,20 +222,19 @@ def build_module(A: Algebra, spec: dict) -> Module:
     kind = spec["kind"]
     if kind == "explicit":
         return Module(A, [_field_codes(A.field, m, f"module matrices[{i}]")
-                          for i, m in enumerate(spec["matrices"])])
+                          for i, m in enumerate(_listed(spec["matrices"], "module matrices"))])
     if kind == "regular":
         return regular_module(A)
     if kind == "trivial":
         # for group algebras: every group element acts by 1
-        mats = [np.ones((1, 1), dtype=np.int64) for _ in range(A.dim)]
-        return Module(A, mats)
+        return Module(A, np.ones((A.dim, 1, 1), dtype=np.int64))
     if kind == "simple":
         return _pick(simple_modules(A), spec, kind)
     if kind == "regular_summand":
         dec = decompose(regular_module(A), certify=False)
         mods = sorted(
             (s.module for s in dec.summands),
-            key=lambda m: (m.dim, tuple(x.tobytes() for x in m.mats)),
+            key=lambda m: (m.dim, m.mats.tobytes()),
         )
         return _pick(mods, spec, kind)
     raise ValueError(f"unknown module kind {kind!r}")
@@ -267,6 +267,13 @@ def _checked_ints(data, name: str, lo: int, hi: Optional[int] = None,
     for idx, x in np.ndenumerate(entries):
         _checked_int(x, name + "".join(f"[{k}]" for k in idx), lo, hi, hi_is)
     return entries.astype(np.int64)
+
+
+def _listed(value, name: str):
+    """``value`` if it is a list or a tuple, else a ValueError naming ``name``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} {value!r} must be a list")
+    return value
 
 
 def _checked_shape(arr: np.ndarray, shape: tuple, name: str, what: str) -> np.ndarray:
@@ -317,7 +324,7 @@ def indecomposable_pool(A: Algebra) -> List[Module]:
             if not len(layer):
                 break
             add(quotient_module(P, layer))
-    pool.sort(key=lambda m: (m.dim, tuple(x.tobytes() for x in m.mats)))
+    pool.sort(key=lambda m: (m.dim, m.mats.tobytes()))
     return pool
 
 

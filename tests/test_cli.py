@@ -222,12 +222,32 @@ def test_scenario_numbers_are_strict(tmp_path, capsys, change, named):
     ({"algebra": {"type": "path_algebra", "vertices": 2, "arrows": [[0]]},
       "action": {"group": "C1", "kind": "trivial"}},
      "algebra arrows[0] of shape (1,) must have shape (2,), a (source, target) pair"),
+    ({"field": {"p": 5}, "module": dict(EXPLICIT_MODULE, matrices=[1, 2, 3, 4])},
+     "action matrices must be square of equal size"),
+    ({"module": dict(EXPLICIT_MODULE, matrices=[[[1]], [[1]], [[1]], [[1, 0], [0, 1]]])},
+     "action matrices must be square of equal size"),
+    ({"module": dict(EXPLICIT_MODULE, matrices=3)}, "module matrices 3 must be a list"),
+    ({"action": {"group": "C2", "kind": "conjugation", "matrices": 3}},
+     "action matrices 3 must be a list"),
+    ({"action": {"group": "C1", "kind": "explicit", "matrices": 3}},
+     "action matrices 3 must be a list"),
+    (arrow_swap("perms", 3), "action perms 3 must be a list"),
+    ({"algebra": {"type": "path_algebra", "vertices": 2, "arrows": 3},
+      "action": {"group": "C1", "kind": "trivial"}}, "algebra arrows 3 must be a list"),
+    ({"algebra": dict(KRONECKER, relations=3), "action": {"group": "C1", "kind": "trivial"}},
+     "algebra relations 3 must be a list"),
+    (galois_doc(q=2, deg_l=1, deg_m=30, group="C1", phi=[0], H=[0]),
+     "field order 2^30 exceeds 1048576"),
 ], ids=["perm-repeated", "perm-too-short", "matrix-3x3", "matrix-flat", "matrices-2x3",
-        "arrow-not-a-pair"])
+        "arrow-not-a-pair", "module-matrices-flat", "module-matrices-unequal",
+        "module-matrices-int", "conjugation-matrices-int", "explicit-matrices-int",
+        "perms-int", "arrows-int", "relations-int", "galois-field-too-large"])
 def test_scenario_shapes_are_strict(tmp_path, capsys, change, error):
     """A permutation lists each basis index once, a conjugation matrix is
-    n x n for Mat_n and an arrow is a pair of vertices; anything else exits
-    2 naming the field and the shape it must have."""
+    n x n for Mat_n, an arrow is a pair of vertices, a module's action is
+    dim A square matrices of one size, a list key holds a list and a Galois
+    tower's field M lies within the field bound; anything else exits 2
+    naming the field and the shape, or the order, it must have."""
     code = main(["run", write_scenario(tmp_path, dict(MAT2_F4_SCENARIO, **change))])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == error

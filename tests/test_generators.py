@@ -73,7 +73,7 @@ def _kronecker_stack(F, GM, GN):
 def _basis_hom(M, N):
     """Hom(M, N) as the canonical echelon kernel of the all-basis system:
     one Kronecker block per basis element."""
-    K = kernel_basis(M.field, _kronecker_stack(M.field, M.stack(), N.stack()))
+    K = kernel_basis(M.field, _kronecker_stack(M.field, M.mats, N.mats))
     if not K:
         return np.zeros((0, N.dim * M.dim), dtype=np.int64)
     return rref(M.field, np.stack(K))[0]
@@ -82,7 +82,7 @@ def _basis_hom(M, N):
 def _basis_module_check(M):
     """rho(b_i) rho(b_j) = rho(b_i b_j) for every basis pair."""
     A, F = M.algebra, M.field
-    stack = M.stack()
+    stack = M.mats
     for i in range(A.dim):
         assert np.array_equal(F.vmatmul(stack[i], stack), F.combine(A.struct[i], stack))
 
@@ -214,6 +214,18 @@ def test_hom_system_leaves_out_structurally_zero_rows():
     # without a zero row in any N_g the system is the full stack, in order
     dense = GM[[3, 0]], GN[[3, 2]]
     np.testing.assert_array_equal(hom_system(F, *dense, lm, ln), _kronecker_stack(F, *dense))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_regular_rep_is_the_stack_of_left_multiplications(name):
+    """regular_rep() is struct transposed: byte for byte the stack of
+    left_mult_matrix(b_i) over the basis, on every builder (group, matrix,
+    path, skew group and Galois)."""
+    A = BUILDERS[name]
+    R = A.regular_rep()
+    want = np.stack([A.left_mult_matrix(b) for b in A.field.eye(A.dim)])
+    assert R.dtype == want.dtype and R.shape == want.shape
+    assert np.ascontiguousarray(R).tobytes() == want.tobytes()
 
 
 def test_builders_supply_few_generators():

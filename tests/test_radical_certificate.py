@@ -55,7 +55,7 @@ def _a3_with_faithful_rep():
     A = make_path_algebra(FF(5), 3, [(0, 1), (1, 2)])
     summands = decompose(regular_module(A), certify=False).summands
     V = next(s.module for s in summands if s.module.dim == 3)
-    assert rank(A.field, V.stack().reshape(A.dim, -1)) == A.dim
+    assert rank(A.field, V.mats.reshape(A.dim, -1)) == A.dim
     return Algebra(A.field, A.struct, A.unit, rep=V.mats, generators=A.generators)
 
 
