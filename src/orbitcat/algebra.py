@@ -3,9 +3,12 @@
 An Algebra holds a (d, d, d) tensor c with b_i * b_j = sum_k c[i,j,k] b_k
 and the unit's coordinate vector.  Only the radical chain reads a matrix
 representation, a (d, n, n) stack, and only the algebras it needs a small
-one for carry it: End algebras their hom basis, and the certificate's
-quotient the graded representation below.  Every other algebra runs the
-chain in its regular representation, b_i acting by c[i].T.
+one for carry it: End algebras their hom basis (in the unit pieces' basis
+when End(M) was solved over them, block-diagonal, with the pieces' sizes
+as Algebra.rep_blocks), and the certificate's quotient the graded
+representation below.  Every other algebra runs the chain in its regular
+representation, b_i acting by c[i].T.  algebra_on_span builds every
+algebra on a span, against any basis of it.
 
 The radical is computed with the characteristic-p chain of Cohen, Ivanyos
 and Wales: working inside a faithful representation on an n-dimensional
@@ -17,13 +20,15 @@ the condition set is cut out by a Frobenius-twisted linear system.  A
 stage reads only c_{p^j}, so only the leading p^j + 1 coefficients of
 each characteristic polynomial are computed (a truncated Berkowitz
 recurrence, exact by the argument in linalg.charpoly_batched), and only
-for the unordered pairs {x, y}, as charpoly(xy) = charpoly(yx).  The
-final set is the Jacobson radical.  Because the chain is subtle, the
-result is certified in-op: the span must be a two-sided ideal, a power of
-it must vanish, and the quotient must have zero radical.  The quotient's
-chain runs in a faithful representation of A/J on the top layers of
-gr V = sum J^i V / J^{i+1} V (V the faithful representation of A), or
-in A/J's regular representation when that is no larger.
+for the unordered pairs {x, y}, as charpoly(xy) = charpoly(yx); for a
+block-diagonal representation, as the truncated product of its blocks'
+charpolys.  The final set is the Jacobson radical.  Because the chain is
+subtle, the result is certified in-op: the span must be a two-sided
+ideal, a power of it must vanish, and the quotient must have zero
+radical.  The quotient's chain runs in a faithful representation of A/J
+on the top layers of gr V = sum J^i V / J^{i+1} V (V the faithful
+representation of A), or in A/J's regular representation when that is
+no larger.
 
 Primitive idempotent extraction follows the classical route: split the
 semisimple quotient (Berlekamp fixed space of the q-power Frobenius on
@@ -69,7 +74,7 @@ class Algebra:
     """Associative unital algebra over a finite field by structure constants."""
 
     def __init__(self, field: FiniteField, struct, unit, labels=None, rep=None,
-                 generators=None, validate: bool = True):
+                 generators=None, validate: bool = True, rep_blocks=None):
         struct = np.asarray(struct, dtype=np.int64)
         unit = np.asarray(unit, dtype=np.int64)
         d = struct.shape[0]
@@ -83,6 +88,13 @@ class Algebra:
         self.unit = unit
         self.labels = tuple(labels) if labels is not None else None
         self.rep = None if rep is None else np.asarray(rep, dtype=np.int64)
+        # sizes of the diagonal blocks of rep, which is zero off them; None
+        # for one block.  The caller vouches for the zeros: end_algebra
+        # certifies them for its unit pieces
+        self.rep_blocks = None if rep_blocks is None else tuple(int(s) for s in rep_blocks)
+        if self.rep_blocks is not None and (
+                self.rep is None or sum(self.rep_blocks) != self.rep.shape[1]):
+            raise ValueError("representation blocks do not sum to its dimension")
         # (g, d) coordinate rows that generate A together with the unit; the
         # basis unless a builder knows fewer
         if generators is None:
@@ -610,6 +622,41 @@ def _row_blocks(rows: int, row_cells: int):
     return [slice(a, min(a + k, rows)) for a in range(0, rows, k)]
 
 
+def _diagonal_blocks(stack, sizes) -> list:
+    """The diagonal blocks stack[:, a:b, a:b] of a (d, n, n) stack, of the
+    given sizes in order."""
+    cuts = np.cumsum((0,) + tuple(sizes))
+    return [stack[:, a:b, a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _blocks_charpoly(F, stacks, T: int) -> np.ndarray:
+    """The first T coefficients of charpoly(X) for the block-diagonal X
+    whose diagonal blocks are stacks[v][i], shape (N, T).
+
+    charpoly(X) is the product of the blocks' charpolys, and coefficient
+    t < T of a product of monic polynomials, in descending order, reads
+    coefficients <= t of each factor only.  So each factor needs only its
+    first T coefficients (charpoly_batched truncates exactly), and the
+    product is truncated at T.  Blocks of one size go in one call."""
+    if len(stacks) == 1:
+        return charpoly_batched(F, stacks[0], T)
+    N = len(stacks[0])
+    factors = []
+    for size in sorted({X.shape[1] for X in stacks}):
+        same = [X for X in stacks if X.shape[1] == size]
+        polys = charpoly_batched(F, np.concatenate(same), T)
+        factors += [polys[a:a + N] for a in range(0, len(polys), N)]
+    out = F.zeros((N, T))
+    out[:, :factors[0].shape[1]] = factors[0]
+    for f in factors[1:]:
+        # out * f, truncated: coefficient t gains f[s] out[t - s] for s >= 1
+        acc = out.copy()
+        for s in range(1, f.shape[1]):
+            acc[:, s:] = F.vadd(acc[:, s:], F.vmul(f[:, s, None], out[:, :T - s]))
+        out = acc
+    return out
+
+
 def radical(A: Algebra, certify: bool = True) -> np.ndarray:
     """Echelonized basis (rows) of the Jacobson radical.
 
@@ -621,9 +668,15 @@ def radical(A: Algebra, certify: bool = True) -> np.ndarray:
     pair a <= b, r(r+1)/2 of them, and fills both triangles.  It streams
     the pairs in blocks of rows a (_row_blocks): each block multiplies its
     rows by every b from its first row on, so its product holds at most
-    max(_BLOCK_CELLS, r n^2) matrix entries, not r^2 n^2, and C is the
-    same for every block size.  The trace stage (p^j = 1) is one matrix
-    product.
+    max(_BLOCK_CELLS, r c) matrix entries, c those of one rep(x) on its
+    blocks, not r^2 c, and C is the same for every block size.  The trace
+    stage (p^j = 1) is one matrix product.
+
+    Both stages run on the diagonal blocks of the representation
+    (Algebra.rep_blocks; one block unless End(M) was built over the unit
+    pieces).  rep(x) is zero off them, so products are formed block by
+    block, tr(XY) is the sum of the blocks' traces and charpoly(XY) the
+    product of theirs (_blocks_charpoly).
 
     Certified in-op: ideal closure, nilpotency, and a zero radical of the
     quotient; any failure raises CertificationError.
@@ -634,25 +687,29 @@ def radical(A: Algebra, certify: bool = True) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int64)
     rep = A.faithful_rep()
     nrep = rep.shape[1]
+    blocks = [rep] if A.rep_blocks is None else _diagonal_blocks(rep, A.rep_blocks)
+    cells = sum(blk.shape[1] ** 2 for blk in blocks)  # entries of one rep(x)
     basis = F.eye(d)
     j = 0
     pj = 1
     while pj <= nrep and len(basis) > 0:
         r = len(basis)
-        reps = F.combine(basis, rep)  # (r, n, n)
+        reps = [F.combine(basis, blk) for blk in blocks]  # (r, n_v, n_v) each
         if pj == 1:
             # trace form stage: C[a, b] = tr(rep(x_a) rep(x_b))
-            C = F.vmatmul(reps.reshape(r, nrep * nrep),
-                          reps.transpose(0, 2, 1).reshape(r, nrep * nrep).T)
+            C = F.vmatmul(np.concatenate([X.reshape(r, -1) for X in reps], axis=1),
+                          np.concatenate([X.transpose(0, 2, 1).reshape(r, -1)
+                                          for X in reps], axis=1).T)
         else:
             # rows a of a block against columns b >= the block's first row:
             # a broadcast product expands each operand once per block, where
             # gathering the triangle's operands would expand r(r+1)/2 of them
             C = F.zeros((r, r))
-            for blk in _row_blocks(r, r * nrep * nrep):
-                prods = F.vmatmul(reps[blk, None], reps[None, blk.start:])
-                a, b = np.triu_indices(prods.shape[0], m=prods.shape[1])
-                polys = charpoly_batched(F, prods[a, b], pj + 1)
+            for blk in _row_blocks(r, r * cells):
+                a, b = np.triu_indices(blk.stop - blk.start, m=r - blk.start)
+                polys = _blocks_charpoly(
+                    F, [F.vmatmul(X[blk, None], X[None, blk.start:])[a, b] for X in reps],
+                    pj + 1)
                 a, b = a + blk.start, b + blk.start
                 C[a, b] = C[b, a] = polys[:, pj]
         W = kernel_basis(F, C.T)
@@ -800,24 +857,41 @@ def quotient_algebra(A: Algebra, J, rep=None):
     return Abar, project, lift
 
 
-def algebra_on_span(field: FiniteField, basis, products, unit, rep=None) -> Algebra:
+def algebra_on_span(field: FiniteField, basis, products, unit, rep=None,
+                    rep_blocks=None) -> Algebra:
     """The algebra on a span closed under a product: the one constructor
     of structure constants from a span.
 
-    basis is a (k, w) stack of flat elements in reduced echelon form (the
-    coordinates are taken against it); products yields k rows, row i the
-    (k, w) stack of the flat products b_i * b_j; unit is a flat w-vector.
-    Raises ValueError when a product or the unit leaves the span."""
+    basis is a (k, w) stack of linearly independent flat elements, and the
+    coordinates are taken against its rows.  Its reduced echelon form B'
+    (one rref) certifies closure: a product lies in the span iff its
+    residual against B' vanishes, and then its coordinates c against B'
+    are its pivot entries.  basis = H B' with H = basis[:, pivots], so
+    c H^-1 are its coordinates against basis; for a basis in reduced
+    echelon form (corners, Karoubi corners) H = I and nothing is inverted.
+    products yields the rows of products in order, singly or in blocks:
+    row i is the (k, w) stack of the flat products b_i * b_j.  unit is a
+    flat w-vector; rep and rep_blocks go to the Algebra.  Raises ValueError
+    when the rows are dependent or a product or the unit leaves the
+    span."""
+    F = field
     unit = np.asarray(unit, dtype=np.int64).reshape(-1)
     basis = np.asarray(basis, dtype=np.int64).reshape(len(basis), unit.size)
-    k = len(basis)
-    solver = SpanSolver(field, basis)
-    if not np.array_equal(solver.basis, basis):
-        raise ValueError("span basis is not in reduced echelon form")
+    k, w = basis.shape
+    solver = SpanSolver(F, basis)
+    if solver.dim < k:
+        raise ValueError("span basis is not linearly independent")
     struct = np.zeros((k, k, k), dtype=np.int64)
-    for i, row in enumerate(products):
-        struct[i] = solver.batch_coords(np.reshape(row, (k, unit.size)))
-    return Algebra(field, struct, solver.coords(unit), rep=rep, validate=False)
+    i = 0
+    for rows in products:
+        rows = np.reshape(rows, (-1, k, w))
+        struct[i:i + len(rows)] = solver.batch_coords(rows.reshape(-1, w)).reshape(-1, k, k)
+        i += len(rows)
+    unit = solver.coords(unit)
+    if not np.array_equal(solver.basis, basis):
+        Hinv = inverse(F, basis[:, solver.pivots])
+        struct, unit = F.vmatmul(struct, Hinv), F.vmatmul(unit, Hinv)
+    return Algebra(F, struct, unit, rep=rep, rep_blocks=rep_blocks, validate=False)
 
 
 def corner_algebra(A: Algebra, e):

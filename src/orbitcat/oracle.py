@@ -22,6 +22,7 @@ module alone knows the power-basis layout of a tower (SubfieldMap).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraAut, CertificationError, validate_group_table
 from .clifford import CliffordReport
-from .ffield import FF, FiniteField
+from .ffield import _MAX_ORDER, FF, FiniteField
 from .linalg import SpanSolver, inverse, kernel_basis, rank, rref, solve
 from .orbit import GroupAction, _twist_sum, make_skew_group_algebra
 from .rep import Module, ModuleMor, decompose, hom_space
@@ -139,17 +140,21 @@ def oracle_compare(report: CliffordReport, ctx: SkewContext) -> dict:
 
 
 def _prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise ValueError(f"{q} is not a prime power")
+    """(p, e) with q = p^e.  A q above the field bound is refused before any
+    division, and the least factor of q is sought up to sqrt(q) only: a q
+    with none there is prime."""
+    if q > _MAX_ORDER:
+        raise ValueError(f"field order {q} exceeds {_MAX_ORDER}")
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)
+    e, m = 0, q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 def first_root(field: FiniteField, coeffs) -> int:

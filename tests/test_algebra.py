@@ -668,9 +668,15 @@ def test_algebra_on_span_rejects_spans_that_are_not_closed():
     # span{e00} is closed, but the unit e00 + e11 lies outside it
     with pytest.raises(ValueError):
         algebra_on_span(F, e00[None], A.span_products(e00[None], e00[None]), A.unit)
-    # coordinates are read off the echelon form, so 2*e00 is refused as a basis
-    with pytest.raises(ValueError, match="echelon"):
-        algebra_on_span(F, 2 * e00[None], A.span_products(e00[None], e00[None]), e00)
+    # coordinates are taken against the rows given: b = 2 e00 has b b = 2 b
+    # and unit e00 = 3 b over F5
+    b = 2 * e00[None]
+    B = algebra_on_span(F, b, A.span_products(b, b), e00)
+    assert B.struct.tolist() == [[[2]]] and B.unit.tolist() == [3]
+    # dependent rows are no basis
+    with pytest.raises(ValueError, match="independent"):
+        dep = np.stack([e00, 2 * e00])
+        algebra_on_span(F, dep, A.span_products(dep, dep), e00)
 
 
 def test_unit_pieces_of_each_builder():

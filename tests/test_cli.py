@@ -2,6 +2,7 @@ import copy
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -504,6 +505,20 @@ def test_galois_task(tmp_path, capsys):
     details = rep["results"][0]["details"]
     assert details["rank"]["rank"] == 4
     assert details["monad"]["element_orders"] == [1, 2, 2, 2]
+
+
+def test_galois_order_above_the_field_bound_exits_2_at_once(tmp_path, capsys):
+    """A prime q far above the field bound is refused by its size, before
+    any trial division: 2^31 - 1 would take minutes to divide up to q."""
+    doc = {"schema_version": 1, "tasks": ["galois"],
+           "galois": {"q": 2147483647, "deg_l": 1, "deg_m": 1, "group": "C1",
+                      "phi": [0], "H": [0]}}
+    path = write_scenario(tmp_path, doc)
+    t0 = time.perf_counter()
+    code = main(["run", path])
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "field order 2147483647 exceeds 1048576"
 
 
 def test_skewfield_task(tmp_path, capsys):

@@ -449,3 +449,21 @@ def test_galois_scenario_validation():
     with pytest.raises(ValueError, match="homomorphism"):
         GaloisScenario(q=3, deg_l=2, deg_m=4, table=cyclic_table(4),
                        phi=[0, 1, 1, 3], H=[0, 2])
+
+
+def test_prime_power_matches_sympy_and_refuses_orders_above_the_bound():
+    """Trial division up to sqrt(q) finds the prime of every prime power
+    and refuses every other q, as sympy's factorization does; a q above the
+    field bound is refused by its size alone."""
+    from sympy import factorint
+
+    for q in range(-2, 2000):
+        facts = factorint(q) if q >= 2 else {}
+        if len(facts) == 1:
+            assert oracle_mod._prime_power(q) == next(iter(facts.items()))
+        else:
+            with pytest.raises(ValueError, match="not a prime power"):
+                oracle_mod._prime_power(q)
+    assert oracle_mod._prime_power(2 ** 20) == (2, 20)
+    with pytest.raises(ValueError, match="field order 1048577 exceeds 1048576"):
+        oracle_mod._prime_power(2 ** 20 + 1)

@@ -156,11 +156,12 @@ def test_graded_rep_is_used_on_sums_of_copies(monkeypatch):
 
 def test_radical_asks_only_for_the_coefficients_it_reads(monkeypatch):
     """End(regular Mat3/F3) acts on 9 dims and its trace form vanishes
-    (p = 3 divides 9), so the chain reaches the p = 3 stage: one
-    (45, 9, 9) stack, the products x_a x_b of the 9 * 10 / 2 pairs a <= b
-    (charpoly(XY) = charpoly(YX)), of which it reads c_3 alone, so 4
-    coefficients of 10 are asked for.  The whole polynomials give the same
-    radical."""
+    (p = 3 divides 9), so the chain reaches the p = 3 stage: the products
+    x_a x_b of the 9 * 10 / 2 pairs a <= b (charpoly(XY) = charpoly(YX)),
+    of which it reads c_3 alone, so 4 coefficients are asked for.  End is
+    built over the three unit pieces e_ii, so each product is three 3 x 3
+    blocks, all of one size: one (135, 3, 3) stack.  The whole polynomials
+    give the same radical."""
     E, _ = end_algebra(regular_module(make_matrix_algebra(3, FF(3))))
     calls = []
     original = algebra_mod.charpoly_batched
@@ -171,10 +172,59 @@ def test_radical_asks_only_for_the_coefficients_it_reads(monkeypatch):
 
     monkeypatch.setattr(algebra_mod, "charpoly_batched", recording)
     J = radical(E)
-    assert calls == [((45, 9, 9), 4)]
+    assert E.rep_blocks == (3, 3, 3)
+    assert calls == [((135, 3, 3), 4)]
     monkeypatch.setattr(algebra_mod, "charpoly_batched", lambda F, mats, terms: original(F, mats))
     assert np.array_equal(radical(E), J)
     assert J.shape == (0, 9)
+
+
+@pytest.mark.parametrize("n, F", [(3, FF(3)), (4, FF(2, 4))], ids=["Mat3/F3", "Mat4/F16"])
+def test_per_piece_charpoly_stage_gives_the_whole_stage_matrices(monkeypatch, n, F):
+    """End(regular Mat_n) over its n unit pieces acts by n blocks of size n,
+    and p divides the multiplicity n, so the trace form vanishes and the
+    chain reaches its charpoly stages (over F16: c_2, then c_4).  Run per
+    piece, every stage hands kernel_basis the matrix C byte for byte that
+    the same representation taken as one block gives."""
+    E, _ = end_algebra(regular_module(make_matrix_algebra(n, F)))
+    assert E.rep_blocks == (n,) * n
+    whole = Algebra(F, E.struct, E.unit, rep=E.rep, validate=False)
+    seen = []
+    original = algebra_mod.kernel_basis
+
+    def recording(F, M):
+        seen.append(np.array(M))
+        return original(F, M)
+
+    monkeypatch.setattr(algebra_mod, "kernel_basis", recording)
+    J = radical(E, certify=False)
+    per_piece = seen[:]
+    seen.clear()
+    assert np.array_equal(radical(whole, certify=False), J)
+    assert len(per_piece) == {3: 2, 4: 3}[n] and not per_piece[0].any()
+    assert [C.tobytes() for C in per_piece] == [C.tobytes() for C in seen]
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]),
+       sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       terms=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_blocks_charpoly_is_the_truncated_charpoly_of_the_block_sum(q, sizes, terms, seed):
+    """The truncated product of the blocks' charpolys is the leading
+    coefficients of the block-diagonal matrix's charpoly, also when a block
+    has fewer coefficients than are asked for."""
+    F = FF(*q)
+    rng = np.random.default_rng(seed)
+    stacks = [rng.integers(0, F.q, size=(3, s, s)) for s in sizes]
+    n = sum(sizes)
+    T = min(terms, n + 1)
+    X = F.zeros((3, n, n))
+    off = 0
+    for B in stacks:
+        X[:, off:off + len(B[0]), off:off + len(B[0])] = B
+        off += len(B[0])
+    got = algebra_mod._blocks_charpoly(F, stacks, T)
+    assert got.tobytes() == charpoly_batched(F, X, T).tobytes()
 
 
 def _trace_degenerate_algebras():

@@ -690,3 +690,96 @@ def test_submodule_span_closes_dependent_inputs(vectors):
     S = submodule_span(R, np.array(vectors))
     assert len(S) == 3
     assert rank(FF(5), np.concatenate([S] + [FF(5).vmatmul(S, g.T) for g in R.gen_mats()])) == 3
+
+
+def _skew(A, action):
+    from orbitcat.orbit import make_skew_group_algebra
+    from orbitcat.scenarios import build_action
+
+    return make_skew_group_algebra(build_action(A, action))
+
+
+# algebras whose unit splits into pieces: path, matrix and skew group
+# algebras over F2, F3 and F4; pools are built on first use
+PIECE_ALGEBRAS = {
+    "Kronecker/F2": lambda: make_path_algebra(FF(2), 2, [(0, 1), (0, 1)]),
+    "A3/F4": lambda: make_path_algebra(FF(2, 2), 3, [(0, 1), (1, 2)]),
+    "Mat2/F3": lambda: make_matrix_algebra(2, FF(3)),
+    "Mat3/F2": lambda: make_matrix_algebra(3, FF(2)),
+    "Mat2/F4": lambda: make_matrix_algebra(2, FF(2, 2)),
+    "Mat2/F3 x| C2 swap": lambda: _skew(make_matrix_algebra(2, FF(3)), {
+        "group": "C2", "kind": "conjugation", "matrix": [[0, 1], [1, 0]]}),
+    "Kronecker/F4 x| C2 arrows": lambda: _skew(
+        make_path_algebra(FF(2, 2), 2, [(0, 1), (0, 1)]),
+        {"group": "C2", "kind": "basis_permutation", "perm": [0, 1, 3, 2]}),
+}
+_PIECE_POOLS = {}
+
+
+def _piece_pool(name):
+    if name not in _PIECE_POOLS:
+        _PIECE_POOLS[name] = indecomposable_pool(PIECE_ALGEBRAS[name]())
+    return _PIECE_POOLS[name]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(PIECE_ALGEBRAS)), seed=st.integers(0, 2 ** 32 - 1))
+def test_end_algebra_over_the_pieces_matches_whole_products(name, seed):
+    """End(M) built from per-piece block products is byte for byte the
+    algebra the k^2 products of whole n x n matrices give: structure
+    constants and unit; its representation is that one's, T^-1 f T, zero
+    off the pieces' blocks, and the hom basis is handed back unchanged."""
+    pool = _piece_pool(name)
+    rng = np.random.default_rng(seed)
+    picks = []
+    while sum(P.dim for P in picks) ** 2 < rep._PIECE_GATE:
+        picks.append(pool[rng.integers(0, len(pool))])
+    M = random_base_change(direct_sum(picks)[0], rng)
+    F = M.field
+    H = hom_space(M, M)
+    assert H.pieces is not None
+    basis = H.basis
+    whole = rep.algebra_on_span(F, basis, (F.vmatmul(f, basis) for f in basis),
+                                F.eye(M.dim), rep=basis)
+    E, emb = end_algebra(M)
+    assert emb.tobytes() == basis.tobytes()
+    for got, want in ((E.struct, whole.struct), (E.unit, whole.unit)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    T, Ti, labels = H.pieces
+    assert np.array_equal(E.rep, F.vmatmul(Ti, F.vmatmul(whole.rep, T)))
+    assert E.rep_blocks == tuple(np.bincount(labels)[np.bincount(labels) > 0])
+    assert not E.rep[:, labels[:, None] != labels].any()
+
+
+def test_end_algebra_rejects_an_endomorphism_off_the_pieces(monkeypatch):
+    """A hom basis whose first element moves the image of one unit piece
+    into another's is caught before any product is formed."""
+    M = random_base_change(regular_module(make_matrix_algebra(3, FF(3))),
+                           np.random.default_rng(33))
+    F = M.field
+    H = hom_space(M, M)
+    T, Ti, labels = H.pieces
+    off = F.zeros((M.dim, M.dim))
+    off[0, M.dim - 1] = 1  # labels 0 and 2: an entry off the pieces' blocks
+    assert labels[0] != labels[-1]
+    bad = H.basis.copy()
+    bad[0] = F.vadd(bad[0], F.vmatmul(T, F.vmatmul(off, Ti)))
+    monkeypatch.setattr(rep, "hom_space", lambda X, Y: rep.HomSpace(X, Y, bad, pieces=H.pieces))
+    with pytest.raises(rep.CertificationError, match="moves a unit piece's image"):
+        end_algebra(M)
+
+
+def test_random_base_change_draws_as_with_a_rank_test():
+    """One solve decides invertibility and gives the inverse: the draws are
+    those of a loop that tests the rank first, and the module is conjugated
+    by the first invertible draw."""
+    M = regular_module(make_matrix_algebra(2, FF(2)))
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        while True:
+            g = rng.integers(0, 2, size=(4, 4))
+            if is_invertible(M.field, g):
+                break
+        want = M.field.vmatmul(g, M.field.vmatmul(M.mats, inverse(M.field, g)))
+        assert np.array_equal(random_base_change(M, np.random.default_rng(seed)).mats, want)
