@@ -30,6 +30,18 @@ on the top layers of gr V = sum J^i V / J^{i+1} V (V the faithful
 representation of A), or in A/J's regular representation when that is
 no larger.
 
+The certificate is the one builder of the top A/J.  radical keeps what
+it built on A as one record (CertifiedRadical: J, J's SpanSolver, A/J
+with its project and lift), and every reader of A/J takes it from there
+through certified_radical: the idempotents, the locality test, the
+simple modules and the class test on a Clifford run's E_G.  So each
+algebra object is certified at most once, and its top built at most
+once.  For J = 0 the top is A itself, and the certificate also seeds
+A/J's own record, as its chain has just found rad(A/J) = 0.  A record
+never names its own algebra (the top A is stored as None): that would
+be a reference cycle, which frees nothing until the cyclic garbage
+collector runs.
+
 Primitive idempotent extraction follows the classical route: split the
 semisimple quotient (Berlekamp fixed space of the q-power Frobenius on
 the center gives the block decomposition; inside a block, elements with
@@ -43,8 +55,9 @@ field leaf where its split stopped (see primitive_orthogonal_idempotents).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -95,6 +108,8 @@ class Algebra:
         if self.rep_blocks is not None and (
                 self.rep is None or sum(self.rep_blocks) != self.rep.shape[1]):
             raise ValueError("representation blocks do not sum to its dimension")
+        # the CertifiedRadical that radical keeps once it has certified A
+        self._radical = None
         # (g, d) coordinate rows that generate A together with the unit; the
         # basis unless a builder knows fewer
         if generators is None:
@@ -443,12 +458,24 @@ def _group_generators(table, identity: int) -> list:
 # builders
 
 
+def _struct_zeros(d: int) -> np.ndarray:
+    """Zero structure constants of a d-dimensional algebra, a (d, d, d)
+    int64 array; a ValueError naming d when d > 512, where the array
+    would pass 1 GiB (the largest d that the tests, the selftest and the
+    benchmark build is 72)."""
+    if d > 512:
+        raise ValueError(f"algebra of dimension {d} is larger than supported (512): "
+                         f"its structure constants would take {d ** 3 / 2 ** 27:.1f} GiB")
+    return np.zeros((d, d, d), dtype=np.int64)
+
+
 def make_group_algebra(table, field: FiniteField) -> Algebra:
     """Group algebra of a finite group given by its multiplication table."""
     table = np.asarray(table, dtype=np.int64)
+    # sized first: the group axioms' check builds (k, k, k) arrays as well
+    struct = _struct_zeros(table.shape[0] if table.ndim else 0)
     identity = validate_group_table(table)
     k = table.shape[0]
-    struct = np.zeros((k, k, k), dtype=np.int64)
     for i in range(k):
         for j in range(k):
             struct[i, j, table[i, j]] = 1
@@ -465,7 +492,7 @@ def make_matrix_algebra(n: int, field: FiniteField) -> Algebra:
     if n < 1:
         raise ValueError("matrix algebra needs n >= 1")
     d = n * n
-    struct = np.zeros((d, d, d), dtype=np.int64)
+    struct = _struct_zeros(d)
     for u in range(n):
         for v in range(n):
             for w in range(n):
@@ -528,7 +555,9 @@ def make_path_algebra(field: FiniteField, n_vertices: int, arrows, relations=())
 
     # finiteness: the relation-free walks are the walks of a finite
     # automaton on states (vertex, tracked suffix); the basis is finite
-    # iff the reachable part of that automaton is acyclic.
+    # iff the reachable part of that automaton is acyclic, and then its
+    # size is the number of walks from the vertices' states, counted
+    # before a path is listed.
     states = [(v, ()) for v in range(n_vertices)]
     edges = {}
     queue = list(states)
@@ -548,20 +577,22 @@ def make_path_algebra(field: FiniteField, n_vertices: int, arrows, relations=())
                 seen.add(nstate)
                 queue.append(nstate)
         edges[(v, suf)] = outs
-    color = {}
+    walks = {}  # state -> its walks, the empty one included; None while open
 
-    def has_cycle(state):
-        color[state] = 1
+    def count_walks(state):
+        walks[state] = None  # meeting an open state again closes a cycle
+        total = 1
         for _, nxt in edges[state]:
-            c = color.get(nxt, 0)
-            if c == 1 or (c == 0 and has_cycle(nxt)):
-                return True
-        color[state] = 2
-        return False
+            if nxt in walks and walks[nxt] is None:
+                raise ValueError("infinite path basis")
+            total += walks[nxt] if nxt in walks else count_walks(nxt)
+        walks[state] = total
+        return total
 
     for st in seen:
-        if color.get(st, 0) == 0 and has_cycle(st):
-            raise ValueError("infinite path basis")
+        if st not in walks:
+            count_walks(st)
+    struct = _struct_zeros(sum(walks[s] for s in states))
 
     paths = []  # (start_vertex, arrow_tuple, end_vertex)
     for v in range(n_vertices):
@@ -577,14 +608,11 @@ def make_path_algebra(field: FiniteField, n_vertices: int, arrows, relations=())
                 if nsuf is None:
                     continue
                 paths.append((start, word + (ai,), t))
-                if len(paths) > 4096:
-                    raise ValueError("path basis larger than supported")
                 new_frontier.append((start, word + (ai,), t, nsuf))
         frontier = new_frontier
 
     d = len(paths)
     index = {(p[0], p[1]): i for i, p in enumerate(paths)}
-    struct = np.zeros((d, d, d), dtype=np.int64)
     # product p * q means "q first, then p": defined when start(p) == end(q),
     # and nonzero iff the walk q then p is relation-free, a basis walk
     for i, (ps, pw, _) in enumerate(paths):
@@ -657,6 +685,46 @@ def _blocks_charpoly(F, stacks, T: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class CertifiedRadical:
+    """The certified radical J of an algebra A with its top A/J: J's
+    echelon rows as radical returns them, a SpanSolver of them, and the
+    quotient algebra A/J with project and lift as quotient_algebra returns
+    them.  _certify_radical builds it and radical keeps it on A; readers
+    take it through certified_radical.
+
+    A record kept on A never names A: for J = 0, where the top is A itself,
+    top is None, and project and lift are the identity.  A record naming
+    its own algebra would be a reference cycle, which frees nothing until
+    the cyclic garbage collector runs."""
+
+    rows: np.ndarray
+    solver: SpanSolver
+    top: Optional[Algebra]
+    project: Callable
+    lift: Callable
+
+
+def _same(x):
+    return x
+
+
+def _semisimple_record(F: FiniteField, d: int) -> CertifiedRadical:
+    """The record of a d-dimensional algebra with zero radical."""
+    zero = np.zeros((0, d), dtype=np.int64)
+    return CertifiedRadical(zero, SpanSolver(F, zero), None, _same, _same)
+
+
+def certified_radical(A: Algebra) -> CertifiedRadical:
+    """A's certified radical and top, from the record radical keeps on A;
+    the first call certifies it (radical).  The record handed out has
+    top = A when J = 0, for the reader's use: it is not kept."""
+    if A._radical is None:
+        radical(A)
+    rec = A._radical
+    return rec if rec.top is not None else replace(rec, top=A)
+
+
 def radical(A: Algebra, certify: bool = True) -> np.ndarray:
     """Echelonized basis (rows) of the Jacobson radical.
 
@@ -679,12 +747,19 @@ def radical(A: Algebra, certify: bool = True) -> np.ndarray:
     product of theirs (_blocks_charpoly).
 
     Certified in-op: ideal closure, nilpotency, and a zero radical of the
-    quotient; any failure raises CertificationError.
+    quotient; any failure raises CertificationError.  The certificate
+    builds the top A/J, and radical keeps J, its solver and the top on A
+    as one CertifiedRadical.  Once A has been certified, radical returns
+    that record's rows and runs nothing, with or without certify; without
+    certify and a record, the chain runs and nothing is kept.
     """
+    if A._radical is not None:
+        return A._radical.rows
     F = A.field
     d = A.dim
-    if d == 0:
-        return np.zeros((0, 0), dtype=np.int64)
+    if d == 0:  # nothing to certify: the zero algebra is its own top
+        A._radical = _semisimple_record(F, 0)
+        return A._radical.rows
     rep = A.faithful_rep()
     nrep = rep.shape[1]
     blocks = [rep] if A.rep_blocks is None else _diagonal_blocks(rep, A.rep_blocks)
@@ -722,12 +797,13 @@ def radical(A: Algebra, certify: bool = True) -> np.ndarray:
         pj *= F.p
     J = basis if len(basis) else np.zeros((0, d), dtype=np.int64)
     if certify:
-        _certify_radical(A, J)
+        A._radical = _certify_radical(A, J)
     return J
 
 
-def _certify_radical(A: Algebra, J):
-    """span(J) is a nilpotent two-sided ideal and A/J has zero radical.
+def _certify_radical(A: Algebra, J) -> CertifiedRadical:
+    """span(J) is a nilpotent two-sided ideal and A/J has zero radical;
+    returns the record of J and the top A/J it built for the check.
 
     The ideal check multiplies J by the generators only: a subspace closed
     under multiplication by them on both sides is closed under every
@@ -736,7 +812,8 @@ def _certify_radical(A: Algebra, J):
     block of rows x of J (_row_blocks, d^2 cells a row), each block checked
     against one solver for J.  For J = 0 the quotient is A itself and the
     chain that found J would only be rerun, so the claim that A is
-    semisimple has no certificate beyond that chain."""
+    semisimple has no certificate beyond that chain.  Otherwise the chain
+    runs on A/J and finds zero, and A/J gets the record that says so."""
     F = A.field
     d = A.dim
     gens = A.generators
@@ -759,10 +836,12 @@ def _certify_radical(A: Algebra, J):
     else:
         raise CertificationError("claimed radical is not nilpotent")
     if len(J) == 0:
-        return
-    Abar, _, _ = quotient_algebra(A, J_solver, rep=_graded_rep(A, J))
+        return CertifiedRadical(J, J_solver, None, _same, _same)
+    Abar, project, lift = quotient_algebra(A, J_solver, rep=_graded_rep(A, J))
     if len(radical(Abar, certify=False)) != 0:
         raise CertificationError("quotient by claimed radical is not semisimple")
+    Abar._radical = _semisimple_record(F, Abar.dim)
+    return CertifiedRadical(J, J_solver, Abar, project, lift)
 
 
 def _graded_rep(A: Algebra, J):
@@ -881,7 +960,7 @@ def algebra_on_span(field: FiniteField, basis, products, unit, rep=None,
     solver = SpanSolver(F, basis)
     if solver.dim < k:
         raise ValueError("span basis is not linearly independent")
-    struct = np.zeros((k, k, k), dtype=np.int64)
+    struct = _struct_zeros(k)
     i = 0
     for rows in products:
         rows = np.reshape(rows, (-1, k, w))
@@ -1120,6 +1199,10 @@ def primitive_orthogonal_idempotents(A: Algebra) -> IdempotentSet:
     idempotent at a time inside shrinking corners; the last idempotent is
     1 minus the others.
 
+    The split runs on the top Abar = A/J that the radical's certificate
+    built (certified_radical), A itself when J = 0, and the lifts go
+    through that record's solver for J.
+
     Why each e is primitive (Lam, A First Course in Noncommutative Rings,
     section 21; Curtis-Reiner, Methods of Representation Theory I, section
     6).  J = rad A is certified by `radical`, so Abar = A/J is semisimple.
@@ -1137,7 +1220,9 @@ def primitive_orthogonal_idempotents(A: Algebra) -> IdempotentSet:
       eAe / rad(eAe) is a field: eAe is local and e is primitive.
     The leaves have dimension 1 (decided at once) or are small commutative
     fields, so this one check replaces a locality test on every eAe, and on
-    End(S) = eEe for each summand S that `rep.decompose` builds from e.
+    End(S) = eEe for each summand S that `rep.decompose` builds from e.  A
+    leaf that is Abar itself (A local) reads the record the certificate
+    gave Abar, and runs no second chain.
 
     This is also the one place that decides which of the e are isomorphic:
     e A and f A are isomorphic iff ebar and fbar lie in one simple block of
@@ -1150,10 +1235,9 @@ def primitive_orthogonal_idempotents(A: Algebra) -> IdempotentSet:
     d = A.dim
     if d == 0:
         return IdempotentSet(A, [])
-    J = radical(A)
-    J_solver = SpanSolver(F, J)
-    Abar, project, lift = quotient_algebra(A, J_solver)
-    leaves = _semisimple_poi(Abar)
+    rad = certified_radical(A)
+    J_solver, lift = rad.solver, rad.lift
+    leaves = _semisimple_poi(rad.top)
     es = []
     done = F.zeros(d)
     for t, (ebar, _) in enumerate(leaves):
@@ -1182,7 +1266,8 @@ def primitive_orthogonal_idempotents(A: Algebra) -> IdempotentSet:
 
 def _iso_classes(A: Algebra, es, J_solver):
     """Isomorphism classes of the right ideals e A of primitive idempotents,
-    with witnesses: (labels, isos) as IdempotentSet documents them.
+    with witnesses: (labels, isos) as IdempotentSet documents them.  J_solver
+    is the solver of A's certified radical (certified_radical).
 
     Each e is tested against the first idempotent r of every class found so
     far, all in one product.  The r b e over A's basis b span
@@ -1232,17 +1317,16 @@ def _iso_classes(A: Algebra, es, J_solver):
     return labels, isos
 
 
-def is_local(A: Algebra, J=None) -> bool:
+def is_local(A: Algebra) -> bool:
     """True iff A modulo its radical is a (finite) field.
 
-    J, when given, is the radical of A as `radical` returns it, already
-    certified by the caller; it is not computed again.  A 1-dimensional
+    A/J is the top of A's certified radical (certified_radical): the one
+    the certificate built, or A itself when J = 0, so an algebra whose
+    radical is certified already is not certified again.  A 1-dimensional
     unital algebra is the field itself."""
     if A.dim <= 1:
         return A.dim == 1
-    if J is None:
-        J = radical(A)
-    Abar, _, _ = quotient_algebra(A, J)
+    Abar = certified_radical(A).top
     if not Abar.is_commutative():
         return False
     fixed_dim, _ = _frobenius_fixed_dim(Abar, Abar.field.eye(Abar.dim))

@@ -20,6 +20,7 @@ import numpy as np
 
 from .algebra import (
     _iso_classes,
+    certified_radical,
     corner_algebra,
     is_local,
     primitive_orthogonal_idempotents,
@@ -256,7 +257,7 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
         ext = [sub_inclusion_S(p.idem, action, sub) for p in pieces]
         ext_es = SpanSolver(F, H_G.flatten()).batch_coords(np.stack([e.flatten() for e in ext]))
         if len(es) > 1:
-            labels, _ = _iso_classes(E_G, ext_es, SpanSolver(F, radical(E_G)))
+            labels, _ = _iso_classes(E_G, ext_es, certified_radical(E_G).solver)
             if labels != es.labels:
                 raise CliffordViolation(
                     f"extension by zero changes the isomorphism classes: labels "
@@ -267,7 +268,7 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
     stage2 = []
     for idx, E in enumerate(stage2_corners):
         J = radical(E)
-        local = is_local(E, J)
+        local = is_local(E)
         stage2.append(
             StageTwoSummand(
                 index=idx,
@@ -345,8 +346,7 @@ def is_simple(M: Module) -> bool:
 def _is_simple_over(M: Module, E) -> bool:
     """is_simple(M) for a nonzero M, with E the End(M) that end_algebra(M)
     returns."""
-    J = radical(E)
-    if len(J) != 0 or not is_local(E, J):
+    if len(radical(E)) != 0 or not is_local(E):
         return False
     image_dim = rank(M.field, M.mats.reshape(len(M.mats), -1))
     return image_dim * E.dim == M.dim ** 2
@@ -371,7 +371,6 @@ def skewfield_check(action: GroupAction, M: Module) -> dict:
             f"orbit endomorphism dimension {ind.raw.dim} exceeds the plain one {end_dim}"
         )
     E, _ = kar_end_algebra(KarObject(action, M), ind.raw)
-    J = radical(E)
-    if len(J) != 0 or not is_local(E, J):
+    if len(radical(E)) != 0 or not is_local(E):
         raise CliffordViolation("orbit endomorphism algebra is not a field")
     return {"ok": True, "end_dim": end_dim}

@@ -52,7 +52,13 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraAut, _group_generators, validate_group_table
+from .algebra import (
+    Algebra,
+    AlgebraAut,
+    _group_generators,
+    _struct_zeros,
+    validate_group_table,
+)
 from .rep import Module, ModuleMor, hom_space, twist
 
 
@@ -159,7 +165,7 @@ def make_skew_group_algebra(action: GroupAction) -> Algebra:
     F = a.field
     d = a.dim
     D = d * k
-    struct = np.zeros((D, D, D), dtype=np.int64)
+    struct = _struct_zeros(D)
     for g in range(k):
         # (b_i (x) g)(b_j (x) h) = b_i * g(b_j) (x) gh, the same block for every h
         block = a.span_products(F.eye(d), auts[g].matrix.T)

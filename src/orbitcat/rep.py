@@ -46,6 +46,7 @@ from .algebra import (
     _diagonal_blocks,
     _row_blocks,
     algebra_on_span,
+    certified_radical,
     is_local,
     primitive_orthogonal_idempotents,
 )
@@ -554,14 +555,12 @@ def decompose(M: Module, certify: bool = True) -> Decomposition:
 
 
 def simple_modules(M_algebra: Algebra) -> List[Module]:
-    """The simple modules, via the semisimple quotient's regular module."""
-    from .algebra import quotient_algebra, radical
-
+    """The simple modules, via the regular module of the semisimple top
+    A/J of A's certified radical (certified_radical)."""
     A = M_algebra
-    J = radical(A)
-    Abar, project, lift = quotient_algebra(A, J)
-    # inflate the regular Abar-module to an A-module along the projection
-    mats = [Abar.left_mult_matrix(project(b)) for b in A.field.eye(A.dim)]
+    rad = certified_radical(A)
+    # inflate the regular A/J-module to an A-module along the projection
+    mats = [rad.top.left_mult_matrix(rad.project(b)) for b in A.field.eye(A.dim)]
     inflated = Module(A, mats, validate=False)
     dec = decompose(inflated, certify=False)
     reps = [s.module for s in dec.summands]

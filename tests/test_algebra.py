@@ -184,6 +184,31 @@ def test_path_algebra_matches_relation_scan_on_random_quivers():
     assert finite >= 40
 
 
+def test_path_basis_size_is_counted_before_the_paths_are_listed():
+    """A quiver's path basis is sized from its automaton's walk counts, so
+    one with a finite but huge basis is refused at once: the arrows i -> j
+    for i < j on 40 vertices have 2^40 - 1 paths.  The linear quiver on 40
+    vertices has 40 * 41 / 2 = 820."""
+    arrows = [(i, j) for i in range(40) for j in range(i + 1, 40)]
+    with pytest.raises(ValueError, match=f"algebra of dimension {2 ** 40 - 1} "):
+        make_path_algebra(FF(2), 40, arrows)
+    with pytest.raises(ValueError, match="algebra of dimension 820 "):
+        make_path_algebra(FF(2), 40, [(i, i + 1) for i in range(39)])
+    assert make_path_algebra(FF(2), 6, [(i, i + 1) for i in range(5)]).dim == 21
+
+
+@pytest.mark.parametrize("build", [
+    lambda F: make_group_algebra((np.arange(513)[:, None] + np.arange(513)) % 513, F),
+    lambda F: make_matrix_algebra(23, F),
+], ids=["C513", "Mat23"])
+def test_structure_constants_above_dimension_512_are_refused(build):
+    """Above dimension 512 the (d, d, d) int64 structure constants would
+    pass 1 GiB; the builders refuse before allocating them, the group
+    algebra before its group axioms' check, which builds (k, k, k) arrays."""
+    with pytest.raises(ValueError, match="algebra of dimension (513|529) is larger than supported"):
+        build(FF(2))
+
+
 def test_radical_f7c3_semisimple():
     A = make_group_algebra(cyclic_table(3), FF(7))
     assert len(radical(A)) == 0

@@ -521,6 +521,23 @@ def test_galois_order_above_the_field_bound_exits_2_at_once(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "field order 2147483647 exceeds 1048576"
 
 
+@pytest.mark.parametrize("algebra, d", [
+    ({"type": "path_algebra", "vertices": 40, "arrows": [[i, i + 1] for i in range(39)]}, 820),
+    ({"type": "matrix_algebra", "n": 30}, 900),
+], ids=["linear-quiver-40", "matrix-algebra-30"])
+def test_oversized_algebra_exits_2_at_once(tmp_path, capsys, algebra, d):
+    """An algebra above dimension 512 is refused before its (d, d, d) int64
+    structure constants are allocated: 4.1 GiB for the 820 paths of the
+    linear quiver on 40 vertices, 5.8 GiB for Mat30."""
+    path = write_scenario(tmp_path, dict(MAT2_SCENARIO, algebra=algebra))
+    t0 = time.perf_counter()
+    code = main(["run", path])
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith(
+        f"algebra of dimension {d} is larger than supported")
+
+
 def test_skewfield_task(tmp_path, capsys):
     doc = {
         "schema_version": 1,

@@ -382,22 +382,34 @@ def test_skewfield_check_rejects_fixed_module():
 
 
 def test_no_algebra_has_its_radical_certified_twice(monkeypatch):
-    """Stage 2 of clifford_run, is_simple and skewfield_check hand the
-    radical they certified to is_local, which then does not compute it
-    again.  Counted per algebra object on the Mat2/F5 simple module under
-    the swap, and on a 3-dim simple of F2C7 under inversion: its End is
-    F8, so all three sites see algebras of dimension 3, where is_local has
-    no 1-dimensional shortcut."""
-    certified = []  # holds the algebras, so no id is reused
-    original = algebra_mod.radical
+    """radical keeps the record it certified on the algebra, and every
+    reader of the top A/J takes it from there, so no algebra object is
+    certified twice (certified radical calls, and runs of
+    _certify_radical) or has its top built twice (quotient_algebra).
+    Counted per algebra object on the Mat2/F5 simple module under the swap
+    (whole inertia), on a 3-dim simple of F2C7 under inversion (its End is
+    F8, so every site sees an algebra of dimension 3, where is_local has no
+    1-dimensional shortcut), on an S3 star case with a proper inertia and
+    two classes (stage 2 reads the classes off E_G), and through
+    decompose and simple_modules."""
+    seen = {"radical": [], "_certify_radical": [], "quotient_algebra": []}
+    originals = {name: getattr(algebra_mod, name) for name in seen}
 
     def counting(A, certify=True):
         if certify:
-            certified.append(A)
-        return original(A, certify)
+            seen["radical"].append(A)  # holds the algebras, so no id is reused
+        return originals["radical"](A, certify)
+
+    def recording(name):
+        def run(A, *args, **kwargs):
+            seen[name].append(A)
+            return originals[name](A, *args, **kwargs)
+        return run
 
     monkeypatch.setattr(algebra_mod, "radical", counting)
     monkeypatch.setattr(clifford_mod, "radical", counting)
+    for name in ("_certify_radical", "quotient_algebra"):
+        monkeypatch.setattr(algebra_mod, name, recording(name))
     A, action = mat2_swap_action()
     S = column_module(A)
     assert all(s.local for s in clifford_run(action, S).stage2)
@@ -408,7 +420,15 @@ def test_no_algebra_has_its_radical_certified_twice(monkeypatch):
     assert [s.corner_dim for s in clifford_run(action, S).stage2] == [3]
     assert is_simple(S)
     assert skewfield_check(action, S) == {"ok": True, "end_dim": 3}
-    assert certified and len({id(E) for E in certified}) == len(certified)
+    action, M = s3_case("star_f5/simple/0")
+    report = clifford_run(action, M)
+    assert len(report.inertia_subgroup) < action.k and len(report.stage1) == 2
+    F3C3, mods = f3c3_indecomposables()
+    assert [s.multiplicity for s in decompose(direct_sum(mods + mods)[0]).summands] == [2] * 3
+    assert [T.dim for T in simple_modules(F3C3)] == [1]
+    assert all(seen.values())
+    for name, algebras in seen.items():
+        assert len({id(E) for E in algebras}) == len(algebras), name
 
 
 def test_clifford_run_builds_each_karoubi_corner_once(monkeypatch):
@@ -684,14 +704,14 @@ def test_class_corners_from_e_p_match_the_compressed_corners(name):
         assert s1.corner_dim == old.dim
         if len(sub) == action.k:
             assert (s2.corner_dim, s2.corner_radical_dim, s2.local) == \
-                (old.dim, len(J_old), is_local(old, J_old))
+                (old.dim, len(J_old), is_local(old))
             assert s2.materialized_dim == kar_functor_T(pieces[i]).dim
         else:
             ext = KarObject(action, M, sub_inclusion_S(pieces[i].idem, action, sub))
             E, _ = kar_end_algebra(ext, orbit_hom(M, M, action))
             J = radical(E)
             assert (s2.corner_dim, s2.corner_radical_dim, s2.local, s2.materialized_dim) == \
-                (E.dim, len(J), is_local(E, J), kar_functor_T(ext).dim)
+                (E.dim, len(J), is_local(E), kar_functor_T(ext).dim)
 
 
 def count_hom_solves(monkeypatch):

@@ -1,7 +1,9 @@
 """The radical's semisimplicity certificate: A/J checked in a faithful
 representation on the top layers of gr V, or in its regular one."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from orbitcat.algebra import (
     _certify_radical,
     _semisimple_poi,
     _graded_rep,
+    certified_radical,
     corner_algebra,
     is_local,
     make_group_algebra,
@@ -244,8 +247,9 @@ def test_one_row_blocks_give_the_same_radical(monkeypatch, name):
     """The charpoly stage streams the upper triangle in row blocks of at
     most _BLOCK_CELLS product cells.  With a budget of 1 cell every block
     is one row (and every ideal-check block one generator); the certified
-    radical is the same, byte for byte, as with the default budget."""
-    A = _trace_degenerate_algebras()[name]
+    radical is the same, byte for byte, as with the default budget.  Each
+    run gets a freshly built algebra, as radical keeps what it certified."""
+    A, fresh = (_trace_degenerate_algebras()[name] for _ in range(2))
     J = radical(A)
     calls = []
     original = algebra_mod.charpoly_batched
@@ -256,7 +260,7 @@ def test_one_row_blocks_give_the_same_radical(monkeypatch, name):
 
     monkeypatch.setattr(algebra_mod, "charpoly_batched", recording)
     monkeypatch.setattr(algebra_mod, "_BLOCK_CELLS", 1)
-    J1 = radical(A)
+    J1 = radical(fresh)
     assert len(calls) > 1  # the stage ran, in more than one block
     assert J1.dtype == J.dtype and J1.shape == J.shape
     assert J1.tobytes() == J.tobytes()
@@ -418,3 +422,50 @@ def test_an_idempotent_outside_its_coset_is_rejected(monkeypatch, A):
     monkeypatch.setattr(algebra_mod, "_semisimple_poi", tampered)
     with pytest.raises(CertificationError, match="outside the coset"):
         primitive_orthogonal_idempotents(A)
+
+
+def test_the_certificate_gives_the_top_its_own_record(monkeypatch):
+    """The certificate's chain has found rad(A/J) = 0, and A/J keeps that:
+    radical on the top that certified_radical hands out runs no charpoly
+    and no kernel_basis call.  A3/F5 has a 3-dim radical and top F5^3."""
+    A = make_path_algebra(FF(5), 3, [(0, 1), (1, 2)])
+    rad = certified_radical(A)
+    assert (len(rad.rows), rad.top.dim) == (3, 3)
+    assert rad.top is certified_radical(A).top  # built once
+    calls = []
+
+    def refuse(name):
+        def run(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return run
+
+    for name in ("charpoly_batched", "kernel_basis"):
+        monkeypatch.setattr(algebra_mod, name, refuse(name))
+    assert radical(rad.top).shape == (0, 3)
+    assert radical(rad.top, certify=False).shape == (0, 3)
+    assert not calls
+
+
+@pytest.mark.parametrize("A", [
+    make_group_algebra(cyclic_table(3), FF(3)),
+    make_matrix_algebra(3, FF(3)),
+], ids=["F3C3", "Mat3/F3"])
+def test_an_end_algebra_is_freed_without_the_cycle_collector(A):
+    """The record radical keeps on an algebra never names the algebra: for
+    J = 0 (End of regular Mat3/F3) its top is stored as None, and for
+    J != 0 (End of regular F3C3) it names A/J, whose own record stores None.
+    So with the cyclic garbage collector off, an End algebra whose
+    idempotents were computed is freed as soon as it is deleted."""
+    E, _ = end_algebra(regular_module(A))
+    es = primitive_orthogonal_idempotents(E)
+    assert E._radical is not None and (E._radical.top is None) == (len(E._radical.rows) == 0)
+    assert certified_radical(E).top is not None
+    gone = weakref.ref(E)
+    gc.collect()
+    gc.disable()
+    try:
+        del E, es
+        assert gone() is None
+    finally:
+        gc.enable()
