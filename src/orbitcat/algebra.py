@@ -31,16 +31,16 @@ representation of A), or in A/J's regular representation when that is
 no larger.
 
 The certificate is the one builder of the top A/J.  radical keeps what
-it built on A as one record (CertifiedRadical: J, J's SpanSolver, A/J
-with its project and lift), and every reader of A/J takes it from there
-through certified_radical: the idempotents, the locality test, the
-simple modules and the class test on a Clifford run's E_G.  So each
-algebra object is certified at most once, and its top built at most
-once.  For J = 0 the top is A itself, and the certificate also seeds
-A/J's own record, as its chain has just found rad(A/J) = 0.  A record
-never names its own algebra (the top A is stored as None): that would
-be a reference cycle, which frees nothing until the cyclic garbage
-collector runs.
+it built on A as one record (CertifiedRadical: J's SpanSolver, whose
+basis is J, and A/J with its project and lift), and every reader of A/J
+takes it from there through certified_radical: the idempotents, the
+locality test, the simple modules and the class test on a Clifford
+run's E_G.  So each algebra object is certified at most once, and its
+top built at most once.  For J = 0 the top is A itself; otherwise the
+certificate also seeds A/J's own record, as its chain has just found
+rad(A/J) = 0.  A record never names its own algebra (the top A is
+stored as None): that would be a reference cycle, which frees nothing
+until the cyclic garbage collector runs.
 
 Primitive idempotent extraction follows the classical route: split the
 semisimple quotient (Berlekamp fixed space of the q-power Frobenius on
@@ -460,12 +460,16 @@ def _group_generators(table, identity: int) -> list:
 
 def _struct_zeros(d: int) -> np.ndarray:
     """Zero structure constants of a d-dimensional algebra, a (d, d, d)
-    int64 array; a ValueError naming d when d > 512, where the array
-    would pass 1 GiB (the largest d that the tests, the selftest and the
-    benchmark build is 72)."""
-    if d > 512:
-        raise ValueError(f"algebra of dimension {d} is larger than supported (512): "
-                         f"its structure constants would take {d ** 3 / 2 ** 27:.1f} GiB")
+    int64 array; a ValueError naming d when d > 256.  Building an algebra
+    holds about seven arrays of d^3 8-byte entries at its peak: these
+    constants, the group axioms' two compositions, and validate's float64
+    products, d^2 rows of d per generator (peak RSS at d = 256: Mat16 985
+    MB, the group algebra of C16 x C16 967 MB).  d <= 256, where one such
+    array is 128 MiB, keeps that peak within 1 GiB.  The largest d that the
+    tests, the selftest and the benchmark build is 72."""
+    if d > 256:
+        raise ValueError(f"algebra of dimension {d} is larger than supported (256): "
+                         f"building it would hold about {7 * d ** 3 / 2 ** 27:.1f} GiB")
     return np.zeros((d, d, d), dtype=np.int64)
 
 
@@ -687,18 +691,17 @@ def _blocks_charpoly(F, stacks, T: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CertifiedRadical:
-    """The certified radical J of an algebra A with its top A/J: J's
-    echelon rows as radical returns them, a SpanSolver of them, and the
-    quotient algebra A/J with project and lift as quotient_algebra returns
-    them.  _certify_radical builds it and radical keeps it on A; readers
-    take it through certified_radical.
+    """The certified radical J of an algebra A with its top A/J: a
+    SpanSolver of J, whose basis is J's reduced echelon rows as radical
+    returns them, and the quotient algebra A/J with project and lift as
+    quotient_algebra returns them.  _certify_radical builds it and
+    radical keeps it on A; readers take it through certified_radical.
 
     A record kept on A never names A: for J = 0, where the top is A itself,
     top is None, and project and lift are the identity.  A record naming
     its own algebra would be a reference cycle, which frees nothing until
     the cyclic garbage collector runs."""
 
-    rows: np.ndarray
     solver: SpanSolver
     top: Optional[Algebra]
     project: Callable
@@ -711,8 +714,8 @@ def _same(x):
 
 def _semisimple_record(F: FiniteField, d: int) -> CertifiedRadical:
     """The record of a d-dimensional algebra with zero radical."""
-    zero = np.zeros((0, d), dtype=np.int64)
-    return CertifiedRadical(zero, SpanSolver(F, zero), None, _same, _same)
+    return CertifiedRadical(SpanSolver(F, np.zeros((0, d), dtype=np.int64)),
+                            None, _same, _same)
 
 
 def certified_radical(A: Algebra) -> CertifiedRadical:
@@ -750,16 +753,17 @@ def radical(A: Algebra, certify: bool = True) -> np.ndarray:
     quotient; any failure raises CertificationError.  The certificate
     builds the top A/J, and radical keeps J, its solver and the top on A
     as one CertifiedRadical.  Once A has been certified, radical returns
-    that record's rows and runs nothing, with or without certify; without
-    certify and a record, the chain runs and nothing is kept.
+    the rows of that record's solver and runs nothing, with or without
+    certify; without certify and a record, the chain runs and nothing is
+    kept.
     """
     if A._radical is not None:
-        return A._radical.rows
+        return A._radical.solver.basis
     F = A.field
     d = A.dim
     if d == 0:  # nothing to certify: the zero algebra is its own top
         A._radical = _semisimple_record(F, 0)
-        return A._radical.rows
+        return A._radical.solver.basis
     rep = A.faithful_rep()
     nrep = rep.shape[1]
     blocks = [rep] if A.rep_blocks is None else _diagonal_blocks(rep, A.rep_blocks)
@@ -796,9 +800,10 @@ def radical(A: Algebra, certify: bool = True) -> np.ndarray:
         j += 1
         pj *= F.p
     J = basis if len(basis) else np.zeros((0, d), dtype=np.int64)
-    if certify:
-        A._radical = _certify_radical(A, J)
-    return J
+    if not certify:
+        return J
+    A._radical = _certify_radical(A, J)
+    return A._radical.solver.basis
 
 
 def _certify_radical(A: Algebra, J) -> CertifiedRadical:
@@ -810,12 +815,16 @@ def _certify_radical(A: Algebra, J) -> CertifiedRadical:
     right-nested generator word, by associativity.  The products g x are
     formed for one block of generators g at a time and the x g for one
     block of rows x of J (_row_blocks, d^2 cells a row), each block checked
-    against one solver for J.  For J = 0 the quotient is A itself and the
-    chain that found J would only be rerun, so the claim that A is
-    semisimple has no certificate beyond that chain.  Otherwise the chain
-    runs on A/J and finds zero, and A/J gets the record that says so."""
+    against one solver for J.  For J = 0 there is nothing to check: the
+    ideal and nilpotency checks are empty, and the quotient is A itself,
+    where the chain that found J would only be rerun, so the claim that A
+    is semisimple has no certificate beyond that chain.  Otherwise the
+    chain runs on A/J and finds zero, and A/J gets the record that says
+    so."""
     F = A.field
     d = A.dim
+    if len(J) == 0:
+        return _semisimple_record(F, d)
     gens = A.generators
     J_solver = SpanSolver(F, J)
     left = (A.span_products(gens[blk], J) for blk in _row_blocks(len(gens), d * d))
@@ -835,13 +844,11 @@ def _certify_radical(A: Algebra, J) -> CertifiedRadical:
         S = S_next
     else:
         raise CertificationError("claimed radical is not nilpotent")
-    if len(J) == 0:
-        return CertifiedRadical(J, J_solver, None, _same, _same)
     Abar, project, lift = quotient_algebra(A, J_solver, rep=_graded_rep(A, J))
     if len(radical(Abar, certify=False)) != 0:
         raise CertificationError("quotient by claimed radical is not semisimple")
     Abar._radical = _semisimple_record(F, Abar.dim)
-    return CertifiedRadical(J, J_solver, Abar, project, lift)
+    return CertifiedRadical(J_solver, Abar, project, lift)
 
 
 def _graded_rep(A: Algebra, J):

@@ -198,14 +198,15 @@ def test_path_basis_size_is_counted_before_the_paths_are_listed():
 
 
 @pytest.mark.parametrize("build", [
-    lambda F: make_group_algebra((np.arange(513)[:, None] + np.arange(513)) % 513, F),
-    lambda F: make_matrix_algebra(23, F),
-], ids=["C513", "Mat23"])
-def test_structure_constants_above_dimension_512_are_refused(build):
-    """Above dimension 512 the (d, d, d) int64 structure constants would
-    pass 1 GiB; the builders refuse before allocating them, the group
-    algebra before its group axioms' check, which builds (k, k, k) arrays."""
-    with pytest.raises(ValueError, match="algebra of dimension (513|529) is larger than supported"):
+    lambda F: make_group_algebra((np.arange(257)[:, None] + np.arange(257)) % 257, F),
+    lambda F: make_matrix_algebra(17, F),
+], ids=["C257", "Mat17"])
+def test_algebras_above_dimension_256_are_refused(build):
+    """Above dimension 256 building an algebra would hold more than 1 GiB
+    in (d, d, d) arrays; the builders refuse before allocating the
+    structure constants, the group algebra before its group axioms'
+    check, which builds (k, k, k) arrays."""
+    with pytest.raises(ValueError, match="algebra of dimension (257|289) is larger than supported"):
         build(FF(2))
 
 

@@ -1,5 +1,7 @@
 import copy
 import json
+import os
+import resource
 import subprocess
 import sys
 import time
@@ -526,7 +528,7 @@ def test_galois_order_above_the_field_bound_exits_2_at_once(tmp_path, capsys):
     ({"type": "matrix_algebra", "n": 30}, 900),
 ], ids=["linear-quiver-40", "matrix-algebra-30"])
 def test_oversized_algebra_exits_2_at_once(tmp_path, capsys, algebra, d):
-    """An algebra above dimension 512 is refused before its (d, d, d) int64
+    """An algebra above dimension 256 is refused before its (d, d, d) int64
     structure constants are allocated: 4.1 GiB for the 820 paths of the
     linear quiver on 40 vertices, 5.8 GiB for Mat30."""
     path = write_scenario(tmp_path, dict(MAT2_SCENARIO, algebra=algebra))
@@ -537,6 +539,26 @@ def test_oversized_algebra_exits_2_at_once(tmp_path, capsys, algebra, d):
     assert json.loads(capsys.readouterr().err)["error"].startswith(
         f"algebra of dimension {d} is larger than supported")
 
+
+
+def test_algebra_at_the_dimension_cap_is_built_within_2_gb(tmp_path):
+    """The group algebra of C16 x C16 (dimension 256, the largest allowed)
+    is built and validated under a 2,000,000 KiB address-space limit, where
+    it peaks near 1 GiB; the scenario then ends with exit 2 and a JSON
+    diagnostic for its action, which does not fit that algebra, not with
+    an out-of-memory traceback."""
+    pairs = [(a, b) for a in range(16) for b in range(16)]
+    table = [[16 * ((a + c) % 16) + (b + e) % 16 for c, e in pairs] for a, b in pairs]
+    doc = dict(MAT2_SCENARIO, algebra={"type": "group_algebra", "group": table})
+    path = write_scenario(tmp_path, doc)
+    limit = 2_000_000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitcat.cli", "run", path],
+        capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stderr)["error"].startswith("action matrix of shape (2, 2)")
 
 def test_skewfield_task(tmp_path, capsys):
     doc = {
