@@ -128,10 +128,11 @@ class Algebra:
         the span so far.  Uses no associativity, so it runs before
         validate()."""
         F, d = self.field, self.dim
+        left = F.combine(self.generators, self.struct)  # the generators' products, once
         span = SpanSolver(F, self.unit[None, :])
         frontier = span.basis
         while len(frontier) and span.dim < d:
-            prods = self.span_products(self.generators, frontier).reshape(-1, d)
+            prods = F.vmatmul(frontier, left).reshape(-1, d)
             frontier = SpanSolver(F, span.residual(prods)).basis
             span = SpanSolver(F, np.concatenate([span.basis, frontier]))
         if span.dim < d:

@@ -250,14 +250,7 @@ def check_adjunction_laws(seed=0, min_samples=50) -> CheckResult:
     groups_seen = set()
     per_pair = max(1, (min_samples + len(pairs) - 1) // len(pairs))
     for name, A, action in pairs:
-        orders = []
-        for g in action.elements():
-            acc, order = g, 1
-            while acc != 0:
-                acc = action.mul(acc, g)
-                order += 1
-            orders.append(order)
-        groups_seen.add((action.k, tuple(sorted(orders))))
+        groups_seen.add((action.k, tuple(sorted(action.order(g) for g in action.elements()))))
         F = A.field
         pool = pools[id(A)]
         # hom dimension formula: Frobenius reciprocity on the pool

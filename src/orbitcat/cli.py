@@ -157,7 +157,7 @@ def run_task(task: str, doc: dict, seed: int, shared: dict) -> dict:
     """Run one task; ``shared`` carries what the tasks of one scenario reuse."""
     out = {"task": task}
     if task == "galois":
-        tower = galois_build(_read_section(doc, "galois", _galois_scenario))
+        tower = _read_section(doc, "galois", lambda spec: galois_build(_galois_scenario(spec)))
         rank_out = galois_rank_check(tower)
         monad_out = galois_monad_group_check(tower)
         out["pass"] = bool(rank_out["ok"] and monad_out["ok"])

@@ -284,14 +284,10 @@ def clifford_run(action: GroupAction, M: Module) -> CliffordReport:
                 f"(dim {E.dim}, radical dim {len(J)})"
             )
     outside = []
-    sset = set(sub)
     for g in action.elements():
-        if g in sset:
+        if g in sub:
             continue
-        normalizes = all(
-            action.mul(action.mul(g, k), action.inv(g)) in sset for k in sub
-        )
-        if not normalizes:
+        if not action.normalizes(g, sub):
             outside.append({"g": g, "checked": False, "reason": "not normalizing"})
             continue
         gM, ginv = lifted_aut(g, M, action), action.inv(g)

@@ -28,7 +28,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraAut, CertificationError, validate_group_table
+from .algebra import Algebra, AlgebraAut, _struct_zeros, validate_group_table
 from .clifford import CliffordReport
 from .ffield import _MAX_ORDER, FF, FiniteField
 from .linalg import SpanSolver, inverse, kernel_basis, rank, rref, solve
@@ -56,12 +56,11 @@ class SkewContext:
         """Both identities on every basis pair, each in one batched product;
         an error names the first pair where one fails."""
         F, skew, d = self.base.field, self.skew, self.base.dim
-        lhs = skew.span_products(self.embed.T, self.embed.T)
-        rhs = F.zeros(lhs.shape)
-        rhs[..., :d] = self.base.struct
-        bad = np.argwhere((lhs != rhs).any(axis=-1))
-        if bad.size:
-            raise ValueError(f"embedding is not multiplicative at pair {tuple(bad[0].tolist())}")
+        images = F.zeros((d, d, skew.dim))
+        images[..., :d] = self.base.struct
+        pair = _unkept_product(skew, self.embed, images)
+        if pair is not None:
+            raise ValueError(f"embedding is not multiplicative at pair {pair}")
         # conj[g, i] = (1 (x) g)(b_i (x) 1) times (1 (x) g)^-1
         left = skew.span_products(self.sections, self.embed.T)
         inv_sections = self.sections[self.action.inverses]
@@ -75,6 +74,15 @@ class SkewContext:
     def restrict(self, X: Module) -> Module:
         """A skew-algebra module viewed over the base algebra."""
         return restrict_along(self.embed, self.skew, self.base, X)
+
+
+def _unkept_product(big: Algebra, emb, images):
+    """The first basis pair (i, j) of a small algebra whose product the
+    embedding emb (column i the image of b_i) does not keep, that is, with
+    emb(b_i) emb(b_j) != images[i, j] = emb(b_i b_j); None when it keeps
+    them all."""
+    bad = np.argwhere((big.span_products(emb.T, emb.T) != images).any(axis=-1))
+    return tuple(bad[0].tolist()) if bad.size else None
 
 
 def induce_skew(ctx: SkewContext, M: Module) -> Module:
@@ -209,6 +217,8 @@ def frobenius_action(q: int, deg_m: int, table, phi) -> GroupAction:
     table = np.asarray(table, dtype=np.int64)
     validate_group_table(table)
     k = table.shape[0]
+    if len(phi) != k:
+        raise ValueError(f"phi must have one entry per group element ({k})")
     phi = [int(phi[g]) % deg_m for g in range(k)]
     for g in range(k):
         for h in range(k):
@@ -235,7 +245,9 @@ class GaloisScenario:
     deg_l and deg_m are the degrees of L and M over F_q; phi sends each
     element of G to a q-power Frobenius exponent mod deg_m; H is a normal
     subgroup of G.  Delta = Gal(M:L) is generated by the deg_l-th power of
-    the Frobenius."""
+    the Frobenius.  ``action`` is G acting on M (frobenius_action), built
+    once here: it checks the group table and phi, and answers the group
+    questions about H."""
 
     q: int
     deg_l: int
@@ -249,36 +261,12 @@ class GaloisScenario:
         if self.deg_l < 1 or self.deg_m < 1:
             raise ValueError("the degrees of L and M must be at least 1")
         FF(p, e * self.deg_m)  # the field M: above the field bound this names its order
-        self.table = np.asarray(self.table, dtype=np.int64)
-        identity = validate_group_table(self.table)
-        if identity != 0:
-            raise ValueError("group identity must be element 0")
         if self.deg_m % self.deg_l != 0:
             raise ValueError("hypothesis violated: deg L must divide deg M")
-        k = self.table.shape[0]
-        if len(self.phi) != k:
-            raise ValueError(f"phi must have one entry per group element ({k})")
-        self.phi = [int(self.phi[g]) % self.deg_m for g in range(k)]
-        for g in range(k):
-            for h in range(k):
-                if self.phi[self.table[g, h]] != (self.phi[g] + self.phi[h]) % self.deg_m:
-                    raise ValueError("hypothesis violated: phi is not a homomorphism")
-        Hs = sorted(set(int(h) for h in self.H))
-        if not all(0 <= h < k for h in Hs):
-            raise ValueError(f"H has elements outside the group of order {k}")
-        if 0 not in Hs:
-            raise ValueError("hypothesis violated: H must contain the identity")
-        hset = set(Hs)
-        for a in Hs:
-            for b in Hs:
-                if self.table[a, b] not in hset:
-                    raise ValueError("hypothesis violated: H is not a subgroup")
-        for g in range(k):
-            ginv = next(x for x in range(k) if self.table[g, x] == 0)
-            for h in Hs:
-                if self.table[self.table[g, h], ginv] not in hset:
-                    raise ValueError("hypothesis violated: H is not normal in G")
-        self.H = Hs
+        self.action = frobenius_action(self.q, self.deg_m, self.table, self.phi)
+        self.H = list(self.action.subgroup(self.H))
+        if not all(self.action.normalizes(g, self.H) for g in self.action.elements()):
+            raise ValueError("hypothesis violated: H is not normal in G")
         # [phi(H), Delta] = 1 holds automatically: the Galois group of a
         # finite field is abelian.  Nothing to check beyond the structure.
 
@@ -290,36 +278,35 @@ class GaloisScenario:
         """Frobenius exponents of Gal(M:L) inside Gal(M:F_q)."""
         return [t * self.deg_l for t in range(self.delta_order)]
 
-    def coset_reps(self) -> List[int]:
-        """The least element of each coset Hg, sorted."""
-        k = self.table.shape[0]
-        return sorted({min(int(self.table[h, g]) for h in self.H) for g in range(k)})
-
 
 @dataclass
 class GaloisTower:
     """The rings of a Galois scenario, built once for both of its checks:
-    big = M x| G, its subring small = L x| H, the embedding emb (column j
-    is the image of small basis element j), the power-basis layout sf of M
-    over F_q, and theta, an element of M whose Gal(M:L)-orbit is an
-    L-basis of M."""
+    big = M x| G, its subring small = L x| H, small's enveloping algebra
+    env, the embedding emb (column j is the image of small basis element
+    j), the power-basis layout sf of M over F_q, and theta, an element of
+    M whose Gal(M:L)-orbit is an L-basis of M."""
 
     sc: GaloisScenario
     big: Algebra
     small: Algebra
+    env: Algebra
     emb: np.ndarray
     sf: SubfieldMap
     theta: int
 
 
 def galois_build(sc: GaloisScenario) -> GaloisTower:
-    """Build M x| G, its subring L x| H, and the embedding between them,
-    verified to be multiplicative and unit-preserving."""
-    big = make_skew_group_algebra(frobenius_action(sc.q, sc.deg_m, sc.table, sc.phi))
+    """Build M x| G, its subring L x| H with its enveloping algebra, and
+    the embedding between them, verified to be multiplicative and
+    unit-preserving.  A ring above the dimension cap is refused here,
+    before any check runs."""
+    big = make_skew_group_algebra(sc.action)
     h_index = {h: i for i, h in enumerate(sc.H)}
-    h_table = [[h_index[int(sc.table[a, b])] for b in sc.H] for a in sc.H]
+    h_table = [[h_index[sc.action.mul(a, b)] for b in sc.H] for a in sc.H]
     phi_h = [sc.phi[h] % sc.deg_l for h in sc.H]
     small = make_skew_group_algebra(frobenius_action(sc.q, sc.deg_l, h_table, phi_h))
+    env = enveloping_algebra(small)
 
     sf = SubfieldMap(sc.q, sc.deg_m)
     # the L-basis inside M: powers of the image y of the small field's
@@ -333,15 +320,13 @@ def galois_build(sc: GaloisScenario) -> GaloisTower:
         for t in range(sc.deg_l):
             # over F_q in the big power basis
             emb[h * sc.deg_m : (h + 1) * sc.deg_m, hi * sc.deg_l + t] = sf.coords(ypow[t])
-    # verify multiplicativity on all basis pairs: emb(b_i) emb(b_j) = emb(b_i b_j)
-    bad = np.argwhere((big.span_products(emb.T, emb.T) != F.vmatmul(small.struct, emb.T))
-                      .any(axis=2))
-    if len(bad):
-        raise ValueError(f"embedding not multiplicative at pair ({bad[0][0]}, {bad[0][1]})")
+    pair = _unkept_product(big, emb, F.vmatmul(small.struct, emb.T))
+    if pair is not None:
+        raise ValueError(f"embedding not multiplicative at pair {pair}")
     unit_img = F.vmatmul(emb, small.unit[:, None])[:, 0]
     if not np.array_equal(unit_img, big.unit):
         raise ValueError("embedding does not preserve the unit")
-    return GaloisTower(sc, big, small, emb, sf, normal_basis_element(sc, sf, ypow))
+    return GaloisTower(sc, big, small, env, emb, sf, normal_basis_element(sc, sf, ypow))
 
 
 def restrict_along(emb, big: Algebra, small: Algebra, X: Module) -> Module:
@@ -359,7 +344,7 @@ def galois_rank_check(tower: GaloisTower) -> dict:
     basis, that is, when the big ring is left-free with basis indexed by
     Delta x G/H."""
     sc, big, sf = tower.sc, tower.big, tower.sf
-    coset_reps = sc.coset_reps()
+    coset_reps = sc.action.right_coset_reps(sc.H)
     gens = []
     for d_exp in sc.delta_exponents():
         dtheta = sf.coords(sf.big.frobenius(tower.theta, sf.e * d_exp))
@@ -426,15 +411,16 @@ def _is_inner_automorphism(B: Algebra, gamma) -> bool:
 
 
 def enveloping_algebra(B: Algebra) -> Algebra:
-    """B (x) B^op; its modules are exactly the (B, B)-bimodules."""
+    """B (x) B^op; its modules are exactly the (B, B)-bimodules.  Its
+    dimension d^2 is capped as every algebra's is (_struct_zeros)."""
     F = B.field
     d = B.dim
+    struct = _struct_zeros(d * d)
     # struct[i, p, j, q, k, l] = c[i, j, k] * c[q, p, l]
     c = B.struct
-    struct = F.vmul(c[:, None, :, None, :, None], c.transpose(1, 0, 2)[None, :, None, :, None, :])
-    struct = struct.reshape(d * d, d * d, d * d)
-    unit = np.kron(B.unit, B.unit)
-    return Algebra(F, struct, unit, validate=False)
+    struct.reshape((d,) * 6)[...] = F.vmul(c[:, None, :, None, :, None],
+                                          c.transpose(1, 0, 2)[None, :, None, :, None, :])
+    return Algebra(F, struct, np.kron(B.unit, B.unit), validate=False)
 
 
 def bimodule_as_module(Benv: Algebra, B: Algebra, big: Algebra, emb,
@@ -544,8 +530,8 @@ def galois_monad_group_check(tower: GaloisTower) -> dict:
     functors), with the twist of some summand in the product coset block,
     and products of summand subspaces must stay inside that block."""
     sc, big, small, emb = tower.sc, tower.big, tower.small, tower.emb
-    F = big.field
-    coset_reps = sc.coset_reps()
+    F, action = big.field, sc.action
+    coset_reps = action.right_coset_reps(sc.H)
     deltas = sc.delta_exponents()
     small_img = emb.T
     expected_dim = sc.deg_l * len(sc.H)
@@ -554,19 +540,18 @@ def galois_monad_group_check(tower: GaloisTower) -> dict:
     # be finer than the rank-one-free summand functors (for commutative
     # small rings they always are), so the fine pieces are regrouped into
     # unions that are free of rank one on both sides.
-    Benv = enveloping_algebra(small)
     blocks: Dict[int, list] = {}
     betas: Dict[int, List[np.ndarray]] = {}
     for g in coset_reps:
         rows = []
         for h in sc.H:
-            pos = int(sc.table[h, g])
+            pos = action.mul(h, g)
             for t in range(sc.deg_m):
                 v = np.zeros(big.dim, dtype=np.int64)
                 v[pos * sc.deg_m + t] = 1
                 rows.append(v)
         coords = np.stack(rows)
-        block_mod = bimodule_as_module(Benv, small, big, emb, coords)
+        block_mod = bimodule_as_module(tower.env, small, big, emb, coords)
         dec = decompose(block_mod, certify=False)
         fine = []
         for s in dec.summands:
@@ -593,10 +578,10 @@ def galois_monad_group_check(tower: GaloisTower) -> dict:
     # composition: coset part exact, twist part up to inner automorphism
     for g1 in coset_reps:
         for g2 in coset_reps:
-            g3 = min(int(sc.table[h, sc.table[g1, g2]]) for h in sc.H)
+            coset = [action.mul(h, action.mul(g1, g2)) for h in sc.H]
+            g3 = min(coset)
             block_cols = np.zeros(big.dim, dtype=bool)
-            for h in sc.H:
-                pos = int(sc.table[h, sc.table[g1, g2]])
+            for pos in coset:
                 block_cols[pos * sc.deg_m : (pos + 1) * sc.deg_m] = True
             for i1, P1 in enumerate(blocks[g1]):
                 for i2, P2 in enumerate(blocks[g2]):
@@ -619,29 +604,14 @@ def galois_monad_group_check(tower: GaloisTower) -> dict:
                             "failing": ("table", (g1, i1), (g2, i2)),
                         }
 
-    # order profile of the abstract semidirect product (the conjugation
-    # action is trivial: the Galois group of a finite field is abelian)
-    elements = [(d, g) for d in deltas for g in coset_reps]
-    ident = (0, coset_reps[0])
-
-    def mul_pair(a, b):
-        d3 = (a[0] + b[0]) % sc.deg_m
-        g3 = min(int(sc.table[h, sc.table[a[1], b[1]]]) for h in sc.H)
-        return (d3, g3)
-
-    orders = []
-    for el in elements:
-        acc = el
-        order = 1
-        while acc != ident:
-            acc = mul_pair(acc, el)
-            order += 1
-            if order > len(elements):
-                raise CertificationError("element order exceeds the group order")
-        orders.append(order)
+    # order profile of the abstract semidirect product, a direct product
+    # (the Galois group of a finite field is abelian): (delta, gH) has the
+    # lcm of the orders of delta in Z/deg_m and of gH in G/H
+    orders = [math.lcm(sc.deg_m // math.gcd(d, sc.deg_m), action.order(g, sc.H))
+              for d in deltas for g in coset_reps]
     return {
         "ok": True,
-        "group_order": len(elements),
+        "group_order": len(orders),
         "element_orders": sorted(orders),
         "theta": tower.theta,
     }

@@ -56,6 +56,7 @@ from .algebra import (
     Algebra,
     AlgebraAut,
     _group_generators,
+    _row_blocks,
     _struct_zeros,
     validate_group_table,
 )
@@ -97,6 +98,9 @@ class GroupAction:
     def subgroup(self, elems) -> Tuple[int, ...]:
         """Validate and canonicalize a subgroup given as an element list."""
         sub = tuple(sorted(set(int(e) for e in elems)))
+        for e in sub:
+            if not 0 <= e < self.k:
+                raise ValueError(f"subgroup element {e} is not in the group of order {self.k}")
         if 0 not in sub:
             raise ValueError("subgroup must contain the identity")
         sset = set(sub)
@@ -107,6 +111,21 @@ class GroupAction:
                 if self.mul(a, b) not in sset:
                     raise ValueError(f"subgroup not closed under product ({a}, {b})")
         return sub
+
+    def normalizes(self, g: int, sub) -> bool:
+        """Whether g sub g^-1 = sub; sub is a subgroup, so lying inside it
+        suffices."""
+        conj = self.table[self.table[g, list(sub)], self.inverses[g]]
+        return set(conj.tolist()) <= set(sub)
+
+    def order(self, g: int, sub=(0,)) -> int:
+        """The least n >= 1 with g^n in the subgroup sub: the order of g,
+        or of its coset in G/sub when sub is normal."""
+        sset = set(self.subgroup(sub))
+        acc, n = g, 1
+        while acc not in sset:
+            acc, n = self.mul(acc, g), n + 1
+        return n
 
     def right_coset_reps(self, sub) -> Tuple[int, ...]:
         """Least-index representative per right coset sub*g, sorted; the
@@ -145,12 +164,14 @@ def check_action(action: GroupAction) -> bool:
         raise ValueError("identity element must act as the identity automorphism")
     for aut in {id(aut): aut for aut in action.auts}.values():
         aut.validate()
-    for g in range(action.k):
-        for h in range(action.k):
-            lhs = F.vmatmul(action.auts[g].matrix, action.auts[h].matrix)
-            rhs = action.auts[action.mul(g, h)].matrix
-            if not np.array_equal(lhs, rhs):
-                raise ValueError(f"action is not strict at pair ({g}, {h})")
+    mats = np.stack([aut.matrix for aut in action.auts])
+    # g's matrix times every h's against (gh)'s, one product per block of g
+    for blk in _row_blocks(action.k, action.k * d * d):
+        products = F.vmatmul(mats[blk, None], mats[None, :])
+        bad = np.argwhere((products != mats[table[blk]]).any(axis=(2, 3)))
+        if bad.size:
+            g, h = bad[0].tolist()
+            raise ValueError(f"action is not strict at pair ({blk.start + g}, {h})")
     return True
 
 

@@ -63,6 +63,26 @@ def test_group_table_validation():
         validate_group_table(bad)
 
 
+def test_generator_products_are_formed_once_per_construction(monkeypatch):
+    """The group algebra of C12 has one generator, so certifying that it
+    generates takes 11 frontier steps; the generator's left-multiplication
+    matrices, a combination of the structure constants, are formed once
+    before them."""
+    F = FF(5)
+    A = make_group_algebra(cyclic_table(12), F)
+    calls = []
+    combine = type(F).combine
+
+    def counted(self, coeffs, stack):
+        calls.append(np.shape(stack))
+        return combine(self, coeffs, stack)
+
+    monkeypatch.setattr(type(F), "combine", counted)
+    B = Algebra(F, A.struct, A.unit, generators=A.generators, validate=False)
+    assert len(B.generators) == 1
+    assert calls == [(12, 12, 12)]
+
+
 def test_group_algebra_trivial_and_c3():
     F = FF(5)
     A = make_group_algebra([[0]], F)

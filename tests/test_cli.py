@@ -560,6 +560,32 @@ def test_algebra_at_the_dimension_cap_is_built_within_2_gb(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert json.loads(proc.stderr)["error"].startswith("action matrix of shape (2, 2)")
 
+def _cyclic_tower(k, **galois):
+    table = [[(a + b) % k for b in range(k)] for a in range(k)]
+    return {"schema_version": 1, "tasks": ["galois"], "galois": dict(galois, group=table)}
+
+
+@pytest.mark.parametrize("doc, d", [
+    (_cyclic_tower(17, q=2, deg_l=1, deg_m=17, phi=list(range(17)), H=[0]), 289),
+    (_cyclic_tower(6, q=2, deg_l=4, deg_m=4, phi=[0] * 6, H=list(range(6))), 576),
+], ids=["C17-big-ring", "C6-enveloping-algebra"])
+def test_oversized_galois_tower_exits_2_within_2_gb(tmp_path, doc, d):
+    """A well-formed tower with a ring above dimension 256 is refused while
+    it is built, under a 2,000,000 KiB address-space limit: M x| G for C17
+    acting on F_{2^17} (289), and B (x) B^op for the 24-dimensional small
+    ring F_16 x| C6 (576), whose d^6 product would take 1.42 GiB."""
+    path = write_scenario(tmp_path, doc)
+    limit = 2_000_000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitcat.cli", "run", path],
+        capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stderr)["error"].startswith(
+        f"algebra of dimension {d} is larger than supported (256)")
+
+
 def test_skewfield_task(tmp_path, capsys):
     doc = {
         "schema_version": 1,

@@ -451,6 +451,22 @@ def test_galois_scenario_validation():
                        phi=[0, 1, 1, 3], H=[0, 2])
 
 
+S3 = GROUP_TABLES["S3"]
+S3_INVOLUTION = next(t for t in range(1, 6) if S3[t][t] == 0)
+
+
+@pytest.mark.parametrize("table, H, error", [
+    (S3, [0, S3_INVOLUTION], "hypothesis violated: H is not normal in G"),
+    (cyclic_table(4), [0, 1], "subgroup not closed under inverse at 1"),
+    (cyclic_table(4), [0, 9], "subgroup element 9 is not in the group of order 4"),
+    (cyclic_table(4), [2], "subgroup must contain the identity"),
+], ids=["not-normal", "not-closed", "outside-the-group", "no-identity"])
+def test_galois_scenario_checks_h_with_its_action(table, H, error):
+    """H is checked by the scenario's G-action: a subgroup of G, and normal."""
+    with pytest.raises(ValueError, match=error):
+        GaloisScenario(q=3, deg_l=1, deg_m=1, table=table, phi=[0] * len(table), H=H)
+
+
 def test_prime_power_matches_sympy_and_refuses_orders_above_the_bound():
     """Trial division up to sqrt(q) finds the prime of every prime power
     and refuses every other q, as sympy's factorization does; a q above the

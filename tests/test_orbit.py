@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from orbitcat import algebra as algebra_mod
 from orbitcat.algebra import AlgebraAut, make_group_algebra, make_matrix_algebra
 from orbitcat.ffield import FF
 from orbitcat.linalg import solve
@@ -136,6 +137,19 @@ def test_check_action_rejects_non_strict():
     ident = AlgebraAut(A, np.eye(4, dtype=np.int64))
     with pytest.raises(ValueError, match="not strict"):
         GroupAction(A, cyclic_table(2), [ident, AlgebraAut(A, P)])
+
+
+@pytest.mark.parametrize("block_cells", [2 ** 18, 1], ids=["one-block", "row-blocks"])
+def test_check_action_names_the_first_non_strict_pair(monkeypatch, block_cells):
+    """C4 on Mat2/F5 with sigma_3 replaced by sigma_1: the first pair
+    (g, h) in row order where sigma_g sigma_h != sigma_gh is (1, 2), whether
+    the products are one batch or one block per g."""
+    monkeypatch.setattr(algebra_mod, "_BLOCK_CELLS", block_cells)
+    A, action = c4_diag_action()
+    auts = list(action.auts)
+    auts[3] = auts[1]
+    with pytest.raises(ValueError, match=r"not strict at pair \(1, 2\)$"):
+        GroupAction(A, cyclic_table(4), auts)
 
 
 def test_orbit_hom_trivial_group(f7c3_setup):
@@ -721,3 +735,37 @@ def test_t_object_is_built_once_per_module_and_twists():
     other = inversion_action(A)
     TO, perm_o = _t_object(X, other, (0, 1))
     assert TO is not TX and TO.equal_with_blocks(TX) and np.array_equal(perm_o, perm)
+
+
+def test_group_action_answers_subgroup_normality_and_order_questions():
+    """Over every subset of S3 that is a subgroup (6 of them, 3 normal),
+    normalizes(g, H) says whether g H g^-1 = H and order(g, H) is the least
+    n >= 1 with g^n in H, both as found by listing the products."""
+    A = make_matrix_algebra(2, FF(5))
+    action = build_action(A, {"group": "S3", "kind": "trivial"})
+    subgroups = []
+    for mask in range(1, 64, 2):
+        try:
+            subgroups.append(action.subgroup([e for e in range(6) if mask >> e & 1]))
+        except ValueError:
+            continue
+    assert len(subgroups) == 6
+    normal = [H for H in subgroups if all(action.normalizes(g, H) for g in range(6))]
+    assert [len(H) for H in normal] == [1, 3, 6]
+    for H in subgroups:
+        for g in range(6):
+            conj = {action.mul(action.mul(g, h), action.inv(g)) for h in H}
+            assert action.normalizes(g, H) == (conj == set(H))
+            powers = [g]
+            while powers[-1] not in H:
+                powers.append(action.mul(powers[-1], g))
+            assert action.order(g, H) == len(powers)
+    assert sorted(action.order(g) for g in range(6)) == [1, 2, 2, 2, 3, 3]
+
+
+@pytest.mark.parametrize("elems, bad", [([0, 1, -1], -1), ([0, 7], 7)])
+def test_subgroup_rejects_elements_outside_the_group(elems, bad):
+    A = make_group_algebra(cyclic_table(2), FF(3))
+    action = inversion_action(A)
+    with pytest.raises(ValueError, match=f"subgroup element {bad} is not in the group of order 2"):
+        action.subgroup(elems)
